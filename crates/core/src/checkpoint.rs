@@ -15,9 +15,9 @@
 //! the headline test of this module.
 
 use crate::case::OptimizationConfig;
+use crate::drive::{self, Replay, Shot};
 use crate::error::{ConfigError, RtmError};
 use crate::modeling::{Medium2, State2};
-use exec_host::Arena;
 use seismic_grid::Field2;
 use seismic_source::{Acquisition2, Seismogram, Wavelet};
 
@@ -62,96 +62,10 @@ pub fn migrate_checkpointed(
     slots: usize,
     gangs: usize,
 ) -> Result<Field2, RtmError> {
-    let e = medium.extent();
-    let dt = medium.dt();
     let checkpoints = plan_checkpoints(steps, slots)?;
-
-    // Forward pass: store full states at checkpoint steps only.
-    // `stored[k]` is the state *before* executing step `checkpoints[k]`.
-    // The slots are allocated up front and filled by `copy_from`, so the
-    // time loop itself never allocates (a `clone()` per checkpoint used to
-    // reallocate every field of the state).
-    let mut stored: Vec<State2> = (0..checkpoints.len())
-        .map(|_| State2::new(medium))
-        .collect();
-    {
-        let mut state = State2::new(medium);
-        let mut next = 0usize;
-        for t in 0..steps {
-            if next < checkpoints.len() && checkpoints[next] == t {
-                stored[next].copy_from(&state);
-                next += 1;
-            }
-            state.step(medium, config, gangs);
-            state.inject(
-                medium,
-                acq.src_ix,
-                acq.src_iz,
-                wavelet.sample(t as f32 * dt),
-            );
-        }
-    }
-
-    // Backward pass: walk segments last → first; replay each segment's
-    // snapshots from its checkpoint, then correlate against the receiver
-    // field stepping backward through the same time range.
-    let mut image = Field2::zeros(e);
-    let mut rstate = State2::new(medium);
-    // One forward-replay state reused across every segment, and an arena
-    // recycling the per-segment snapshot buffers: after the first (longest)
-    // segment the backward pass reaches steady state and allocates nothing.
-    let mut fstate = State2::new(medium);
-    let snap_arena: Arena<Field2> = Arena::new();
-    let mut replay: Vec<(usize, Field2)> = Vec::new();
-    let mut seg_end = steps;
-    for (k, &seg_start) in checkpoints.iter().enumerate().rev() {
-        // Replay the forward field across [seg_start, seg_end), keeping the
-        // snapshots that fall in the segment.
-        fstate.copy_from(&stored[k]);
-        for t in seg_start..seg_end {
-            fstate.step(medium, config, gangs);
-            fstate.inject(
-                medium,
-                acq.src_ix,
-                acq.src_iz,
-                wavelet.sample(t as f32 * dt),
-            );
-            // migrate_shot images against the snapshot taken *after* step t
-            // when t % snap_period == 0 in the forward driver (which saves
-            // after stepping+injecting).
-            if t % snap_period == 0 {
-                let mut snap = snap_arena.take_with(|| Field2::zeros(e));
-                fstate.write_wavefield_into(&mut snap);
-                replay.push((t, snap));
-            }
-        }
-        // Receiver field walks t = seg_end-1 .. seg_start, imaging at the
-        // same times migrate_shot does. Replay entries are pushed in
-        // increasing step order, so the by-step lookup is a binary search.
-        for t in (seg_start..seg_end).rev() {
-            if t % snap_period == 0 {
-                let idx = replay
-                    .binary_search_by_key(&t, |(ts, _)| *ts)
-                    .map_err(|_| RtmError::MissingSnapshot { step: t })?;
-                let snap = &replay[idx].1;
-                for iz in 0..e.nz {
-                    for ix in 0..e.nx {
-                        let v = image.get(ix, iz) + snap.get(ix, iz) * rstate.sample(ix, iz);
-                        image.set(ix, iz, v);
-                    }
-                }
-            }
-            rstate.step(medium, config, gangs);
-            for (r, rcv) in acq.receivers.iter().enumerate() {
-                rstate.inject(medium, rcv.ix, rcv.iz, seismogram.get(r, t));
-            }
-        }
-        for (_, snap) in replay.drain(..) {
-            snap_arena.put(snap);
-        }
-        seg_end = seg_start;
-    }
-    Ok(image)
+    let shot = Shot::<State2>::new(medium, acq, config, steps, snap_period, gangs).checked()?;
+    let mut src = Replay::new(shot, wavelet, checkpoints);
+    Ok(drive::backward(&shot, seismogram, &mut src, None))
 }
 
 impl Clone for State2 {

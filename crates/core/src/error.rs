@@ -17,6 +17,8 @@ pub enum ConfigError {
     NoShots,
     /// A time loop needs at least one step.
     ZeroSteps,
+    /// Snapshots and imaging need a positive period.
+    ZeroSnapPeriod,
     /// Checkpointing needs at least one storage slot.
     ZeroSlots,
     /// Decomposition needs at least one GPU.
@@ -30,6 +32,7 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::NoShots => write!(f, "survey has no shots"),
             ConfigError::ZeroSteps => write!(f, "time loop has zero steps"),
+            ConfigError::ZeroSnapPeriod => write!(f, "snapshot period is zero"),
             ConfigError::ZeroSlots => write!(f, "checkpoint plan has zero slots"),
             ConfigError::ZeroGpus => write!(f, "decomposition over zero GPUs"),
             ConfigError::ZeroRanks => write!(f, "execution over zero ranks"),

@@ -21,10 +21,11 @@
 //!   for each case and optimization configuration,
 //! * [`gpu_time`] — production-scale GPU timing estimates (Tables 3/4),
 //! * [`cpu_time`] — full-socket MPI baseline timing estimates,
-//! * [`modeling`] — real-execution 2D forward modeling driver,
-//! * [`modeling3`] — real-execution 3D forward modeling driver,
-//! * [`rtm`] — real-execution 2D RTM driver (Algorithm 1, both phases),
-//! * [`rtm3`] — real-execution 3D RTM driver,
+//! * [`modeling`] — 2D media and wavefield states, and the forward
+//!   modeling driver (2D and 3D),
+//! * [`modeling3`] — 3D media and wavefield states,
+//! * [`rtm`] — the RTM driver (Algorithm 1, both phases; 2D and 3D),
+//! * [`rtm3`] — 3D names of the RTM driver and 3D image post-processing,
 //! * [`mpi_run`] — real decomposed CPU execution over `mpi-sim` ranks,
 //! * [`multi_gpu`] — the paper's "path forward": decomposed multi-GPU
 //!   pricing with ghost packing and communication/computation overlap,
@@ -42,10 +43,16 @@
 //! * [`verify`] — directive-program extraction for `acc-verify`: the same
 //!   launch plans as checkable [`acc_verify::Program`]s, plus the seeded
 //!   mutations the verification tests break them with.
+//!
+//! Every single-domain modeling and RTM entry point above runs through one
+//! private shot driver: one forward time loop and one backward time loop,
+//! with dense snapshots, checkpointed replay and random-boundary time
+//! reversal as three sources of the backward loop's source wavefield.
 
 pub mod case;
 pub mod checkpoint;
 pub mod cpu_time;
+mod drive;
 pub mod error;
 pub mod gpu_time;
 pub mod modeling;

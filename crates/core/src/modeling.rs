@@ -1,4 +1,4 @@
-//! Real-execution 2D seismic modeling driver.
+//! Real-execution seismic modeling: 2D media and states, and the driver.
 //!
 //! The forward phase of Algorithm 1, executed for real on host gangs:
 //! at each step it exchanges nothing (single domain), advances the
@@ -8,12 +8,13 @@
 //! RTM backward phase consumes.
 
 use crate::case::OptimizationConfig;
+use crate::drive::{self, AcqOf, Medium, Shot, Wave};
 use openacc_sim::exec::par_slabs;
 use seismic_grid::{Extent2, Field2, SyncSlice};
 use seismic_model::{AcousticModel2, ElasticModel2, IsoModel2, VtiModel2};
 use seismic_pml::{CpmlAxis, DampProfile};
 use seismic_prop::{acoustic2d, elastic2d, iso2d, vti2d};
-use seismic_source::{Acquisition2, Seismogram, Wavelet};
+use seismic_source::{Seismogram, Wavelet};
 
 /// A 2D medium: model + matching absorbing boundary.
 pub enum Medium2 {
@@ -112,21 +113,9 @@ impl State2 {
         }
     }
 
-    /// Snapshot of the pressure-like field.
-    pub fn wavefield(&self) -> Field2 {
-        match self {
-            State2::Iso(s) => s.u_cur.clone(),
-            State2::Acoustic(s) => s.p.clone(),
-            State2::Elastic(s) => {
-                let e = s.sxx.extent();
-                Field2::from_fn(e, |ix, iz| 0.5 * (s.sxx.get(ix, iz) + s.szz.get(ix, iz)))
-            }
-            State2::Vti(s) => s.p_cur.clone(),
-        }
-    }
-
-    /// [`wavefield`](Self::wavefield) into a caller-owned field without
-    /// allocating — the steady-state snapshot path (extents must match).
+    /// Snapshot of the pressure-like field into a caller-owned field
+    /// without allocating — the steady-state snapshot path (extents must
+    /// match).
     pub fn write_wavefield_into(&self, out: &mut Field2) {
         match self {
             State2::Iso(s) => out.copy_from(&s.u_cur),
@@ -504,48 +493,26 @@ pub struct ModelingResult {
 }
 
 /// Run forward modeling: `steps` time steps with source injection, receiver
-/// recording, and snapshot saves.
-pub fn run_modeling(
-    medium: &Medium2,
-    acq: &Acquisition2,
+/// recording, and a snapshot every `snap_period` steps — the whole field
+/// in 2D, the x–z plane through the source in 3D (`run_modeling3`).
+pub fn run_modeling<M: Medium>(
+    medium: &M,
+    acq: &AcqOf<M>,
     wavelet: &Wavelet,
     config: &OptimizationConfig,
     steps: usize,
     snap_period: usize,
     gangs: usize,
 ) -> ModelingResult {
-    let mut state = State2::new(medium);
-    let mut seismogram = Seismogram::zeros(acq.n_receivers(), steps);
+    let shot = Shot::<M::Wave>::new(medium, acq, config, steps, snap_period, gangs);
     // Snapshot storage is sized up front so the time loop itself performs
     // no allocation — every step only writes into preexisting buffers.
-    let n_snaps = steps.div_ceil(snap_period);
-    let mut snapshots: Vec<Field2> = (0..n_snaps)
-        .map(|_| Field2::zeros(medium.extent()))
+    let mut snapshots: Vec<Field2> = (0..steps.div_ceil(snap_period))
+        .map(|_| M::Wave::frame(medium))
         .collect();
-    let dt = medium.dt();
-    // Wall-clock forward phase (no-op unless the host profiler is on).
-    let t_phase = exec_host::prof::begin();
-    for t in 0..steps {
-        state.step(medium, config, gangs);
-        state.inject(
-            medium,
-            acq.src_ix,
-            acq.src_iz,
-            wavelet.sample(t as f32 * dt),
-        );
-        for (r, rcv) in acq.receivers.iter().enumerate() {
-            seismogram.record(r, t, state.sample(rcv.ix, rcv.iz));
-        }
-        if t % snap_period == 0 {
-            state.write_wavefield_into(&mut snapshots[t / snap_period]);
-        }
-    }
-    exec_host::prof::end(
-        t_phase,
-        exec_host::prof::EventKind::Phase,
-        exec_host::prof::PHASE_FORWARD,
-        0,
-    );
+    let seismogram = drive::record(&shot, wavelet, None, |k, s| {
+        s.write_frame(acq, &mut snapshots[k])
+    });
     ModelingResult {
         snapshots,
         seismogram,
@@ -558,6 +525,7 @@ mod tests {
     use seismic_grid::cfl::stable_dt;
     use seismic_model::builder::{acoustic2_layered, iso2_constant, standard_layers};
     use seismic_model::{extent2, Geometry};
+    use seismic_source::Acquisition2;
 
     fn acoustic_medium(n: usize) -> Medium2 {
         let e = extent2(n, n);

@@ -1,18 +1,18 @@
-//! Real-execution 3D seismic modeling driver.
+//! Real-execution 3D seismic modeling.
 //!
-//! 3D counterpart of [`crate::modeling`]: the same Algorithm-1 forward
-//! phase over the volumetric propagators, with gang-parallel slab execution
-//! along z. 3D runs are what the paper's headline table rows measure; here
-//! they execute for real at laptop scale (the production-scale timing goes
-//! through [`crate::gpu_time`]).
+//! 3D media and wavefield states for the Algorithm-1 driver of
+//! [`crate::modeling`], with gang-parallel slab execution along z. 3D runs
+//! are what the paper's headline table rows measure; here they execute for
+//! real at laptop scale (the production-scale timing goes through
+//! [`crate::gpu_time`]).
 
 use crate::case::OptimizationConfig;
+use crate::modeling::ModelingResult;
 use openacc_sim::exec::par_slabs;
 use seismic_grid::{Extent3, Field3, SyncSlice};
 use seismic_model::{AcousticModel3, ElasticModel3, IsoModel3};
 use seismic_pml::{CpmlAxis, DampProfile};
 use seismic_prop::{acoustic3d, elastic3d, iso3d};
-use seismic_source::{Acquisition3, Seismogram, Wavelet};
 
 /// A 3D medium: model + matching absorbing boundary.
 pub enum Medium3 {
@@ -91,36 +91,10 @@ impl State3 {
         }
     }
 
-    /// A full snapshot of the pressure-like field (3D volumes are large —
-    /// callers usually prefer [`State3::slice_y`]).
-    pub fn wavefield(&self) -> Field3 {
-        match self {
-            State3::Iso(s) => s.u_cur.clone(),
-            State3::Acoustic(s) => s.p.clone(),
-            State3::Elastic(s) => {
-                let e = s.sxx.extent();
-                Field3::from_fn(e, |ix, iy, iz| self.sample(ix, iy, iz))
-            }
-        }
-    }
-
-    /// The x–z plane of the pressure-like field at interior `iy`.
-    pub fn slice_y(&self, iy: usize) -> seismic_grid::Field2 {
-        match self {
-            State3::Iso(s) => s.u_cur.slice_y(iy),
-            State3::Acoustic(s) => s.p.slice_y(iy),
-            State3::Elastic(s) => {
-                let e = s.sxx.extent();
-                let e2 = seismic_grid::Extent2::new(e.nx, e.nz, e.halo);
-                seismic_grid::Field2::from_fn(e2, |ix, iz| self.sample(ix, iy, iz))
-            }
-        }
-    }
-
-    /// [`wavefield`](Self::wavefield) into a caller-owned volume without
-    /// allocating — the steady-state snapshot path (for the elastic
+    /// Snapshot of the pressure-like volume into a caller-owned field
+    /// without allocating — the steady-state snapshot path (for the elastic
     /// formulation only the interior is written, so `out` should start
-    /// zeroed to match `wavefield` bitwise).
+    /// zeroed).
     pub fn write_wavefield_into(&self, out: &mut Field3) {
         match self {
             State3::Iso(s) => out.copy_from(&s.u_cur),
@@ -139,9 +113,9 @@ impl State3 {
         }
     }
 
-    /// [`slice_y`](Self::slice_y) into a caller-owned plane without
-    /// allocating — the steady-state snapshot path (interior writes only,
-    /// so `out` should start zeroed to match `slice_y` bitwise).
+    /// The x–z plane of the pressure-like field at interior `iy`, into a
+    /// caller-owned plane without allocating (interior writes only, so
+    /// `out` should start zeroed).
     pub fn write_slice_y_into(&self, iy: usize, out: &mut seismic_grid::Field2) {
         match self {
             State3::Iso(s) => s.u_cur.write_slice_y_into(iy, out),
@@ -220,11 +194,6 @@ impl State3 {
                 acoustic3_pressure_phase(s, model, cpml, e, gangs, model.geom.dt, config, false);
             }
             (State3::Elastic(s), Medium3::Elastic { model, cpml }) => {
-                // The elastic step has six kernels with ψ-array ownership
-                // spread across the psi vector; reuse the sequential step
-                // for z-slabs by partitioning inside each kernel call.
-                // (El3State::step already runs the kernels over the full
-                // range; parallelise by calling its kernels per slab.)
                 elastic_step_gangs(s, model, cpml, gangs);
             }
             _ => panic!("state/medium formulation mismatch"),
@@ -592,64 +561,12 @@ fn elastic3_stress_gangs(
     }
 }
 
-/// Output of a 3D modeling run: y-plane snapshots plus the shot record.
-pub struct Modeling3Result {
-    /// x–z plane snapshots at the source's y index, every `snap_period`.
-    pub snapshots: Vec<seismic_grid::Field2>,
-    /// The recorded shot record.
-    pub seismogram: Seismogram,
-}
+/// Output of a 3D modeling run: x–z plane snapshots at the source's y
+/// index, every `snap_period`, plus the shot record.
+pub type Modeling3Result = ModelingResult;
 
 /// Run 3D forward modeling with plane-snapshot saves.
-pub fn run_modeling3(
-    medium: &Medium3,
-    acq: &Acquisition3,
-    wavelet: &Wavelet,
-    config: &OptimizationConfig,
-    steps: usize,
-    snap_period: usize,
-    gangs: usize,
-) -> Modeling3Result {
-    let mut state = State3::new(medium);
-    let mut seismogram = Seismogram::zeros(acq.n_receivers(), steps);
-    // Plane-snapshot storage is sized up front so the time loop itself
-    // performs no allocation.
-    let e = medium.extent();
-    let e2 = seismic_grid::Extent2::new(e.nx, e.nz, e.halo);
-    let n_snaps = steps.div_ceil(snap_period);
-    let mut snapshots: Vec<seismic_grid::Field2> = (0..n_snaps)
-        .map(|_| seismic_grid::Field2::zeros(e2))
-        .collect();
-    let dt = medium.dt();
-    // Wall-clock forward phase (no-op unless the host profiler is on).
-    let t_phase = exec_host::prof::begin();
-    for t in 0..steps {
-        state.step(medium, config, gangs);
-        state.inject(
-            medium,
-            acq.src_ix,
-            acq.src_iy,
-            acq.src_iz,
-            wavelet.sample(t as f32 * dt),
-        );
-        for (r, rcv) in acq.receivers.iter().enumerate() {
-            seismogram.record(r, t, state.sample(rcv.ix, rcv.iy, rcv.iz));
-        }
-        if t % snap_period == 0 {
-            state.write_slice_y_into(acq.src_iy, &mut snapshots[t / snap_period]);
-        }
-    }
-    exec_host::prof::end(
-        t_phase,
-        exec_host::prof::EventKind::Phase,
-        exec_host::prof::PHASE_FORWARD,
-        0,
-    );
-    Modeling3Result {
-        snapshots,
-        seismogram,
-    }
-}
+pub use crate::modeling::run_modeling as run_modeling3;
 
 #[cfg(test)]
 mod tests {
@@ -659,6 +576,7 @@ mod tests {
         acoustic3_layered, elastic3_layered, iso3_layered, standard_layers,
     };
     use seismic_model::{extent3, Geometry};
+    use seismic_source::{Acquisition3, Wavelet};
 
     fn media(n: usize) -> Vec<(&'static str, Medium3)> {
         let e = extent3(n, n, n);

@@ -37,16 +37,14 @@
 //!   place and the image accumulates into one preallocated field.
 
 use crate::case::OptimizationConfig;
-use crate::error::{ConfigError, RtmError};
-use crate::modeling::{run_modeling, Medium2, State2};
-use crate::modeling3::{Medium3, State3};
-use crate::rtm::{medium_surface_params, mute_direct, RtmResult};
-use crate::rtm3::{medium_params3, mute_direct3, Rtm3Result};
-use acc_obs::{ObsSession, Span, SpanCat, Track};
-use seismic_grid::{Field2, Field3};
+use crate::drive::{self, AcqOf, FieldOf, Medium, Reversed, Shot};
+use crate::error::RtmError;
+use crate::modeling::Medium2;
+use crate::modeling3::Medium3;
+use crate::rtm::RtmResult;
 use seismic_model::random_boundary as rb;
 use seismic_pml::{CpmlAxis, DampProfile, RandomBoundarySpec};
-use seismic_source::{Acquisition2, Acquisition3, Seismogram, Wavelet};
+use seismic_source::{Seismogram, Wavelet};
 
 /// Replace a 2-D medium's absorbing machinery with transparent absorbers
 /// and a seeded randomized-velocity halo. The interior model is untouched;
@@ -119,11 +117,13 @@ pub fn randomize_medium3(medium: &Medium3, spec: &RandomBoundarySpec) -> Medium3
 /// then both fields walk backward in lockstep — the source by exact time
 /// reversal, the receiver by ordinary back-propagation — and the imaging
 /// condition fires at every `snap_period`-th step, exactly the times
-/// [`crate::rtm::migrate_shot`] images at.
+/// [`crate::rtm::migrate_shot`] images at. 2D and 3D alike
+/// (`migrate_random_boundary3` is the same function) — in 3D, where each
+/// dense snapshot is a full `nx·ny·nz` volume, the saving is largest.
 #[allow(clippy::too_many_arguments)]
-pub fn migrate_random_boundary(
-    medium: &Medium2,
-    acq: &Acquisition2,
+pub fn migrate_random_boundary<M: Medium>(
+    medium: &M,
+    acq: &AcqOf<M>,
     seismogram: &Seismogram,
     wavelet: &Wavelet,
     config: &OptimizationConfig,
@@ -131,279 +131,59 @@ pub fn migrate_random_boundary(
     snap_period: usize,
     spec: &RandomBoundarySpec,
     gangs: usize,
-) -> Result<Field2, RtmError> {
-    migrate_random_boundary_obs(
-        medium,
-        acq,
-        seismogram,
-        wavelet,
-        config,
-        steps,
-        snap_period,
-        spec,
-        gangs,
-        None,
-    )
-}
-
-/// Emit one remodeling phase span on the host track (wall-clock seconds;
-/// observability never changes the image) and return the phase end time.
-fn remodel_span(obs: Option<&ObsSession>, name: &'static str, start_s: f64, dur_s: f64) -> f64 {
-    if let Some(o) = obs {
-        o.span(Span::new(Track::Host, SpanCat::Phase, name, start_s, dur_s));
-    }
-    start_s + dur_s
-}
-
-/// [`migrate_random_boundary`] with an optional observability session:
-/// `remodel_forward` / `remodel_backward` phase spans plus a
-/// `checkpoint_bytes_avoided` counter — the snapshot bytes a dense
-/// [`crate::rtm::migrate_shot`] of the same run would have stored.
-#[allow(clippy::too_many_arguments)]
-pub fn migrate_random_boundary_obs(
-    medium: &Medium2,
-    acq: &Acquisition2,
-    seismogram: &Seismogram,
-    wavelet: &Wavelet,
-    config: &OptimizationConfig,
-    steps: usize,
-    snap_period: usize,
-    spec: &RandomBoundarySpec,
-    gangs: usize,
-    obs: Option<&ObsSession>,
-) -> Result<Field2, RtmError> {
-    if steps == 0 {
-        return Err(ConfigError::ZeroSteps.into());
-    }
-    let e = medium.extent();
-    let dt = medium.dt();
-    let rmedium = randomize_medium2(medium, spec);
-
-    // Forward source pass through the randomized, lossless medium. Nothing
-    // is stored: the final state *is* the storage.
-    let wall = std::time::Instant::now();
-    let mut sstate = State2::new(&rmedium);
-    for t in 0..steps {
-        sstate.step(&rmedium, config, gangs);
-        sstate.inject(
-            &rmedium,
-            acq.src_ix,
-            acq.src_iz,
-            wavelet.sample(t as f32 * dt),
-        );
-    }
-    let bwd_start = remodel_span(obs, "remodel_forward", 0.0, wall.elapsed().as_secs_f64());
-
-    // Lockstep backward walk. At the top of iteration `t`, `sstate` holds
-    // the forward state after step `t` (what the dense driver snapshotted)
-    // and `rstate` has absorbed the receiver data of steps `t+1..steps` —
-    // the exact pairing of `migrate_shot`'s imaging condition.
-    let wall = std::time::Instant::now();
-    let mut image = Field2::zeros(e);
-    let mut rstate = State2::new(medium);
-    for t in (0..steps).rev() {
-        if t % snap_period == 0 {
-            for iz in 0..e.nz {
-                for ix in 0..e.nx {
-                    let v = image.get(ix, iz) + sstate.sample(ix, iz) * rstate.sample(ix, iz);
-                    image.set(ix, iz, v);
-                }
-            }
-        }
-        // Undo forward body `t` on the source field: remove the injection,
-        // then reverse the step (lossless medium ⇒ exact up to roundoff).
-        sstate.inject(
-            &rmedium,
-            acq.src_ix,
-            acq.src_iz,
-            -wavelet.sample(t as f32 * dt),
-        );
-        sstate.step_reverse(&rmedium, config, gangs);
-        rstate.step(medium, config, gangs);
-        for (r, rcv) in acq.receivers.iter().enumerate() {
-            rstate.inject(medium, rcv.ix, rcv.iz, seismogram.get(r, t));
-        }
-    }
-    remodel_span(
-        obs,
-        "remodel_backward",
-        bwd_start,
-        wall.elapsed().as_secs_f64(),
-    );
-    if let Some(o) = obs {
-        let snap_bytes = (image.as_slice().len() * 4) as u64;
-        let n_snaps = steps.div_ceil(snap_period) as u64;
-        o.registry
-            .inc("checkpoint_bytes_avoided", n_snaps * snap_bytes);
-    }
-    Ok(image)
+) -> Result<FieldOf<M>, RtmError> {
+    let shot = Shot::<M::Wave>::new(medium, acq, config, steps, snap_period, gangs).checked()?;
+    let randomized = medium.randomized(spec);
+    let mut src = Reversed::new(shot.through(&randomized), wavelet);
+    Ok(drive::backward(&shot, seismogram, &mut src, None))
 }
 
 /// Run random-boundary RTM for one shot: forward modeling through the
 /// **original absorbing** medium records the shot (the acquisition is
 /// unchanged by the migration backend), the direct wave is muted, and the
 /// shot is migrated checkpoint-free. `snapshots_saved` is 0 by
-/// construction.
+/// construction. 2D and 3D alike (`run_rtm_random_boundary3` is the same
+/// function).
 #[allow(clippy::too_many_arguments)]
-pub fn run_rtm_random_boundary(
-    medium: &Medium2,
-    acq: &Acquisition2,
+pub fn run_rtm_random_boundary<M: Medium>(
+    medium: &M,
+    acq: &AcqOf<M>,
     wavelet: &Wavelet,
     config: &OptimizationConfig,
     steps: usize,
     snap_period: usize,
     spec: &RandomBoundarySpec,
     gangs: usize,
-) -> Result<RtmResult, RtmError> {
-    // Snapshot period `steps` keeps the forward driver from accumulating
-    // the snapshot stream this subsystem exists to avoid.
-    let fwd = run_modeling(medium, acq, wavelet, config, steps, steps, gangs);
-    let (h, v_src, dt) = medium_surface_params(medium, acq);
-    let taper = 2.4 / wavelet.f_peak();
-    let muted = mute_direct(&fwd.seismogram, acq, h, v_src, dt, taper);
-    let image = migrate_random_boundary(
-        medium,
-        acq,
-        &muted,
+) -> Result<RtmResult<FieldOf<M>>, RtmError> {
+    let shot = Shot::<M::Wave>::new(medium, acq, config, steps, snap_period, gangs).checked()?;
+    Ok(drive::rtm(
+        &shot,
         wavelet,
-        config,
-        steps,
-        snap_period,
-        spec,
-        gangs,
-    )?;
-    Ok(RtmResult {
-        image,
-        seismogram: muted,
-        snapshots_saved: 0,
-    })
+        Some(&medium.randomized(spec)),
+        None,
+    ))
 }
 
-/// 3-D [`migrate_random_boundary`]: volumetric lockstep correlation with
-/// zero snapshot volumes — the configuration where dense storage hurts
-/// most (each snapshot is a full `nx·ny·nz` volume).
-#[allow(clippy::too_many_arguments)]
-pub fn migrate_random_boundary3(
-    medium: &Medium3,
-    acq: &Acquisition3,
-    seismogram: &Seismogram,
-    wavelet: &Wavelet,
-    config: &OptimizationConfig,
-    steps: usize,
-    snap_period: usize,
-    spec: &RandomBoundarySpec,
-    gangs: usize,
-) -> Result<Field3, RtmError> {
-    if steps == 0 {
-        return Err(ConfigError::ZeroSteps.into());
-    }
-    let e = medium.extent();
-    let dt = medium.dt();
-    let rmedium = randomize_medium3(medium, spec);
-
-    let mut sstate = State3::new(&rmedium);
-    for t in 0..steps {
-        sstate.step(&rmedium, config, gangs);
-        sstate.inject(
-            &rmedium,
-            acq.src_ix,
-            acq.src_iy,
-            acq.src_iz,
-            wavelet.sample(t as f32 * dt),
-        );
-    }
-
-    let mut image = Field3::zeros(e);
-    let mut rstate = State3::new(medium);
-    for t in (0..steps).rev() {
-        if t % snap_period == 0 {
-            for iz in 0..e.nz {
-                for iy in 0..e.ny {
-                    for ix in 0..e.nx {
-                        let v = image.get(ix, iy, iz)
-                            + sstate.sample(ix, iy, iz) * rstate.sample(ix, iy, iz);
-                        image.set(ix, iy, iz, v);
-                    }
-                }
-            }
-        }
-        sstate.inject(
-            &rmedium,
-            acq.src_ix,
-            acq.src_iy,
-            acq.src_iz,
-            -wavelet.sample(t as f32 * dt),
-        );
-        sstate.step_reverse(&rmedium, config, gangs);
-        rstate.step(medium, config, gangs);
-        for (r, rcv) in acq.receivers.iter().enumerate() {
-            rstate.inject(medium, rcv.ix, rcv.iy, rcv.iz, seismogram.get(r, t));
-        }
-    }
-    Ok(image)
-}
+/// 3-D [`migrate_random_boundary`].
+pub use migrate_random_boundary as migrate_random_boundary3;
 
 /// 3-D [`run_rtm_random_boundary`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_rtm_random_boundary3(
-    medium: &Medium3,
-    acq: &Acquisition3,
-    wavelet: &Wavelet,
-    config: &OptimizationConfig,
-    steps: usize,
-    snap_period: usize,
-    spec: &RandomBoundarySpec,
-    gangs: usize,
-) -> Result<Rtm3Result, RtmError> {
-    if steps == 0 {
-        return Err(ConfigError::ZeroSteps.into());
-    }
-    let dt = medium.dt();
-    let mut fstate = State3::new(medium);
-    let mut seismogram = Seismogram::zeros(acq.n_receivers(), steps);
-    for t in 0..steps {
-        fstate.step(medium, config, gangs);
-        fstate.inject(
-            medium,
-            acq.src_ix,
-            acq.src_iy,
-            acq.src_iz,
-            wavelet.sample(t as f32 * dt),
-        );
-        for (r, rcv) in acq.receivers.iter().enumerate() {
-            seismogram.record(r, t, fstate.sample(rcv.ix, rcv.iy, rcv.iz));
-        }
-    }
-    let (h, v_src, dtm) = medium_params3(medium, acq);
-    let taper = 2.4 / wavelet.f_peak();
-    let muted = mute_direct3(&seismogram, acq, h, v_src, dtm, taper);
-    let image = migrate_random_boundary3(
-        medium,
-        acq,
-        &muted,
-        wavelet,
-        config,
-        steps,
-        snap_period,
-        spec,
-        gangs,
-    )?;
-    Ok(Rtm3Result {
-        image,
-        seismogram: muted,
-        snapshots_saved: 0,
-    })
-}
+pub use run_rtm_random_boundary as run_rtm_random_boundary3;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::migrate_checkpointed;
+    use crate::error::ConfigError;
+    use crate::modeling::run_modeling;
+    use crate::modeling::State2;
     use crate::rtm::{depth_profile, laplacian_filter};
     use seismic_grid::cfl::stable_dt;
+    use seismic_grid::Field2;
     use seismic_model::builder::{acoustic2_layered, acoustic3_layered, Layer};
     use seismic_model::{extent2, extent3, Geometry};
     use seismic_pml::CpmlAxis;
+    use seismic_source::{Acquisition2, Acquisition3};
 
     fn two_layer(n: usize, z_if: usize) -> Medium2 {
         let e = extent2(n, n);
@@ -507,8 +287,15 @@ mod tests {
         let snap = 3;
 
         let fwd = run_modeling(&m, &acq, &w, &cfg, steps, steps, 4);
-        let (h, v, dt) = medium_surface_params(&m, &acq);
-        let muted = mute_direct(&fwd.seismogram, &acq, h, v, dt, 2.4 / 18.0);
+        let shot = Shot::<State2> {
+            medium: &m,
+            acq: &acq,
+            config: &cfg,
+            steps,
+            snap_period: snap,
+            gangs: 4,
+        };
+        let muted = drive::mute(&shot, &fwd.seismogram, &w);
         let reference =
             migrate_checkpointed(&m, &acq, &muted, &w, &cfg, steps, snap, 6, 4).unwrap();
         let rand =
@@ -545,48 +332,6 @@ mod tests {
         let rel = (num / den.max(1e-300)).sqrt();
         assert!(rel < 0.8, "image delta too large: rel L2 = {rel}");
         assert!(rel > 0.0, "images cannot be identical across backends");
-    }
-
-    /// The obs variant reports the avoided snapshot traffic and a serial
-    /// host timeline, without perturbing the image.
-    #[test]
-    fn obs_counts_avoided_checkpoint_bytes() {
-        let n = 48;
-        let m = two_layer(n, n / 2);
-        let acq = Acquisition2::surface_line(n, n / 2, 5, 5, 4);
-        let cfg = OptimizationConfig::default();
-        let w = Wavelet::ricker(20.0);
-        let steps = 60;
-        let snap = 4;
-        let fwd = run_modeling(&m, &acq, &w, &cfg, steps, steps, 2);
-        let obs = ObsSession::new();
-        let plain =
-            migrate_random_boundary(&m, &acq, &fwd.seismogram, &w, &cfg, steps, snap, &spec(), 2)
-                .unwrap();
-        let traced = migrate_random_boundary_obs(
-            &m,
-            &acq,
-            &fwd.seismogram,
-            &w,
-            &cfg,
-            steps,
-            snap,
-            &spec(),
-            2,
-            Some(&obs),
-        )
-        .unwrap();
-        assert_eq!(plain, traced, "observation must not perturb the image");
-        let field_bytes = (plain.as_slice().len() * 4) as u64;
-        assert_eq!(
-            obs.registry.counter("checkpoint_bytes_avoided"),
-            steps.div_ceil(snap) as u64 * field_bytes
-        );
-        assert_eq!(obs.registry.counter("checkpoints_written"), 0);
-        let names: Vec<_> = obs.tracer.spans().iter().map(|s| s.name.clone()).collect();
-        assert!(names.contains(&"remodel_forward".to_string()));
-        assert!(names.contains(&"remodel_backward".to_string()));
-        obs.tracer.validate_tracks().expect("serial host track");
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //!   MTTI (Young's first-order rule).
 
 use crate::case::OptimizationConfig;
+use crate::drive::{self, Medium as _, Restart};
 use crate::error::{ConfigError, RtmError};
 use crate::modeling::{Medium2, State2};
 use crate::multi_gpu::{modeling_time_multi, CommMode, GhostPacking, MultiGpuTiming};
-use crate::rand_boundary::migrate_random_boundary;
-use crate::rtm::{migrate_shot, mute_direct, run_rtm, RtmResult};
+use crate::rtm::{run_rtm, RtmResult};
 use crate::shot_parallel::{shots_for_rank, Shot};
 use acc_obs::{ObsSession, Span, SpanCat, Track};
 use accel_sim::fault::{FaultPlan, FaultView};
@@ -43,7 +43,7 @@ use openacc_sim::Compiler;
 use seismic_grid::Field2;
 use seismic_model::IsoModel2;
 use seismic_pml::{DampProfile, RandomBoundarySpec};
-use seismic_source::{Seismogram, Wavelet};
+use seismic_source::Wavelet;
 use std::collections::VecDeque;
 
 use crate::case::{Cluster, SeismicCase, Workload};
@@ -738,18 +738,10 @@ pub fn run_rtm_with_restart(
     if ckpt_every == 0 {
         return Err(ConfigError::ZeroSlots.into());
     }
+    let shot =
+        drive::Shot::<State2>::new(medium, acq, config, steps, snap_period, gangs).checked()?;
     let schedule: Vec<usize> = (0..steps).step_by(ckpt_every).collect();
-    run_rtm_with_restart_at(
-        medium,
-        acq,
-        wavelet,
-        config,
-        steps,
-        snap_period,
-        gangs,
-        &schedule,
-        interrupts,
-    )
+    Ok(restarted(&shot, wavelet, &schedule, interrupts, None))
 }
 
 /// [`run_rtm_with_restart`] storing states at the bounded-memory
@@ -770,120 +762,41 @@ pub fn run_rtm_with_restart_planned(
     interrupts: &[usize],
 ) -> Result<RestartOutcome, RtmError> {
     let schedule = crate::checkpoint::plan_checkpoints(steps, slots)?;
-    run_rtm_with_restart_at(
-        medium,
-        acq,
-        wavelet,
-        config,
-        steps,
-        snap_period,
-        gangs,
-        &schedule,
-        interrupts,
-    )
+    let shot =
+        drive::Shot::<State2>::new(medium, acq, config, steps, snap_period, gangs).checked()?;
+    Ok(restarted(&shot, wavelet, &schedule, interrupts, None))
 }
 
-/// The general form: `ckpt_steps` is the sorted list of steps whose
-/// pre-step state gets stored (step 0 is always an implicit checkpoint —
-/// the initial quiescent state).
-#[allow(clippy::too_many_arguments)]
-fn run_rtm_with_restart_at(
-    medium: &Medium2,
-    acq: &Shot,
+/// The general form: the pre-step state is stored at each step of the
+/// sorted `checkpoints` (step 0 is always an implicit checkpoint — the
+/// initial quiescent state); `randomized` selects random-boundary
+/// migration through that medium instead of dense snapshots.
+fn restarted(
+    shot: &drive::Shot<State2>,
     wavelet: &Wavelet,
-    config: &OptimizationConfig,
-    steps: usize,
-    snap_period: usize,
-    gangs: usize,
-    ckpt_steps: &[usize],
+    checkpoints: &[usize],
     interrupts: &[usize],
-) -> Result<RestartOutcome, RtmError> {
-    if steps == 0 {
-        return Err(ConfigError::ZeroSteps.into());
-    }
-    let dt = medium.dt();
-    let mut state = State2::new(medium);
-    let mut ckpt_step = 0usize;
-    // The checkpoint slot is allocated once; stores and restores are
-    // `copy_from` overwrites, so interrupts never reallocate the state.
-    let mut ckpt_state = State2::new(medium);
-    let mut seismogram = Seismogram::zeros(acq.n_receivers(), steps);
-    let mut snapshots: Vec<Field2> = Vec::new();
-    let mut pending: Vec<usize> = interrupts.iter().copied().filter(|&i| i < steps).collect();
-    pending.sort_unstable();
-    let mut next_interrupt = 0usize;
-    let mut executed = 0usize;
-    let mut restores = 0usize;
-
-    let mut t = 0usize;
-    while t < steps {
-        if next_interrupt < pending.len() && pending[next_interrupt] == t {
-            // Crash before executing step t: drop in-flight state, restore
-            // the last checkpoint. Each interrupt fires once.
-            next_interrupt += 1;
-            restores += 1;
-            state.copy_from(&ckpt_state);
-            t = ckpt_step;
-            continue;
-        }
-        if ckpt_steps.binary_search(&t).is_ok() {
-            ckpt_step = t;
-            ckpt_state.copy_from(&state);
-        }
-        state.step(medium, config, gangs);
-        state.inject(
-            medium,
-            acq.src_ix,
-            acq.src_iz,
-            wavelet.sample(t as f32 * dt),
-        );
-        for (r, rcv) in acq.receivers.iter().enumerate() {
-            seismogram.record(r, t, state.sample(rcv.ix, rcv.iz));
-        }
-        if t.is_multiple_of(snap_period) {
-            let idx = t / snap_period;
-            if idx < snapshots.len() {
-                // Replay after a restore: overwrite the slot in place.
-                state.write_wavefield_into(&mut snapshots[idx]);
-            } else {
-                snapshots.push(state.wavefield());
-            }
-        }
-        executed += 1;
-        t += 1;
-    }
-
-    // Backward phase — same pipeline as `run_rtm`.
-    let (h, v_src, dtf) = crate::rtm::medium_surface_params(medium, acq);
-    let taper = 2.4 / wavelet.f_peak();
-    let muted = mute_direct(&seismogram, acq, h, v_src, dtf, taper);
-    let result = migrate_shot(
-        medium,
-        acq,
-        &muted,
-        &snapshots,
-        config,
-        steps,
-        snap_period,
-        gangs,
-    );
-    Ok(RestartOutcome {
+    randomized: Option<&Medium2>,
+) -> RestartOutcome {
+    let mut restart = Restart {
+        checkpoints,
+        interrupts,
+        executed: 0,
+        restores: 0,
+    };
+    let result = drive::rtm(shot, wavelet, randomized, Some(&mut restart));
+    RestartOutcome {
         result,
-        forward_steps_executed: executed,
-        restores,
-    })
+        forward_steps_executed: restart.executed,
+        restores: restart.restores,
+    }
 }
 
-/// Outcome of a checkpoint-restarted random-boundary RTM run.
-pub struct RandBoundRestartOutcome {
-    /// The migrated result — bitwise-identical to an uninterrupted
-    /// [`run_rtm_random_boundary`] of the same shot and seed.
-    pub result: RtmResult,
-    /// Forward acquisition steps executed, including replayed ones.
-    pub forward_steps_executed: usize,
-    /// Checkpoint restores performed (one per interrupt).
-    pub restores: usize,
-}
+/// Outcome of a checkpoint-restarted random-boundary RTM run: the result
+/// is bitwise-identical to an uninterrupted
+/// [`run_rtm_random_boundary`](crate::rand_boundary::run_rtm_random_boundary)
+/// of the same shot and seed.
+pub type RandBoundRestartOutcome = RestartOutcome;
 
 /// [`crate::rand_boundary::run_rtm_random_boundary`] with an
 /// interruptible, checkpointed forward
@@ -911,70 +824,17 @@ pub fn run_rand_boundary_with_restart(
     if ckpt_every == 0 {
         return Err(ConfigError::ZeroSlots.into());
     }
-    if steps == 0 {
-        return Err(ConfigError::ZeroSteps.into());
-    }
-    let dt = medium.dt();
-    let mut state = State2::new(medium);
-    let mut ckpt_step = 0usize;
-    let mut ckpt_state = State2::new(medium);
-    let mut seismogram = Seismogram::zeros(acq.n_receivers(), steps);
-    let mut pending: Vec<usize> = interrupts.iter().copied().filter(|&i| i < steps).collect();
-    pending.sort_unstable();
-    let mut next_interrupt = 0usize;
-    let mut executed = 0usize;
-    let mut restores = 0usize;
-
-    let mut t = 0usize;
-    while t < steps {
-        if next_interrupt < pending.len() && pending[next_interrupt] == t {
-            next_interrupt += 1;
-            restores += 1;
-            state.copy_from(&ckpt_state);
-            t = ckpt_step;
-            continue;
-        }
-        if t.is_multiple_of(ckpt_every) {
-            ckpt_step = t;
-            ckpt_state.copy_from(&state);
-        }
-        state.step(medium, config, gangs);
-        state.inject(
-            medium,
-            acq.src_ix,
-            acq.src_iz,
-            wavelet.sample(t as f32 * dt),
-        );
-        for (r, rcv) in acq.receivers.iter().enumerate() {
-            seismogram.record(r, t, state.sample(rcv.ix, rcv.iz));
-        }
-        executed += 1;
-        t += 1;
-    }
-
-    let (h, v_src, dtf) = crate::rtm::medium_surface_params(medium, acq);
-    let taper = 2.4 / wavelet.f_peak();
-    let muted = mute_direct(&seismogram, acq, h, v_src, dtf, taper);
-    let image = migrate_random_boundary(
-        medium,
-        acq,
-        &muted,
+    let shot =
+        drive::Shot::<State2>::new(medium, acq, config, steps, snap_period, gangs).checked()?;
+    let schedule: Vec<usize> = (0..steps).step_by(ckpt_every).collect();
+    let randomized = medium.randomized(spec);
+    Ok(restarted(
+        &shot,
         wavelet,
-        config,
-        steps,
-        snap_period,
-        spec,
-        gangs,
-    )?;
-    Ok(RandBoundRestartOutcome {
-        result: RtmResult {
-            image,
-            seismogram: muted,
-            snapshots_saved: 0,
-        },
-        forward_steps_executed: executed,
-        restores,
-    })
+        &schedule,
+        interrupts,
+        Some(&randomized),
+    ))
 }
 
 /// [`modeling_time_multi`] under a fault plan: devices already lost are

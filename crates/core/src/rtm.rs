@@ -8,7 +8,8 @@
 //! of Figure 2 — producing the seismic image of Figure 5.
 
 use crate::case::OptimizationConfig;
-use crate::modeling::{run_modeling, Medium2, State2};
+use crate::drive::{self, AcqOf, FieldOf, Medium, Shot, ShotPoints, Stored};
+use crate::modeling::{Medium2, State2};
 use seismic_grid::Field2;
 use seismic_source::{Acquisition2, Seismogram, Wavelet};
 
@@ -24,10 +25,11 @@ pub enum ImagingCondition {
     SourceNormalized,
 }
 
-/// Output of an RTM run.
-pub struct RtmResult {
+/// Output of an RTM run (`F` is the image field: 2D by default, see
+/// [`crate::rtm3::Rtm3Result`] for 3D).
+pub struct RtmResult<F = Field2> {
     /// The migrated image (cross-correlation stack).
-    pub image: Field2,
+    pub image: F,
     /// The forward-modeled shot record that was migrated.
     pub seismogram: Seismogram,
     /// Snapshots saved during the forward phase.
@@ -36,10 +38,11 @@ pub struct RtmResult {
 
 /// Zero every sample that arrives before the direct wave plus a taper —
 /// standard pre-migration processing: un-muted direct arrivals correlate
-/// along the whole near-surface and swamp the reflectivity.
-pub fn mute_direct(
+/// along the whole near-surface and swamp the reflectivity. Works on 2D
+/// and 3D shots alike (`mute_direct3` is the same function).
+pub fn mute_direct<A: ShotPoints>(
     seis: &Seismogram,
-    acq: &Acquisition2,
+    acq: &A,
     h: f32,
     v_surface: f32,
     dt: f32,
@@ -48,10 +51,10 @@ pub fn mute_direct(
     let mut out = Seismogram::zeros(seis.n_receivers(), seis.nt());
     // Soft edge: a hard cut would back-propagate as broadband noise.
     let ramp = ((0.25 * taper_s / dt) as usize).max(8);
-    for (r, rcv) in acq.receivers.iter().enumerate() {
-        let dx = (rcv.ix as f32 - acq.src_ix as f32) * h;
-        let dz = (rcv.iz as f32 - acq.src_iz as f32) * h;
-        let t_direct = (dx * dx + dz * dz).sqrt() / v_surface + taper_s;
+    let src = acq.source();
+    for (r, rcv) in acq.receiver_points().enumerate() {
+        let [dx, dy, dz] = [0, 1, 2].map(|a| (rcv[a] as f32 - src[a] as f32) * h);
+        let t_direct = (dx * dx + dy * dy + dz * dz).sqrt() / v_surface + taper_s;
         let first = (t_direct / dt).ceil() as usize;
         for t in first.min(seis.nt())..seis.nt() {
             let w = if t < first + ramp {
@@ -68,51 +71,18 @@ pub fn mute_direct(
 
 /// Run RTM for one shot: forward modeling through `medium`, direct-wave
 /// muting of the recorded data, then backward receiver propagation and
-/// imaging.
-pub fn run_rtm(
-    medium: &Medium2,
-    acq: &Acquisition2,
+/// imaging. 2D and 3D alike (`run_rtm3` is the same function).
+pub fn run_rtm<M: Medium>(
+    medium: &M,
+    acq: &AcqOf<M>,
     wavelet: &Wavelet,
     config: &OptimizationConfig,
     steps: usize,
     snap_period: usize,
     gangs: usize,
-) -> RtmResult {
-    // Forward phase (seismic modeling is "the forwarding phase of RTM").
-    let fwd = run_modeling(medium, acq, wavelet, config, steps, snap_period, gangs);
-    let (h, v_src, dt) = medium_surface_params(medium, acq);
-    let taper = 2.4 / wavelet.f_peak();
-    let muted = mute_direct(&fwd.seismogram, acq, h, v_src, dt, taper);
-    migrate_shot(
-        medium,
-        acq,
-        &muted,
-        &fwd.snapshots,
-        config,
-        steps,
-        snap_period,
-        gangs,
-    )
-}
-
-/// Grid spacing, near-source velocity, and dt of a medium (mute inputs).
-pub(crate) fn medium_surface_params(medium: &Medium2, acq: &Acquisition2) -> (f32, f32, f32) {
-    let (ix, iz) = (acq.src_ix, acq.src_iz);
-    match medium {
-        Medium2::Iso { model, .. } => (model.geom.dx, model.vp.get(ix, iz), model.geom.dt),
-        Medium2::Acoustic { model, .. } => (model.geom.dx, model.vp.get(ix, iz), model.geom.dt),
-        Medium2::Elastic { model, .. } => {
-            let vp = ((model.lam.get(ix, iz) + 2.0 * model.mu.get(ix, iz)) / model.rho.get(ix, iz))
-                .sqrt();
-            (model.geom.dx, vp, model.geom.dt)
-        }
-        Medium2::Vti { model, .. } => {
-            // Mute along the fastest (horizontal) velocity so the taper is
-            // conservative for receivers offset along x.
-            let v = model.vp.get(ix, iz) * (1.0 + 2.0 * model.epsilon.get(ix, iz)).sqrt();
-            (model.geom.dx, v, model.geom.dt)
-        }
-    }
+) -> RtmResult<FieldOf<M>> {
+    let shot = Shot::<M::Wave>::new(medium, acq, config, steps, snap_period, gangs);
+    drive::rtm(&shot, wavelet, None, None)
 }
 
 /// Backward phase only: migrate a recorded shot given saved forward
@@ -155,72 +125,23 @@ pub fn migrate_shot_with(
     gangs: usize,
     condition: ImagingCondition,
 ) -> RtmResult {
-    let e = medium.extent();
-    let mut image = Field2::zeros(e);
-    let mut illum = Field2::zeros(e);
-    let mut rstate = State2::new(medium);
-    // Backward time loop: t = t_end → t_start. The wall-clock backward
-    // phase wraps the whole loop; imaging spans nest inside it.
-    let t_backward = exec_host::prof::begin();
-    for t in (0..steps).rev() {
-        // Imaging condition at snapshot times, against the *stored* forward
-        // wavefield ("read saved snapshot(time); apply imaging condition").
-        if t % snap_period == 0 {
-            let snap_idx = t / snap_period;
-            if let Some(s) = snapshots.get(snap_idx) {
-                let t_imaging = exec_host::prof::begin();
-                for iz in 0..e.nz {
-                    for ix in 0..e.nx {
-                        let fwd = s.get(ix, iz);
-                        let v = image.get(ix, iz) + fwd * rstate.sample(ix, iz);
-                        image.set(ix, iz, v);
-                        if condition == ImagingCondition::SourceNormalized {
-                            let w = illum.get(ix, iz) + fwd * fwd;
-                            illum.set(ix, iz, w);
-                        }
-                    }
-                }
-                exec_host::prof::end(
-                    t_imaging,
-                    exec_host::prof::EventKind::Phase,
-                    exec_host::prof::PHASE_IMAGING,
-                    0,
-                );
-            }
-        }
-        rstate.step(medium, config, gangs);
-        // Receiver injection: add the recorded trace samples, reversed in
-        // time, at each receiver position.
-        for (r, rcv) in acq.receivers.iter().enumerate() {
-            rstate.inject(medium, rcv.ix, rcv.iz, seismogram.get(r, t));
-        }
-    }
-    exec_host::prof::end(
-        t_backward,
-        exec_host::prof::EventKind::Phase,
-        exec_host::prof::PHASE_BACKWARD,
-        0,
-    );
-    if condition == ImagingCondition::SourceNormalized {
+    let shot = Shot::<State2>::new(medium, acq, config, steps, snap_period, gangs);
+    let normalized = condition == ImagingCondition::SourceNormalized;
+    let mut illum = normalized.then(|| Field2::zeros(medium.extent()));
+    let mut image = drive::backward(&shot, seismogram, &mut Stored(snapshots), illum.as_mut());
+    if let Some(illum) = illum {
         // ε keeps un-illuminated corners from exploding. The peak sits at
         // the source point and is orders of magnitude above the body of the
         // domain, so ε must be far below it or it flattens the
-        // compensation everywhere.
-        let peak = {
-            let mut m = 0.0f32;
-            for iz in 0..e.nz {
-                for ix in 0..e.nx {
-                    m = m.max(illum.get(ix, iz));
-                }
-            }
-            m.max(1e-30)
-        };
+        // compensation everywhere. Outside the interior both fields are 0.
+        let peak = illum
+            .as_slice()
+            .iter()
+            .fold(0.0f32, |m, &v| m.max(v))
+            .max(1e-30);
         let eps = 1e-6 * peak;
-        for iz in 0..e.nz {
-            for ix in 0..e.nx {
-                let v = image.get(ix, iz) / (illum.get(ix, iz) + eps);
-                image.set(ix, iz, v);
-            }
+        for (v, w) in image.as_mut_slice().iter_mut().zip(illum.as_slice()) {
+            *v /= w + eps;
         }
     }
     RtmResult {
@@ -373,8 +294,15 @@ mod tests {
         let w = Wavelet::ricker(18.0);
         let steps = 1000;
         let fwd = crate::modeling::run_modeling(&medium, &acq, &w, &cfg, steps, 3, 4);
-        let (h, v, dt) = super::medium_surface_params(&medium, &acq);
-        let muted = mute_direct(&fwd.seismogram, &acq, h, v, dt, 2.4 / 18.0);
+        let shot = Shot::<State2> {
+            medium: &medium,
+            acq: &acq,
+            config: &cfg,
+            steps,
+            snap_period: 3,
+            gangs: 4,
+        };
+        let muted = drive::mute(&shot, &fwd.seismogram, &w);
         let ratio_at_reflector = |cond: ImagingCondition| {
             let r = migrate_shot_with(
                 &medium,

@@ -1,165 +1,27 @@
 //! Real-execution 3D Reverse Time Migration.
 //!
-//! Volumetric Algorithm 1: identical structure to [`crate::rtm`] over
+//! Volumetric Algorithm 1 is the same driver as [`crate::rtm`] over
 //! [`crate::modeling3::Medium3`] — forward modeling with volume snapshots,
 //! direct-wave muting, backward receiver propagation, and the 3D
-//! cross-correlation imaging condition. Snapshot volumes make this
+//! cross-correlation imaging condition; this module gives it its 3D names
+//! and adds the volume post-processing. Snapshot volumes make this
 //! memory-hungry; it runs the paper's 3D cases at laptop scale (the
 //! production-scale costs go through [`crate::gpu_time`] /
 //! [`crate::cpu_time`], which model exactly this schedule).
 
-use crate::case::OptimizationConfig;
-use crate::modeling3::{Medium3, State3};
+use crate::rtm::RtmResult;
 use seismic_grid::Field3;
-use seismic_source::{Acquisition3, Seismogram, Wavelet};
 
-/// Output of a 3D RTM run.
-pub struct Rtm3Result {
-    /// The migrated image volume.
-    pub image: Field3,
-    /// The forward-modeled (muted) shot record that was migrated.
-    pub seismogram: Seismogram,
-    /// Snapshot volumes stored during the forward phase.
-    pub snapshots_saved: usize,
-}
-
-/// Grid spacing, near-source velocity, and dt of a 3D medium.
-pub(crate) fn medium_params3(medium: &Medium3, acq: &Acquisition3) -> (f32, f32, f32) {
-    let (ix, iy, iz) = (acq.src_ix, acq.src_iy, acq.src_iz);
-    match medium {
-        Medium3::Iso { model, .. } => (model.geom.dx, model.vp.get(ix, iy, iz), model.geom.dt),
-        Medium3::Acoustic { model, .. } => (model.geom.dx, model.vp.get(ix, iy, iz), model.geom.dt),
-        Medium3::Elastic { model, .. } => {
-            let vp = ((model.lam.get(ix, iy, iz) + 2.0 * model.mu.get(ix, iy, iz))
-                / model.rho.get(ix, iy, iz))
-            .sqrt();
-            (model.geom.dx, vp, model.geom.dt)
-        }
-    }
-}
+/// Output of a 3D RTM run: the image volume, the muted shot record and
+/// the number of snapshot volumes stored during the forward phase.
+pub type Rtm3Result = RtmResult<Field3>;
 
 /// Mute the direct wave of a 3D shot record (3D offsets, same taper logic
-/// as the 2D [`crate::rtm::mute_direct`]).
-pub fn mute_direct3(
-    seis: &Seismogram,
-    acq: &Acquisition3,
-    h: f32,
-    v_surface: f32,
-    dt: f32,
-    taper_s: f32,
-) -> Seismogram {
-    let mut out = Seismogram::zeros(seis.n_receivers(), seis.nt());
-    let ramp = ((0.25 * taper_s / dt) as usize).max(8);
-    for (r, rcv) in acq.receivers.iter().enumerate() {
-        let dx = (rcv.ix as f32 - acq.src_ix as f32) * h;
-        let dy = (rcv.iy as f32 - acq.src_iy as f32) * h;
-        let dz = (rcv.iz as f32 - acq.src_iz as f32) * h;
-        let t_direct = (dx * dx + dy * dy + dz * dz).sqrt() / v_surface + taper_s;
-        let first = (t_direct / dt).ceil() as usize;
-        for t in first.min(seis.nt())..seis.nt() {
-            let w = if t < first + ramp {
-                let x = (t - first) as f32 / ramp as f32;
-                0.5 * (1.0 - (std::f32::consts::PI * x).cos())
-            } else {
-                1.0
-            };
-            out.record(r, t, seis.get(r, t) * w);
-        }
-    }
-    out
-}
+/// as the 2D [`crate::rtm::mute_direct`] — it is the same function).
+pub use crate::rtm::mute_direct as mute_direct3;
 
 /// Run 3D RTM for one shot.
-pub fn run_rtm3(
-    medium: &Medium3,
-    acq: &Acquisition3,
-    wavelet: &Wavelet,
-    config: &OptimizationConfig,
-    steps: usize,
-    snap_period: usize,
-    gangs: usize,
-) -> Rtm3Result {
-    // Forward phase with volume snapshots, sized up front so the time loop
-    // itself performs no allocation.
-    let mut fstate = State3::new(medium);
-    let mut seismogram = Seismogram::zeros(acq.n_receivers(), steps);
-    let n_snaps = steps.div_ceil(snap_period);
-    let mut snapshots: Vec<Field3> = (0..n_snaps)
-        .map(|_| Field3::zeros(medium.extent()))
-        .collect();
-    let dt = medium.dt();
-    // Wall-clock forward phase (no-op unless the host profiler is on).
-    let t_forward = exec_host::prof::begin();
-    for t in 0..steps {
-        fstate.step(medium, config, gangs);
-        fstate.inject(
-            medium,
-            acq.src_ix,
-            acq.src_iy,
-            acq.src_iz,
-            wavelet.sample(t as f32 * dt),
-        );
-        for (r, rcv) in acq.receivers.iter().enumerate() {
-            seismogram.record(r, t, fstate.sample(rcv.ix, rcv.iy, rcv.iz));
-        }
-        if t % snap_period == 0 {
-            fstate.write_wavefield_into(&mut snapshots[t / snap_period]);
-        }
-    }
-    exec_host::prof::end(
-        t_forward,
-        exec_host::prof::EventKind::Phase,
-        exec_host::prof::PHASE_FORWARD,
-        0,
-    );
-
-    let (h, v_src, dt) = medium_params3(medium, acq);
-    let taper = 2.4 / wavelet.f_peak();
-    let muted = mute_direct3(&seismogram, acq, h, v_src, dt, taper);
-
-    // Backward phase with the 3D imaging condition.
-    let e = medium.extent();
-    let mut image = Field3::zeros(e);
-    let mut rstate = State3::new(medium);
-    let t_backward = exec_host::prof::begin();
-    for t in (0..steps).rev() {
-        if t % snap_period == 0 {
-            if let Some(s) = snapshots.get(t / snap_period) {
-                let t_imaging = exec_host::prof::begin();
-                for iz in 0..e.nz {
-                    for iy in 0..e.ny {
-                        for ix in 0..e.nx {
-                            let v = image.get(ix, iy, iz)
-                                + s.get(ix, iy, iz) * rstate.sample(ix, iy, iz);
-                            image.set(ix, iy, iz, v);
-                        }
-                    }
-                }
-                exec_host::prof::end(
-                    t_imaging,
-                    exec_host::prof::EventKind::Phase,
-                    exec_host::prof::PHASE_IMAGING,
-                    0,
-                );
-            }
-        }
-        rstate.step(medium, config, gangs);
-        for (r, rcv) in acq.receivers.iter().enumerate() {
-            rstate.inject(medium, rcv.ix, rcv.iy, rcv.iz, muted.get(r, t));
-        }
-    }
-    exec_host::prof::end(
-        t_backward,
-        exec_host::prof::EventKind::Phase,
-        exec_host::prof::PHASE_BACKWARD,
-        0,
-    );
-    Rtm3Result {
-        image,
-        seismogram: muted,
-        snapshots_saved: snapshots.len(),
-    }
-}
+pub use crate::rtm::run_rtm as run_rtm3;
 
 /// 3D Laplacian post-filter (see [`crate::rtm::laplacian_filter`]): removes
 /// the smooth backscatter artifact, sharpens reflectors. Returns `−∇²I`.
@@ -194,10 +56,14 @@ pub fn depth_profile3(image: &Field3, margin: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::case::OptimizationConfig;
+    use crate::modeling3::Medium3;
     use seismic_grid::cfl::stable_dt;
     use seismic_model::builder::{acoustic3_layered, Layer};
     use seismic_model::{extent3, Geometry};
     use seismic_pml::CpmlAxis;
+    use seismic_source::Seismogram;
+    use seismic_source::{Acquisition3, Wavelet};
 
     /// End-to-end volumetric imaging: a flat reflector in a small 3D model
     /// is recovered near its true depth.

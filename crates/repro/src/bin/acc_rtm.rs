@@ -140,6 +140,10 @@ fn cmd_model(flags: HashMap<String, String>) {
     let freq: f32 = get(&flags, "freq", 18.0);
     let gangs: usize = get(&flags, "gangs", openacc_sim::exec::default_gangs());
     let snap: usize = get(&flags, "snap", (steps / 6).max(1));
+    if steps == 0 || snap == 0 {
+        eprintln!("--steps and --snap must be positive");
+        exit(2)
+    }
     let formulation = flags
         .get("formulation")
         .map(String::as_str)

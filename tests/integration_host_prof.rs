@@ -18,13 +18,14 @@ use repro::accprof::{parse_case, profile, DeviceChoice, ProfileRequest, RunMode}
 use repro::calibrate::{run_calibration, PROF_GATE};
 use rtm_core::modeling::Medium2;
 use rtm_core::modeling3::Medium3;
+use rtm_core::rand_boundary::run_rtm_random_boundary3;
 use rtm_core::rtm::run_rtm;
-use rtm_core::rtm3::run_rtm3;
+use rtm_core::rtm3::{run_rtm3, Rtm3Result};
 use rtm_core::OptimizationConfig;
 use seismic_grid::cfl::stable_dt;
 use seismic_model::builder::{acoustic3_layered, iso2_constant, standard_layers};
 use seismic_model::{extent2, extent3, Geometry};
-use seismic_pml::{CpmlAxis, DampProfile};
+use seismic_pml::{CpmlAxis, DampProfile, RandomBoundarySpec};
 use seismic_source::{Acquisition2, Acquisition3, Wavelet};
 
 fn iso2d_medium(n: usize) -> Medium2 {
@@ -86,7 +87,8 @@ fn profiler_does_not_change_2d_numerics() {
 }
 
 /// Profiler on vs off: bitwise-identical 3D RTM images across gang
-/// counts.
+/// counts, for the dense and the random-boundary driver — and both report
+/// their forward, backward and imaging phases.
 #[test]
 fn profiler_does_not_change_3d_numerics() {
     let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -95,22 +97,51 @@ fn profiler_does_not_change_3d_numerics() {
     let acq = Acquisition3::surface_patch(n, n, (n / 2, n / 2, 2), 1, 4);
     let w = Wavelet::ricker(18.0);
     let cfg = OptimizationConfig::default();
-    for gangs in [1usize, 4] {
-        exec_host::prof::set_enabled(false);
-        let off = run_rtm3(&medium, &acq, &w, &cfg, 12, 3, gangs);
+    let spec = RandomBoundarySpec::new(4, 18);
+    let drivers: [(&str, &dyn Fn(usize) -> Rtm3Result); 2] = [
+        ("dense", &|gangs| {
+            run_rtm3(&medium, &acq, &w, &cfg, 12, 3, gangs)
+        }),
+        ("random boundary", &|gangs| {
+            run_rtm_random_boundary3(&medium, &acq, &w, &cfg, 12, 3, &spec, gangs).unwrap()
+        }),
+    ];
+    for (name, run) in drivers {
+        for gangs in [1usize, 4] {
+            exec_host::prof::set_enabled(false);
+            let off = run(gangs);
 
-        exec_host::prof::set_enabled(true);
-        let _ = exec_host::prof::drain();
-        let on = run_rtm3(&medium, &acq, &w, &cfg, 12, 3, gangs);
-        let _ = exec_host::prof::drain();
-        exec_host::prof::set_enabled(false);
+            exec_host::prof::set_enabled(true);
+            let _ = exec_host::prof::drain();
+            let on = run(gangs);
+            let profile = exec_host::prof::drain();
+            exec_host::prof::set_enabled(false);
 
-        assert_eq!(
-            off.image.as_slice(),
-            on.image.as_slice(),
-            "gangs={gangs}: 3D image must be bitwise identical"
-        );
-        assert_eq!(off.seismogram, on.seismogram, "gangs={gangs}");
+            assert_eq!(
+                off.image.as_slice(),
+                on.image.as_slice(),
+                "{name}, gangs={gangs}: 3D image must be bitwise identical"
+            );
+            assert_eq!(off.seismogram, on.seismogram, "{name}, gangs={gangs}");
+            let phases: Vec<u32> = profile
+                .slots
+                .iter()
+                .flat_map(|s| &s.events)
+                .filter(|e| e.kind == exec_host::prof::EventKind::Phase)
+                .map(|e| e.arg0)
+                .collect();
+            for phase in [
+                exec_host::prof::PHASE_FORWARD,
+                exec_host::prof::PHASE_BACKWARD,
+                exec_host::prof::PHASE_IMAGING,
+            ] {
+                assert!(
+                    phases.contains(&phase),
+                    "{name}, gangs={gangs}: no {} phase span",
+                    exec_host::prof::phase_name(phase)
+                );
+            }
+        }
     }
 }
 

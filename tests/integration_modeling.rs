@@ -231,3 +231,32 @@ fn mpi3_decomposition_matches_sequential() {
     let got = modeling_iso3_mpi(&m, &damp, (n / 2, n / 2, 8), &w, steps, 4);
     assert_eq!(got, seq.u_cur);
 }
+
+/// Runs `acc_rtm` with `args` and returns its exit code.
+fn acc_rtm_exit(args: &[&str]) -> Option<i32> {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_acc_rtm"))
+        .args(args)
+        .output()
+        .expect("acc_rtm runs");
+    out.status.code()
+}
+
+/// `acc_rtm model --snap 0` is a usage error (exit 2), not a
+/// division-by-zero panic.
+#[test]
+fn cli_model_rejects_zero_snap_period() {
+    assert_eq!(
+        acc_rtm_exit(&["model", "--n", "40", "--snap", "0"]),
+        Some(2)
+    );
+}
+
+/// `acc_rtm model --steps 0` is a usage error (exit 2), not an
+/// out-of-bounds snapshot index.
+#[test]
+fn cli_model_rejects_zero_steps() {
+    assert_eq!(
+        acc_rtm_exit(&["model", "--n", "40", "--steps", "0"]),
+        Some(2)
+    );
+}

@@ -252,3 +252,130 @@ fn normalized_condition_images_reflector() {
         "normalised image peak at {z_peak}, reflector at {z_if}"
     );
 }
+
+/// One forward loop records every shot: the dense driver, the
+/// random-boundary driver and plain modeling (muted the way the drivers
+/// mute) produce bit-identical shot records, in 2D and in 3D.
+#[test]
+fn forward_loops_record_identical_shots() {
+    use rtm_core::modeling3::{run_modeling3, Medium3};
+    use rtm_core::rand_boundary::{run_rtm_random_boundary, run_rtm_random_boundary3};
+    use rtm_core::rtm3::{mute_direct3, run_rtm3};
+    use seismic_model::builder::acoustic3_layered;
+    use seismic_model::extent3;
+    use seismic_pml::RandomBoundarySpec;
+    use seismic_source::Acquisition3;
+
+    let cfg = OptimizationConfig::default();
+    let w = Wavelet::ricker(20.0);
+    let spec = RandomBoundarySpec::new(8, 2015);
+
+    let n = 48;
+    let medium = two_layer(n, n / 2);
+    let acq = Acquisition2::surface_line(n, n / 2, 5, 5, 4);
+    let dense = run_rtm(&medium, &acq, &w, &cfg, 90, 4, 2);
+    let randb = run_rtm_random_boundary(&medium, &acq, &w, &cfg, 90, 4, &spec, 3).unwrap();
+    assert_eq!(dense.seismogram, randb.seismogram, "2D shot records differ");
+
+    let n = 20;
+    let e = extent3(n, n, n);
+    let h = 10.0;
+    let dt = stable_dt(8, 3, 3000.0, h, 0.55);
+    let layers = [
+        Layer {
+            z_top: 0,
+            vp: 1500.0,
+            vs: 0.0,
+            rho: 1000.0,
+        },
+        Layer {
+            z_top: n / 2,
+            vp: 3000.0,
+            vs: 0.0,
+            rho: 2400.0,
+        },
+    ];
+    let c = CpmlAxis::new(n, e.halo, 6, dt, 3000.0, h, 1e-4);
+    let medium = Medium3::Acoustic {
+        model: acoustic3_layered(e, &layers, Geometry::uniform(h, dt)),
+        cpml: [c.clone(), c.clone(), c],
+    };
+    let acq = Acquisition3::surface_patch(n, n, (n / 2, n / 2 - 1, 3), 3, 3);
+    let (steps, snap) = (40, 3);
+    let dense = run_rtm3(&medium, &acq, &w, &cfg, steps, snap, 2);
+    let randb = run_rtm_random_boundary3(&medium, &acq, &w, &cfg, steps, snap, &spec, 3).unwrap();
+    let modeled = run_modeling3(&medium, &acq, &w, &cfg, steps, snap, 1);
+    let muted = mute_direct3(&modeled.seismogram, &acq, h, 1500.0, dt, 2.4 / w.f_peak());
+    assert_eq!(
+        dense.seismogram, randb.seismogram,
+        "3D dense vs random boundary"
+    );
+    assert_eq!(dense.seismogram, muted, "3D dense vs muted modeling");
+}
+
+/// A zero snapshot period is a typed configuration error from every driver
+/// that returns `Result`, not a division-by-zero panic.
+#[test]
+fn zero_snap_period_is_a_typed_error() {
+    use rtm_core::checkpoint::migrate_checkpointed;
+    use rtm_core::rand_boundary::{migrate_random_boundary, run_rtm_random_boundary};
+    use rtm_core::resilient::{
+        run_rand_boundary_with_restart, run_rtm_with_restart, run_rtm_with_restart_planned,
+    };
+    use rtm_core::{ConfigError, RtmError};
+    use seismic_pml::RandomBoundarySpec;
+    use seismic_source::Seismogram;
+
+    fn zero_snap<T>(r: Result<T, RtmError>) -> bool {
+        matches!(r, Err(RtmError::Config(ConfigError::ZeroSnapPeriod)))
+    }
+    let n = 32;
+    let m = two_layer(n, n / 2);
+    let acq = Acquisition2::surface_line(n, n / 2, 3, 5, 4);
+    let seis = Seismogram::zeros(acq.n_receivers(), 20);
+    let (cfg, w) = (OptimizationConfig::default(), Wavelet::ricker(20.0));
+    let spec = RandomBoundarySpec::new(8, 1);
+    assert!(zero_snap(migrate_random_boundary(
+        &m, &acq, &seis, &w, &cfg, 20, 0, &spec, 2
+    )));
+    assert!(zero_snap(run_rtm_random_boundary(
+        &m, &acq, &w, &cfg, 20, 0, &spec, 2
+    )));
+    assert!(zero_snap(migrate_checkpointed(
+        &m, &acq, &seis, &w, &cfg, 20, 0, 3, 2
+    )));
+    assert!(zero_snap(run_rtm_with_restart(
+        &m,
+        &acq,
+        &w,
+        &cfg,
+        20,
+        0,
+        2,
+        5,
+        &[]
+    )));
+    assert!(zero_snap(run_rtm_with_restart_planned(
+        &m,
+        &acq,
+        &w,
+        &cfg,
+        20,
+        0,
+        2,
+        3,
+        &[]
+    )));
+    assert!(zero_snap(run_rand_boundary_with_restart(
+        &m,
+        &acq,
+        &w,
+        &cfg,
+        20,
+        0,
+        &spec,
+        2,
+        5,
+        &[]
+    )));
+}
