@@ -526,16 +526,23 @@ pub fn drain() -> HostProfile {
     imp::drain()
 }
 
+/// The profiler is process-global, so every test in this crate that can
+/// record into it — the tests below, and any test that launches through a
+/// `GangPool` or iterates `Tiling::ranges` — holds this guard. Otherwise
+/// events from a concurrently running test land in the rings while a
+/// profiler test has recording enabled, and its drained counts are off.
+#[cfg(all(test, not(loom)))]
+pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(all(test, not(loom), feature = "measure"))]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The profiler is process-global; tests that toggle it serialize here.
-    pub(crate) static PROF_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
-        PROF_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        test_guard()
     }
 
     #[test]

@@ -188,6 +188,7 @@ mod tests {
 
     #[test]
     fn small_grid_is_single_tile() {
+        let _prof = crate::prof::test_guard();
         set_tile_override(0);
         let t = tiles(200, 3, 9);
         assert!(t.tile_x >= 200, "narrow grid must not split: {t:?}");
@@ -204,6 +205,7 @@ mod tests {
 
     #[test]
     fn ranges_cover_exactly_once() {
+        let _prof = crate::prof::test_guard();
         for tile in [1usize, 3, 64, 1000] {
             let t = Tiling {
                 tile_x: tile,
