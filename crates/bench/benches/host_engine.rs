@@ -1,11 +1,10 @@
-//! Host-execution-engine benchmarks: persistent-pool launch overhead vs
-//! per-launch `thread::scope`, cache-blocked stencil sweeps, and the full
-//! 3D isotropic step both ways. The wall-clock companion
+//! Host-execution-engine benchmarks: persistent-pool launch overhead,
+//! cache-blocked stencil sweeps, and the full 3D isotropic step. The wall-clock companion
 //! (`src/bin/bench_host.rs`) produces `BENCH_host.json`; these Criterion
 //! groups are for interactive before/after comparison of the same paths.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use openacc_sim::exec::{par_slabs, par_slabs_scoped, set_engine, Engine};
+use openacc_sim::exec::par_slabs;
 use rtm_core::modeling3::{Medium3, State3};
 use rtm_core::OptimizationConfig;
 use seismic_grid::cfl::stable_dt;
@@ -14,21 +13,14 @@ use seismic_model::builder::{iso3_layered, standard_layers};
 use seismic_model::{extent2, extent3, Geometry};
 use seismic_pml::DampProfile;
 
-/// Pure launch overhead: an empty body over 8 gangs, pooled vs scoped.
-/// The gap here is exactly what every kernel of every timestep used to pay.
+/// Pure launch overhead: an empty body over 8 gangs — what every kernel
+/// of every timestep pays on top of its sweep.
 fn launch_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("launch_overhead");
     let gangs = 8;
     g.bench_function("pooled_8g", |b| {
         b.iter(|| {
             par_slabs(64, gangs, |z0, z1| {
-                std::hint::black_box((z0, z1));
-            })
-        });
-    });
-    g.bench_function("scoped_8g", |b| {
-        b.iter(|| {
-            par_slabs_scoped(64, gangs, |z0, z1| {
                 std::hint::black_box((z0, z1));
             })
         });
@@ -51,7 +43,7 @@ fn blocked_laplacian(c: &mut Criterion) {
     g.finish();
 }
 
-/// One full 3D isotropic timestep through the driver, pooled vs scoped.
+/// One full 3D isotropic timestep through the driver.
 fn iso3d_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("iso3d_step");
     let n = 32;
@@ -66,13 +58,9 @@ fn iso3d_step(c: &mut Criterion) {
     let cfg = OptimizationConfig::default();
     let mut state = State3::new(&medium);
     g.throughput(Throughput::Elements((n * n * n) as u64));
-    for (name, engine) in [("pooled", Engine::Pooled), ("scoped", Engine::Scoped)] {
-        set_engine(engine);
-        g.bench_function(format!("{name}_8g_n{n}"), |b| {
-            b.iter(|| state.step(&medium, &cfg, 8));
-        });
-    }
-    set_engine(Engine::Pooled);
+    g.bench_function(format!("pooled_8g_n{n}"), |b| {
+        b.iter(|| state.step(&medium, &cfg, 8));
+    });
     g.finish();
 }
 

@@ -42,7 +42,7 @@ fn modeling_cases(c: &mut Criterion) {
         let mut s = iso2d::Iso2State::new(e);
         g.throughput(Throughput::Elements(e.interior_len() as u64));
         g.bench_function("iso_2d_step", |b| {
-            b.iter(|| s.step(&m, &d, &d, IsoPmlVariant::OriginalIfs))
+            b.iter(|| s.step(&m, &d, &d, IsoPmlVariant::OriginalIfs, 1))
         });
     }
     // Acoustic 2D.
@@ -53,7 +53,7 @@ fn modeling_cases(c: &mut Criterion) {
         let cpml = [cp.clone(), cp];
         let mut s = acoustic2d::Ac2State::new(e);
         g.throughput(Throughput::Elements(e.interior_len() as u64));
-        g.bench_function("acoustic_2d_step", |b| b.iter(|| s.step(&m, &cpml)));
+        g.bench_function("acoustic_2d_step", |b| b.iter(|| s.step(&m, &cpml, 1)));
     }
     // Elastic 2D.
     {
@@ -63,7 +63,7 @@ fn modeling_cases(c: &mut Criterion) {
         let cpml = [cp.clone(), cp];
         let mut s = elastic2d::El2State::new(e);
         g.throughput(Throughput::Elements(e.interior_len() as u64));
-        g.bench_function("elastic_2d_step", |b| b.iter(|| s.step(&m, &cpml)));
+        g.bench_function("elastic_2d_step", |b| b.iter(|| s.step(&m, &cpml, 1)));
     }
     let layers3 = standard_layers(N3);
     // Isotropic 3D.
@@ -75,7 +75,7 @@ fn modeling_cases(c: &mut Criterion) {
         let mut s = iso3d::Iso3State::new(e);
         g.throughput(Throughput::Elements(e.interior_len() as u64));
         g.bench_function("iso_3d_step", |b| {
-            b.iter(|| s.step(&m, &damp, IsoPmlVariant::OriginalIfs))
+            b.iter(|| s.step(&m, &damp, IsoPmlVariant::OriginalIfs, 1))
         });
     }
     // Acoustic 3D.
@@ -87,7 +87,7 @@ fn modeling_cases(c: &mut Criterion) {
         let mut s = acoustic3d::Ac3State::new(e);
         g.throughput(Throughput::Elements(e.interior_len() as u64));
         g.bench_function("acoustic_3d_step", |b| {
-            b.iter(|| s.step(&m, &cpml, FissionVariant::Fissioned))
+            b.iter(|| s.step(&m, &cpml, FissionVariant::Fissioned, 1))
         });
     }
     // Elastic 3D.
@@ -98,7 +98,7 @@ fn modeling_cases(c: &mut Criterion) {
         let cpml = [cp.clone(), cp.clone(), cp];
         let mut s = elastic3d::El3State::new(e);
         g.throughput(Throughput::Elements(e.interior_len() as u64));
-        g.bench_function("elastic_3d_step", |b| b.iter(|| s.step(&m, &cpml)));
+        g.bench_function("elastic_3d_step", |b| b.iter(|| s.step(&m, &cpml, 1)));
     }
     g.finish();
 }
@@ -114,7 +114,7 @@ fn iso_pml_variants(c: &mut Criterion) {
         IsoPmlVariant::PmlEverywhere,
     ] {
         let mut s = iso2d::Iso2State::new(e);
-        g.bench_function(format!("{v:?}"), |b| b.iter(|| s.step(&m, &d, &d, v)));
+        g.bench_function(format!("{v:?}"), |b| b.iter(|| s.step(&m, &d, &d, v, 1)));
     }
     g.finish();
 }
@@ -127,7 +127,7 @@ fn loop_fission(c: &mut Criterion) {
     let cpml = [cp.clone(), cp.clone(), cp];
     for v in [FissionVariant::Fused, FissionVariant::Fissioned] {
         let mut s = acoustic3d::Ac3State::new(e);
-        g.bench_function(format!("{v:?}"), |b| b.iter(|| s.step(&m, &cpml, v)));
+        g.bench_function(format!("{v:?}"), |b| b.iter(|| s.step(&m, &cpml, v, 1)));
     }
     g.finish();
 }
@@ -183,7 +183,7 @@ fn vti_kernel(c: &mut Criterion) {
     let d = DampProfile::new(N2, e.halo, 16, vmax, 10.0, 1e-4);
     let mut s = vti2d::Vti2State::new(e);
     g.throughput(Throughput::Elements(e.interior_len() as u64));
-    g.bench_function("vti_2d_step", |b| b.iter(|| s.step(&m, &d, &d)));
+    g.bench_function("vti_2d_step", |b| b.iter(|| s.step(&m, &d, &d, 1)));
     g.finish();
 }
 

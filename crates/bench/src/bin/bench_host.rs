@@ -1,13 +1,10 @@
 //! Wall-clock host-engine benchmark: grid-points/sec for representative
-//! 2D/3D cases across gang counts, pooled vs per-launch `thread::scope`
-//! execution, emitted as `BENCH_host.json`.
+//! 2D/3D cases across gang counts on the pooled gang engine, emitted as
+//! `BENCH_host.json` (rows tagged `"engine": "pooled"`, the key the
+//! `--check` gate matches baseline rows on).
 //!
-//! Every (case, gangs) pair runs under BOTH engines and the seismograms
-//! are asserted bit-identical before any number is reported — a speedup
-//! that changes the physics is a bug, not a result.
-//!
-//! After the gated samples, each case also runs once as full RTM (pooled,
-//! max gangs) with the wall-clock profiler on: the per-phase
+//! After the gated samples, each case also runs once as full RTM (max
+//! gangs) with the wall-clock profiler on: the per-phase
 //! forward/backward/imaging breakdown and the derived gang metrics land
 //! in a `phases` section of the JSON. The regression gate reads only
 //! `results[]` — the phase columns are informational and never gate.
@@ -25,7 +22,6 @@
 //!   if the enabled path costs more than 5% or the disabled path's
 //!   per-call cost projects to more than 1% of the run
 
-use openacc_sim::exec::{set_engine, Engine};
 use rtm_core::modeling::{run_modeling, Medium2};
 use rtm_core::modeling3::{run_modeling3, Medium3};
 use rtm_core::rtm::run_rtm;
@@ -44,7 +40,6 @@ const REGRESSION_TOLERANCE: f64 = 0.20;
 struct Sample {
     case: &'static str,
     gangs: usize,
-    engine: &'static str,
     median_secs: f64,
     gp_per_s: f64,
 }
@@ -55,17 +50,16 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 /// Time `reps` runs of `f` (which must do a full modeling run) and return
-/// the median wall-clock seconds plus the last run's seismogram.
-fn time_runs(reps: usize, mut f: impl FnMut() -> Seismogram) -> (f64, Seismogram) {
-    let mut secs = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let s = f();
-        secs.push(t0.elapsed().as_secs_f64());
-        last = Some(s);
-    }
-    (median(secs), last.expect("reps >= 1"))
+/// the median wall-clock seconds.
+fn time_runs(reps: usize, mut f: impl FnMut() -> Seismogram) -> f64 {
+    let secs = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            assert!(f().nt() > 0);
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    median(secs)
 }
 
 fn iso2d_medium(n: usize) -> Medium2 {
@@ -113,36 +107,21 @@ fn bench_case(
     mut run: impl FnMut(usize) -> Seismogram,
 ) {
     for &gangs in gangs_list {
-        let mut per_engine: Vec<(&'static str, Engine)> =
-            vec![("scoped", Engine::Scoped), ("pooled", Engine::Pooled)];
-        let mut seismos: Vec<Seismogram> = Vec::new();
-        for (name, engine) in per_engine.drain(..) {
-            set_engine(engine);
-            let (secs, seis) = time_runs(reps, || run(gangs));
-            let gp = (points_per_step * steps) as f64 / secs;
-            eprintln!("{case:>12}  gangs={gangs}  {name:>6}  {secs:>9.4}s  {gp:>12.0} gp/s");
-            results.push(Sample {
-                case,
-                gangs,
-                engine: name,
-                median_secs: secs,
-                gp_per_s: gp,
-            });
-            seismos.push(seis);
-        }
-        set_engine(Engine::Pooled);
-        assert_eq!(
-            seismos[0], seismos[1],
-            "{case} gangs={gangs}: engines must be bit-identical"
-        );
+        let secs = time_runs(reps, || run(gangs));
+        let gp = (points_per_step * steps) as f64 / secs;
+        eprintln!("{case:>12}  gangs={gangs}  {secs:>9.4}s  {gp:>12.0} gp/s");
+        results.push(Sample {
+            case,
+            gangs,
+            median_secs: secs,
+            gp_per_s: gp,
+        });
     }
 }
 
-/// One profiled RTM run of a case (pooled engine), returning the
-/// wall-clock phase/gang report as a JSON object for the `phases`
-/// section.
+/// One profiled RTM run of a case, returning the wall-clock phase/gang
+/// report as a JSON object for the `phases` section.
 fn profiled_phases(case: &'static str, gangs: usize, run: impl FnOnce(usize)) -> serde_json::Value {
-    set_engine(Engine::Pooled);
     exec_host::prof::set_enabled(true);
     let _ = exec_host::prof::drain();
     let t0 = Instant::now();
@@ -196,7 +175,6 @@ fn overhead_check(quick: bool) -> ! {
     let w = Wavelet::ricker(22.0);
     let medium = iso2d_medium(n);
     let acq = Acquisition2::surface_line(n, n / 2, n / 2, 2, 6);
-    set_engine(Engine::Pooled);
     let run = || {
         let s = run_modeling(&medium, &acq, &w, &cfg, steps, steps, gangs).seismogram;
         assert!(s.nt() > 0);
@@ -330,22 +308,9 @@ fn main() {
         );
     }
 
-    // Headline: the acceptance-criterion ratio — 3D isotropic modeling at
-    // 8 gangs, pooled vs per-launch thread::scope.
-    let find = |case: &str, gangs: usize, engine: &str| {
-        results
-            .iter()
-            .find(|s| s.case == case && s.gangs == gangs && s.engine == engine)
-            .expect("sample present")
-    };
-    let headline_scoped = find("iso3d", 8, "scoped").median_secs;
-    let headline_pooled = find("iso3d", 8, "pooled").median_secs;
-    let speedup = headline_scoped / headline_pooled;
-    eprintln!("\niso3d @ 8 gangs: pooled is {speedup:.2}x the scoped engine");
-
-    // Per-phase wall-time breakdown: one profiled full-RTM run per case
-    // on the pooled engine at the largest gang count. Informational only
-    // — the `--check` gate never reads this section.
+    // Per-phase wall-time breakdown: one profiled full-RTM run per case at
+    // the largest gang count. Informational only — the `--check` gate
+    // never reads this section.
     let top_gangs = *gangs_list.last().expect("gangs list non-empty");
     let snap = 5usize;
     let mut phases: Vec<serde_json::Value> = Vec::new();
@@ -387,7 +352,7 @@ fn main() {
             let mut m = serde_json::Map::new();
             m.insert("case", s.case);
             m.insert("gangs", s.gangs);
-            m.insert("engine", s.engine);
+            m.insert("engine", "pooled");
             m.insert("median_secs", s.median_secs);
             m.insert("gp_per_s", s.gp_per_s);
             serde_json::Value::Object(m)
@@ -395,12 +360,6 @@ fn main() {
         .collect();
     root.insert("results", samples);
     root.insert("phases", phases);
-    let mut headline = serde_json::Map::new();
-    headline.insert("case", "iso3d");
-    headline.insert("gangs", 8u64);
-    headline.insert("speedup_pooled_vs_scoped", speedup);
-    headline.insert("bit_identical", true);
-    root.insert("headline", headline);
     let json = serde_json::to_string_pretty(&serde_json::Value::Object(root));
     std::fs::write(&out_path, &json).expect("write BENCH_host.json");
     eprintln!("wrote {out_path}");
@@ -426,10 +385,7 @@ fn main() {
                 .get("gp_per_s")
                 .and_then(|v| v.as_f64())
                 .expect("gp_per_s");
-            let Some(cur) = results
-                .iter()
-                .find(|s| s.case == case && s.gangs == gangs && s.engine == "pooled")
-            else {
+            let Some(cur) = results.iter().find(|s| s.case == case && s.gangs == gangs) else {
                 continue; // baseline covers a case this mode didn't run
             };
             let floor = base_gp * (1.0 - REGRESSION_TOLERANCE);

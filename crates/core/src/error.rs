@@ -4,8 +4,8 @@
 //! malformed argument aborts the whole process and loses every completed
 //! shot. The drivers instead return [`ConfigError`] for caller mistakes
 //! (checkable before any work starts) and [`RtmError`] for failures that
-//! surface mid-run (device OOM, a missing replay snapshot, an exhausted
-//! cluster), so the resilient executor can catch, retry, or degrade.
+//! surface mid-run (device OOM, an exhausted cluster, a malformed plan),
+//! so the resilient executor can catch, retry, or degrade.
 
 use openacc_sim::data::DataError;
 use std::fmt;
@@ -49,12 +49,6 @@ pub enum RtmError {
     Config(ConfigError),
     /// The device runtime rejected the run (OOM, unmapped data).
     Data(DataError),
-    /// The backward pass needed a forward snapshot that the replay did not
-    /// produce — the checkpoint schedule and snapshot period disagree.
-    MissingSnapshot {
-        /// Time step whose snapshot was requested.
-        step: usize,
-    },
     /// Every rank in the cluster has been blacklisted; the survey cannot
     /// make progress.
     NoHealthyRanks,
@@ -73,9 +67,6 @@ impl fmt::Display for RtmError {
         match self {
             RtmError::Config(e) => write!(f, "configuration error: {e}"),
             RtmError::Data(e) => write!(f, "device data error: {e}"),
-            RtmError::MissingSnapshot { step } => {
-                write!(f, "no replayed snapshot for step {step}")
-            }
             RtmError::NoHealthyRanks => write!(f, "all ranks blacklisted"),
             RtmError::MalformedPlan(what) => write!(f, "malformed survey plan: {what}"),
             RtmError::Observability(msg) => write!(f, "observability artifact invalid: {msg}"),
@@ -106,7 +97,5 @@ mod tests {
         assert!(ConfigError::NoShots.to_string().contains("no shots"));
         let e: RtmError = ConfigError::ZeroSlots.into();
         assert!(e.to_string().contains("zero slots"));
-        let m = RtmError::MissingSnapshot { step: 12 };
-        assert!(m.to_string().contains("12"));
     }
 }

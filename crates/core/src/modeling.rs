@@ -9,8 +9,7 @@
 
 use crate::case::OptimizationConfig;
 use crate::drive::{self, AcqOf, Medium, Shot, Wave};
-use openacc_sim::exec::par_slabs;
-use seismic_grid::{Extent2, Field2, SyncSlice};
+use seismic_grid::{Extent2, Field2};
 use seismic_model::{AcousticModel2, ElasticModel2, IsoModel2, VtiModel2};
 use seismic_pml::{CpmlAxis, DampProfile};
 use seismic_prop::{acoustic2d, elastic2d, iso2d, vti2d};
@@ -160,10 +159,9 @@ impl State2 {
         }
     }
 
-    /// Advance one time step on `gangs` host threads.
+    /// Advance one time step on `gangs` host threads (the prop state's
+    /// own gang-parallel step sequence).
     pub fn step(&mut self, medium: &Medium2, config: &OptimizationConfig, gangs: usize) {
-        let e = medium.extent();
-        let nz = e.nz;
         match (self, medium) {
             (
                 State2::Iso(s),
@@ -172,37 +170,51 @@ impl State2 {
                     damp_x,
                     damp_z,
                 },
-            ) => {
-                {
-                    let u = SyncSlice::new(s.u_prev.as_mut_slice());
-                    let cur = s.u_cur.as_slice();
-                    par_slabs(nz, gangs, |z0, z1| {
-                        iso2d::step_slab(
-                            u,
-                            cur,
-                            model.vp.as_slice(),
-                            e,
-                            model.geom.dx,
-                            model.geom.dz,
-                            model.geom.dt,
-                            damp_x,
-                            damp_z,
-                            config.iso_pml,
-                            z0,
-                            z1,
-                        );
-                    });
-                }
-                s.u_prev.swap(&mut s.u_cur);
-            }
+            ) => s.step(model, damp_x, damp_z, config.iso_pml, gangs),
+            (State2::Acoustic(s), Medium2::Acoustic { model, cpml }) => s.step(model, cpml, gangs),
+            (State2::Elastic(s), Medium2::Elastic { model, cpml }) => s.step(model, cpml, gangs),
+            (
+                State2::Vti(s),
+                Medium2::Vti {
+                    model,
+                    damp_x,
+                    damp_z,
+                },
+            ) => s.step(model, damp_x, damp_z, gangs),
+            _ => panic!("state/medium formulation mismatch"),
+        }
+    }
+
+    /// Undo one [`State2::step`]: advance the wavefield *backward* one step
+    /// through a **lossless** medium (σ ≡ 0 damping / transparent C-PML, as
+    /// built by [`crate::rand_boundary::randomize_medium2`]).
+    ///
+    /// * Leapfrog states (iso, VTI) step forward from swapped time levels:
+    ///   with σ = 0 the update is symmetric in time.
+    /// * Staggered states (acoustic, elastic) run their in-place phases in
+    ///   reverse order with `−dt`; the ψ memory variables stay identically
+    ///   zero under transparent C-PML, so no dissipative history is lost.
+    ///
+    /// The inverse is exact in real arithmetic and deterministic (but not
+    /// bit-exact — floating-point addition does not cancel perfectly) in
+    /// `f32`; callers must have removed the step's source injection first.
+    /// Calling this on a dissipative medium silently diverges instead of
+    /// reconstructing — the random-boundary driver owns that contract.
+    pub fn step_reverse(&mut self, medium: &Medium2, config: &OptimizationConfig, gangs: usize) {
+        match (self, medium) {
+            (
+                State2::Iso(s),
+                Medium2::Iso {
+                    model,
+                    damp_x,
+                    damp_z,
+                },
+            ) => s.step_reverse(model, damp_x, damp_z, config.iso_pml, gangs),
             (State2::Acoustic(s), Medium2::Acoustic { model, cpml }) => {
-                acoustic_velocity_phase(s, model, cpml, e, gangs, model.geom.dt);
-                acoustic_pressure_phase(s, model, cpml, e, gangs, model.geom.dt);
+                s.step_reverse(model, cpml, gangs)
             }
             (State2::Elastic(s), Medium2::Elastic { model, cpml }) => {
-                // Sequential per-kernel (4 kernels), each slab-parallel.
-                elastic_velocity_phase(s, model, cpml, e, gangs, model.geom.dt);
-                elastic_stress_phase(s, model, cpml, e, gangs, model.geom.dt);
+                s.step_reverse(model, cpml, gangs)
             }
             (
                 State2::Vti(s),
@@ -211,276 +223,9 @@ impl State2 {
                     damp_x,
                     damp_z,
                 },
-            ) => {
-                {
-                    let p = SyncSlice::new(s.p_prev.as_mut_slice());
-                    let q = SyncSlice::new(s.q_prev.as_mut_slice());
-                    let (pc, qc) = (s.p_cur.as_slice(), s.q_cur.as_slice());
-                    par_slabs(nz, gangs, |z0, z1| {
-                        vti2d::step_slab(
-                            p,
-                            q,
-                            pc,
-                            qc,
-                            model.vp.as_slice(),
-                            model.epsilon.as_slice(),
-                            model.delta.as_slice(),
-                            e,
-                            model.geom.dx,
-                            model.geom.dz,
-                            model.geom.dt,
-                            damp_x,
-                            damp_z,
-                            z0,
-                            z1,
-                        );
-                    });
-                }
-                s.p_prev.swap(&mut s.p_cur);
-                s.q_prev.swap(&mut s.q_cur);
-            }
+            ) => s.step_reverse(model, damp_x, damp_z, gangs),
             _ => panic!("state/medium formulation mismatch"),
         }
-    }
-
-    /// Swap the two time levels of a leapfrog state (no-op field renaming;
-    /// staggered states have a single time level and panic).
-    fn swap_levels(&mut self) {
-        match self {
-            State2::Iso(s) => s.u_prev.swap(&mut s.u_cur),
-            State2::Vti(s) => {
-                s.p_prev.swap(&mut s.p_cur);
-                s.q_prev.swap(&mut s.q_cur);
-            }
-            _ => panic!("swap_levels is only defined for two-level states"),
-        }
-    }
-
-    /// Undo one [`State2::step`]: advance the wavefield *backward* one step
-    /// through a **lossless** medium (σ ≡ 0 damping / transparent C-PML, as
-    /// built by [`crate::rand_boundary::randomize_medium2`]).
-    ///
-    /// * Leapfrog states (iso, VTI): the update `u⁺ = 2u − u⁻ + A(u)` is
-    ///   symmetric in time when σ = 0 (the `(1 ∓ σdt)` factors are exactly
-    ///   1.0), so stepping *forward* from swapped levels recovers the
-    ///   previous level: swap, [`State2::step`], swap.
-    /// * Staggered states (acoustic, elastic): each phase is an in-place
-    ///   `field += dt·F(other fields)` update, so running the phases in
-    ///   reverse order with `−dt` undoes them one by one. The ψ memory
-    ///   variables stay identically zero under transparent C-PML (their
-    ///   recursion is `ψ ← 1·ψ + 0·∂u`), so no dissipative history is lost.
-    ///
-    /// The inverse is exact in real arithmetic and deterministic (but not
-    /// bit-exact — floating-point addition does not cancel perfectly) in
-    /// `f32`; callers must have removed the step's source injection first.
-    /// Calling this on a dissipative medium silently diverges instead of
-    /// reconstructing — the random-boundary driver owns that contract.
-    pub fn step_reverse(&mut self, medium: &Medium2, config: &OptimizationConfig, gangs: usize) {
-        let e = medium.extent();
-        match (&mut *self, medium) {
-            (State2::Iso(_), Medium2::Iso { .. }) | (State2::Vti(_), Medium2::Vti { .. }) => {
-                self.swap_levels();
-                self.step(medium, config, gangs);
-                self.swap_levels();
-            }
-            (State2::Acoustic(s), Medium2::Acoustic { model, cpml }) => {
-                acoustic_pressure_phase(s, model, cpml, e, gangs, -model.geom.dt);
-                acoustic_velocity_phase(s, model, cpml, e, gangs, -model.geom.dt);
-            }
-            (State2::Elastic(s), Medium2::Elastic { model, cpml }) => {
-                elastic_stress_phase(s, model, cpml, e, gangs, -model.geom.dt);
-                elastic_velocity_phase(s, model, cpml, e, gangs, -model.geom.dt);
-            }
-            _ => panic!("state/medium formulation mismatch"),
-        }
-    }
-}
-
-/// Acoustic staggered phase 1: particle velocities from the pressure
-/// gradient, `q += dt·D(p)`. `dt` is signed so the reverse sweep can undo it.
-fn acoustic_velocity_phase(
-    s: &mut acoustic2d::Ac2State,
-    model: &AcousticModel2,
-    cpml: &[CpmlAxis; 2],
-    e: Extent2,
-    gangs: usize,
-    dt: f32,
-) {
-    let qx = SyncSlice::new(s.qx.as_mut_slice());
-    let qz = SyncSlice::new(s.qz.as_mut_slice());
-    let px = SyncSlice::new(s.psi_px.as_mut_slice());
-    let pz = SyncSlice::new(s.psi_pz.as_mut_slice());
-    let p = s.p.as_slice();
-    par_slabs(e.nz, gangs, |z0, z1| {
-        acoustic2d::velocity_slab(
-            qx,
-            qz,
-            px,
-            pz,
-            p,
-            model.rho.as_slice(),
-            e,
-            model.geom.dx,
-            model.geom.dz,
-            dt,
-            cpml,
-            z0,
-            z1,
-        );
-    });
-}
-
-/// Acoustic staggered phase 2: pressure from the velocity divergence,
-/// `p += dt·E(q)`.
-fn acoustic_pressure_phase(
-    s: &mut acoustic2d::Ac2State,
-    model: &AcousticModel2,
-    cpml: &[CpmlAxis; 2],
-    e: Extent2,
-    gangs: usize,
-    dt: f32,
-) {
-    let p = SyncSlice::new(s.p.as_mut_slice());
-    let sx = SyncSlice::new(s.psi_qx.as_mut_slice());
-    let sz = SyncSlice::new(s.psi_qz.as_mut_slice());
-    let qx = s.qx.as_slice();
-    let qz = s.qz.as_slice();
-    par_slabs(e.nz, gangs, |z0, z1| {
-        acoustic2d::pressure_slab(
-            p,
-            sx,
-            sz,
-            qx,
-            qz,
-            model.vp.as_slice(),
-            model.rho.as_slice(),
-            e,
-            model.geom.dx,
-            model.geom.dz,
-            dt,
-            cpml,
-            z0,
-            z1,
-        );
-    });
-}
-
-/// Elastic phase 1: particle velocities from stress divergence (vx then vz;
-/// both read only stresses, so their order is immaterial).
-fn elastic_velocity_phase(
-    s: &mut elastic2d::El2State,
-    model: &ElasticModel2,
-    cpml: &[CpmlAxis; 2],
-    e: Extent2,
-    gangs: usize,
-    dt: f32,
-) {
-    {
-        let vx = SyncSlice::new(s.vx.as_mut_slice());
-        let p1 = SyncSlice::new(s.psi_sxx_x.as_mut_slice());
-        let p2 = SyncSlice::new(s.psi_sxz_z.as_mut_slice());
-        let (sxx, sxz) = (s.sxx.as_slice(), s.sxz.as_slice());
-        par_slabs(e.nz, gangs, |z0, z1| {
-            elastic2d::vx_slab(
-                vx,
-                p1,
-                p2,
-                sxx,
-                sxz,
-                model.rho.as_slice(),
-                e,
-                model.geom.dx,
-                model.geom.dz,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
-    }
-    {
-        let vz = SyncSlice::new(s.vz.as_mut_slice());
-        let p1 = SyncSlice::new(s.psi_sxz_x.as_mut_slice());
-        let p2 = SyncSlice::new(s.psi_szz_z.as_mut_slice());
-        let (sxz, szz) = (s.sxz.as_slice(), s.szz.as_slice());
-        par_slabs(e.nz, gangs, |z0, z1| {
-            elastic2d::vz_slab(
-                vz,
-                p1,
-                p2,
-                sxz,
-                szz,
-                model.rho.as_slice(),
-                e,
-                model.geom.dx,
-                model.geom.dz,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
-    }
-}
-
-/// Elastic phase 2: stresses from velocity gradients (diagonal then shear;
-/// both read only velocities).
-fn elastic_stress_phase(
-    s: &mut elastic2d::El2State,
-    model: &ElasticModel2,
-    cpml: &[CpmlAxis; 2],
-    e: Extent2,
-    gangs: usize,
-    dt: f32,
-) {
-    {
-        let sxx = SyncSlice::new(s.sxx.as_mut_slice());
-        let szz = SyncSlice::new(s.szz.as_mut_slice());
-        let p1 = SyncSlice::new(s.psi_vx_x.as_mut_slice());
-        let p2 = SyncSlice::new(s.psi_vz_z.as_mut_slice());
-        let (vx, vz) = (s.vx.as_slice(), s.vz.as_slice());
-        par_slabs(e.nz, gangs, |z0, z1| {
-            elastic2d::stress_diag_slab(
-                sxx,
-                szz,
-                p1,
-                p2,
-                vx,
-                vz,
-                model.lam.as_slice(),
-                model.mu.as_slice(),
-                e,
-                model.geom.dx,
-                model.geom.dz,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
-    }
-    {
-        let sxz = SyncSlice::new(s.sxz.as_mut_slice());
-        let p1 = SyncSlice::new(s.psi_vx_z.as_mut_slice());
-        let p2 = SyncSlice::new(s.psi_vz_x.as_mut_slice());
-        let (vx, vz) = (s.vx.as_slice(), s.vz.as_slice());
-        par_slabs(e.nz, gangs, |z0, z1| {
-            elastic2d::stress_shear_slab(
-                sxz,
-                p1,
-                p2,
-                vx,
-                vz,
-                model.mu.as_slice(),
-                e,
-                model.geom.dx,
-                model.geom.dz,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
     }
 }
 

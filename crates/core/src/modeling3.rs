@@ -8,8 +8,7 @@
 
 use crate::case::OptimizationConfig;
 use crate::modeling::ModelingResult;
-use openacc_sim::exec::par_slabs;
-use seismic_grid::{Extent3, Field3, SyncSlice};
+use seismic_grid::{Extent3, Field3};
 use seismic_model::{AcousticModel3, ElasticModel3, IsoModel3};
 use seismic_pml::{CpmlAxis, DampProfile};
 use seismic_prop::{acoustic3d, elastic3d, iso3d};
@@ -163,401 +162,39 @@ impl State3 {
         }
     }
 
-    /// Advance one time step on `gangs` host threads.
+    /// Advance one time step on `gangs` host threads (the prop state's
+    /// own gang-parallel step sequence).
     pub fn step(&mut self, medium: &Medium3, config: &OptimizationConfig, gangs: usize) {
-        let e = medium.extent();
-        let nz = e.nz;
         match (self, medium) {
             (State3::Iso(s), Medium3::Iso { model, damp }) => {
-                {
-                    let u = SyncSlice::new(s.u_prev.as_mut_slice());
-                    let cur = s.u_cur.as_slice();
-                    par_slabs(nz, gangs, |z0, z1| {
-                        iso3d::step_slab(
-                            u,
-                            cur,
-                            model.vp.as_slice(),
-                            e,
-                            [model.geom.dx, model.geom.dy, model.geom.dz],
-                            model.geom.dt,
-                            damp,
-                            config.iso_pml,
-                            z0,
-                            z1,
-                        );
-                    });
-                }
-                s.u_prev.swap(&mut s.u_cur);
+                s.step(model, damp, config.iso_pml, gangs)
             }
             (State3::Acoustic(s), Medium3::Acoustic { model, cpml }) => {
-                acoustic3_velocity_phase(s, model, cpml, e, gangs, model.geom.dt);
-                acoustic3_pressure_phase(s, model, cpml, e, gangs, model.geom.dt, config, false);
+                s.step(model, cpml, config.fission, gangs)
             }
-            (State3::Elastic(s), Medium3::Elastic { model, cpml }) => {
-                elastic_step_gangs(s, model, cpml, gangs);
-            }
+            (State3::Elastic(s), Medium3::Elastic { model, cpml }) => s.step(model, cpml, gangs),
             _ => panic!("state/medium formulation mismatch"),
         }
     }
 
     /// Undo one [`State3::step`] through a **lossless** medium (transparent
     /// absorbers) — the 3-D counterpart of [`crate::modeling::State2::step_reverse`],
-    /// with the same contract: leapfrog states reverse by stepping forward
-    /// from swapped levels; staggered states run their phases in reverse
-    /// order with `−dt` (the fissioned acoustic pressure phase additionally
-    /// reverses its per-axis loop, since the three axis updates accumulate
-    /// into `p` sequentially). Callers remove the source injection first.
+    /// with the same contract. The fissioned acoustic pressure phase also
+    /// reverses its per-axis order, since the three axis updates accumulate
+    /// into `p` in sequence. Callers remove the source injection first.
     pub fn step_reverse(&mut self, medium: &Medium3, config: &OptimizationConfig, gangs: usize) {
-        let e = medium.extent();
-        match (&mut *self, medium) {
-            (State3::Iso(_), Medium3::Iso { .. }) => {
-                if let State3::Iso(s) = self {
-                    s.u_prev.swap(&mut s.u_cur);
-                }
-                self.step(medium, config, gangs);
-                if let State3::Iso(s) = self {
-                    s.u_prev.swap(&mut s.u_cur);
-                }
+        match (self, medium) {
+            (State3::Iso(s), Medium3::Iso { model, damp }) => {
+                s.step_reverse(model, damp, config.iso_pml, gangs)
             }
             (State3::Acoustic(s), Medium3::Acoustic { model, cpml }) => {
-                acoustic3_pressure_phase(s, model, cpml, e, gangs, -model.geom.dt, config, true);
-                acoustic3_velocity_phase(s, model, cpml, e, gangs, -model.geom.dt);
+                s.step_reverse(model, cpml, config.fission, gangs)
             }
             (State3::Elastic(s), Medium3::Elastic { model, cpml }) => {
-                elastic3_stress_gangs(s, model, cpml, gangs, -model.geom.dt);
-                elastic3_velocity_gangs(s, model, cpml, gangs, -model.geom.dt);
+                s.step_reverse(model, cpml, gangs)
             }
             _ => panic!("state/medium formulation mismatch"),
         }
-    }
-}
-
-/// Acoustic 3-D phase 1: particle velocities from the pressure gradient
-/// (`q += dt·D(p)` per axis, one fused kernel). `dt` is signed.
-fn acoustic3_velocity_phase(
-    s: &mut acoustic3d::Ac3State,
-    model: &AcousticModel3,
-    cpml: &[CpmlAxis; 3],
-    e: Extent3,
-    gangs: usize,
-    dt: f32,
-) {
-    let h = [model.geom.dx, model.geom.dy, model.geom.dz];
-    let qx = SyncSlice::new(s.qx.as_mut_slice());
-    let qy = SyncSlice::new(s.qy.as_mut_slice());
-    let qz = SyncSlice::new(s.qz.as_mut_slice());
-    let px = SyncSlice::new(s.psi_px.as_mut_slice());
-    let py = SyncSlice::new(s.psi_py.as_mut_slice());
-    let pz = SyncSlice::new(s.psi_pz.as_mut_slice());
-    let p = s.p.as_slice();
-    par_slabs(e.nz, gangs, |z0, z1| {
-        acoustic3d::velocity_slab(
-            qx,
-            qy,
-            qz,
-            px,
-            py,
-            pz,
-            p,
-            model.rho.as_slice(),
-            e,
-            h,
-            dt,
-            cpml,
-            z0,
-            z1,
-        );
-    });
-}
-
-/// Acoustic 3-D phase 2: pressure from the velocity divergence, in the
-/// configured fused/fissioned form. The fissioned form updates `p` three
-/// times in sequence (once per axis), so the reverse sweep must visit the
-/// axes in the opposite order (`axes_reversed`); the fused form is a single
-/// update and ignores the flag.
-#[allow(clippy::too_many_arguments)]
-fn acoustic3_pressure_phase(
-    s: &mut acoustic3d::Ac3State,
-    model: &AcousticModel3,
-    cpml: &[CpmlAxis; 3],
-    e: Extent3,
-    gangs: usize,
-    dt: f32,
-    config: &OptimizationConfig,
-    axes_reversed: bool,
-) {
-    let h = [model.geom.dx, model.geom.dy, model.geom.dz];
-    match config.fission {
-        seismic_prop::FissionVariant::Fused => {
-            let p = SyncSlice::new(s.p.as_mut_slice());
-            let sx = SyncSlice::new(s.psi_qx.as_mut_slice());
-            let sy = SyncSlice::new(s.psi_qy.as_mut_slice());
-            let sz = SyncSlice::new(s.psi_qz.as_mut_slice());
-            let (qx, qy, qz) = (s.qx.as_slice(), s.qy.as_slice(), s.qz.as_slice());
-            par_slabs(e.nz, gangs, |z0, z1| {
-                acoustic3d::pressure_fused_slab(
-                    p,
-                    sx,
-                    sy,
-                    sz,
-                    qx,
-                    qy,
-                    qz,
-                    model.vp.as_slice(),
-                    model.rho.as_slice(),
-                    e,
-                    h,
-                    dt,
-                    cpml,
-                    z0,
-                    z1,
-                );
-            });
-        }
-        seismic_prop::FissionVariant::Fissioned => {
-            let order: [usize; 3] = if axes_reversed { [2, 1, 0] } else { [0, 1, 2] };
-            for axis in order {
-                let p = SyncSlice::new(s.p.as_mut_slice());
-                let (psi, q) = match axis {
-                    0 => (SyncSlice::new(s.psi_qx.as_mut_slice()), s.qx.as_slice()),
-                    1 => (SyncSlice::new(s.psi_qy.as_mut_slice()), s.qy.as_slice()),
-                    _ => (SyncSlice::new(s.psi_qz.as_mut_slice()), s.qz.as_slice()),
-                };
-                par_slabs(e.nz, gangs, |z0, z1| {
-                    acoustic3d::pressure_axis_slab(
-                        p,
-                        psi,
-                        q,
-                        model.vp.as_slice(),
-                        model.rho.as_slice(),
-                        e,
-                        axis,
-                        h[axis],
-                        dt,
-                        &cpml[axis],
-                        z0,
-                        z1,
-                    );
-                });
-            }
-        }
-    }
-}
-
-/// Gang-parallel elastic 3D step: each of the six kernels is run
-/// slab-parallel in turn (same phase structure as the sequential
-/// [`elastic3d::El3State::step`]).
-fn elastic_step_gangs(
-    s: &mut elastic3d::El3State,
-    model: &ElasticModel3,
-    cpml: &[CpmlAxis; 3],
-    gangs: usize,
-) {
-    let dt = model.geom.dt;
-    elastic3_velocity_gangs(s, model, cpml, gangs, dt);
-    elastic3_stress_gangs(s, model, cpml, gangs, dt);
-}
-
-/// Elastic 3-D velocity phase (vx, vy, vz kernels — all read only
-/// stresses). `dt` is signed so the reverse sweep can undo the phase.
-fn elastic3_velocity_gangs(
-    s: &mut elastic3d::El3State,
-    model: &ElasticModel3,
-    cpml: &[CpmlAxis; 3],
-    gangs: usize,
-    dt: f32,
-) {
-    let e = s.vx.extent();
-    let nz = e.nz;
-    let g = &model.geom;
-    let h = [g.dx, g.dy, g.dz];
-    {
-        let (a, rest) = s.psi.split_at_mut(1);
-        let (b, rest2) = rest.split_at_mut(1);
-        let vx = SyncSlice::new(s.vx.as_mut_slice());
-        let p0 = SyncSlice::new(a[0].as_mut_slice());
-        let p1 = SyncSlice::new(b[0].as_mut_slice());
-        let p2 = SyncSlice::new(rest2[0].as_mut_slice());
-        let (sxx, sxy, sxz) = (s.sxx.as_slice(), s.sxy.as_slice(), s.sxz.as_slice());
-        par_slabs(nz, gangs, |z0, z1| {
-            elastic3d::vx_slab(
-                vx,
-                p0,
-                p1,
-                p2,
-                sxx,
-                sxy,
-                sxz,
-                model.rho.as_slice(),
-                e,
-                h,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
-    }
-    {
-        let (_, rest) = s.psi.split_at_mut(3);
-        let (a, rest2) = rest.split_at_mut(1);
-        let (b, rest3) = rest2.split_at_mut(1);
-        let vy = SyncSlice::new(s.vy.as_mut_slice());
-        let p0 = SyncSlice::new(a[0].as_mut_slice());
-        let p1 = SyncSlice::new(b[0].as_mut_slice());
-        let p2 = SyncSlice::new(rest3[0].as_mut_slice());
-        let (sxy, syy, syz) = (s.sxy.as_slice(), s.syy.as_slice(), s.syz.as_slice());
-        par_slabs(nz, gangs, |z0, z1| {
-            elastic3d::vy_slab(
-                vy,
-                p0,
-                p1,
-                p2,
-                sxy,
-                syy,
-                syz,
-                model.rho.as_slice(),
-                e,
-                h,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
-    }
-    {
-        let (_, rest) = s.psi.split_at_mut(6);
-        let (a, rest2) = rest.split_at_mut(1);
-        let (b, rest3) = rest2.split_at_mut(1);
-        let vz = SyncSlice::new(s.vz.as_mut_slice());
-        let p0 = SyncSlice::new(a[0].as_mut_slice());
-        let p1 = SyncSlice::new(b[0].as_mut_slice());
-        let p2 = SyncSlice::new(rest3[0].as_mut_slice());
-        let (sxz, syz, szz) = (s.sxz.as_slice(), s.syz.as_slice(), s.szz.as_slice());
-        par_slabs(nz, gangs, |z0, z1| {
-            elastic3d::vz_slab(
-                vz,
-                p0,
-                p1,
-                p2,
-                sxz,
-                syz,
-                szz,
-                model.rho.as_slice(),
-                e,
-                h,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
-    }
-}
-
-/// Elastic 3-D stress phase (diagonal, sxy/sxz, syz kernels — all read
-/// only velocities). `dt` is signed.
-fn elastic3_stress_gangs(
-    s: &mut elastic3d::El3State,
-    model: &ElasticModel3,
-    cpml: &[CpmlAxis; 3],
-    gangs: usize,
-    dt: f32,
-) {
-    let e = s.vx.extent();
-    let nz = e.nz;
-    let g = &model.geom;
-    let h = [g.dx, g.dy, g.dz];
-    {
-        let (_, rest) = s.psi.split_at_mut(9);
-        let (a, rest2) = rest.split_at_mut(1);
-        let (b, rest3) = rest2.split_at_mut(1);
-        let sxx = SyncSlice::new(s.sxx.as_mut_slice());
-        let syy = SyncSlice::new(s.syy.as_mut_slice());
-        let szz = SyncSlice::new(s.szz.as_mut_slice());
-        let p0 = SyncSlice::new(a[0].as_mut_slice());
-        let p1 = SyncSlice::new(b[0].as_mut_slice());
-        let p2 = SyncSlice::new(rest3[0].as_mut_slice());
-        let (vx, vy, vz) = (s.vx.as_slice(), s.vy.as_slice(), s.vz.as_slice());
-        par_slabs(nz, gangs, |z0, z1| {
-            elastic3d::stress_diag_slab(
-                sxx,
-                syy,
-                szz,
-                p0,
-                p1,
-                p2,
-                vx,
-                vy,
-                vz,
-                model.lam.as_slice(),
-                model.mu.as_slice(),
-                e,
-                h,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
-    }
-    {
-        let (_, rest) = s.psi.split_at_mut(12);
-        let (a, rest2) = rest.split_at_mut(1);
-        let (b, rest3) = rest2.split_at_mut(1);
-        let (c, rest4) = rest3.split_at_mut(1);
-        let sxy = SyncSlice::new(s.sxy.as_mut_slice());
-        let sxz = SyncSlice::new(s.sxz.as_mut_slice());
-        let p0 = SyncSlice::new(a[0].as_mut_slice());
-        let p1 = SyncSlice::new(b[0].as_mut_slice());
-        let p2 = SyncSlice::new(c[0].as_mut_slice());
-        let p3 = SyncSlice::new(rest4[0].as_mut_slice());
-        let (vx, vy, vz) = (s.vx.as_slice(), s.vy.as_slice(), s.vz.as_slice());
-        par_slabs(nz, gangs, |z0, z1| {
-            elastic3d::stress_sxy_sxz_slab(
-                sxy,
-                sxz,
-                p0,
-                p1,
-                p2,
-                p3,
-                vx,
-                vy,
-                vz,
-                model.mu.as_slice(),
-                e,
-                h,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
-    }
-    {
-        let (_, rest) = s.psi.split_at_mut(16);
-        let (a, rest2) = rest.split_at_mut(1);
-        let syz = SyncSlice::new(s.syz.as_mut_slice());
-        let p0 = SyncSlice::new(a[0].as_mut_slice());
-        let p1 = SyncSlice::new(rest2[0].as_mut_slice());
-        let (vy, vz) = (s.vy.as_slice(), s.vz.as_slice());
-        par_slabs(nz, gangs, |z0, z1| {
-            elastic3d::stress_syz_slab(
-                syz,
-                p0,
-                p1,
-                vy,
-                vz,
-                model.mu.as_slice(),
-                e,
-                h,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
     }
 }
 

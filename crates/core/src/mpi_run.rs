@@ -5,16 +5,59 @@
 //! sends/receives, and the rank owning the source row injects. This is the
 //! executable counterpart of the Table 3/4 CPU baseline timing model, and
 //! its output is verified bit-for-bit against the sequential propagator.
+//! Each rank runs the prop state's own step sequence (one gang) on its
+//! rank-local model window; only the halo exchanges live here.
 
 use bytes::Bytes;
-use mpi_sim::comm::Communicator;
+use mpi_sim::comm::{Communicator, RankCtx};
 use mpi_sim::decomp::SlabDecomp;
-use mpi_sim::halo::exchange_halo2;
-use seismic_grid::{Extent2, Field2, SyncSlice, STENCIL_HALF};
-use seismic_model::IsoModel2;
-use seismic_pml::DampProfile;
-use seismic_prop::{iso2d, IsoPmlVariant};
+use mpi_sim::halo::{exchange_halo2, exchange_halo3};
+use seismic_grid::{Extent2, Extent3, Field2, Field3, STENCIL_HALF};
+use seismic_model::{AcousticModel2, IsoModel2, IsoModel3};
+use seismic_pml::{CpmlAxis, DampProfile};
+use seismic_prop::acoustic2d::Ac2State;
+use seismic_prop::iso2d::Iso2State;
+use seismic_prop::iso3d::Iso3State;
+use seismic_prop::IsoPmlVariant;
 use seismic_source::Wavelet;
+
+/// Gather every rank's interior rows of a 2D field onto rank 0, which
+/// returns the global field (extent `ge`); other ranks return `None`.
+fn gather2(
+    ctx: &mut RankCtx,
+    decomp: &SlabDecomp,
+    ge: Extent2,
+    local: &Field2,
+    tag: u64,
+) -> Option<Field2> {
+    let slab = decomp.slab(ctx.rank());
+    if ctx.rank() != 0 {
+        let mut payload = Vec::with_capacity(slab.nz() * ge.nx * 4);
+        for iz in 0..slab.nz() {
+            for ix in 0..ge.nx {
+                payload.extend_from_slice(&local.get(ix, iz).to_le_bytes());
+            }
+        }
+        ctx.isend(0, tag, Bytes::from(payload));
+        return None;
+    }
+    let mut global = Field2::zeros(ge);
+    for iz in 0..slab.nz() {
+        for ix in 0..ge.nx {
+            global.set(ix, iz, local.get(ix, iz));
+        }
+    }
+    for r in 1..ctx.size() {
+        let b = ctx.recv(r, tag);
+        let rs = decomp.slab(r);
+        assert_eq!(b.len(), rs.nz() * ge.nx * 4, "gather payload");
+        for (i, chunk) in b.chunks_exact(4).enumerate() {
+            let v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
+            global.set(i % ge.nx, rs.z0 + i / ge.nx, v);
+        }
+    }
+    Some(global)
+}
 
 /// Run isotropic 2D modeling decomposed over `ranks` ranks; returns the
 /// final wavefield assembled on rank 0 (global extent).
@@ -30,84 +73,31 @@ pub fn modeling_iso2_mpi(
 ) -> Field2 {
     let ge = model.vp.extent();
     let decomp = SlabDecomp::new(ge.nz, ranks, STENCIL_HALF);
-    let dt = model.geom.dt;
 
     let mut results = Communicator::run(ranks, |ctx| {
         let slab = decomp.slab(ctx.rank());
         let le = Extent2::new(ge.nx, slab.nz(), STENCIL_HALF);
         // Rank-local views of the model and damping.
-        let vp_local = Field2::from_fn(le, |ix, iz| model.vp.get(ix, iz + slab.z0));
+        let local = IsoModel2 {
+            vp: Field2::from_fn(le, |ix, iz| model.vp.get(ix, iz + slab.z0)),
+            geom: model.geom,
+        };
         let damp_z_local = damp_z.window(slab.z0, slab.nz());
-        let mut u_prev = Field2::zeros(le);
-        let mut u_cur = Field2::zeros(le);
+        let mut st = Iso2State::new(le);
         let src_local = (src.1 >= slab.z0 && src.1 < slab.z1).then(|| (src.0, src.1 - slab.z0));
 
         for t in 0..steps {
             // exchange_boundaries: both time levels feed the update (u_cur
             // through the stencil, u_prev pointwise — only u_cur's halo is
             // read, so one exchange per step suffices).
-            exchange_halo2(ctx, &mut u_cur, &slab, 100);
-            {
-                let u = SyncSlice::new(u_prev.as_mut_slice());
-                iso2d::step_slab(
-                    u,
-                    u_cur.as_slice(),
-                    vp_local.as_slice(),
-                    le,
-                    model.geom.dx,
-                    model.geom.dz,
-                    dt,
-                    damp_x,
-                    &damp_z_local,
-                    IsoPmlVariant::OriginalIfs,
-                    0,
-                    slab.nz(),
-                );
-            }
-            u_prev.swap(&mut u_cur);
+            exchange_halo2(ctx, &mut st.u_cur, &slab, 100);
+            st.step(&local, damp_x, &damp_z_local, IsoPmlVariant::OriginalIfs, 1);
             // source_injection by the owning rank.
             if let Some((ix, iz)) = src_local {
-                let vp = vp_local.get(ix, iz);
-                let amp = wavelet.sample(t as f32 * dt);
-                let v = u_cur.get(ix, iz) + dt * dt * vp * vp * amp;
-                u_cur.set(ix, iz, v);
+                st.inject(&local, ix, iz, wavelet.sample(t as f32 * model.geom.dt));
             }
         }
-
-        // Gather interior rows to rank 0.
-        if ctx.rank() == 0 {
-            let mut global = Field2::zeros(ge);
-            // Own rows.
-            for iz in 0..slab.nz() {
-                for ix in 0..ge.nx {
-                    global.set(ix, iz, u_cur.get(ix, iz));
-                }
-            }
-            for r in 1..ctx.size() {
-                let b = ctx.recv(r, 999);
-                let rs = decomp.slab(r);
-                let vals: Vec<f32> = b
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect();
-                assert_eq!(vals.len(), rs.nz() * ge.nx, "gather payload");
-                for (i, v) in vals.into_iter().enumerate() {
-                    let iz = rs.z0 + i / ge.nx;
-                    let ix = i % ge.nx;
-                    global.set(ix, iz, v);
-                }
-            }
-            Some(global)
-        } else {
-            let mut payload = Vec::with_capacity(slab.nz() * ge.nx * 4);
-            for iz in 0..slab.nz() {
-                for ix in 0..ge.nx {
-                    payload.extend_from_slice(&u_cur.get(ix, iz).to_le_bytes());
-                }
-            }
-            ctx.isend(0, 999, Bytes::from(payload));
-            None
-        }
+        gather2(ctx, &decomp, ge, &st.u_cur, 999)
     });
     results
         .remove(0)
@@ -116,69 +106,48 @@ pub fn modeling_iso2_mpi(
 
 /// Run isotropic 3D modeling decomposed over `ranks` ranks; returns the
 /// final wavefield assembled on rank 0.
-#[allow(clippy::too_many_arguments)]
 pub fn modeling_iso3_mpi(
-    model: &seismic_model::IsoModel3,
+    model: &IsoModel3,
     damp: &[DampProfile; 3],
     src: (usize, usize, usize),
     wavelet: &Wavelet,
     steps: usize,
     ranks: usize,
-) -> seismic_grid::Field3 {
-    use mpi_sim::halo::exchange_halo3;
-    use seismic_grid::{Extent3, Field3};
-    use seismic_prop::iso3d;
-
+) -> Field3 {
     let ge = model.vp.extent();
     let decomp = SlabDecomp::new(ge.nz, ranks, STENCIL_HALF);
-    let dt = model.geom.dt;
 
     let mut results = Communicator::run(ranks, |ctx| {
         let slab = decomp.slab(ctx.rank());
         let le = Extent3::new(ge.nx, ge.ny, slab.nz(), STENCIL_HALF);
-        let vp_local = Field3::from_fn(le, |ix, iy, iz| model.vp.get(ix, iy, iz + slab.z0));
+        let local = IsoModel3 {
+            vp: Field3::from_fn(le, |ix, iy, iz| model.vp.get(ix, iy, iz + slab.z0)),
+            geom: model.geom,
+        };
         let damp_local = [
             damp[0].clone(),
             damp[1].clone(),
             damp[2].window(slab.z0, slab.nz()),
         ];
-        let mut u_prev = Field3::zeros(le);
-        let mut u_cur = Field3::zeros(le);
+        let mut st = Iso3State::new(le);
         let src_local =
             (src.2 >= slab.z0 && src.2 < slab.z1).then(|| (src.0, src.1, src.2 - slab.z0));
 
         for t in 0..steps {
-            exchange_halo3(ctx, &mut u_cur, &slab, 300);
-            {
-                let u = SyncSlice::new(u_prev.as_mut_slice());
-                iso3d::step_slab(
-                    u,
-                    u_cur.as_slice(),
-                    vp_local.as_slice(),
-                    le,
-                    [model.geom.dx, model.geom.dy, model.geom.dz],
-                    dt,
-                    &damp_local,
-                    seismic_prop::IsoPmlVariant::OriginalIfs,
-                    0,
-                    slab.nz(),
-                );
-            }
-            u_prev.swap(&mut u_cur);
+            exchange_halo3(ctx, &mut st.u_cur, &slab, 300);
+            st.step(&local, &damp_local, IsoPmlVariant::OriginalIfs, 1);
             if let Some((ix, iy, iz)) = src_local {
-                let vp = vp_local.get(ix, iy, iz);
-                let amp = wavelet.sample(t as f32 * dt);
-                let v = u_cur.get(ix, iy, iz) + dt * dt * vp * vp * amp;
-                u_cur.set(ix, iy, iz, v);
+                st.inject(&local, ix, iy, iz, wavelet.sample(t as f32 * model.geom.dt));
             }
         }
 
+        let u = &st.u_cur;
         if ctx.rank() == 0 {
             let mut global = Field3::zeros(ge);
             for iz in 0..slab.nz() {
                 for iy in 0..ge.ny {
                     for ix in 0..ge.nx {
-                        global.set(ix, iy, iz, u_cur.get(ix, iy, iz));
+                        global.set(ix, iy, iz, u.get(ix, iy, iz));
                     }
                 }
             }
@@ -203,7 +172,7 @@ pub fn modeling_iso3_mpi(
             for iz in 0..slab.nz() {
                 for iy in 0..ge.ny {
                     for ix in 0..ge.nx {
-                        payload.extend_from_slice(&u_cur.get(ix, iy, iz).to_le_bytes());
+                        payload.extend_from_slice(&u.get(ix, iy, iz).to_le_bytes());
                     }
                 }
             }
@@ -220,19 +189,16 @@ pub fn modeling_iso3_mpi(
 /// `ranks` ranks; returns the final pressure field assembled on rank 0.
 ///
 /// The staggered system needs *two* exchanges per step — the pressure halo
-/// before the velocity kernel and the velocity halos before the pressure
-/// kernel — exactly the multi-field `exchange_boundaries` of Algorithm 1.
-#[allow(clippy::too_many_arguments)]
+/// before the velocity phase and the velocity halos before the pressure
+/// phase — exactly the multi-field `exchange_boundaries` of Algorithm 1.
 pub fn modeling_ac2_mpi(
-    model: &seismic_model::AcousticModel2,
-    cpml: &[seismic_pml::CpmlAxis; 2],
+    model: &AcousticModel2,
+    cpml: &[CpmlAxis; 2],
     src: (usize, usize),
     wavelet: &Wavelet,
     steps: usize,
     ranks: usize,
 ) -> Field2 {
-    use seismic_prop::acoustic2d;
-
     let ge = model.vp.extent();
     let decomp = SlabDecomp::new(ge.nz, ranks, STENCIL_HALF);
     let dt = model.geom.dt;
@@ -240,97 +206,30 @@ pub fn modeling_ac2_mpi(
     let mut results = Communicator::run(ranks, |ctx| {
         let slab = decomp.slab(ctx.rank());
         let le = Extent2::new(ge.nx, slab.nz(), STENCIL_HALF);
-        let vp_local = Field2::from_fn(le, |ix, iz| model.vp.get(ix, iz + slab.z0));
-        let rho_local = Field2::from_fn(le, |ix, iz| model.rho.get(ix, iz + slab.z0));
+        let local = AcousticModel2 {
+            vp: Field2::from_fn(le, |ix, iz| model.vp.get(ix, iz + slab.z0)),
+            rho: Field2::from_fn(le, |ix, iz| model.rho.get(ix, iz + slab.z0)),
+            geom: model.geom,
+        };
         // C-PML coefficients are 1-D per axis; the z axis needs the
         // rank-local window (x is replicated).
         let cpml_local = [cpml[0].clone(), cpml[1].window(slab.z0, slab.nz())];
-        let mut st = acoustic2d::Ac2State::new(le);
+        let mut st = Ac2State::new(le);
         let src_local = (src.1 >= slab.z0 && src.1 < slab.z1).then(|| (src.0, src.1 - slab.z0));
 
         for t in 0..steps {
-            // Velocity kernel reads p's halo.
+            // Velocity phase reads p's halo.
             exchange_halo2(ctx, &mut st.p, &slab, 200);
-            {
-                let qx = SyncSlice::new(st.qx.as_mut_slice());
-                let qz = SyncSlice::new(st.qz.as_mut_slice());
-                let px = SyncSlice::new(st.psi_px.as_mut_slice());
-                let pz = SyncSlice::new(st.psi_pz.as_mut_slice());
-                acoustic2d::velocity_slab(
-                    qx,
-                    qz,
-                    px,
-                    pz,
-                    st.p.as_slice(),
-                    rho_local.as_slice(),
-                    le,
-                    model.geom.dx,
-                    model.geom.dz,
-                    dt,
-                    &cpml_local,
-                    0,
-                    slab.nz(),
-                );
-            }
-            // Pressure kernel reads qx/qz halos.
+            st.velocity_phase(&local, &cpml_local, dt, 1);
+            // Pressure phase reads qx/qz halos.
             exchange_halo2(ctx, &mut st.qx, &slab, 210);
             exchange_halo2(ctx, &mut st.qz, &slab, 220);
-            {
-                let p = SyncSlice::new(st.p.as_mut_slice());
-                let sx = SyncSlice::new(st.psi_qx.as_mut_slice());
-                let sz = SyncSlice::new(st.psi_qz.as_mut_slice());
-                acoustic2d::pressure_slab(
-                    p,
-                    sx,
-                    sz,
-                    st.qx.as_slice(),
-                    st.qz.as_slice(),
-                    vp_local.as_slice(),
-                    rho_local.as_slice(),
-                    le,
-                    model.geom.dx,
-                    model.geom.dz,
-                    dt,
-                    &cpml_local,
-                    0,
-                    slab.nz(),
-                );
-            }
+            st.pressure_phase(&local, &cpml_local, dt, 1);
             if let Some((ix, iz)) = src_local {
-                let vp = vp_local.get(ix, iz);
-                let rho = rho_local.get(ix, iz);
-                let amp = wavelet.sample(t as f32 * dt);
-                let v = st.p.get(ix, iz) + dt * rho * vp * vp * amp;
-                st.p.set(ix, iz, v);
+                st.inject(&local, ix, iz, wavelet.sample(t as f32 * dt));
             }
         }
-
-        if ctx.rank() == 0 {
-            let mut global = Field2::zeros(ge);
-            for iz in 0..slab.nz() {
-                for ix in 0..ge.nx {
-                    global.set(ix, iz, st.p.get(ix, iz));
-                }
-            }
-            for r in 1..ctx.size() {
-                let b = ctx.recv(r, 997);
-                let rs = decomp.slab(r);
-                for (i, chunk) in b.chunks_exact(4).enumerate() {
-                    let v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-                    global.set(i % ge.nx, rs.z0 + i / ge.nx, v);
-                }
-            }
-            Some(global)
-        } else {
-            let mut payload = Vec::with_capacity(slab.nz() * ge.nx * 4);
-            for iz in 0..slab.nz() {
-                for ix in 0..ge.nx {
-                    payload.extend_from_slice(&st.p.get(ix, iz).to_le_bytes());
-                }
-            }
-            ctx.isend(0, 997, Bytes::from(payload));
-            None
-        }
+        gather2(ctx, &decomp, ge, &st.p, 997)
     });
     results
         .remove(0)
@@ -366,7 +265,7 @@ mod tests {
         // Sequential reference.
         let mut seq = Iso2State::new(m.vp.extent());
         for t in 0..steps {
-            seq.step(&m, &dx, &dz, IsoPmlVariant::OriginalIfs);
+            seq.step(&m, &dx, &dz, IsoPmlVariant::OriginalIfs, 1);
             seq.inject(&m, n / 2, 10, w.sample(t as f32 * m.geom.dt));
         }
         for ranks in [1usize, 2, 3, 4] {
@@ -399,7 +298,7 @@ mod tests {
         let steps = 25;
         let mut seq = Iso3State::new(e);
         for t in 0..steps {
-            seq.step(&m, &damp, seismic_prop::IsoPmlVariant::OriginalIfs);
+            seq.step(&m, &damp, seismic_prop::IsoPmlVariant::OriginalIfs, 1);
             seq.inject(&m, n / 2, n / 2, 6, w.sample(t as f32 * dt));
         }
         for ranks in [1usize, 3] {
@@ -424,7 +323,7 @@ mod tests {
         let steps = 50;
         let mut seq = Ac2State::new(e);
         for t in 0..steps {
-            seq.step(&m, &cpml);
+            seq.step(&m, &cpml, 1);
             let vp = m.vp.get(n / 2, 8);
             let rho = m.rho.get(n / 2, 8);
             let v = seq.p.get(n / 2, 8) + dt * rho * vp * vp * w.sample(t as f32 * dt);
@@ -446,7 +345,7 @@ mod tests {
         assert!(got.max_abs() > 0.0);
         let mut seq = Iso2State::new(m.vp.extent());
         for t in 0..30 {
-            seq.step(&m, &dx, &dz, IsoPmlVariant::OriginalIfs);
+            seq.step(&m, &dx, &dz, IsoPmlVariant::OriginalIfs, 1);
             seq.inject(&m, n / 2, n - 5, w.sample(t as f32 * m.geom.dt));
         }
         assert_eq!(got, seq.u_cur.clone());

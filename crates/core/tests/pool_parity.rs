@@ -2,11 +2,9 @@
 //!
 //! The tentpole invariant of the host execution engine: running the real
 //! 2D drivers through the pooled engine produces *bit-for-bit* the output
-//! of sequential execution (gangs = 1) and of the legacy per-launch
-//! `thread::scope` engine, for every formulation and a spread of gang
-//! counts including more gangs than rows would warrant.
+//! of sequential execution (gangs = 1), for every formulation and a spread
+//! of gang counts including more gangs than rows would warrant.
 
-use openacc_sim::exec::{engine, set_engine, Engine};
 use rtm_core::modeling::{run_modeling, Medium2};
 use rtm_core::OptimizationConfig;
 use seismic_grid::cfl::stable_dt;
@@ -70,24 +68,19 @@ fn media(n: usize) -> Vec<(&'static str, Medium2)> {
     ]
 }
 
-/// One test fn (not several) because the engine switch is process-global:
-/// flipping it concurrently with another parity case would race.
 #[test]
 fn pooled_engine_is_bitwise_identical_across_formulations_and_gangs() {
     let n = 48;
     let steps = 30;
     let cfg = OptimizationConfig::default();
     let w = Wavelet::ricker(22.0);
-    let prev = engine();
     for (name, medium) in media(n) {
         let acq = Acquisition2::surface_line(n, n / 2, n / 2, 2, 6);
 
-        // Sequential reference: one gang, engine irrelevant by construction.
-        set_engine(Engine::Pooled);
+        // Sequential reference: one gang runs every sweep inline.
         let seq = run_modeling(&medium, &acq, &w, &cfg, steps, 6, 1);
 
         for gangs in [1usize, 2, 3, 7, 16] {
-            set_engine(Engine::Pooled);
             let pooled = run_modeling(&medium, &acq, &w, &cfg, steps, 6, gangs);
             assert_eq!(
                 seq.seismogram, pooled.seismogram,
@@ -97,18 +90,6 @@ fn pooled_engine_is_bitwise_identical_across_formulations_and_gangs() {
                 seq.snapshots, pooled.snapshots,
                 "{name}: pooled snapshots, gangs = {gangs}"
             );
-
-            set_engine(Engine::Scoped);
-            let scoped = run_modeling(&medium, &acq, &w, &cfg, steps, 6, gangs);
-            assert_eq!(
-                pooled.seismogram, scoped.seismogram,
-                "{name}: scoped vs pooled seismogram, gangs = {gangs}"
-            );
-            assert_eq!(
-                pooled.snapshots, scoped.snapshots,
-                "{name}: scoped vs pooled snapshots, gangs = {gangs}"
-            );
         }
     }
-    set_engine(prev);
 }

@@ -1,0 +1,306 @@
+//! Bit-level fingerprints of every formulation's step sequence.
+//!
+//! Each case runs a small grid with a point source through `State2` /
+//! `State3`: `N` forward steps through the absorbing medium (exercising
+//! the PML damping and every C-PML memory field), then `N` forward steps
+//! followed by `N` `step_reverse` steps through the randomized transparent
+//! medium of `randomize_medium{2,3}` (exercising the signed-`dt` reverse
+//! phases). The f32 bits of every state field are folded into one FNV-1a
+//! hash and compared with a recorded constant, at gangs 1 and 3.
+//!
+//! Gang invariance alone cannot see a reordered kernel sequence — every
+//! gang count would run the same wrong sequence. These constants can: any
+//! change to which kernels run, in which order, on which fields or ψ
+//! slices, or to the arithmetic inside a kernel, moves the hash. A change
+//! that is *meant* to alter the numerics must re-record them and say why.
+
+use rtm_core::modeling::{Medium2, State2};
+use rtm_core::modeling3::{Medium3, State3};
+use rtm_core::rand_boundary::{randomize_medium2, randomize_medium3};
+use rtm_core::OptimizationConfig;
+use seismic_grid::cfl::stable_dt;
+use seismic_grid::{Field2, Field3};
+use seismic_model::builder::{
+    acoustic2_layered, acoustic3_layered, elastic2_layered, elastic3_layered, iso2_layered,
+    iso3_layered, standard_layers,
+};
+use seismic_model::{extent2, extent3, Geometry, VtiModel2};
+use seismic_pml::{CpmlAxis, DampProfile, RandomBoundarySpec};
+use seismic_prop::{FissionVariant, IsoPmlVariant};
+use seismic_source::Wavelet;
+
+/// Time steps per phase.
+const N: usize = 12;
+const N2: usize = 32;
+const N3: usize = 16;
+const H: f32 = 10.0;
+const VMAX: f32 = 3200.0;
+
+const ISO_VARIANTS: [IsoPmlVariant; 3] = [
+    IsoPmlVariant::OriginalIfs,
+    IsoPmlVariant::RestructuredIndices,
+    IsoPmlVariant::PmlEverywhere,
+];
+
+fn fnv1a(hash: &mut u64, values: &[f32]) {
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+fn fields2(s: &State2) -> Vec<&Field2> {
+    match s {
+        State2::Iso(s) => vec![&s.u_prev, &s.u_cur],
+        State2::Acoustic(s) => vec![
+            &s.p, &s.qx, &s.qz, &s.psi_px, &s.psi_pz, &s.psi_qx, &s.psi_qz,
+        ],
+        State2::Elastic(s) => vec![
+            &s.vx,
+            &s.vz,
+            &s.sxx,
+            &s.szz,
+            &s.sxz,
+            &s.psi_sxx_x,
+            &s.psi_sxz_z,
+            &s.psi_sxz_x,
+            &s.psi_szz_z,
+            &s.psi_vx_x,
+            &s.psi_vz_z,
+            &s.psi_vx_z,
+            &s.psi_vz_x,
+        ],
+        State2::Vti(s) => vec![&s.p_prev, &s.p_cur, &s.q_prev, &s.q_cur],
+    }
+}
+
+fn fields3(s: &State3) -> Vec<&Field3> {
+    match s {
+        State3::Iso(s) => vec![&s.u_prev, &s.u_cur],
+        State3::Acoustic(s) => vec![
+            &s.p, &s.qx, &s.qy, &s.qz, &s.psi_px, &s.psi_py, &s.psi_pz, &s.psi_qx, &s.psi_qy,
+            &s.psi_qz,
+        ],
+        State3::Elastic(s) => {
+            let mut f = vec![
+                &s.vx, &s.vy, &s.vz, &s.sxx, &s.syy, &s.szz, &s.sxy, &s.sxz, &s.syz,
+            ];
+            f.extend(s.psi.iter());
+            f
+        }
+    }
+}
+
+fn spec() -> RandomBoundarySpec {
+    RandomBoundarySpec::new(6, 0x5eed)
+}
+
+/// Forward through the absorbing medium, then forward and back through
+/// its randomized transparent twin; one hash over both end states.
+fn fingerprint2(medium: &Medium2, cfg: &OptimizationConfig, gangs: usize) -> u64 {
+    let w = Wavelet::ricker(25.0);
+    let dt = medium.dt();
+    let (sx, sz) = (N2 / 2, N2 / 3);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let transparent = randomize_medium2(medium, &spec());
+    for (m, reverse) in [(medium, false), (&transparent, true)] {
+        let mut s = State2::new(m);
+        for t in 0..N {
+            s.step(m, cfg, gangs);
+            s.inject(m, sx, sz, w.sample(t as f32 * dt));
+        }
+        if reverse {
+            for _ in 0..N {
+                s.step_reverse(m, cfg, gangs);
+            }
+        }
+        for f in fields2(&s) {
+            fnv1a(&mut hash, f.as_slice());
+        }
+    }
+    hash
+}
+
+/// 3-D counterpart of [`fingerprint2`].
+fn fingerprint3(medium: &Medium3, cfg: &OptimizationConfig, gangs: usize) -> u64 {
+    let w = Wavelet::ricker(25.0);
+    let dt = medium.dt();
+    let src = (N3 / 2, N3 / 2 + 1, N3 / 3);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let transparent = randomize_medium3(medium, &spec());
+    for (m, reverse) in [(medium, false), (&transparent, true)] {
+        let mut s = State3::new(m);
+        for t in 0..N {
+            s.step(m, cfg, gangs);
+            s.inject(m, src.0, src.1, src.2, w.sample(t as f32 * dt));
+        }
+        if reverse {
+            for _ in 0..N {
+                s.step_reverse(m, cfg, gangs);
+            }
+        }
+        for f in fields3(&s) {
+            fnv1a(&mut hash, f.as_slice());
+        }
+    }
+    hash
+}
+
+fn geom(dims: usize, safety: f32) -> Geometry {
+    Geometry::uniform(H, stable_dt(8, dims, VMAX, H, safety))
+}
+
+fn media2() -> Vec<(&'static str, Medium2)> {
+    let e = extent2(N2, N2);
+    let layers = standard_layers(N2);
+    let damp = || DampProfile::new(N2, e.halo, 8, VMAX, H, 1e-4);
+    let cpml = |safety| {
+        let c = CpmlAxis::new(N2, e.halo, 8, geom(2, safety).dt, VMAX, H, 1e-4);
+        [c.clone(), c]
+    };
+    vec![
+        (
+            "iso2",
+            Medium2::Iso {
+                model: iso2_layered(e, &layers, geom(2, 0.7)),
+                damp_x: damp(),
+                damp_z: damp(),
+            },
+        ),
+        (
+            "ac2",
+            Medium2::Acoustic {
+                model: acoustic2_layered(e, &layers, geom(2, 0.6)),
+                cpml: cpml(0.6),
+            },
+        ),
+        (
+            "el2",
+            Medium2::Elastic {
+                model: elastic2_layered(e, &layers, geom(2, 0.5)),
+                cpml: cpml(0.5),
+            },
+        ),
+        (
+            "vti2",
+            Medium2::Vti {
+                model: VtiModel2::constant(e, 2200.0, 0.2, 0.1, geom(2, 0.5)),
+                damp_x: damp(),
+                damp_z: damp(),
+            },
+        ),
+    ]
+}
+
+fn media3() -> Vec<(&'static str, Medium3)> {
+    let e = extent3(N3, N3, N3);
+    let layers = standard_layers(N3);
+    let damp = DampProfile::new(N3, e.halo, 5, VMAX, H, 1e-4);
+    let cpml = |safety| {
+        let c = CpmlAxis::new(N3, e.halo, 5, geom(3, safety).dt, VMAX, H, 1e-4);
+        [c.clone(), c.clone(), c]
+    };
+    vec![
+        (
+            "iso3",
+            Medium3::Iso {
+                model: iso3_layered(e, &layers, geom(3, 0.7)),
+                damp: [damp.clone(), damp.clone(), damp],
+            },
+        ),
+        (
+            "ac3",
+            Medium3::Acoustic {
+                model: acoustic3_layered(e, &layers, geom(3, 0.55)),
+                cpml: cpml(0.55),
+            },
+        ),
+        (
+            "el3",
+            Medium3::Elastic {
+                model: elastic3_layered(e, &layers, geom(3, 0.5)),
+                cpml: cpml(0.5),
+            },
+        ),
+    ]
+}
+
+/// Every (formulation, kernel variant) pair: the isotropic cases under
+/// each PML variant, the 3-D acoustic case under both fission variants.
+fn configs(name: &str) -> Vec<(String, OptimizationConfig)> {
+    let base = OptimizationConfig::default();
+    match name {
+        "iso2" | "iso3" => ISO_VARIANTS
+            .iter()
+            .map(|&iso_pml| {
+                (
+                    format!("{name}/{iso_pml:?}"),
+                    OptimizationConfig { iso_pml, ..base },
+                )
+            })
+            .collect(),
+        "ac3" => [FissionVariant::Fused, FissionVariant::Fissioned]
+            .iter()
+            .map(|&fission| {
+                (
+                    format!("{name}/{fission:?}"),
+                    OptimizationConfig { fission, ..base },
+                )
+            })
+            .collect(),
+        _ => vec![(name.to_string(), base)],
+    }
+}
+
+/// Recorded fingerprints. The three isotropic PML variants are bitwise
+/// identical by construction (σ ≡ 0 in the interior), so they share one;
+/// the two fission variants reassociate the pressure sum and do not.
+fn expected(case: &str) -> u64 {
+    match case {
+        "iso2/OriginalIfs" | "iso2/RestructuredIndices" | "iso2/PmlEverywhere" => {
+            0x0ac1_e477_677d_9490
+        }
+        "ac2" => 0x252c_ef35_2c6e_00a4,
+        "el2" => 0xf487_a4b3_e1d6_4f88,
+        "vti2" => 0x684f_16eb_4824_8f38,
+        "iso3/OriginalIfs" | "iso3/RestructuredIndices" | "iso3/PmlEverywhere" => {
+            0xbf07_ef65_a9e6_8bde
+        }
+        "ac3/Fused" => 0xfa9b_4f37_cd77_793d,
+        "ac3/Fissioned" => 0x5165_6dcc_b4c5_b8cf,
+        "el3" => 0xed83_7203_3e97_0f90,
+        other => panic!("no recorded fingerprint for {other}"),
+    }
+}
+
+#[test]
+fn step_sequences_match_recorded_fingerprints() {
+    let mut got = Vec::new();
+    for (name, medium) in media2() {
+        for (case, cfg) in configs(name) {
+            for gangs in [1, 3] {
+                got.push((case.clone(), gangs, fingerprint2(&medium, &cfg, gangs)));
+            }
+        }
+    }
+    for (name, medium) in media3() {
+        for (case, cfg) in configs(name) {
+            for gangs in [1, 3] {
+                got.push((case.clone(), gangs, fingerprint3(&medium, &cfg, gangs)));
+            }
+        }
+    }
+    let mismatches: Vec<String> = got
+        .iter()
+        .filter(|(case, _, h)| *h != expected(case))
+        .map(|(case, gangs, h)| {
+            format!(
+                "{case} gangs={gangs}: {h:#018x} (recorded {:#018x})",
+                expected(case)
+            )
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}

@@ -9,12 +9,13 @@
 //! same discipline to the host side that actually computes the wavefields:
 //!
 //! * [`pool`] — a persistent, lazily-initialized gang worker pool with a
-//!   low-overhead fork-join barrier. It replaces per-launch
-//!   `std::thread::scope` spawns (hundreds of microseconds per kernel
-//!   launch) with parked threads that are woken by a generation counter and
-//!   claim deterministically-partitioned slabs. Slab partitioning is a pure
-//!   function of `(n, gangs, g)`, so parallel output is bit-identical to
-//!   sequential regardless of which worker executes which slab.
+//!   low-overhead fork-join barrier, and [`par_slabs`], the one
+//!   slab-parallel launch every propagator step goes through. Parked
+//!   threads are woken by a generation counter and claim
+//!   deterministically-partitioned slabs instead of being spawned per
+//!   launch. Slab partitioning is a pure function of `(n, gangs, g)`, so
+//!   parallel output is bit-identical to sequential regardless of which
+//!   worker executes which slab.
 //! * [`arena`] — reusable buffer pools ([`Arena`]) that eliminate
 //!   steady-state allocation from time loops: wavefield states, replay
 //!   snapshots, and checkpoint slots are taken from and returned to an
@@ -33,8 +34,9 @@
 //!   by default (one relaxed load per record site), compile-out via the
 //!   `measure` feature.
 //!
-//! Everything here is `std`-only and dependency-free; `openacc-sim`
-//! re-exports this crate as its gang execution backend.
+//! Everything here is `std`-only and dependency-free. `seismic-prop`
+//! launches its kernel sequences through [`par_slabs`]; `openacc-sim`
+//! re-exports it as its gang execution backend.
 
 pub mod arena;
 pub mod pool;
@@ -43,6 +45,8 @@ pub mod simd;
 pub mod tile;
 
 pub use arena::Arena;
+#[cfg(not(loom))]
+pub use pool::par_slabs;
 pub use pool::{slab_bounds, GangPool};
 pub use prof::{HostProfile, WorkerSummary};
 pub use tile::{tiles, tiles_for, TileEnvError, Tiling};

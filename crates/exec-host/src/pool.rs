@@ -345,6 +345,39 @@ impl GangPool {
     }
 }
 
+/// Run `body(z0, z1)` over `gangs` contiguous chunks of `[0, n)` on the
+/// process-wide [`GangPool`]. The body must only write state owned by its
+/// chunk (the `SyncSlice` discipline of `seismic-grid`).
+///
+/// One gang runs the body inline over the whole range — the sequential
+/// reference. Any gang count produces the same bits, because the slab
+/// map is a pure function of `(n, gangs, g)`. Each launch records one
+/// [`prof::EventKind::Sweep`] span on the launching thread, the
+/// single-gang shortcut included.
+#[cfg(not(loom))]
+pub fn par_slabs<F>(n: usize, gangs: usize, body: F)
+where
+    F: Fn(usize, usize) + Sync,
+{
+    assert!(gangs > 0, "need at least one gang");
+    if n == 0 {
+        return;
+    }
+    let gangs = gangs.min(n);
+    let t_sweep = prof::begin();
+    if gangs == 1 {
+        body(0, n);
+    } else {
+        GangPool::global().run(n, gangs, &|_g, z0, z1| body(z0, z1));
+    }
+    prof::end(
+        t_sweep,
+        prof::EventKind::Sweep,
+        gangs as u32,
+        n.min(u32::MAX as usize) as u32,
+    );
+}
+
 impl Drop for GangPool {
     fn drop(&mut self) {
         {

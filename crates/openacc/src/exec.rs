@@ -1,24 +1,25 @@
 //! Host-side gang execution, plus the Tier-2 sanitizer.
 //!
 //! OpenACC semantics on the simulated device; *numerics* on the host. A
-//! compute construct's gang dimension maps to a pool of host threads, each
-//! executing the kernel body over a disjoint z-slab — identical results to
-//! the sequential sweep (the propagator test-suites verify bit equality),
-//! so the simulation produces real wavefields while the clock runs on the
-//! model.
+//! compute construct's gang dimension maps to the persistent host worker
+//! pool of `exec-host`, each gang executing the kernel body over a
+//! disjoint z-slab — identical results to the sequential sweep, so the
+//! simulation produces real wavefields while the clock runs on the model.
+//! [`par_slabs`] is `exec_host::par_slabs`, re-exported here; the
+//! propagators' step sequences launch through it from `seismic-prop`.
 //!
 //! The sanitizer half of this module ([`par_slabs_logged`] /
-//! [`replay_access_set`]) is the dynamic tier of `acc-verify`: behind a
-//! `sanitize` flag, every gang records the elements it touches into a
-//! shadow log during real host execution on a small grid, and
-//! [`ShadowLog::conflicts`] reports any element written by one iteration
-//! and touched by another — confirming or refuting a static
-//! `independent`-race verdict with an actual witness.
+//! [`replay_access_set`]) is the dynamic tier of `acc-verify`: every gang
+//! records the elements it touches into a shadow log during real host
+//! execution on a small grid, and [`ShadowLog::conflicts`] reports any
+//! element written by one iteration and touched by another — confirming
+//! or refuting a static `independent`-race verdict with an actual witness.
 
 use crate::access::AccessSet;
-use exec_host::{slab_bounds, GangPool};
+use exec_host::GangPool;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+
+pub use exec_host::par_slabs;
 
 /// Upper bound on the gang count — matches the paper's launch
 /// configurations and keeps slab overhead bounded on small grids.
@@ -96,109 +97,6 @@ pub fn default_gangs() -> usize {
     try_default_gangs().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Which host engine executes gang launches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The persistent worker pool (`exec_host::GangPool`) — the default.
-    Pooled,
-    /// Per-launch `std::thread::scope` spawns — the legacy engine, kept so
-    /// benches can measure the pool's win through unchanged drivers.
-    Scoped,
-}
-
-static ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// Select the gang execution engine process-wide (used by benches; both
-/// engines produce bit-identical results).
-pub fn set_engine(e: Engine) {
-    ENGINE.store(e as u8, Ordering::Relaxed);
-}
-
-/// The currently selected gang execution engine.
-pub fn engine() -> Engine {
-    match ENGINE.load(Ordering::Relaxed) {
-        0 => Engine::Pooled,
-        _ => Engine::Scoped,
-    }
-}
-
-/// Execute one gang launch on the selected engine.
-fn dispatch(n: usize, gangs: usize, body: &(dyn Fn(usize, usize, usize) + Sync)) {
-    match engine() {
-        Engine::Pooled => GangPool::global().run(n, gangs, body),
-        Engine::Scoped => scoped_run(n, gangs, body),
-    }
-}
-
-/// The legacy engine: spawn and join one OS thread per gang, every launch.
-fn scoped_run(n: usize, gangs: usize, body: &(dyn Fn(usize, usize, usize) + Sync)) {
-    std::thread::scope(|s| {
-        for g in 0..gangs {
-            let (z0, z1) = slab_bounds(n, gangs, g);
-            s.spawn(move || body(g, z0, z1));
-        }
-    });
-}
-
-/// Run `body(z0, z1)` over `gangs` contiguous chunks of `[0, n)` in
-/// parallel. The body must only write state owned by its chunk (the
-/// `SyncSlice` discipline of `seismic-grid`).
-///
-/// Launches go through the persistent [`exec_host::GangPool`] (no threads
-/// are spawned per launch, and the steady state allocates nothing); slab
-/// partitioning is the same pure function of `(n, gangs, g)` on every
-/// engine, so results are bit-identical to the sequential sweep.
-pub fn par_slabs<F>(n: usize, gangs: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    assert!(gangs > 0, "need at least one gang");
-    if n == 0 {
-        return;
-    }
-    let gangs = gangs.min(n);
-    // Wall-clock sweep span: one per launch, on the launching thread,
-    // covering the single-gang shortcut too.
-    let t_sweep = exec_host::prof::begin();
-    if gangs == 1 {
-        body(0, n);
-    } else {
-        dispatch(n, gangs, &|_g, z0, z1| body(z0, z1));
-    }
-    exec_host::prof::end(
-        t_sweep,
-        exec_host::prof::EventKind::Sweep,
-        gangs as u32,
-        n.min(u32::MAX as usize) as u32,
-    );
-}
-
-/// [`par_slabs`] forced onto the legacy per-launch `thread::scope` engine,
-/// regardless of the process-wide [`engine`] selection. Benchmarks use
-/// this as the A/B baseline.
-pub fn par_slabs_scoped<F>(n: usize, gangs: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    assert!(gangs > 0, "need at least one gang");
-    if n == 0 {
-        return;
-    }
-    let gangs = gangs.min(n);
-    let t_sweep = exec_host::prof::begin();
-    if gangs == 1 {
-        body(0, n);
-    } else {
-        scoped_run(n, gangs, &|_g, z0, z1| body(z0, z1));
-    }
-    exec_host::prof::end(
-        t_sweep,
-        exec_host::prof::EventKind::Sweep,
-        gangs as u32,
-        n.min(u32::MAX as usize) as u32,
-    );
-}
-
 /// One recorded memory event: iteration `iter` touched element `elem` of
 /// the array with local id `array` (resolved through [`GangLog::names`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,20 +110,11 @@ struct AccessEvent {
 /// The shadow log one gang fills while executing its slab.
 #[derive(Debug, Default)]
 pub struct GangLog {
-    enabled: bool,
     names: Vec<String>,
     events: Vec<AccessEvent>,
 }
 
 impl GangLog {
-    fn new(enabled: bool) -> Self {
-        Self {
-            enabled,
-            names: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-
     fn array_id(&mut self, name: &str) -> u16 {
         if let Some(i) = self.names.iter().position(|n| n == name) {
             return i as u16;
@@ -234,32 +123,24 @@ impl GangLog {
         (self.names.len() - 1) as u16
     }
 
-    /// Record a read of `array[elem]` by iteration `iter`. No-op unless the
-    /// sanitize flag is on.
+    /// Record a read of `array[elem]` by iteration `iter`.
     pub fn read(&mut self, array: &str, elem: i64, iter: u64) {
-        if self.enabled {
-            let array = self.array_id(array);
-            self.events.push(AccessEvent {
-                iter,
-                array,
-                elem,
-                write: false,
-            });
-        }
+        self.record(array, elem, iter, false);
     }
 
-    /// Record a write of `array[elem]` by iteration `iter`. No-op unless
-    /// the sanitize flag is on.
+    /// Record a write of `array[elem]` by iteration `iter`.
     pub fn write(&mut self, array: &str, elem: i64, iter: u64) {
-        if self.enabled {
-            let array = self.array_id(array);
-            self.events.push(AccessEvent {
-                iter,
-                array,
-                elem,
-                write: true,
-            });
-        }
+        self.record(array, elem, iter, true);
+    }
+
+    fn record(&mut self, array: &str, elem: i64, iter: u64, write: bool) {
+        let array = self.array_id(array);
+        self.events.push(AccessEvent {
+            iter,
+            array,
+            elem,
+            write,
+        });
     }
 }
 
@@ -373,9 +254,8 @@ impl ShadowLog {
 }
 
 /// [`par_slabs`] with shadow logging: each gang additionally receives its
-/// own [`GangLog`] (live only when `sanitize` is true — the flag makes the
-/// tracker free in production runs). Returns the merged log.
-pub fn par_slabs_logged<F>(n: usize, gangs: usize, sanitize: bool, body: F) -> ShadowLog
+/// own [`GangLog`]. Returns the merged log.
+pub fn par_slabs_logged<F>(n: usize, gangs: usize, body: F) -> ShadowLog
 where
     F: Fn(usize, usize, &mut GangLog) + Sync,
 {
@@ -387,10 +267,10 @@ where
     // Each gang index is executed exactly once per launch, so each mutex is
     // uncontended; it only exists to hand the pool a `Sync` body.
     let logs: Vec<std::sync::Mutex<GangLog>> = (0..gangs)
-        .map(|_| std::sync::Mutex::new(GangLog::new(sanitize)))
+        .map(|_| std::sync::Mutex::new(GangLog::default()))
         .collect();
     let t_sweep = exec_host::prof::begin();
-    dispatch(n, gangs, &|g, z0, z1| {
+    GangPool::global().run(n, gangs, &|g, z0, z1| {
         let mut log = logs[g].lock().expect("gang log poisoned");
         body(z0, z1, &mut log);
     });
@@ -414,7 +294,7 @@ where
 /// iterations actually collided. This is how Tier 2 confirms or refutes a
 /// static race verdict on a small grid.
 pub fn replay_access_set(access: &AccessSet, gangs: usize) -> ShadowLog {
-    par_slabs_logged(access.trip as usize, gangs.max(1), true, |z0, z1, log| {
+    par_slabs_logged(access.trip as usize, gangs.max(1), |z0, z1, log| {
         for i in z0..z1 {
             let i = i as u64;
             for r in &access.reads {
@@ -702,27 +582,6 @@ mod tests {
         assert!((1..=MAX_GANGS).contains(&hw));
     }
 
-    /// The legacy engine and the pooled engine produce identical bits.
-    #[test]
-    #[allow(clippy::type_complexity)]
-    fn scoped_and_pooled_agree() {
-        let n = 97usize;
-        let fill = |slabs: &dyn Fn(usize, usize, &(dyn Fn(usize, usize) + Sync))| {
-            let out: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            slabs(n, 5, &|z0, z1| {
-                for (i, o) in out.iter().enumerate().take(z1).skip(z0) {
-                    o.store(i * 31 + 7, Ordering::Relaxed);
-                }
-            });
-            out.into_iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect::<Vec<_>>()
-        };
-        let pooled = fill(&|n, g, b| par_slabs(n, g, b));
-        let scoped = fill(&|n, g, b| par_slabs_scoped(n, g, b));
-        assert_eq!(pooled, scoped);
-    }
-
     /// An out-of-place stencil replays clean: no element is written by one
     /// iteration and touched by another.
     #[test]
@@ -769,19 +628,11 @@ mod tests {
         assert_eq!(conflicts[0].elem, 7);
     }
 
-    /// The sanitize flag gates logging: disabled execution records nothing.
+    /// Logged execution records every access: a body whose iterations
+    /// overlap shows the overlap.
     #[test]
     fn sanitize_flag_gates_logging() {
-        let log = par_slabs_logged(32, 4, false, |z0, z1, l| {
-            for i in z0..z1 {
-                l.write("u", i as i64, i as u64);
-                l.read("u", i as i64 + 1, i as u64);
-            }
-        });
-        assert!(log.conflicts().is_empty());
-        assert!(log.gang_write_intervals().is_empty());
-        // Same body with the flag on sees the overlap.
-        let log = par_slabs_logged(32, 4, true, |z0, z1, l| {
+        let log = par_slabs_logged(32, 4, |z0, z1, l| {
             for i in z0..z1 {
                 l.write("u", i as i64, i as u64);
                 l.read("u", i as i64 + 1, i as u64);

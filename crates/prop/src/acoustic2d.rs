@@ -15,6 +15,7 @@
 //! every point is independent, which is what lets `openacc-sim` gangs and
 //! `mpi-sim` ranks split the z-range.
 
+use exec_host::par_slabs;
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent2, Field2, SyncSlice};
 use seismic_model::AcousticModel2;
@@ -66,53 +67,87 @@ impl Ac2State {
         self.psi_qz.copy_from(&other.psi_qz);
     }
 
-    /// Advance one full time step (velocity phase then pressure phase)
-    /// sequentially over the whole interior.
-    pub fn step(&mut self, model: &AcousticModel2, cpml: &[CpmlAxis; 2]) {
+    /// Advance one time step on `gangs` host threads: velocity phase, then
+    /// pressure phase.
+    pub fn step(&mut self, model: &AcousticModel2, cpml: &[CpmlAxis; 2], gangs: usize) {
+        self.velocity_phase(model, cpml, model.geom.dt, gangs);
+        self.pressure_phase(model, cpml, model.geom.dt, gangs);
+    }
+
+    /// Undo one [`Self::step`] through a lossless medium (transparent
+    /// C-PML): each phase is an in-place `field += dt·F(other fields)`
+    /// update, so the phases run in reverse order with `−dt`. The ψ fields
+    /// stay zero under transparent C-PML, so no history is lost.
+    pub fn step_reverse(&mut self, model: &AcousticModel2, cpml: &[CpmlAxis; 2], gangs: usize) {
+        self.pressure_phase(model, cpml, -model.geom.dt, gangs);
+        self.velocity_phase(model, cpml, -model.geom.dt, gangs);
+    }
+
+    /// Phase 1: particle velocities from the pressure gradient,
+    /// `q += dt·D(p)`. `dt` is signed so the reverse step can undo it.
+    pub fn velocity_phase(
+        &mut self,
+        model: &AcousticModel2,
+        cpml: &[CpmlAxis; 2],
+        dt: f32,
+        gangs: usize,
+    ) {
         let e = self.p.extent();
-        let nz = e.nz;
-        {
-            let qx = SyncSlice::new(self.qx.as_mut_slice());
-            let qz = SyncSlice::new(self.qz.as_mut_slice());
-            let psi_px = SyncSlice::new(self.psi_px.as_mut_slice());
-            let psi_pz = SyncSlice::new(self.psi_pz.as_mut_slice());
+        let qx = SyncSlice::new(self.qx.as_mut_slice());
+        let qz = SyncSlice::new(self.qz.as_mut_slice());
+        let px = SyncSlice::new(self.psi_px.as_mut_slice());
+        let pz = SyncSlice::new(self.psi_pz.as_mut_slice());
+        let p = self.p.as_slice();
+        par_slabs(e.nz, gangs, |z0, z1| {
             velocity_slab(
                 qx,
                 qz,
-                psi_px,
-                psi_pz,
-                self.p.as_slice(),
+                px,
+                pz,
+                p,
                 model.rho.as_slice(),
                 e,
                 model.geom.dx,
                 model.geom.dz,
-                model.geom.dt,
+                dt,
                 cpml,
-                0,
-                nz,
+                z0,
+                z1,
             );
-        }
-        {
-            let p = SyncSlice::new(self.p.as_mut_slice());
-            let psi_qx = SyncSlice::new(self.psi_qx.as_mut_slice());
-            let psi_qz = SyncSlice::new(self.psi_qz.as_mut_slice());
+        });
+    }
+
+    /// Phase 2: pressure from the velocity divergence, `p += dt·E(q)`.
+    pub fn pressure_phase(
+        &mut self,
+        model: &AcousticModel2,
+        cpml: &[CpmlAxis; 2],
+        dt: f32,
+        gangs: usize,
+    ) {
+        let e = self.p.extent();
+        let p = SyncSlice::new(self.p.as_mut_slice());
+        let sx = SyncSlice::new(self.psi_qx.as_mut_slice());
+        let sz = SyncSlice::new(self.psi_qz.as_mut_slice());
+        let (qx, qz) = (self.qx.as_slice(), self.qz.as_slice());
+        par_slabs(e.nz, gangs, |z0, z1| {
             pressure_slab(
                 p,
-                psi_qx,
-                psi_qz,
-                self.qx.as_slice(),
-                self.qz.as_slice(),
+                sx,
+                sz,
+                qx,
+                qz,
                 model.vp.as_slice(),
                 model.rho.as_slice(),
                 e,
                 model.geom.dx,
                 model.geom.dz,
-                model.geom.dt,
+                dt,
                 cpml,
-                0,
-                nz,
+                z0,
+                z1,
             );
-        }
+        });
     }
 
     /// Add a pressure source sample: `p += Δt·ρ·vp²·f` (the `ρ·vp²·∂t⁻¹f`
@@ -260,7 +295,7 @@ mod tests {
         let (m, cpml) = setup(n);
         let mut s = Ac2State::new(m.vp.extent());
         for t in 0..200 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             s.inject(&m, n / 2, 10, ricker(20.0, t as f32 * m.geom.dt - 0.06));
         }
         let mx = s.p.max_abs();
@@ -289,7 +324,7 @@ mod tests {
         let mut s = Ac2State::new(e);
         let c = n / 2;
         for t in 0..80 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             s.inject(&m, c, c, ricker(25.0, t as f32 * dt - 0.048));
         }
         // qx staggered +x/2: antisymmetry maps ix ↔ (2c−1−ix).
@@ -313,7 +348,7 @@ mod tests {
         let mut s = Ac2State::new(m.vp.extent());
         let mut peak = 0.0f64;
         for t in 0..700 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             if t < 60 {
                 s.inject(&m, n / 2, n / 2, ricker(20.0, t as f32 * m.geom.dt - 0.06));
             }
@@ -331,7 +366,7 @@ mod tests {
         let mut seq = Ac2State::new(e);
         let mut par = Ac2State::new(e);
         for t in 0..30 {
-            seq.step(&m, &cpml);
+            seq.step(&m, &cpml, 1);
             // Parallel-equivalent: same kernels over three slabs.
             {
                 let qx = SyncSlice::new(par.qx.as_mut_slice());

@@ -13,6 +13,7 @@
 //! tight relative tolerance rather than bitwise comparison.
 
 use crate::FissionVariant;
+use exec_host::par_slabs;
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent3, Field3, SyncSlice};
 use seismic_model::AcousticModel3;
@@ -76,18 +77,52 @@ impl Ac3State {
         self.psi_qz.copy_from(&other.psi_qz);
     }
 
-    /// Advance one time step sequentially (velocity phase, then the fused or
-    /// fissioned pressure phase).
-    pub fn step(&mut self, model: &AcousticModel3, cpml: &[CpmlAxis; 3], variant: FissionVariant) {
+    /// Advance one time step on `gangs` host threads: velocity phase, then
+    /// the fused or fissioned pressure phase.
+    pub fn step(
+        &mut self,
+        model: &AcousticModel3,
+        cpml: &[CpmlAxis; 3],
+        variant: FissionVariant,
+        gangs: usize,
+    ) {
+        self.velocity_phase(model, cpml, model.geom.dt, gangs);
+        self.pressure_phase(model, cpml, variant, model.geom.dt, gangs);
+    }
+
+    /// Undo one [`Self::step`] through a lossless medium: the two phases
+    /// in reverse order with `−dt` (see
+    /// [`crate::acoustic2d::Ac2State::step_reverse`]).
+    pub fn step_reverse(
+        &mut self,
+        model: &AcousticModel3,
+        cpml: &[CpmlAxis; 3],
+        variant: FissionVariant,
+        gangs: usize,
+    ) {
+        self.pressure_phase(model, cpml, variant, -model.geom.dt, gangs);
+        self.velocity_phase(model, cpml, -model.geom.dt, gangs);
+    }
+
+    /// Phase 1: particle velocities from the pressure gradient
+    /// (`q += dt·D(p)` per axis, one fused kernel). `dt` is signed.
+    fn velocity_phase(
+        &mut self,
+        model: &AcousticModel3,
+        cpml: &[CpmlAxis; 3],
+        dt: f32,
+        gangs: usize,
+    ) {
         let e = self.p.extent();
-        let nz = e.nz;
-        {
-            let qx = SyncSlice::new(self.qx.as_mut_slice());
-            let qy = SyncSlice::new(self.qy.as_mut_slice());
-            let qz = SyncSlice::new(self.qz.as_mut_slice());
-            let px = SyncSlice::new(self.psi_px.as_mut_slice());
-            let py = SyncSlice::new(self.psi_py.as_mut_slice());
-            let pz = SyncSlice::new(self.psi_pz.as_mut_slice());
+        let h = [model.geom.dx, model.geom.dy, model.geom.dz];
+        let qx = SyncSlice::new(self.qx.as_mut_slice());
+        let qy = SyncSlice::new(self.qy.as_mut_slice());
+        let qz = SyncSlice::new(self.qz.as_mut_slice());
+        let px = SyncSlice::new(self.psi_px.as_mut_slice());
+        let py = SyncSlice::new(self.psi_py.as_mut_slice());
+        let pz = SyncSlice::new(self.psi_pz.as_mut_slice());
+        let p = self.p.as_slice();
+        par_slabs(e.nz, gangs, |z0, z1| {
             velocity_slab(
                 qx,
                 qy,
@@ -95,72 +130,85 @@ impl Ac3State {
                 px,
                 py,
                 pz,
-                self.p.as_slice(),
+                p,
                 model.rho.as_slice(),
                 e,
-                [model.geom.dx, model.geom.dy, model.geom.dz],
-                model.geom.dt,
+                h,
+                dt,
                 cpml,
-                0,
-                nz,
+                z0,
+                z1,
             );
-        }
+        });
+    }
+
+    /// Phase 2: pressure from the velocity divergence, fused or fissioned.
+    /// The fissioned form updates `p` once per axis in sequence, so a
+    /// reverse sweep (`dt < 0`) visits the axes in the opposite order; the
+    /// fused form is a single update.
+    fn pressure_phase(
+        &mut self,
+        model: &AcousticModel3,
+        cpml: &[CpmlAxis; 3],
+        variant: FissionVariant,
+        dt: f32,
+        gangs: usize,
+    ) {
+        let e = self.p.extent();
+        let h = [model.geom.dx, model.geom.dy, model.geom.dz];
         match variant {
             FissionVariant::Fused => {
                 let p = SyncSlice::new(self.p.as_mut_slice());
                 let sx = SyncSlice::new(self.psi_qx.as_mut_slice());
                 let sy = SyncSlice::new(self.psi_qy.as_mut_slice());
                 let sz = SyncSlice::new(self.psi_qz.as_mut_slice());
-                pressure_fused_slab(
-                    p,
-                    sx,
-                    sy,
-                    sz,
-                    self.qx.as_slice(),
-                    self.qy.as_slice(),
-                    self.qz.as_slice(),
-                    model.vp.as_slice(),
-                    model.rho.as_slice(),
-                    e,
-                    [model.geom.dx, model.geom.dy, model.geom.dz],
-                    model.geom.dt,
-                    cpml,
-                    0,
-                    nz,
-                );
-            }
-            FissionVariant::Fissioned => {
-                let h = [model.geom.dx, model.geom.dy, model.geom.dz];
-                for axis in 0..3 {
-                    let p = SyncSlice::new(self.p.as_mut_slice());
-                    let (psi, q) = match axis {
-                        0 => (
-                            SyncSlice::new(self.psi_qx.as_mut_slice()),
-                            self.qx.as_slice(),
-                        ),
-                        1 => (
-                            SyncSlice::new(self.psi_qy.as_mut_slice()),
-                            self.qy.as_slice(),
-                        ),
-                        _ => (
-                            SyncSlice::new(self.psi_qz.as_mut_slice()),
-                            self.qz.as_slice(),
-                        ),
-                    };
-                    pressure_axis_slab(
+                let (qx, qy, qz) = (self.qx.as_slice(), self.qy.as_slice(), self.qz.as_slice());
+                par_slabs(e.nz, gangs, |z0, z1| {
+                    pressure_fused_slab(
                         p,
-                        psi,
-                        q,
+                        sx,
+                        sy,
+                        sz,
+                        qx,
+                        qy,
+                        qz,
                         model.vp.as_slice(),
                         model.rho.as_slice(),
                         e,
-                        axis,
-                        h[axis],
-                        model.geom.dt,
-                        &cpml[axis],
-                        0,
-                        nz,
+                        h,
+                        dt,
+                        cpml,
+                        z0,
+                        z1,
                     );
+                });
+            }
+            FissionVariant::Fissioned => {
+                let order = if dt < 0.0 { [2, 1, 0] } else { [0, 1, 2] };
+                for axis in order {
+                    let p = SyncSlice::new(self.p.as_mut_slice());
+                    let (psi, q) = match axis {
+                        0 => (&mut self.psi_qx, &self.qx),
+                        1 => (&mut self.psi_qy, &self.qy),
+                        _ => (&mut self.psi_qz, &self.qz),
+                    };
+                    let (psi, q) = (SyncSlice::new(psi.as_mut_slice()), q.as_slice());
+                    par_slabs(e.nz, gangs, |z0, z1| {
+                        pressure_axis_slab(
+                            p,
+                            psi,
+                            q,
+                            model.vp.as_slice(),
+                            model.rho.as_slice(),
+                            e,
+                            axis,
+                            h[axis],
+                            dt,
+                            &cpml[axis],
+                            z0,
+                            z1,
+                        );
+                    });
                 }
             }
         }
@@ -364,7 +412,7 @@ mod tests {
         let (m, cpml) = setup(n);
         let mut s = Ac3State::new(m.vp.extent());
         for t in 0..steps {
-            s.step(&m, &cpml, variant);
+            s.step(&m, &cpml, variant, 1);
             s.inject(
                 &m,
                 n / 2,
@@ -417,7 +465,7 @@ mod tests {
         let mut s = Ac3State::new(m.vp.extent());
         let mut peak = 0.0f64;
         for t in 0..300 {
-            s.step(&m, &cpml, FissionVariant::Fissioned);
+            s.step(&m, &cpml, FissionVariant::Fissioned, 1);
             if t < 40 {
                 s.inject(&m, 14, 14, 14, ricker(25.0, t as f32 * m.geom.dt - 0.048));
             }

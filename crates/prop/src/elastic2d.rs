@@ -10,6 +10,7 @@
 //! phase. That independence is exactly what the paper exploits with the
 //! `async` clause on the elastic model (Figure 11).
 
+use exec_host::par_slabs;
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent2, Field2, SyncSlice};
 use seismic_model::ElasticModel2;
@@ -85,94 +86,127 @@ impl El2State {
         self.psi_vz_x.copy_from(&other.psi_vz_x);
     }
 
-    /// Advance one time step: velocity kernels then stress kernels.
-    pub fn step(&mut self, model: &ElasticModel2, cpml: &[CpmlAxis; 2]) {
+    /// Advance one time step on `gangs` host threads: velocity kernels,
+    /// then stress kernels.
+    pub fn step(&mut self, model: &ElasticModel2, cpml: &[CpmlAxis; 2], gangs: usize) {
+        self.velocity_phase(model, cpml, model.geom.dt, gangs);
+        self.stress_phase(model, cpml, model.geom.dt, gangs);
+    }
+
+    /// Undo one [`Self::step`] through a lossless medium: the two phases
+    /// in reverse order with `−dt` (see
+    /// [`crate::acoustic2d::Ac2State::step_reverse`]).
+    pub fn step_reverse(&mut self, model: &ElasticModel2, cpml: &[CpmlAxis; 2], gangs: usize) {
+        self.stress_phase(model, cpml, -model.geom.dt, gangs);
+        self.velocity_phase(model, cpml, -model.geom.dt, gangs);
+    }
+
+    /// Velocity phase: vx then vz. Both read only stresses, so their order
+    /// is immaterial. `dt` is signed so the reverse step can undo it.
+    fn velocity_phase(
+        &mut self,
+        model: &ElasticModel2,
+        cpml: &[CpmlAxis; 2],
+        dt: f32,
+        gangs: usize,
+    ) {
         let e = self.vx.extent();
-        let nz = e.nz;
         let g = &model.geom;
-        {
-            let vx = SyncSlice::new(self.vx.as_mut_slice());
-            let p1 = SyncSlice::new(self.psi_sxx_x.as_mut_slice());
-            let p2 = SyncSlice::new(self.psi_sxz_z.as_mut_slice());
+        let (sxx, szz, sxz) = (
+            self.sxx.as_slice(),
+            self.szz.as_slice(),
+            self.sxz.as_slice(),
+        );
+        let vx = SyncSlice::new(self.vx.as_mut_slice());
+        let p1 = SyncSlice::new(self.psi_sxx_x.as_mut_slice());
+        let p2 = SyncSlice::new(self.psi_sxz_z.as_mut_slice());
+        par_slabs(e.nz, gangs, |z0, z1| {
             vx_slab(
                 vx,
                 p1,
                 p2,
-                self.sxx.as_slice(),
-                self.sxz.as_slice(),
+                sxx,
+                sxz,
                 model.rho.as_slice(),
                 e,
                 g.dx,
                 g.dz,
-                g.dt,
+                dt,
                 cpml,
-                0,
-                nz,
+                z0,
+                z1,
             );
-        }
-        {
-            let vz = SyncSlice::new(self.vz.as_mut_slice());
-            let p1 = SyncSlice::new(self.psi_sxz_x.as_mut_slice());
-            let p2 = SyncSlice::new(self.psi_szz_z.as_mut_slice());
+        });
+        let vz = SyncSlice::new(self.vz.as_mut_slice());
+        let p1 = SyncSlice::new(self.psi_sxz_x.as_mut_slice());
+        let p2 = SyncSlice::new(self.psi_szz_z.as_mut_slice());
+        par_slabs(e.nz, gangs, |z0, z1| {
             vz_slab(
                 vz,
                 p1,
                 p2,
-                self.sxz.as_slice(),
-                self.szz.as_slice(),
+                sxz,
+                szz,
                 model.rho.as_slice(),
                 e,
                 g.dx,
                 g.dz,
-                g.dt,
+                dt,
                 cpml,
-                0,
-                nz,
+                z0,
+                z1,
             );
-        }
-        {
-            let sxx = SyncSlice::new(self.sxx.as_mut_slice());
-            let szz = SyncSlice::new(self.szz.as_mut_slice());
-            let p1 = SyncSlice::new(self.psi_vx_x.as_mut_slice());
-            let p2 = SyncSlice::new(self.psi_vz_z.as_mut_slice());
+        });
+    }
+
+    /// Stress phase: diagonal then shear. Both read only velocities.
+    fn stress_phase(&mut self, model: &ElasticModel2, cpml: &[CpmlAxis; 2], dt: f32, gangs: usize) {
+        let e = self.vx.extent();
+        let g = &model.geom;
+        let (vx, vz) = (self.vx.as_slice(), self.vz.as_slice());
+        let sxx = SyncSlice::new(self.sxx.as_mut_slice());
+        let szz = SyncSlice::new(self.szz.as_mut_slice());
+        let p1 = SyncSlice::new(self.psi_vx_x.as_mut_slice());
+        let p2 = SyncSlice::new(self.psi_vz_z.as_mut_slice());
+        par_slabs(e.nz, gangs, |z0, z1| {
             stress_diag_slab(
                 sxx,
                 szz,
                 p1,
                 p2,
-                self.vx.as_slice(),
-                self.vz.as_slice(),
+                vx,
+                vz,
                 model.lam.as_slice(),
                 model.mu.as_slice(),
                 e,
                 g.dx,
                 g.dz,
-                g.dt,
+                dt,
                 cpml,
-                0,
-                nz,
+                z0,
+                z1,
             );
-        }
-        {
-            let sxz = SyncSlice::new(self.sxz.as_mut_slice());
-            let p1 = SyncSlice::new(self.psi_vx_z.as_mut_slice());
-            let p2 = SyncSlice::new(self.psi_vz_x.as_mut_slice());
+        });
+        let sxz = SyncSlice::new(self.sxz.as_mut_slice());
+        let p1 = SyncSlice::new(self.psi_vx_z.as_mut_slice());
+        let p2 = SyncSlice::new(self.psi_vz_x.as_mut_slice());
+        par_slabs(e.nz, gangs, |z0, z1| {
             stress_shear_slab(
                 sxz,
                 p1,
                 p2,
-                self.vx.as_slice(),
-                self.vz.as_slice(),
+                vx,
+                vz,
                 model.mu.as_slice(),
                 e,
                 g.dx,
                 g.dz,
-                g.dt,
+                dt,
                 cpml,
-                0,
-                nz,
+                z0,
+                z1,
             );
-        }
+        });
     }
 
     /// Explosive source: equal increments on both normal stresses.
@@ -390,7 +424,7 @@ mod tests {
         let (m, cpml) = setup_uniform(n, 3000.0, 1600.0);
         let mut s = El2State::new(m.rho.extent());
         for t in 0..150 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             s.inject(
                 &m,
                 n / 2,
@@ -414,7 +448,7 @@ mod tests {
         let t0 = 1.2 / f;
         let steps = 150;
         for t in 0..steps {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             s.inject(&m, n / 2, n / 2, ricker(f, t as f32 * m.geom.dt - t0) * 1e6);
         }
         let elapsed = steps as f32 * m.geom.dt - t0;
@@ -441,7 +475,7 @@ mod tests {
         let (m, cpml) = setup_uniform(n, 1500.0, 0.0);
         let mut s = El2State::new(m.rho.extent());
         for t in 0..80 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             s.inject(
                 &m,
                 n / 2,
@@ -460,7 +494,7 @@ mod tests {
         let mut s = El2State::new(m.rho.extent());
         let mut peak = 0.0f64;
         for t in 0..900 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             if t < 60 {
                 s.inject(
                     &m,
@@ -489,7 +523,7 @@ mod tests {
         let cpml = [c.clone(), c];
         let mut s = El2State::new(e);
         for t in 0..120 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             s.inject(&m, n / 2, 5, ricker(20.0, t as f32 * dt - 0.06) * 1e6);
         }
         assert!(s.vz.max_abs().is_finite());

@@ -7,6 +7,7 @@
 //! and the most memory-hungry case of the evaluation (the one that OOMs the
 //! 6 GB Fermi card at production grid sizes).
 
+use exec_host::par_slabs;
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent3, Field3, SyncSlice};
 use seismic_model::ElasticModel3;
@@ -97,172 +98,92 @@ impl El3State {
         }
     }
 
-    /// Advance one time step: three velocity kernels, then three stress
-    /// kernels.
-    pub fn step(&mut self, model: &ElasticModel3, cpml: &[CpmlAxis; 3]) {
+    /// Advance one time step on `gangs` host threads: three velocity
+    /// kernels, then three stress kernels.
+    pub fn step(&mut self, model: &ElasticModel3, cpml: &[CpmlAxis; 3], gangs: usize) {
+        self.velocity_phase(model, cpml, model.geom.dt, gangs);
+        self.stress_phase(model, cpml, model.geom.dt, gangs);
+    }
+
+    /// Undo one [`Self::step`] through a lossless medium: the two phases
+    /// in reverse order with `−dt` (see
+    /// [`crate::acoustic2d::Ac2State::step_reverse`]).
+    pub fn step_reverse(&mut self, model: &ElasticModel3, cpml: &[CpmlAxis; 3], gangs: usize) {
+        self.stress_phase(model, cpml, -model.geom.dt, gangs);
+        self.velocity_phase(model, cpml, -model.geom.dt, gangs);
+    }
+
+    /// Velocity phase: the vx, vy, vz kernels. Each reads only stresses and
+    /// writes its own field and three ψ fields. `dt` is signed so the
+    /// reverse step can undo it.
+    fn velocity_phase(
+        &mut self,
+        model: &ElasticModel3,
+        cpml: &[CpmlAxis; 3],
+        dt: f32,
+        gangs: usize,
+    ) {
         let e = self.vx.extent();
-        let nz = e.nz;
         let g = &model.geom;
         let h = [g.dx, g.dy, g.dz];
+        let rho = model.rho.as_slice();
+        let (sxx, syy, szz) = (
+            self.sxx.as_slice(),
+            self.syy.as_slice(),
+            self.szz.as_slice(),
+        );
+        let (sxy, sxz, syz) = (
+            self.sxy.as_slice(),
+            self.sxz.as_slice(),
+            self.syz.as_slice(),
+        );
+        let vx = SyncSlice::new(self.vx.as_mut_slice());
+        let [p0, p1, p2] = psi_slices(&mut self.psi, PsiIdx::SxxX);
+        par_slabs(e.nz, gangs, |z0, z1| {
+            vx_slab(vx, p0, p1, p2, sxx, sxy, sxz, rho, e, h, dt, cpml, z0, z1);
+        });
+        let vy = SyncSlice::new(self.vy.as_mut_slice());
+        let [p0, p1, p2] = psi_slices(&mut self.psi, PsiIdx::SxyX);
+        par_slabs(e.nz, gangs, |z0, z1| {
+            vy_slab(vy, p0, p1, p2, sxy, syy, syz, rho, e, h, dt, cpml, z0, z1);
+        });
+        let vz = SyncSlice::new(self.vz.as_mut_slice());
+        let [p0, p1, p2] = psi_slices(&mut self.psi, PsiIdx::SxzX);
+        par_slabs(e.nz, gangs, |z0, z1| {
+            vz_slab(vz, p0, p1, p2, sxz, syz, szz, rho, e, h, dt, cpml, z0, z1);
+        });
+    }
 
-        // Velocity kernels read stresses only; each writes its own field and
-        // its own two/three ψ fields — fully independent of one another.
-        {
-            let (a, rest) = self.psi.split_at_mut(1);
-            let (b, rest2) = rest.split_at_mut(1);
-            let vxs = SyncSlice::new(self.vx.as_mut_slice());
-            let p0 = SyncSlice::new(a[0].as_mut_slice());
-            let p1 = SyncSlice::new(b[0].as_mut_slice());
-            let p2 = SyncSlice::new(rest2[0].as_mut_slice());
-            vx_slab(
-                vxs,
-                p0,
-                p1,
-                p2,
-                self.sxx.as_slice(),
-                self.sxy.as_slice(),
-                self.sxz.as_slice(),
-                model.rho.as_slice(),
-                e,
-                h,
-                g.dt,
-                cpml,
-                0,
-                nz,
-            );
-        }
-        {
-            let (_, rest) = self.psi.split_at_mut(3);
-            let (a, rest2) = rest.split_at_mut(1);
-            let (b, rest3) = rest2.split_at_mut(1);
-            let vys = SyncSlice::new(self.vy.as_mut_slice());
-            let p0 = SyncSlice::new(a[0].as_mut_slice());
-            let p1 = SyncSlice::new(b[0].as_mut_slice());
-            let p2 = SyncSlice::new(rest3[0].as_mut_slice());
-            vy_slab(
-                vys,
-                p0,
-                p1,
-                p2,
-                self.sxy.as_slice(),
-                self.syy.as_slice(),
-                self.syz.as_slice(),
-                model.rho.as_slice(),
-                e,
-                h,
-                g.dt,
-                cpml,
-                0,
-                nz,
-            );
-        }
-        {
-            let (_, rest) = self.psi.split_at_mut(6);
-            let (a, rest2) = rest.split_at_mut(1);
-            let (b, rest3) = rest2.split_at_mut(1);
-            let vzs = SyncSlice::new(self.vz.as_mut_slice());
-            let p0 = SyncSlice::new(a[0].as_mut_slice());
-            let p1 = SyncSlice::new(b[0].as_mut_slice());
-            let p2 = SyncSlice::new(rest3[0].as_mut_slice());
-            vz_slab(
-                vzs,
-                p0,
-                p1,
-                p2,
-                self.sxz.as_slice(),
-                self.syz.as_slice(),
-                self.szz.as_slice(),
-                model.rho.as_slice(),
-                e,
-                h,
-                g.dt,
-                cpml,
-                0,
-                nz,
-            );
-        }
-        // Stress kernels read velocities only.
-        {
-            let (_, rest) = self.psi.split_at_mut(9);
-            let (a, rest2) = rest.split_at_mut(1);
-            let (b, rest3) = rest2.split_at_mut(1);
-            let sxx = SyncSlice::new(self.sxx.as_mut_slice());
-            let syy = SyncSlice::new(self.syy.as_mut_slice());
-            let szz = SyncSlice::new(self.szz.as_mut_slice());
-            let p0 = SyncSlice::new(a[0].as_mut_slice());
-            let p1 = SyncSlice::new(b[0].as_mut_slice());
-            let p2 = SyncSlice::new(rest3[0].as_mut_slice());
+    /// Stress phase: the diagonal, (σxy, σxz) and σyz kernels. Each reads
+    /// only velocities. `dt` is signed.
+    fn stress_phase(&mut self, model: &ElasticModel3, cpml: &[CpmlAxis; 3], dt: f32, gangs: usize) {
+        let e = self.vx.extent();
+        let g = &model.geom;
+        let h = [g.dx, g.dy, g.dz];
+        let (lam, mu) = (model.lam.as_slice(), model.mu.as_slice());
+        let (vx, vy, vz) = (self.vx.as_slice(), self.vy.as_slice(), self.vz.as_slice());
+        let sxx = SyncSlice::new(self.sxx.as_mut_slice());
+        let syy = SyncSlice::new(self.syy.as_mut_slice());
+        let szz = SyncSlice::new(self.szz.as_mut_slice());
+        let [p0, p1, p2] = psi_slices(&mut self.psi, PsiIdx::VxX);
+        par_slabs(e.nz, gangs, |z0, z1| {
             stress_diag_slab(
-                sxx,
-                syy,
-                szz,
-                p0,
-                p1,
-                p2,
-                self.vx.as_slice(),
-                self.vy.as_slice(),
-                self.vz.as_slice(),
-                model.lam.as_slice(),
-                model.mu.as_slice(),
-                e,
-                h,
-                g.dt,
-                cpml,
-                0,
-                nz,
+                sxx, syy, szz, p0, p1, p2, vx, vy, vz, lam, mu, e, h, dt, cpml, z0, z1,
             );
-        }
-        {
-            let (_, rest) = self.psi.split_at_mut(12);
-            let (a, rest2) = rest.split_at_mut(1);
-            let (b, rest3) = rest2.split_at_mut(1);
-            let (c, rest4) = rest3.split_at_mut(1);
-            let sxy = SyncSlice::new(self.sxy.as_mut_slice());
-            let sxz = SyncSlice::new(self.sxz.as_mut_slice());
-            let p0 = SyncSlice::new(a[0].as_mut_slice());
-            let p1 = SyncSlice::new(b[0].as_mut_slice());
-            let p2 = SyncSlice::new(c[0].as_mut_slice());
-            let p3 = SyncSlice::new(rest4[0].as_mut_slice());
+        });
+        let sxy = SyncSlice::new(self.sxy.as_mut_slice());
+        let sxz = SyncSlice::new(self.sxz.as_mut_slice());
+        let [p0, p1, p2, p3] = psi_slices(&mut self.psi, PsiIdx::VxY);
+        par_slabs(e.nz, gangs, |z0, z1| {
             stress_sxy_sxz_slab(
-                sxy,
-                sxz,
-                p0,
-                p1,
-                p2,
-                p3,
-                self.vx.as_slice(),
-                self.vy.as_slice(),
-                self.vz.as_slice(),
-                model.mu.as_slice(),
-                e,
-                h,
-                g.dt,
-                cpml,
-                0,
-                nz,
+                sxy, sxz, p0, p1, p2, p3, vx, vy, vz, mu, e, h, dt, cpml, z0, z1,
             );
-        }
-        {
-            let (_, rest) = self.psi.split_at_mut(16);
-            let (a, rest2) = rest.split_at_mut(1);
-            let syz = SyncSlice::new(self.syz.as_mut_slice());
-            let p0 = SyncSlice::new(a[0].as_mut_slice());
-            let p1 = SyncSlice::new(rest2[0].as_mut_slice());
-            stress_syz_slab(
-                syz,
-                p0,
-                p1,
-                self.vy.as_slice(),
-                self.vz.as_slice(),
-                model.mu.as_slice(),
-                e,
-                h,
-                g.dt,
-                cpml,
-                0,
-                nz,
-            );
-        }
+        });
+        let syz = SyncSlice::new(self.syz.as_mut_slice());
+        let [p0, p1] = psi_slices(&mut self.psi, PsiIdx::VyZ);
+        par_slabs(e.nz, gangs, |z0, z1| {
+            stress_syz_slab(syz, p0, p1, vy, vz, mu, e, h, dt, cpml, z0, z1);
+        });
     }
 
     /// Explosive source on the three normal stresses.
@@ -273,6 +194,14 @@ impl El3State {
             s.set(ix, iy, iz, v);
         }
     }
+}
+
+/// `SyncSlice`s over the `N` consecutive ψ fields starting at `first` —
+/// the memory fields one kernel owns.
+fn psi_slices<const N: usize>(psi: &mut [Field3], first: PsiIdx) -> [SyncSlice<'_>; N] {
+    let first = first as usize;
+    let mut fields = psi[first..first + N].iter_mut();
+    std::array::from_fn(|_| SyncSlice::new(fields.next().expect("ψ field").as_mut_slice()))
 }
 
 #[inline(always)]
@@ -550,7 +479,7 @@ mod tests {
         let (m, cpml) = setup_uniform(n, 3000.0, 1600.0);
         let mut s = El3State::new(m.rho.extent());
         for t in 0..60 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             s.inject(
                 &m,
                 n / 2,
@@ -572,7 +501,7 @@ mod tests {
         let mut s = El3State::new(m.rho.extent());
         let c = n / 2;
         for t in 0..50 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             s.inject(
                 &m,
                 c,
@@ -597,7 +526,7 @@ mod tests {
         let (m, cpml) = setup_uniform(n, 1500.0, 0.0);
         let mut s = El3State::new(m.rho.extent());
         for t in 0..40 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             s.inject(
                 &m,
                 12,
@@ -619,7 +548,7 @@ mod tests {
         let mut s = El3State::new(m.rho.extent());
         let mut peak = 0.0f64;
         for t in 0..260 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             if t < 30 {
                 s.inject(
                     &m,
@@ -661,7 +590,7 @@ mod tests {
         let cpml = [c.clone(), c.clone(), c];
         let mut s = El3State::new(e);
         for t in 0..60 {
-            s.step(&m, &cpml);
+            s.step(&m, &cpml, 1);
             s.inject(
                 &m,
                 n / 2,

@@ -12,7 +12,7 @@
 //! "PML everywhere" — which is what the GPU mapping model prices.
 
 use crate::IsoPmlVariant;
-use exec_host::tiles_for;
+use exec_host::{par_slabs, tiles_for};
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent2, Field2, SyncSlice, STENCIL_HALF};
 use seismic_model::IsoModel2;
@@ -36,32 +36,52 @@ impl Iso2State {
         }
     }
 
-    /// Advance one time step sequentially over the full interior, then swap
-    /// time levels so `u_cur` is the newest field.
+    /// Advance one time step on `gangs` host threads, then swap time
+    /// levels so `u_cur` is the newest field. One gang is the sequential
+    /// reference; every gang count produces the same bits.
     pub fn step(
         &mut self,
         model: &IsoModel2,
         damp_x: &DampProfile,
         damp_z: &DampProfile,
         variant: IsoPmlVariant,
+        gangs: usize,
     ) {
         let e = self.u_cur.extent();
-        let nz = e.nz;
         let u = SyncSlice::new(self.u_prev.as_mut_slice());
-        step_slab(
-            u,
-            self.u_cur.as_slice(),
-            model.vp.as_slice(),
-            e,
-            model.geom.dx,
-            model.geom.dz,
-            model.geom.dt,
-            damp_x,
-            damp_z,
-            variant,
-            0,
-            nz,
-        );
+        let cur = self.u_cur.as_slice();
+        par_slabs(e.nz, gangs, |z0, z1| {
+            step_slab(
+                u,
+                cur,
+                model.vp.as_slice(),
+                e,
+                model.geom.dx,
+                model.geom.dz,
+                model.geom.dt,
+                damp_x,
+                damp_z,
+                variant,
+                z0,
+                z1,
+            );
+        });
+        self.u_prev.swap(&mut self.u_cur);
+    }
+
+    /// Undo one [`Self::step`] through a lossless medium (σ ≡ 0). The
+    /// update `u⁺ = 2u − u⁻ + A(u)` is then symmetric in time, so stepping
+    /// forward from swapped levels recovers the previous level.
+    pub fn step_reverse(
+        &mut self,
+        model: &IsoModel2,
+        damp_x: &DampProfile,
+        damp_z: &DampProfile,
+        variant: IsoPmlVariant,
+        gangs: usize,
+    ) {
+        self.u_prev.swap(&mut self.u_cur);
+        self.step(model, damp_x, damp_z, variant, gangs);
         self.u_prev.swap(&mut self.u_cur);
     }
 
@@ -259,7 +279,7 @@ mod tests {
         let (m, dpx, dpz) = setup(n, 12);
         let mut s = Iso2State::new(m.vp.extent());
         for t in 0..steps {
-            s.step(&m, &dpx, &dpz, variant);
+            s.step(&m, &dpx, &dpz, variant, 1);
             let amp = ricker(25.0, t as f32 * m.geom.dt - 0.048);
             s.inject(&m, n / 2, n / 2, amp);
         }
@@ -300,7 +320,7 @@ mod tests {
         let dpz = DampProfile::new(48, e.halo, 8, vmax, h, 1e-4);
         let mut s = Iso2State::new(e);
         for t in 0..200 {
-            s.step(&m, &dpx, &dpz, IsoPmlVariant::OriginalIfs);
+            s.step(&m, &dpx, &dpz, IsoPmlVariant::OriginalIfs, 1);
             s.inject(&m, 24, 24, ricker(25.0, t as f32 * dt - 0.048));
             if !s.u_cur.max_abs().is_finite() || s.u_cur.max_abs() > 1e6 {
                 return; // blew up as expected
@@ -320,7 +340,7 @@ mod tests {
         let f = 25.0;
         let t0 = 1.2 / f;
         for t in 0..steps {
-            s.step(&m, &dpx, &dpz, IsoPmlVariant::PmlEverywhere);
+            s.step(&m, &dpx, &dpz, IsoPmlVariant::PmlEverywhere, 1);
             s.inject(&m, n / 2, n / 2, ricker(f, t as f32 * m.geom.dt - t0));
         }
         let elapsed = steps as f32 * m.geom.dt - t0; // since wavelet peak
@@ -351,7 +371,7 @@ mod tests {
         let mut peak = 0.0f64;
         // Source active for 80 steps, then free propagation.
         for t in 0..600 {
-            s.step(&m, &dpx, &dpz, IsoPmlVariant::OriginalIfs);
+            s.step(&m, &dpx, &dpz, IsoPmlVariant::OriginalIfs, 1);
             if t < 80 {
                 s.inject(&m, n / 2, n / 2, ricker(25.0, t as f32 * m.geom.dt - 0.048));
             }
@@ -372,7 +392,7 @@ mod tests {
         let mut seq = Iso2State::new(e);
         let mut par = Iso2State::new(e);
         for t in 0..40 {
-            seq.step(&m, &dpx, &dpz, IsoPmlVariant::OriginalIfs);
+            seq.step(&m, &dpx, &dpz, IsoPmlVariant::OriginalIfs, 1);
             // Manual 3-slab split of the same kernel.
             {
                 let u = SyncSlice::new(par.u_prev.as_mut_slice());

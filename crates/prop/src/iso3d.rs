@@ -5,7 +5,7 @@
 //! modeling case specifically.
 
 use crate::IsoPmlVariant;
-use exec_host::tiles_for;
+use exec_host::{par_slabs, tiles_for};
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent3, Field3, SyncSlice, STENCIL_HALF};
 use seismic_model::IsoModel3;
@@ -29,23 +29,45 @@ impl Iso3State {
         }
     }
 
-    /// Advance one time step over the full interior and swap time levels.
-    pub fn step(&mut self, model: &IsoModel3, damp: &[DampProfile; 3], variant: IsoPmlVariant) {
+    /// Advance one time step on `gangs` host threads and swap time levels.
+    pub fn step(
+        &mut self,
+        model: &IsoModel3,
+        damp: &[DampProfile; 3],
+        variant: IsoPmlVariant,
+        gangs: usize,
+    ) {
         let e = self.u_cur.extent();
-        let nz = e.nz;
         let u = SyncSlice::new(self.u_prev.as_mut_slice());
-        step_slab(
-            u,
-            self.u_cur.as_slice(),
-            model.vp.as_slice(),
-            e,
-            [model.geom.dx, model.geom.dy, model.geom.dz],
-            model.geom.dt,
-            damp,
-            variant,
-            0,
-            nz,
-        );
+        let cur = self.u_cur.as_slice();
+        par_slabs(e.nz, gangs, |z0, z1| {
+            step_slab(
+                u,
+                cur,
+                model.vp.as_slice(),
+                e,
+                [model.geom.dx, model.geom.dy, model.geom.dz],
+                model.geom.dt,
+                damp,
+                variant,
+                z0,
+                z1,
+            );
+        });
+        self.u_prev.swap(&mut self.u_cur);
+    }
+
+    /// Undo one [`Self::step`] through a lossless medium: step forward
+    /// from swapped levels (see [`crate::iso2d::Iso2State::step_reverse`]).
+    pub fn step_reverse(
+        &mut self,
+        model: &IsoModel3,
+        damp: &[DampProfile; 3],
+        variant: IsoPmlVariant,
+        gangs: usize,
+    ) {
+        self.u_prev.swap(&mut self.u_cur);
+        self.step(model, damp, variant, gangs);
         self.u_prev.swap(&mut self.u_cur);
     }
 
@@ -210,7 +232,7 @@ mod tests {
         let (m, damp) = setup(n, 6);
         let mut s = Iso3State::new(m.vp.extent());
         for t in 0..steps {
-            s.step(&m, &damp, variant);
+            s.step(&m, &damp, variant, 1);
             s.inject(
                 &m,
                 n / 2,
@@ -251,7 +273,7 @@ mod tests {
         let mut s = Iso3State::new(m.vp.extent());
         let mut peak = 0.0f64;
         for t in 0..300 {
-            s.step(&m, &damp, IsoPmlVariant::PmlEverywhere);
+            s.step(&m, &damp, IsoPmlVariant::PmlEverywhere, 1);
             if t < 40 {
                 s.inject(&m, 18, 18, 18, ricker(30.0, t as f32 * m.geom.dt - 0.04));
             }
@@ -268,7 +290,7 @@ mod tests {
         let mut seq = Iso3State::new(e);
         let mut par = Iso3State::new(e);
         for t in 0..20 {
-            seq.step(&m, &damp, IsoPmlVariant::OriginalIfs);
+            seq.step(&m, &damp, IsoPmlVariant::OriginalIfs, 1);
             {
                 let u = SyncSlice::new(par.u_prev.as_mut_slice());
                 for (z0, z1) in [(0usize, 9usize), (9, 20), (20, 28)] {

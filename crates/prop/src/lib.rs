@@ -21,11 +21,15 @@
 //! anisotropic (VTI pseudo-acoustic) formulation the authors defer to
 //! future work.
 //!
-//! Every step function is a plain sequential loop nest over a z-slab range
-//! `[z0, z1)`. Single-threaded callers pass the full range; `openacc-sim`
-//! and `mpi-sim` partition the range across threads/ranks. The [`desc`]
-//! module publishes per-kernel arithmetic descriptors (flops, bytes,
-//! registers) consumed by the `accel-sim` performance model.
+//! Every `*_slab` kernel is a plain sequential loop nest over a z-slab
+//! range `[z0, z1)`. Each state's `step(.., gangs)` is the formulation's
+//! one kernel sequence (Algorithm 1's per-step kernels, in order), each
+//! kernel launched slab-parallel through `exec_host::par_slabs`; one gang
+//! runs it inline and is the sequential reference. `step_reverse` undoes a
+//! step through a lossless medium (random-boundary RTM). Decomposed
+//! `mpi-sim` ranks call the same methods on their rank-local windows. The
+//! [`desc`] module publishes per-kernel arithmetic descriptors (flops,
+//! bytes, registers) consumed by the `accel-sim` performance model.
 
 pub mod acoustic2d;
 pub mod acoustic3d;

@@ -17,6 +17,7 @@
 //! horizontal speed `v·√(1+2ε)`, vertical speed `v` (tested). The same
 //! damping-layer boundary as the isotropic kernel applies.
 
+use exec_host::par_slabs;
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent2, Field2, SyncSlice, STENCIL_HALF};
 use seismic_model::VtiModel2;
@@ -55,18 +56,25 @@ impl Vti2State {
         self.q_cur.copy_from(&other.q_cur);
     }
 
-    /// Advance one time step and swap both field pairs.
-    pub fn step(&mut self, model: &VtiModel2, damp_x: &DampProfile, damp_z: &DampProfile) {
+    /// Advance one time step on `gangs` host threads and swap both field
+    /// pairs.
+    pub fn step(
+        &mut self,
+        model: &VtiModel2,
+        damp_x: &DampProfile,
+        damp_z: &DampProfile,
+        gangs: usize,
+    ) {
         let e = self.p_cur.extent();
-        let nz = e.nz;
-        {
-            let p = SyncSlice::new(self.p_prev.as_mut_slice());
-            let q = SyncSlice::new(self.q_prev.as_mut_slice());
+        let p = SyncSlice::new(self.p_prev.as_mut_slice());
+        let q = SyncSlice::new(self.q_prev.as_mut_slice());
+        let (pc, qc) = (self.p_cur.as_slice(), self.q_cur.as_slice());
+        par_slabs(e.nz, gangs, |z0, z1| {
             step_slab(
                 p,
                 q,
-                self.p_cur.as_slice(),
-                self.q_cur.as_slice(),
+                pc,
+                qc,
                 model.vp.as_slice(),
                 model.epsilon.as_slice(),
                 model.delta.as_slice(),
@@ -76,10 +84,29 @@ impl Vti2State {
                 model.geom.dt,
                 damp_x,
                 damp_z,
-                0,
-                nz,
+                z0,
+                z1,
             );
-        }
+        });
+        self.swap_levels();
+    }
+
+    /// Undo one [`Self::step`] through a lossless medium: the coupled
+    /// leapfrog is time-symmetric when σ = 0, so stepping forward from
+    /// swapped levels recovers the previous level.
+    pub fn step_reverse(
+        &mut self,
+        model: &VtiModel2,
+        damp_x: &DampProfile,
+        damp_z: &DampProfile,
+        gangs: usize,
+    ) {
+        self.swap_levels();
+        self.step(model, damp_x, damp_z, gangs);
+        self.swap_levels();
+    }
+
+    fn swap_levels(&mut self) {
         self.p_prev.swap(&mut self.p_cur);
         self.q_prev.swap(&mut self.q_cur);
     }
@@ -182,7 +209,7 @@ mod tests {
         let (m, d) = setup(n, eps, delta);
         let mut s = Vti2State::new(m.vp.extent());
         for t in 0..steps {
-            s.step(&m, &d, &d);
+            s.step(&m, &d, &d, 1);
             s.inject(&m, n / 2, n / 2, ricker(25.0, t as f32 * m.geom.dt - 0.048));
         }
         s
@@ -201,8 +228,8 @@ mod tests {
         let mut vti = Vti2State::new(m.vp.extent());
         let mut ref_ = Iso2State::new(m.vp.extent());
         for t in 0..60 {
-            vti.step(&m, &d, &d);
-            ref_.step(&iso, &d, &d, IsoPmlVariant::PmlEverywhere);
+            vti.step(&m, &d, &d, 1);
+            ref_.step(&iso, &d, &d, IsoPmlVariant::PmlEverywhere, 1);
             let amp = ricker(25.0, t as f32 * m.geom.dt - 0.048);
             vti.inject(&m, 32, 32, amp);
             ref_.inject(&iso, 32, 32, amp);
@@ -251,7 +278,7 @@ mod tests {
         let mut s = Vti2State::new(m.vp.extent());
         let mut peak = 0.0f64;
         for t in 0..500 {
-            s.step(&m, &d, &d);
+            s.step(&m, &d, &d, 1);
             if t < 60 {
                 s.inject(&m, n / 2, n / 2, ricker(25.0, t as f32 * m.geom.dt - 0.048));
             }
@@ -278,7 +305,7 @@ mod tests {
         let mut seq = Vti2State::new(e);
         let mut par = Vti2State::new(e);
         for t in 0..30 {
-            seq.step(&m, &d, &d);
+            seq.step(&m, &d, &d, 1);
             {
                 let p = SyncSlice::new(par.p_prev.as_mut_slice());
                 let q = SyncSlice::new(par.q_prev.as_mut_slice());

@@ -28,7 +28,6 @@
 
 use crate::accprof::{case_name, DeviceChoice};
 use acc_obs::wallclock::{self, HostReport};
-use openacc_sim::exec::{engine, set_engine, Engine};
 use rtm_core::case::{OptimizationConfig, SeismicCase, Workload};
 use rtm_core::gpu_time::rtm_time;
 use rtm_core::modeling::Medium2;
@@ -234,10 +233,6 @@ pub fn measure_case(case: &SeismicCase, smoke: bool, gangs: usize) -> Measured {
     let cfg = OptimizationConfig::default();
     let reps = if smoke { 1 } else { 3 };
 
-    // The scoped engine spawns fresh threads per launch and would exhaust
-    // the profiler's worker slots; measured runs are pooled.
-    let prior = engine();
-    set_engine(Engine::Pooled);
     run_once(case, &w, &cfg, gangs); // warm-up, unprofiled
 
     exec_host::prof::set_enabled(true);
@@ -253,7 +248,6 @@ pub fn measure_case(case: &SeismicCase, smoke: bool, gangs: usize) -> Measured {
         }
     }
     exec_host::prof::set_enabled(false);
-    set_engine(prior);
 
     let (wall_s, profile) = best.expect("at least one rep");
     let report = wallclock::report(&profile);
@@ -279,8 +273,6 @@ pub fn profiled_host_run(
     let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let w = calibration_workload(case, true);
     let cfg = OptimizationConfig::default();
-    let prior = engine();
-    set_engine(Engine::Pooled);
     exec_host::prof::set_enabled(true);
     let _ = exec_host::prof::drain();
     let t0 = Instant::now();
@@ -288,7 +280,6 @@ pub fn profiled_host_run(
     let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
     let profile = exec_host::prof::drain();
     exec_host::prof::set_enabled(false);
-    set_engine(prior);
     (w, wall_s, profile)
 }
 

@@ -34,7 +34,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut seq = Iso2State::new(extent);
     for t in 0..steps {
-        seq.step(&model, &damp, &damp, IsoPmlVariant::OriginalIfs);
+        seq.step(&model, &damp, &damp, IsoPmlVariant::OriginalIfs, 1);
         seq.inject(&model, src.0, src.1, wavelet.sample(t as f32 * dt));
     }
     let t_seq = t0.elapsed();
