@@ -1,10 +1,8 @@
 //! Real measured kernel performance (host execution) — the executable
-//! counterparts of Table 3 and Figures 6/7, 12, 13.
+//! counterparts of Table 3 and Figures 12, 13.
 //!
 //! Groups:
 //! * `modeling_cases` — one step of each propagator (Table 3 rows),
-//! * `iso_pml_variants` — the three isotropic kernel restructurings
-//!   (Figures 6/7),
 //! * `loop_fission` — fused vs fissioned acoustic 3D pressure update
 //!   (Figure 12),
 //! * `transpose_coalescing` — the transposition the Figure 13 optimization
@@ -19,9 +17,7 @@ use seismic_model::builder::{
 };
 use seismic_model::{extent2, extent3, Geometry};
 use seismic_pml::{CpmlAxis, DampProfile};
-use seismic_prop::{
-    acoustic2d, acoustic3d, elastic2d, elastic3d, iso2d, iso3d, FissionVariant, IsoPmlVariant,
-};
+use seismic_prop::{acoustic2d, acoustic3d, elastic2d, elastic3d, iso2d, iso3d, FissionVariant};
 
 const N2: usize = 240;
 const N3: usize = 48;
@@ -41,9 +37,7 @@ fn modeling_cases(c: &mut Criterion) {
         let d = DampProfile::new(N2, e.halo, 16, 3200.0, 10.0, 1e-4);
         let mut s = iso2d::Iso2State::new(e);
         g.throughput(Throughput::Elements(e.interior_len() as u64));
-        g.bench_function("iso_2d_step", |b| {
-            b.iter(|| s.step(&m, &d, &d, IsoPmlVariant::OriginalIfs, 1))
-        });
+        g.bench_function("iso_2d_step", |b| b.iter(|| s.step(&m, &d, &d, 1)));
     }
     // Acoustic 2D.
     {
@@ -74,9 +68,7 @@ fn modeling_cases(c: &mut Criterion) {
         let damp = [d.clone(), d.clone(), d];
         let mut s = iso3d::Iso3State::new(e);
         g.throughput(Throughput::Elements(e.interior_len() as u64));
-        g.bench_function("iso_3d_step", |b| {
-            b.iter(|| s.step(&m, &damp, IsoPmlVariant::OriginalIfs, 1))
-        });
+        g.bench_function("iso_3d_step", |b| b.iter(|| s.step(&m, &damp, 1)));
     }
     // Acoustic 3D.
     {
@@ -99,22 +91,6 @@ fn modeling_cases(c: &mut Criterion) {
         let mut s = elastic3d::El3State::new(e);
         g.throughput(Throughput::Elements(e.interior_len() as u64));
         g.bench_function("elastic_3d_step", |b| b.iter(|| s.step(&m, &cpml, 1)));
-    }
-    g.finish();
-}
-
-fn iso_pml_variants(c: &mut Criterion) {
-    let mut g = c.benchmark_group("iso_pml_variants");
-    let e = extent2(N2, N2);
-    let m = iso2_layered(e, &standard_layers(N2), geom(0.7, 2));
-    let d = DampProfile::new(N2, e.halo, 20, 3200.0, 10.0, 1e-4);
-    for v in [
-        IsoPmlVariant::OriginalIfs,
-        IsoPmlVariant::RestructuredIndices,
-        IsoPmlVariant::PmlEverywhere,
-    ] {
-        let mut s = iso2d::Iso2State::new(e);
-        g.bench_function(format!("{v:?}"), |b| b.iter(|| s.step(&m, &d, &d, v, 1)));
     }
     g.finish();
 }
@@ -197,6 +173,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = modeling_cases, iso_pml_variants, loop_fission, transpose_coalescing, vti_kernel
+    targets = modeling_cases, loop_fission, transpose_coalescing, vti_kernel
 }
 criterion_main!(benches);

@@ -124,7 +124,8 @@ pub enum ImagePlacement {
 /// The optimization knobs the paper's Section 5 studies.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OptimizationConfig {
-    /// Isotropic PML kernel restructuring (Figures 6/7).
+    /// Isotropic PML kernel restructuring (Figures 6/7). Priced only: the
+    /// host runs one branch-free kernel with the same bits for all three.
     pub iso_pml: seismic_prop::IsoPmlVariant,
     /// Acoustic 3D pressure kernel form (Figure 12).
     pub fission: seismic_prop::FissionVariant,

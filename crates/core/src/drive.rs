@@ -63,12 +63,19 @@ impl ShotPoints for Acquisition3 {
 pub trait Sampled {
     type Ix: Copy;
     fn at(&self, i: Self::Ix) -> f32;
+    /// The sampled values as one halo-inclusive array laid out like the
+    /// grid, when the field stores them; `None` when each sample is
+    /// derived (the elastic stress mean).
+    fn stored(&self) -> Option<&[f32]>;
 }
 
 impl Sampled for Field2 {
     type Ix = [usize; 2];
     fn at(&self, [ix, iz]: [usize; 2]) -> f32 {
         self.get(ix, iz)
+    }
+    fn stored(&self) -> Option<&[f32]> {
+        Some(self.as_slice())
     }
 }
 
@@ -77,6 +84,14 @@ impl Sampled for State2 {
     fn at(&self, [ix, iz]: [usize; 2]) -> f32 {
         self.sample(ix, iz)
     }
+    fn stored(&self) -> Option<&[f32]> {
+        match self {
+            State2::Iso(s) => Some(s.u_cur.as_slice()),
+            State2::Acoustic(s) => Some(s.p.as_slice()),
+            State2::Vti(s) => Some(s.p_cur.as_slice()),
+            State2::Elastic(_) => None,
+        }
+    }
 }
 
 impl Sampled for Field3 {
@@ -84,12 +99,47 @@ impl Sampled for Field3 {
     fn at(&self, [ix, iy, iz]: [usize; 3]) -> f32 {
         self.get(ix, iy, iz)
     }
+    fn stored(&self) -> Option<&[f32]> {
+        Some(self.as_slice())
+    }
 }
 
 impl Sampled for State3 {
     type Ix = [usize; 3];
     fn at(&self, [ix, iy, iz]: [usize; 3]) -> f32 {
         self.sample(ix, iy, iz)
+    }
+    fn stored(&self) -> Option<&[f32]> {
+        match self {
+            State3::Iso(s) => Some(s.u_cur.as_slice()),
+            State3::Acoustic(s) => Some(s.p.as_slice()),
+            State3::Elastic(_) => None,
+        }
+    }
+}
+
+/// The imaging condition over stored fields, one interior row at a time:
+/// `image += src·rcv` (and `illum += src²`) over the `nx` points from each
+/// flat index in `rows`. Row slices let the compiler vectorise the loop;
+/// each point's sums are those of the per-point form.
+fn correlate_rows(
+    [src, rcv]: [&[f32]; 2],
+    image: &mut [f32],
+    mut illum: Option<&mut [f32]>,
+    rows: impl Iterator<Item = usize>,
+    nx: usize,
+) {
+    assert!(src.len() == image.len() && rcv.len() == image.len());
+    for c in rows {
+        let s = &src[c..][..nx];
+        for ((o, &a), &b) in image[c..][..nx].iter_mut().zip(s).zip(&rcv[c..][..nx]) {
+            *o += a * b;
+        }
+        if let Some(il) = illum.as_deref_mut() {
+            for (o, &a) in il[c..][..nx].iter_mut().zip(s) {
+                *o += a * a;
+            }
+        }
     }
 }
 
@@ -235,6 +285,11 @@ impl Wave for State2 {
         mut illum: Option<&mut Field2>,
     ) {
         let e = image.extent();
+        if let (Some(s), Some(r)) = (src.stored(), self.stored()) {
+            let rows = (0..e.nz).map(|iz| e.idx(0, iz));
+            let illum = illum.map(Field2::as_mut_slice);
+            return correlate_rows([s, r], image.as_mut_slice(), illum, rows, e.nx);
+        }
         for iz in 0..e.nz {
             for ix in 0..e.nx {
                 let s = src.at([ix, iz]);
@@ -325,6 +380,11 @@ impl Wave for State3 {
         mut illum: Option<&mut Field3>,
     ) {
         let e = image.extent();
+        if let (Some(s), Some(r)) = (src.stored(), self.stored()) {
+            let rows = (0..e.nz).flat_map(|iz| (0..e.ny).map(move |iy| e.idx(0, iy, iz)));
+            let illum = illum.map(Field3::as_mut_slice);
+            return correlate_rows([s, r], image.as_mut_slice(), illum, rows, e.nx);
+        }
         for iz in 0..e.nz {
             for iy in 0..e.ny {
                 for ix in 0..e.nx {

@@ -160,8 +160,10 @@ impl State2 {
     }
 
     /// Advance one time step on `gangs` host threads (the prop state's
-    /// own gang-parallel step sequence).
-    pub fn step(&mut self, medium: &Medium2, config: &OptimizationConfig, gangs: usize) {
+    /// own gang-parallel step sequence). No 2D host kernel has a variant to
+    /// select, so the config only keeps the call shape of
+    /// [`crate::modeling3::State3::step`].
+    pub fn step(&mut self, medium: &Medium2, _config: &OptimizationConfig, gangs: usize) {
         match (self, medium) {
             (
                 State2::Iso(s),
@@ -170,7 +172,7 @@ impl State2 {
                     damp_x,
                     damp_z,
                 },
-            ) => s.step(model, damp_x, damp_z, config.iso_pml, gangs),
+            ) => s.step(model, damp_x, damp_z, gangs),
             (State2::Acoustic(s), Medium2::Acoustic { model, cpml }) => s.step(model, cpml, gangs),
             (State2::Elastic(s), Medium2::Elastic { model, cpml }) => s.step(model, cpml, gangs),
             (
@@ -200,7 +202,7 @@ impl State2 {
     /// `f32`; callers must have removed the step's source injection first.
     /// Calling this on a dissipative medium silently diverges instead of
     /// reconstructing — the random-boundary driver owns that contract.
-    pub fn step_reverse(&mut self, medium: &Medium2, config: &OptimizationConfig, gangs: usize) {
+    pub fn step_reverse(&mut self, medium: &Medium2, _config: &OptimizationConfig, gangs: usize) {
         match (self, medium) {
             (
                 State2::Iso(s),
@@ -209,7 +211,7 @@ impl State2 {
                     damp_x,
                     damp_z,
                 },
-            ) => s.step_reverse(model, damp_x, damp_z, config.iso_pml, gangs),
+            ) => s.step_reverse(model, damp_x, damp_z, gangs),
             (State2::Acoustic(s), Medium2::Acoustic { model, cpml }) => {
                 s.step_reverse(model, cpml, gangs)
             }

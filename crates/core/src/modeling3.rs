@@ -166,9 +166,7 @@ impl State3 {
     /// own gang-parallel step sequence).
     pub fn step(&mut self, medium: &Medium3, config: &OptimizationConfig, gangs: usize) {
         match (self, medium) {
-            (State3::Iso(s), Medium3::Iso { model, damp }) => {
-                s.step(model, damp, config.iso_pml, gangs)
-            }
+            (State3::Iso(s), Medium3::Iso { model, damp }) => s.step(model, damp, gangs),
             (State3::Acoustic(s), Medium3::Acoustic { model, cpml }) => {
                 s.step(model, cpml, config.fission, gangs)
             }
@@ -184,9 +182,7 @@ impl State3 {
     /// into `p` in sequence. Callers remove the source injection first.
     pub fn step_reverse(&mut self, medium: &Medium3, config: &OptimizationConfig, gangs: usize) {
         match (self, medium) {
-            (State3::Iso(s), Medium3::Iso { model, damp }) => {
-                s.step_reverse(model, damp, config.iso_pml, gangs)
-            }
+            (State3::Iso(s), Medium3::Iso { model, damp }) => s.step_reverse(model, damp, gangs),
             (State3::Acoustic(s), Medium3::Acoustic { model, cpml }) => {
                 s.step_reverse(model, cpml, config.fission, gangs)
             }

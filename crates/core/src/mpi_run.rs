@@ -18,7 +18,6 @@ use seismic_pml::{CpmlAxis, DampProfile};
 use seismic_prop::acoustic2d::Ac2State;
 use seismic_prop::iso2d::Iso2State;
 use seismic_prop::iso3d::Iso3State;
-use seismic_prop::IsoPmlVariant;
 use seismic_source::Wavelet;
 
 /// Gather every rank's interior rows of a 2D field onto rank 0, which
@@ -91,7 +90,7 @@ pub fn modeling_iso2_mpi(
             // through the stencil, u_prev pointwise — only u_cur's halo is
             // read, so one exchange per step suffices).
             exchange_halo2(ctx, &mut st.u_cur, &slab, 100);
-            st.step(&local, damp_x, &damp_z_local, IsoPmlVariant::OriginalIfs, 1);
+            st.step(&local, damp_x, &damp_z_local, 1);
             // source_injection by the owning rank.
             if let Some((ix, iz)) = src_local {
                 st.inject(&local, ix, iz, wavelet.sample(t as f32 * model.geom.dt));
@@ -135,7 +134,7 @@ pub fn modeling_iso3_mpi(
 
         for t in 0..steps {
             exchange_halo3(ctx, &mut st.u_cur, &slab, 300);
-            st.step(&local, &damp_local, IsoPmlVariant::OriginalIfs, 1);
+            st.step(&local, &damp_local, 1);
             if let Some((ix, iy, iz)) = src_local {
                 st.inject(&local, ix, iy, iz, wavelet.sample(t as f32 * model.geom.dt));
             }
@@ -265,7 +264,7 @@ mod tests {
         // Sequential reference.
         let mut seq = Iso2State::new(m.vp.extent());
         for t in 0..steps {
-            seq.step(&m, &dx, &dz, IsoPmlVariant::OriginalIfs, 1);
+            seq.step(&m, &dx, &dz, 1);
             seq.inject(&m, n / 2, 10, w.sample(t as f32 * m.geom.dt));
         }
         for ranks in [1usize, 2, 3, 4] {
@@ -298,7 +297,7 @@ mod tests {
         let steps = 25;
         let mut seq = Iso3State::new(e);
         for t in 0..steps {
-            seq.step(&m, &damp, seismic_prop::IsoPmlVariant::OriginalIfs, 1);
+            seq.step(&m, &damp, 1);
             seq.inject(&m, n / 2, n / 2, 6, w.sample(t as f32 * dt));
         }
         for ranks in [1usize, 3] {
@@ -345,7 +344,7 @@ mod tests {
         assert!(got.max_abs() > 0.0);
         let mut seq = Iso2State::new(m.vp.extent());
         for t in 0..30 {
-            seq.step(&m, &dx, &dz, IsoPmlVariant::OriginalIfs, 1);
+            seq.step(&m, &dx, &dz, 1);
             seq.inject(&m, n / 2, n - 5, w.sample(t as f32 * m.geom.dt));
         }
         assert_eq!(got, seq.u_cur.clone());

@@ -90,6 +90,26 @@ impl<'a> SyncSlice<'a> {
         let p = (*self.ptr.add(i)).get();
         *p += v;
     }
+
+    /// Exclusive view of `[start, start + len)`, so a kernel can update a
+    /// whole row as an ordinary slice. The range is bounds-checked in every
+    /// build: it is taken once per row, not once per point.
+    ///
+    /// # Safety
+    /// No other thread may access any index in the range, and no other view
+    /// of it may be live, while the returned slice is in use.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn range_mut(&self, start: usize, len: usize) -> &mut [f32] {
+        assert!(
+            start <= self.len && len <= self.len - start,
+            "range {start}+{len} out of bounds for length {}",
+            self.len
+        );
+        // SAFETY: the range lies inside the wrapped slice (checked above);
+        // exclusive access to it is the caller's contract.
+        std::slice::from_raw_parts_mut(self.ptr.add(start) as *mut f32, len)
+    }
 }
 
 #[cfg(test)]
@@ -130,5 +150,32 @@ mod tests {
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i as f32);
         }
+    }
+
+    #[test]
+    fn range_mut_gangs_fill_disjoint_rows() {
+        let (rows, cols) = (10, 7);
+        let fill = |r: usize, c: usize| (r * 100 + c) as f32;
+        let mut v = vec![0.0f32; rows * cols];
+        let s = SyncSlice::new(&mut v);
+        exec_host::par_slabs(rows, 2, |r0, r1| {
+            for r in r0..r1 {
+                // SAFETY: each gang owns the rows of its own slab.
+                let row = unsafe { s.range_mut(r * cols, cols) };
+                for (c, x) in row.iter_mut().enumerate() {
+                    *x = fill(r, c);
+                }
+            }
+        });
+        let expect: Vec<f32> = (0..rows * cols).map(|i| fill(i / cols, i % cols)).collect();
+        assert_eq!(v, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn range_mut_rejects_overrun() {
+        let mut v = vec![0.0f32; 8];
+        let s = SyncSlice::new(&mut v);
+        let _ = unsafe { s.range_mut(5, 4) };
     }
 }

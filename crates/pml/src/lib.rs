@@ -24,10 +24,12 @@
 //!
 //! The isotropic kernel's PML is also where the paper's Figure 6/7
 //! restructuring experiments live: the boundary-only `if`-statements hurt
-//! GPU gridification, so `seismic-prop` provides variants that (a) keep the
-//! branches, (b) restructure loop indices, or (c) "compute PML everywhere".
-//! The profile arrays here make variant (c) numerically identical to (a)
-//! because σ and the ψ coefficients vanish identically in the interior.
+//! GPU gridification, so the paper (a) kept the branches, (b) restructured
+//! loop indices, or (c) "computed PML everywhere". The profile arrays here
+//! make (c) numerically identical to (a) because σ and the ψ coefficients
+//! vanish identically in the interior — which is why `seismic-prop` runs
+//! the branch-free form (c) on the host and leaves the three to the GPU
+//! pricing model.
 
 pub mod cpml;
 pub mod damp;

@@ -5,13 +5,15 @@
 //! Laplacian and a damping-layer PML:
 //! `u⁺ = (2u − (1−σΔt)u⁻ + Δt²vp²∇²u)/(1+σΔt)`, `σ = σx + σz`.
 //!
-//! Three kernel variants reproduce the paper's Figure 6/7 restructurings.
-//! They are *numerically identical* (σ ≡ 0 in the interior, and IEEE
-//! multiplication/division by exactly 1.0 is exact); what differs is control
-//! flow — per-point branches vs separate perfectly-nested loops vs uniform
-//! "PML everywhere" — which is what the GPU mapping model prices.
+//! One branch-free kernel evaluates the damped form at every point. σ ≡ 0
+//! off the absorbing strips, IEEE multiplication/division by exactly 1.0
+//! is exact, and Rust never contracts `a*b + c` into an FMA, so this is
+//! bitwise the paper's original per-point-branch kernel. Each row is swept as equal-length slices, which lets the compiler
+//! drop the bounds checks and vectorise the x loop. The paper's Figure 6/7
+//! restructurings of the PML control flow (boundary `if`s vs restructured
+//! indices vs PML-everywhere) are priced by the GPU mapping model
+//! (`crate::desc`), not run as separate host kernels.
 
-use crate::IsoPmlVariant;
 use exec_host::{par_slabs, tiles_for};
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent2, Field2, SyncSlice, STENCIL_HALF};
@@ -44,7 +46,6 @@ impl Iso2State {
         model: &IsoModel2,
         damp_x: &DampProfile,
         damp_z: &DampProfile,
-        variant: IsoPmlVariant,
         gangs: usize,
     ) {
         let e = self.u_cur.extent();
@@ -61,7 +62,6 @@ impl Iso2State {
                 model.geom.dt,
                 damp_x,
                 damp_z,
-                variant,
                 z0,
                 z1,
             );
@@ -77,11 +77,10 @@ impl Iso2State {
         model: &IsoModel2,
         damp_x: &DampProfile,
         damp_z: &DampProfile,
-        variant: IsoPmlVariant,
         gangs: usize,
     ) {
         self.u_prev.swap(&mut self.u_cur);
-        self.step(model, damp_x, damp_z, variant, gangs);
+        self.step(model, damp_x, damp_z, gangs);
         self.u_prev.swap(&mut self.u_cur);
     }
 
@@ -103,65 +102,14 @@ impl Iso2State {
     }
 }
 
-/// The 17-point Laplacian at flat index `c`.
-#[inline(always)]
-fn lap2(u: &[f32], c: usize, fnx: usize, rdx2: f32, rdz2: f32) -> f32 {
-    let mut acc = f32c::C2[0] * u[c] * (rdx2 + rdz2);
-    // Manually indexed like the Fortran original; k = 1..=4.
-    for k in 1..=STENCIL_HALF {
-        acc += f32c::C2[k] * ((u[c + k] + u[c - k]) * rdx2);
-        acc += f32c::C2[k] * ((u[c + k * fnx] + u[c - k * fnx]) * rdz2);
-    }
-    acc
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn plain_update(
-    u: &SyncSlice,
-    u_cur: &[f32],
-    vp: &[f32],
-    c: usize,
-    fnx: usize,
-    dt2: f32,
-    rdx2: f32,
-    rdz2: f32,
-) {
-    let v = vp[c];
-    let lap = lap2(u_cur, c, fnx, rdx2, rdz2);
-    let next = 2.0 * u_cur[c] - u.get(c) + dt2 * v * v * lap;
-    // Safety: each slab writes only its own rows (disjoint c).
-    unsafe { u.set(c, next) };
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn damped_update(
-    u: &SyncSlice,
-    u_cur: &[f32],
-    vp: &[f32],
-    c: usize,
-    fnx: usize,
-    dt: f32,
-    dt2: f32,
-    rdx2: f32,
-    rdz2: f32,
-    sigma: f32,
-) {
-    let v = vp[c];
-    let lap = lap2(u_cur, c, fnx, rdx2, rdz2);
-    let next =
-        (2.0 * u_cur[c] - (1.0 - sigma * dt) * u.get(c) + dt2 * v * v * lap) / (1.0 + sigma * dt);
-    // Safety: each slab writes only its own rows.
-    unsafe { u.set(c, next) };
-}
-
 /// One time step over interior rows `[z0, z1)`.
 ///
-/// `u` aliases the *previous* time level and receives the next one (the
-/// per-point read of `u.get(c)` happens before the write — no cross-point
-/// dependency exists, which is also why the paper's OpenACC `independent`
-/// clause is legal on this loop nest).
+/// `u` aliases the *previous* time level and receives the next one (each
+/// point reads its own `u⁻` before writing `u⁺` — no cross-point dependency
+/// exists, which is also why the paper's OpenACC `independent` clause is
+/// legal on this loop nest). Every point takes the damped update with
+/// `σ = σx[ix] + σz[iz]`; the Laplacian sums the centre term, then the x and
+/// z terms for k = 1..=4, the association order of the Fortran original.
 #[allow(clippy::too_many_arguments)]
 pub fn step_slab(
     u: SyncSlice,
@@ -173,90 +121,58 @@ pub fn step_slab(
     dt: f32,
     damp_x: &DampProfile,
     damp_z: &DampProfile,
-    variant: IsoPmlVariant,
     z0: usize,
     z1: usize,
 ) {
     assert!(z1 <= e.nz && z0 <= z1);
     assert_eq!(u.len(), e.len());
     assert_eq!(u_cur.len(), e.len());
+    assert_eq!(vp.len(), e.len());
+    assert_eq!(damp_x.as_slice().len(), e.full_nx());
     let fnx = e.full_nx();
     let dt2 = dt * dt;
     let rdx2 = 1.0 / (dx * dx);
     let rdz2 = 1.0 / (dz * dz);
-    let w = damp_x.width();
+    let r2_sum = rdx2 + rdz2;
     // x-tile × z-row blocking: keeps the vertical stencil neighbors of a
     // tile resident across rows on wide grids. Point updates are
     // independent, so the schedule is bitwise-free (single tile on small
-    // grids — the exact original loop). The tiling carries the SIMD width
-    // certified for this kernel by the vectorization verifier, if any.
+    // grids).
     let tiling = tiles_for("iso_kernel_2d", e.nx, 3, 2 * STENCIL_HALF + 1);
-
-    match variant {
-        IsoPmlVariant::OriginalIfs => {
-            // The paper's original kernel: one loop nest, per-point branch.
-            for (x0, x1) in tiling.ranges(0, e.nx) {
-                for iz in z0..z1 {
-                    for ix in x0..x1 {
-                        let c = e.idx(ix, iz);
-                        if damp_x.in_layer(ix) || damp_z.in_layer(iz) {
-                            let sigma = damp_x.sigma(ix) + damp_z.sigma(iz);
-                            damped_update(&u, u_cur, vp, c, fnx, dt, dt2, rdx2, rdz2, sigma);
-                        } else {
-                            plain_update(&u, u_cur, vp, c, fnx, dt2, rdx2, rdz2);
-                        }
-                    }
+    for (x0, x1) in tiling.ranges(0, e.nx) {
+        let n = x1 - x0;
+        let sx = &damp_x.as_slice()[x0 + e.halo..][..n];
+        for iz in z0..z1 {
+            let c = e.idx(x0, iz);
+            let row = |at: usize| &u_cur[at..][..n];
+            let centre = row(c);
+            // Rows shifted by ±k·stride, k = 1..=4.
+            let shifted = |stride: usize| -> [[&[f32]; 2]; STENCIL_HALF] {
+                std::array::from_fn(|k| [row(c + (k + 1) * stride), row(c - (k + 1) * stride)])
+            };
+            let (xs, zs) = (shifted(1), shifted(fnx));
+            let vp = &vp[c..][..n];
+            let sz = damp_z.sigma(iz);
+            // SAFETY: slabs are disjoint z-ranges, so no other gang touches
+            // row `iz`; the view is dropped before the next row is taken.
+            let out = unsafe { u.range_mut(c, n) };
+            for i in 0..n {
+                let mut lap = f32c::C2[0] * centre[i] * r2_sum;
+                for k in 0..STENCIL_HALF {
+                    lap += f32c::C2[k + 1] * ((xs[k][0][i] + xs[k][1][i]) * rdx2);
+                    lap += f32c::C2[k + 1] * ((zs[k][0][i] + zs[k][1][i]) * rdz2);
                 }
-            }
-        }
-        IsoPmlVariant::RestructuredIndices => {
-            // First approach of Section 5.2: change loop indices so every
-            // loop body is branch-free and perfectly nested.
-            for iz in z0..z1 {
-                if damp_z.in_layer(iz) {
-                    // Whole row lies in the z strip: damped everywhere.
-                    for ix in 0..e.nx {
-                        let sigma = damp_x.sigma(ix) + damp_z.sigma(iz);
-                        let c = e.idx(ix, iz);
-                        damped_update(&u, u_cur, vp, c, fnx, dt, dt2, rdx2, rdz2, sigma);
-                    }
-                } else {
-                    for ix in 0..w {
-                        let sigma = damp_x.sigma(ix);
-                        let c = e.idx(ix, iz);
-                        damped_update(&u, u_cur, vp, c, fnx, dt, dt2, rdx2, rdz2, sigma);
-                    }
-                    for ix in w..e.nx - w {
-                        let c = e.idx(ix, iz);
-                        plain_update(&u, u_cur, vp, c, fnx, dt2, rdx2, rdz2);
-                    }
-                    for ix in e.nx - w..e.nx {
-                        let sigma = damp_x.sigma(ix);
-                        let c = e.idx(ix, iz);
-                        damped_update(&u, u_cur, vp, c, fnx, dt, dt2, rdx2, rdz2, sigma);
-                    }
-                }
-            }
-        }
-        IsoPmlVariant::PmlEverywhere => {
-            // Second approach: evaluate the damped form at every point.
-            // σ = 0 in the interior makes this exact (1±0·dt = 1.0).
-            for (x0, x1) in tiling.ranges(0, e.nx) {
-                for iz in z0..z1 {
-                    let sz = damp_z.sigma(iz);
-                    for ix in x0..x1 {
-                        let sigma = damp_x.sigma(ix) + sz;
-                        let c = e.idx(ix, iz);
-                        damped_update(&u, u_cur, vp, c, fnx, dt, dt2, rdx2, rdz2, sigma);
-                    }
-                }
+                let sigma = sx[i] + sz;
+                let v = vp[i];
+                out[i] = (2.0 * centre[i] - (1.0 - sigma * dt) * out[i] + dt2 * v * v * lap)
+                    / (1.0 + sigma * dt);
             }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use seismic_grid::cfl::stable_dt;
     use seismic_model::builder::iso2_constant;
@@ -275,32 +191,111 @@ mod tests {
         (m, dx, dz)
     }
 
-    fn run(variant: IsoPmlVariant, n: usize, steps: usize) -> Iso2State {
+    fn run(n: usize, steps: usize) -> Iso2State {
         let (m, dpx, dpz) = setup(n, 12);
         let mut s = Iso2State::new(m.vp.extent());
         for t in 0..steps {
-            s.step(&m, &dpx, &dpz, variant, 1);
+            s.step(&m, &dpx, &dpz, 1);
             let amp = ricker(25.0, t as f32 * m.geom.dt - 0.048);
             s.inject(&m, n / 2, n / 2, amp);
         }
         s
     }
 
-    /// The three PML variants must be bitwise identical — that is the whole
-    /// premise of the paper's "compute PML everywhere" restructuring.
+    /// The paper's original kernel, one point at a time: branch on the
+    /// absorbing strips, undamped update elsewhere.
+    #[allow(clippy::too_many_arguments)]
+    fn pointwise_reference(
+        u_prev: &mut [f32],
+        u_cur: &[f32],
+        vp: &[f32],
+        e: Extent2,
+        [dx, dz]: [f32; 2],
+        dt: f32,
+        damp_x: &DampProfile,
+        damp_z: &DampProfile,
+    ) {
+        let fnx = e.full_nx();
+        let (dt2, rdx2, rdz2) = (dt * dt, 1.0 / (dx * dx), 1.0 / (dz * dz));
+        for iz in 0..e.nz {
+            for ix in 0..e.nx {
+                let c = e.idx(ix, iz);
+                let mut lap = f32c::C2[0] * u_cur[c] * (rdx2 + rdz2);
+                for k in 1..=STENCIL_HALF {
+                    lap += f32c::C2[k] * ((u_cur[c + k] + u_cur[c - k]) * rdx2);
+                    lap += f32c::C2[k] * ((u_cur[c + k * fnx] + u_cur[c - k * fnx]) * rdz2);
+                }
+                let v = vp[c];
+                u_prev[c] = if damp_x.in_layer(ix) || damp_z.in_layer(iz) {
+                    let sigma = damp_x.sigma(ix) + damp_z.sigma(iz);
+                    (2.0 * u_cur[c] - (1.0 - sigma * dt) * u_prev[c] + dt2 * v * v * lap)
+                        / (1.0 + sigma * dt)
+                } else {
+                    2.0 * u_cur[c] - u_prev[c] + dt2 * v * v * lap
+                };
+            }
+        }
+    }
+
+    /// Deterministic values in `[-1, 1)` so every point, halo included,
+    /// contributes to the stencil.
+    pub(crate) fn noise(len: usize, seed: u32) -> Vec<f32> {
+        let mut x = seed.wrapping_mul(2_654_435_761) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 8) as f32 / (1u32 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
+    /// The branch-free row kernel must be bitwise the per-point kernel it
+    /// replaces — full, windowed and transparent profiles, slabs cut
+    /// through a z strip, and a grid wide enough to need several x-tiles.
     #[test]
-    fn variants_are_bitwise_identical() {
-        let a = run(IsoPmlVariant::OriginalIfs, 64, 60);
-        let b = run(IsoPmlVariant::RestructuredIndices, 64, 60);
-        let c = run(IsoPmlVariant::PmlEverywhere, 64, 60);
-        assert_eq!(a.u_cur, b.u_cur);
-        assert_eq!(a.u_cur, c.u_cur);
+    fn row_kernel_matches_pointwise_reference() {
+        let (dx, dz, vmax, width) = (10.0, 12.5, 2000.0, 6);
+        let dt = stable_dt(8, 2, vmax, dx, 0.8);
+        for (nx, nz) in [(64usize, 48usize), (1300, 24)] {
+            let e = extent2(nx, nz);
+            let full = |n: usize| DampProfile::new(n, e.halo, width, vmax, dx, 1e-4);
+            // The far strip of a profile twice the size, starting mid-window.
+            let window = |n: usize| full(2 * n).window(3 * n / 2 - width, n);
+            let profiles = [
+                (full(nx), full(nz)),
+                (window(nx), window(nz)),
+                (
+                    DampProfile::transparent(nx, e.halo),
+                    DampProfile::transparent(nz, e.halo),
+                ),
+            ];
+            let vp: Vec<f32> = noise(e.len(), 1)
+                .iter()
+                .map(|r| 1500.0 + 500.0 * r)
+                .collect();
+            let u_cur = noise(e.len(), 2);
+            for (dpx, dpz) in &profiles {
+                let mut expect = noise(e.len(), 3);
+                pointwise_reference(&mut expect, &u_cur, &vp, e, [dx, dz], dt, dpx, dpz);
+                let mut got = noise(e.len(), 3);
+                let u = SyncSlice::new(&mut got);
+                for (z0, z1) in [(0, width / 2), (width / 2, nz - 1), (nz - 1, nz)] {
+                    step_slab(u, &u_cur, &vp, e, dx, dz, dt, dpx, dpz, z0, z1);
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expect), "{nx}x{nz}");
+            }
+        }
+        let tiling = tiles_for("iso_kernel_2d", 1300, 3, 2 * STENCIL_HALF + 1);
+        assert!(tiling.tile_x < 1300, "wide grid must split into x-tiles");
     }
 
     /// A stable run must not blow up and must actually propagate energy.
     #[test]
     fn stable_run_propagates() {
-        let s = run(IsoPmlVariant::OriginalIfs, 96, 120);
+        let s = run(96, 120);
         let m = s.u_cur.max_abs();
         assert!(m.is_finite() && m > 0.0, "max = {m}");
         assert!(m < 100.0, "unexpected growth: {m}");
@@ -320,7 +315,7 @@ mod tests {
         let dpz = DampProfile::new(48, e.halo, 8, vmax, h, 1e-4);
         let mut s = Iso2State::new(e);
         for t in 0..200 {
-            s.step(&m, &dpx, &dpz, IsoPmlVariant::OriginalIfs, 1);
+            s.step(&m, &dpx, &dpz, 1);
             s.inject(&m, 24, 24, ricker(25.0, t as f32 * dt - 0.048));
             if !s.u_cur.max_abs().is_finite() || s.u_cur.max_abs() > 1e6 {
                 return; // blew up as expected
@@ -340,7 +335,7 @@ mod tests {
         let f = 25.0;
         let t0 = 1.2 / f;
         for t in 0..steps {
-            s.step(&m, &dpx, &dpz, IsoPmlVariant::PmlEverywhere, 1);
+            s.step(&m, &dpx, &dpz, 1);
             s.inject(&m, n / 2, n / 2, ricker(f, t as f32 * m.geom.dt - t0));
         }
         let elapsed = steps as f32 * m.geom.dt - t0; // since wavelet peak
@@ -371,7 +366,7 @@ mod tests {
         let mut peak = 0.0f64;
         // Source active for 80 steps, then free propagation.
         for t in 0..600 {
-            s.step(&m, &dpx, &dpz, IsoPmlVariant::OriginalIfs, 1);
+            s.step(&m, &dpx, &dpz, 1);
             if t < 80 {
                 s.inject(&m, n / 2, n / 2, ricker(25.0, t as f32 * m.geom.dt - 0.048));
             }
@@ -392,7 +387,7 @@ mod tests {
         let mut seq = Iso2State::new(e);
         let mut par = Iso2State::new(e);
         for t in 0..40 {
-            seq.step(&m, &dpx, &dpz, IsoPmlVariant::OriginalIfs, 1);
+            seq.step(&m, &dpx, &dpz, 1);
             // Manual 3-slab split of the same kernel.
             {
                 let u = SyncSlice::new(par.u_prev.as_mut_slice());
@@ -407,7 +402,6 @@ mod tests {
                         m.geom.dt,
                         &dpx,
                         &dpz,
-                        IsoPmlVariant::OriginalIfs,
                         z0,
                         z1,
                     );

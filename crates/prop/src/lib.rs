@@ -5,9 +5,9 @@
 //! {2D, 3D} — plus the kernel variants its GPU optimization study compares:
 //!
 //! * **isotropic** ([`iso2d`], [`iso3d`]): 2nd-order-in-time leapfrog on the
-//!   scalar wave equation with a damping-layer PML; three kernel variants
-//!   reproduce the Figure 6/7 restructurings (boundary `if`s, restructured
-//!   loop indices, PML-everywhere),
+//!   scalar wave equation with a damping-layer PML, one branch-free row
+//!   kernel per dimension; the Figure 6/7 restructurings of its PML control
+//!   flow ([`IsoPmlVariant`]) exist only in the [`desc`] pricing model,
 //! * **acoustic** ([`acoustic2d`], [`acoustic3d`]): 1st-order staggered
 //!   pressure–velocity system with C-PML; the 3D pressure kernel exists in
 //!   *fused* and *fissioned* forms (Figure 12) and the 2D system in *direct*
@@ -42,7 +42,8 @@ pub mod vti2d;
 
 use serde::{Deserialize, Serialize};
 
-/// Which variant of the isotropic PML kernel to run (Figures 6/7).
+/// Which GPU variant of the isotropic PML kernel to price (Figures 6/7).
+/// All three compute the same bits; the host runs one kernel for all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IsoPmlVariant {
     /// Boundary `if`-statements inside the main loop (the original code).

@@ -189,7 +189,6 @@ pub fn step_slab(
 mod tests {
     use super::*;
     use crate::iso2d::Iso2State;
-    use crate::IsoPmlVariant;
     use seismic_grid::cfl::stable_dt;
     use seismic_model::{extent2, Geometry, IsoModel2, VtiModel2};
     use seismic_source::ricker;
@@ -229,7 +228,7 @@ mod tests {
         let mut ref_ = Iso2State::new(m.vp.extent());
         for t in 0..60 {
             vti.step(&m, &d, &d, 1);
-            ref_.step(&iso, &d, &d, IsoPmlVariant::PmlEverywhere, 1);
+            ref_.step(&iso, &d, &d, 1);
             let amp = ricker(25.0, t as f32 * m.geom.dt - 0.048);
             vti.inject(&m, 32, 32, amp);
             ref_.inject(&iso, 32, 32, amp);

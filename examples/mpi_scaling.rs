@@ -15,7 +15,6 @@ use seismic_model::footprint::{Dims, Formulation};
 use seismic_model::{extent2, Geometry};
 use seismic_pml::DampProfile;
 use seismic_prop::iso2d::Iso2State;
-use seismic_prop::IsoPmlVariant;
 use seismic_source::Wavelet;
 
 fn main() {
@@ -34,7 +33,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut seq = Iso2State::new(extent);
     for t in 0..steps {
-        seq.step(&model, &damp, &damp, IsoPmlVariant::OriginalIfs, 1);
+        seq.step(&model, &damp, &damp, 1);
         seq.inject(&model, src.0, src.1, wavelet.sample(t as f32 * dt));
     }
     let t_seq = t0.elapsed();

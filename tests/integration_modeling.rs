@@ -10,7 +10,6 @@ use seismic_model::builder::{acoustic2_layered, elastic2_layered, iso2_layered, 
 use seismic_model::{extent2, Geometry};
 use seismic_pml::{CpmlAxis, DampProfile};
 use seismic_prop::iso2d::Iso2State;
-use seismic_prop::IsoPmlVariant;
 use seismic_source::{Acquisition2, Wavelet};
 
 fn media(n: usize) -> Vec<(&'static str, Medium2)> {
@@ -128,7 +127,7 @@ fn mpi_decomposition_matches_sequential_uneven_split() {
     let steps = 80;
     let mut seq = Iso2State::new(e);
     for t in 0..steps {
-        seq.step(&m, &damp, &damp, IsoPmlVariant::OriginalIfs, 1);
+        seq.step(&m, &damp, &damp, 1);
         seq.inject(&m, 20, 30, w.sample(t as f32 * dt));
     }
     let got = modeling_iso2_mpi(&m, &damp, &damp, (20, 30), &w, steps, 6);
@@ -225,7 +224,7 @@ fn mpi3_decomposition_matches_sequential() {
     let steps = 30;
     let mut seq = Iso3State::new(e);
     for t in 0..steps {
-        seq.step(&m, &damp, IsoPmlVariant::OriginalIfs, 1);
+        seq.step(&m, &damp, 1);
         seq.inject(&m, n / 2, n / 2, 8, w.sample(t as f32 * dt));
     }
     let got = modeling_iso3_mpi(&m, &damp, (n / 2, n / 2, 8), &w, steps, 4);
