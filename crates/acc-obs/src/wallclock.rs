@@ -18,6 +18,8 @@
 //! `TileBatch` instants are folded into counters and per-worker tile
 //! totals rather than rendered as spans — a small run records tens of
 //! thousands of them, which would drown the timeline.
+//!
+//! [`Registry`]: crate::Registry
 
 use crate::registry::Histogram;
 use crate::session::ObsSession;

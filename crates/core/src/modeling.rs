@@ -135,7 +135,7 @@ impl State2 {
 
     /// Overwrite this state from `other` without allocating. Both must be
     /// the same formulation on the same extent — the checkpoint-slot and
-    /// arena-reuse path (a clone allocates every field; this recycles them).
+    /// buffer-reuse path (a clone allocates every field; this recycles them).
     pub fn copy_from(&mut self, other: &Self) {
         match (self, other) {
             (State2::Iso(d), State2::Iso(s)) => d.copy_from(s),

@@ -138,7 +138,7 @@ impl State3 {
 
     /// Overwrite this state from `other` without allocating. Both must be
     /// the same formulation on the same extent — the checkpoint-slot and
-    /// arena-reuse path.
+    /// buffer-reuse path.
     pub fn copy_from(&mut self, other: &Self) {
         match (self, other) {
             (State3::Iso(d), State3::Iso(s)) => d.copy_from(s),

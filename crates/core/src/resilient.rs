@@ -27,6 +27,8 @@
 //!   inputs to the overhead-vs-MTTI tables in `repro`, and
 //!   [`optimal_checkpoint_interval`] sizes the checkpoint period from the
 //!   MTTI (Young's first-order rule).
+//!
+//! [`rtm_shot_parallel`]: crate::shot_parallel::rtm_shot_parallel
 
 use crate::case::OptimizationConfig;
 use crate::drive::{self, Medium as _, Restart};
@@ -437,6 +439,8 @@ pub struct SurveySchedule {
 /// per-rank clocks, transient failures retried under `policy`, lost
 /// devices blacklisted with their queued shots rescheduled onto the
 /// least-loaded survivor. Pure: same arguments → same schedule.
+///
+/// [`rtm_shot_parallel`]: crate::shot_parallel::rtm_shot_parallel
 pub fn plan_survey(
     n_shots: usize,
     ranks: usize,
@@ -598,6 +602,8 @@ pub fn plan_survey_obs(
 /// [`rtm_shot_parallel`] with the same nominal `ranks` — no matter which
 /// ranks failed or where shots actually ran. Fails with
 /// [`RtmError::NoHealthyRanks`] only when every rank is lost.
+///
+/// [`rtm_shot_parallel`]: crate::shot_parallel::rtm_shot_parallel
 #[allow(clippy::too_many_arguments)]
 pub fn rtm_survey_resilient(
     medium: &Medium2,

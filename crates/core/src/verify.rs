@@ -24,7 +24,7 @@
 
 use crate::case::{ImagePlacement, OptimizationConfig, SeismicCase, Workload};
 use crate::plan::{self, LaunchSpec, Phase};
-use acc_verify::vectorize::{VectorCertificate, VECTOR_ALIGN};
+use acc_verify::vectorize::VECTOR_ALIGN;
 use acc_verify::{Launch, Op, Program};
 use openacc_sim::access::{AccessSet, ReduceOp};
 use openacc_sim::{Clause, Compiler, ConstructKind, LoopNest};
@@ -532,18 +532,6 @@ pub fn reduction_launches(p: &Program) -> usize {
         .count()
 }
 
-/// Feed a program's vector certificates to the host engine's SIMD width
-/// registry ([`exec_host::simd`]): a certified-legal loop publishes its
-/// proven width, anything else publishes scalar (1). `exec_host::tiles_for`
-/// then annotates the matching host sweeps, so the loop scheduler's lane
-/// assumption is exactly what the verifier proved — never more.
-pub fn publish_certificates(certs: &[VectorCertificate]) {
-    for c in certs {
-        let width = if c.certified_legal() { c.width } else { 1 };
-        exec_host::simd::publish_width(&c.kernel, width);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -839,29 +827,6 @@ mod tests {
         let l1 = vectorize::lane_crosscheck(after);
         assert!(l0.agree() && l0.per_width.iter().all(|wc| wc.dynamic_safe));
         assert!(l1.agree() && l1.per_width.iter().all(|wc| !wc.dynamic_safe));
-    }
-
-    /// Certified widths flow into the host engine: publishing a program's
-    /// certificates makes `exec_host::tiles_for` annotate the matching
-    /// sweep with the proven width.
-    #[test]
-    fn certificates_publish_to_host_registry() {
-        use acc_verify::vectorize;
-        let case = SeismicCase {
-            formulation: Formulation::Isotropic,
-            dims: Dims::Two,
-        };
-        let w = test_workload(Dims::Two);
-        let prog = modeling_program(&case, &OptimizationConfig::default(), PGI, &w);
-        let certs = vectorize::certify_program(&prog, &ctx());
-        publish_certificates(&certs);
-        let legal = certs
-            .iter()
-            .find(|c| c.certified_legal())
-            .expect("a certified loop");
-        assert_eq!(exec_host::simd::certified_width(&legal.kernel), legal.width);
-        let tiling = exec_host::tiles_for(&legal.kernel, 100_000, 3, 9);
-        assert_eq!(tiling.vector_width, legal.width);
     }
 
     #[test]

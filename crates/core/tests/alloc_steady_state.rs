@@ -4,8 +4,8 @@
 //! drivers' buffers exist (state, seismogram, preallocated snapshot
 //! slots), a full per-step iteration — kernel step, source injection,
 //! receiver recording, snapshot write — must perform zero heap
-//! allocations. This is the arena/`copy_from` acceptance criterion of the
-//! host execution engine made mechanical: any `clone()` or `Vec` growth
+//! allocations. This is the write-into (`copy_from`) acceptance criterion
+//! of the host execution engine made mechanical: any `clone()` or `Vec` growth
 //! sneaking back into the hot loop fails this test immediately.
 //!
 //! The whole check lives in ONE test fn: the counter is process-global, so

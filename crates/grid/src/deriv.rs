@@ -334,11 +334,13 @@ mod tests {
         assert!((d.get(4, 4, 4) - 1.0).abs() < 1e-4);
     }
 
-    /// Forcing a tiny x-tile produces bitwise-identical Laplacians: the
-    /// blocking schedule may only change speed, never bits.
+    /// A grid wide enough for the tuner to split into x-tiles gives the
+    /// same Laplacian bits as an untiled per-point loop: the blocking
+    /// schedule may only change speed, never bits.
     #[test]
     fn tiling_is_bitwise_invariant() {
-        let e = Extent2::new(57, 23, H);
+        let e = Extent2::new(1900, 5, H);
+        assert!(tiles(e.nx, 2, LAP_ROWS).tile_x < e.nx, "grid must split");
         let mut u = Field2::zeros(e);
         for iz in 0..e.full_nz() {
             for ix in 0..e.full_nx() {
@@ -346,14 +348,25 @@ mod tests {
                 u.as_mut_slice()[e.raw_idx(ix, iz)] = v;
             }
         }
-        exec_host::tile::set_tile_override(0);
-        let mut whole = Field2::zeros(e);
-        laplacian2(&u, &mut whole, 0.7, 1.3);
-        exec_host::tile::set_tile_override(8);
+        let (dx, dz) = (0.7f32, 1.3f32);
         let mut tiled = Field2::zeros(e);
-        laplacian2(&u, &mut tiled, 0.7, 1.3);
-        exec_host::tile::set_tile_override(0);
-        assert_eq!(whole.as_slice(), tiled.as_slice());
+        laplacian2(&u, &mut tiled, dx, dz);
+        let (rdx2, rdz2) = (1.0 / (dx * dx), 1.0 / (dz * dz));
+        let (ui, fnx) = (u.as_slice(), e.full_nx());
+        let mut expect = Field2::zeros(e);
+        for iz in 0..e.nz {
+            for ix in 0..e.nx {
+                let c = e.idx(ix, iz);
+                let mut lap = f32c::C2[0] * ui[c] * (rdx2 + rdz2);
+                for k in 1..=STENCIL_HALF {
+                    lap += f32c::C2[k] * ((ui[c + k] + ui[c - k]) * rdx2);
+                    lap += f32c::C2[k] * ((ui[c + k * fnx] + ui[c - k * fnx]) * rdz2);
+                }
+                expect.as_mut_slice()[c] = lap;
+            }
+        }
+        let bits = |f: &Field2| f.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tiled), bits(&expect));
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl Field2 {
 
     /// Overwrite the whole allocation (halo included) from `other` — the
     /// allocation-free replacement for `clone()` when a recycled field of
-    /// the same extent is at hand (checkpoint slots, arena buffers).
+    /// the same extent is at hand (checkpoint slots, reused buffers).
     pub fn copy_from(&mut self, other: &Field2) {
         assert_eq!(
             self.extent, other.extent,

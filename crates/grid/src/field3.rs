@@ -95,7 +95,7 @@ impl Field3 {
 
     /// Overwrite the whole allocation (halo included) from `other` — the
     /// allocation-free replacement for `clone()` when a recycled field of
-    /// the same extent is at hand (snapshot slots, arena buffers).
+    /// the same extent is at hand (snapshot slots, reused buffers).
     pub fn copy_from(&mut self, other: &Field3) {
         assert_eq!(
             self.extent, other.extent,

@@ -66,9 +66,9 @@ struct Mapping {
 /// Besides capacity accounting, the environment keeps a *dirty bit* per
 /// mapped array in each direction: kernels report their writes through
 /// [`DataEnv::mark_device_write`], hosts report theirs through
-/// [`DataEnv::mark_host_write`], and [`DataEnv::host_read`] /
-/// [`DataEnv::device_read_check`] turn a read of stale data into a typed
-/// error instead of a silent wrong answer.
+/// [`DataEnv::mark_host_write`]. [`DataEnv::host_read`] turns a host read
+/// of stale data into a typed error instead of a silent wrong answer, and
+/// [`DataEnv::device_copy_stale`] flags the dual hazard on the device side.
 pub struct DataEnv {
     dev: DeviceSpec,
     mem: DeviceMemory,

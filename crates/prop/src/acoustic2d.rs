@@ -56,7 +56,7 @@ impl Ac2State {
     }
 
     /// Overwrite every field from `other` without allocating (extents must
-    /// match) — the arena-reuse path for checkpoints and retries.
+    /// match) — the buffer-reuse path for checkpoints and retries.
     pub fn copy_from(&mut self, other: &Self) {
         self.p.copy_from(&other.p);
         self.qx.copy_from(&other.qx);

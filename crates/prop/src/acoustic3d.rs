@@ -63,7 +63,7 @@ impl Ac3State {
     }
 
     /// Overwrite every field from `other` without allocating (extents must
-    /// match) — the arena-reuse path for checkpoints and retries.
+    /// match) — the buffer-reuse path for checkpoints and retries.
     pub fn copy_from(&mut self, other: &Self) {
         self.p.copy_from(&other.p);
         self.qx.copy_from(&other.qx);

@@ -81,7 +81,7 @@ impl El3State {
     }
 
     /// Overwrite every field from `other` without allocating (extents must
-    /// match) — the arena-reuse path for checkpoints and retries.
+    /// match) — the buffer-reuse path for checkpoints and retries.
     pub fn copy_from(&mut self, other: &Self) {
         self.vx.copy_from(&other.vx);
         self.vy.copy_from(&other.vy);

@@ -14,7 +14,7 @@
 //! indices vs PML-everywhere) are priced by the GPU mapping model
 //! (`crate::desc`), not run as separate host kernels.
 
-use exec_host::{par_slabs, tiles_for};
+use exec_host::{par_slabs, tiles};
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent2, Field2, SyncSlice, STENCIL_HALF};
 use seismic_model::IsoModel2;
@@ -94,7 +94,7 @@ impl Iso2State {
     }
 
     /// Overwrite this state from `other` without allocating (both time
-    /// levels; extents must match). Checkpoint/restart and arena reuse go
+    /// levels; extents must match). Checkpoint/restart and buffer reuse go
     /// through this instead of `clone()`.
     pub fn copy_from(&mut self, other: &Self) {
         self.u_prev.copy_from(&other.u_prev);
@@ -138,7 +138,7 @@ pub fn step_slab(
     // tile resident across rows on wide grids. Point updates are
     // independent, so the schedule is bitwise-free (single tile on small
     // grids).
-    let tiling = tiles_for("iso_kernel_2d", e.nx, 3, 2 * STENCIL_HALF + 1);
+    let tiling = tiles(e.nx, 3, 2 * STENCIL_HALF + 1);
     for (x0, x1) in tiling.ranges(0, e.nx) {
         let n = x1 - x0;
         let sx = &damp_x.as_slice()[x0 + e.halo..][..n];
@@ -288,7 +288,7 @@ pub(crate) mod tests {
                 assert_eq!(bits(&got), bits(&expect), "{nx}x{nz}");
             }
         }
-        let tiling = tiles_for("iso_kernel_2d", 1300, 3, 2 * STENCIL_HALF + 1);
+        let tiling = tiles(1300, 3, 2 * STENCIL_HALF + 1);
         assert!(tiling.tile_x < 1300, "wide grid must split into x-tiles");
     }
 

@@ -5,7 +5,7 @@
 //! restructurings on this case; they are priced by `crate::desc`, not run
 //! as separate host kernels.
 
-use exec_host::{par_slabs, tiles_for};
+use exec_host::{par_slabs, tiles};
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent3, Field3, SyncSlice, STENCIL_HALF};
 use seismic_model::IsoModel3;
@@ -106,12 +106,7 @@ pub fn step_slab(
     let r2_sum = r2[0] + r2[1] + r2[2];
     // x-tile blocking over the y/z row sweeps (bitwise-free; single tile
     // on small grids — see the 2D kernel).
-    let tiling = tiles_for(
-        "iso_kernel_3d",
-        e.nx,
-        3,
-        (2 * STENCIL_HALF + 1) * (2 * STENCIL_HALF + 1),
-    );
+    let tiling = tiles(e.nx, 3, (2 * STENCIL_HALF + 1) * (2 * STENCIL_HALF + 1));
     for (x0, x1) in tiling.ranges(0, e.nx) {
         let n = x1 - x0;
         let sx = &dpx.as_slice()[x0 + e.halo..][..n];
@@ -252,7 +247,7 @@ mod tests {
                 assert_eq!(bits(&got), bits(&expect), "{nx}x{ny}x{nz}");
             }
         }
-        let tiling = tiles_for("iso_kernel_3d", 150, 3, 81);
+        let tiling = tiles(150, 3, 81);
         assert!(tiling.tile_x < 150, "wide grid must split into x-tiles");
     }
 

@@ -48,7 +48,7 @@ impl Vti2State {
     }
 
     /// Overwrite every field from `other` without allocating (extents must
-    /// match) — the arena-reuse path for checkpoints and retries.
+    /// match) — the buffer-reuse path for checkpoints and retries.
     pub fn copy_from(&mut self, other: &Self) {
         self.p_prev.copy_from(&other.p_prev);
         self.p_cur.copy_from(&other.p_cur);

@@ -73,6 +73,23 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
     }
 }
 
+/// The gang count: `--gangs` when given, else `ACC_GANGS` or one gang per
+/// core. A malformed or out-of-range value from either source is a usage
+/// error (exit 2), and `ACC_GANGS` is read only when the flag is absent.
+fn gangs(flags: &HashMap<String, String>) -> usize {
+    use openacc_sim::exec::{parse_gangs, try_default_gangs, MAX_GANGS};
+    match flags.get("gangs") {
+        Some(v) => parse_gangs(v).unwrap_or_else(|_| {
+            eprintln!("invalid value for --gangs: {v} (expected 1..={MAX_GANGS})");
+            exit(2)
+        }),
+        None => try_default_gangs().unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(2)
+        }),
+    }
+}
+
 fn build_medium(formulation: &str, n: usize, h: f32) -> (Medium2, f32) {
     let e = extent2(n, n);
     let vmax = 3200.0f32;
@@ -138,7 +155,7 @@ fn cmd_model(flags: HashMap<String, String>) {
     let n: usize = get(&flags, "n", 160);
     let steps: usize = get(&flags, "steps", 600);
     let freq: f32 = get(&flags, "freq", 18.0);
-    let gangs: usize = get(&flags, "gangs", openacc_sim::exec::default_gangs());
+    let gangs = gangs(&flags);
     let snap: usize = get(&flags, "snap", (steps / 6).max(1));
     if steps == 0 || snap == 0 {
         eprintln!("--steps and --snap must be positive");
@@ -187,7 +204,7 @@ fn cmd_rtm(flags: HashMap<String, String>) {
     let n: usize = get(&flags, "n", 128);
     let steps: usize = get(&flags, "steps", 1100);
     let freq: f32 = get(&flags, "freq", 18.0);
-    let gangs: usize = get(&flags, "gangs", openacc_sim::exec::default_gangs());
+    let gangs = gangs(&flags);
     let shots: usize = get(&flags, "shots", 1);
     let model_kind = flags.get("model").map(String::as_str).unwrap_or("layered");
     let out: Option<String> = flags.get("out").cloned();

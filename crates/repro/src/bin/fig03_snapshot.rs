@@ -12,6 +12,10 @@ use seismic_pml::CpmlAxis;
 use seismic_source::{Acquisition2, Wavelet};
 
 fn main() {
+    let gangs = openacc_sim::exec::try_default_gangs().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let n = 240;
     let e = extent2(n, n);
     let h = 10.0;
@@ -30,7 +34,7 @@ fn main() {
         &OptimizationConfig::default(),
         700,
         100,
-        openacc_sim::exec::default_gangs(),
+        gangs,
     );
     println!("Figure 3: acoustic 2D modeling snapshots (layered model, Ricker 15 Hz)\n");
     std::fs::create_dir_all("out").ok();

@@ -12,6 +12,10 @@ use seismic_pml::CpmlAxis;
 use seismic_source::{Acquisition2, Wavelet};
 
 fn main() {
+    let gangs = openacc_sim::exec::try_default_gangs().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let n = 128;
     let z_if = 64;
     let e = extent2(n, n);
@@ -46,7 +50,7 @@ fn main() {
         &OptimizationConfig::default(),
         1100,
         3,
-        openacc_sim::exec::default_gangs(),
+        gangs,
     );
     let img = laplacian_filter(&r.image, h, h);
     print!("{}", ascii_field(&img, 80, 3.0));

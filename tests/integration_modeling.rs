@@ -231,13 +231,21 @@ fn mpi3_decomposition_matches_sequential() {
     assert_eq!(got, seq.u_cur);
 }
 
-/// Runs `acc_rtm` with `args` and returns its exit code.
-fn acc_rtm_exit(args: &[&str]) -> Option<i32> {
+/// Runs `acc_rtm` with `args`, adding `env` to the child's environment
+/// only, and returns its exit code and stderr.
+fn acc_rtm_run(args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_acc_rtm"))
         .args(args)
+        .envs(env.iter().copied())
         .output()
         .expect("acc_rtm runs");
-    out.status.code()
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
+}
+
+/// Runs `acc_rtm` with `args` and returns its exit code.
+fn acc_rtm_exit(args: &[&str]) -> Option<i32> {
+    acc_rtm_run(args, &[]).0
 }
 
 /// `acc_rtm model --snap 0` is a usage error (exit 2), not a
@@ -258,4 +266,37 @@ fn cli_model_rejects_zero_steps() {
         acc_rtm_exit(&["model", "--n", "40", "--steps", "0"]),
         Some(2)
     );
+}
+
+/// `acc_rtm model --gangs 0` is a usage error (exit 2) naming the flag,
+/// not the gang pool's "need at least one gang" assert.
+#[test]
+fn cli_model_rejects_zero_gangs() {
+    let (code, stderr) = acc_rtm_run(
+        &["model", "--n", "40", "--steps", "10", "--gangs", "0"],
+        &[],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--gangs: 0"), "{stderr}");
+}
+
+/// A malformed `ACC_GANGS` is a typed usage error (exit 2) when it is the
+/// gang source, and is never read when `--gangs` is given.
+#[test]
+fn cli_model_rejects_malformed_acc_gangs() {
+    let args = [
+        "model",
+        "--n",
+        "40",
+        "--steps",
+        "10",
+        "--formulation",
+        "iso",
+    ];
+    let (code, stderr) = acc_rtm_run(&args, &[("ACC_GANGS", "wide")]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("ACC_GANGS=\"wide\""), "{stderr}");
+    let with_flag = [&args[..], &["--gangs", "2"]].concat();
+    let (code, stderr) = acc_rtm_run(&with_flag, &[("ACC_GANGS", "wide")]);
+    assert_eq!(code, Some(0), "{stderr}");
 }
