@@ -14,7 +14,7 @@ use crate::job::JobKind;
 use openacc_sim::compiler::Compiler;
 use parking_lot::Mutex;
 use rtm_core::case::{Cluster, SeismicCase, Workload};
-use rtm_core::gpu_time::{modeling_time, rand_bound_time, rtm_time};
+use rtm_core::gpu_time::price;
 use rtm_core::OptimizationConfig;
 use std::collections::BTreeMap;
 
@@ -61,12 +61,8 @@ pub fn price_shot_cost(
         steps: workload.steps.clamp(1, PROBE_STEPS),
         ..*workload
     };
-    let run = match kind {
-        JobKind::Rtm => rtm_time(case, config, compiler, cluster, &probe),
-        JobKind::Modeling => modeling_time(case, config, compiler, cluster, &probe),
-        JobKind::RtmRandomBoundary => rand_bound_time(case, config, compiler, cluster, &probe),
-    }
-    .map_err(|e| e.to_string())?;
+    let run =
+        price(kind, case, config, compiler, cluster, &probe, None).map_err(|e| e.to_string())?;
     let per_step = run.breakdown.total_s / probe.steps as f64;
     let price = per_step * workload.steps.max(1) as f64;
     if !price.is_finite() || price <= 0.0 {

@@ -28,18 +28,8 @@ impl Tenant {
 }
 
 /// Which driver a job exercises (pricing differs: RTM replays the forward
-/// wavefield, modeling does not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobKind {
-    /// Reverse time migration (forward + backward + imaging).
-    Rtm,
-    /// Forward modeling only.
-    Modeling,
-    /// Random-boundary RTM: remodeling-based source reconstruction —
-    /// roughly 2× the source compute of [`JobKind::Rtm`]'s forward pass in
-    /// exchange for zero checkpoint I/O.
-    RtmRandomBoundary,
-}
+/// wavefield, modeling does not) — the schedule job of [`rtm_core::plan`].
+pub use rtm_core::plan::Job as JobKind;
 
 /// How the per-shot cost of a job is determined.
 #[derive(Debug, Clone, PartialEq)]

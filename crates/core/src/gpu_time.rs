@@ -1,21 +1,22 @@
 //! Production-scale GPU timing estimates (the GPU columns of Tables 3/4).
 //!
-//! These run the exact launch/transfer sequence of the drivers through the
-//! `openacc-sim` runtime *without* executing the physics, so Table-scale
-//! workloads (hundreds of steps over 400³ grids) are priced in
-//! milliseconds of host time. The real-execution drivers in
-//! [`crate::modeling`] / [`crate::rtm`] issue the same sequences, so what
-//! the tables price is what the examples run.
+//! [`price`] replays a driver's directive schedule ([`plan::walk`], the
+//! schedule's only home) on the `openacc-sim` runtime *without* executing
+//! the physics, so Table-scale workloads (hundreds of steps over 400³
+//! grids) are priced in milliseconds of host time. The real-execution
+//! drivers in [`crate::modeling`] / [`crate::rtm`] issue the same launch
+//! plans, so what the tables price is what the examples run. The one
+//! directive the pricer skips is the verifier-only QC energy norm, which
+//! no driver computes.
 
-use crate::case::{Cluster, ImagePlacement, OptimizationConfig, SeismicCase, Workload};
-use crate::plan;
+use crate::case::{Cluster, OptimizationConfig, SeismicCase, Workload};
+use crate::plan::{self, Directive, Job};
 use acc_obs::{ObsSession, Span, SpanCat, Track};
 use accel_sim::pcie::TransferKind;
 use accel_sim::SimTime;
 use openacc_sim::data::DataError;
 use openacc_sim::{AccRuntime, Compiler};
-use seismic_grid::STENCIL_HALF;
-use seismic_model::footprint::{self, Dims, Formulation};
+use seismic_model::footprint::Dims;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -38,39 +39,109 @@ pub struct GpuRun {
     pub runtime: AccRuntime,
 }
 
-fn breakdown(rt: &AccRuntime) -> TimingBreakdown {
-    TimingBreakdown {
-        total_s: rt.elapsed(),
-        kernel_s: rt.profiler().compute_time(),
-        transfer_s: rt.profiler().transfer_time(),
+/// Price `job` on `cluster`'s GPU under `compiler`. Fails with the
+/// allocation error for cases that do not fit the card (elastic 3D on the
+/// 6 GB Fermi — the `X` cells).
+///
+/// With an observability session the runtime records directive, kernel
+/// and transfer spans, and the replay adds the phase spans (`forward` /
+/// `backward` / `imaging`, or `remodel_forward` / `remodel_backward` for
+/// random boundaries), a checkpoint span per snapshot save
+/// (`snapshot_write` when modeling, `checkpoint_write` in RTM) and
+/// restore (`checkpoint_restore`), and the registry counters
+/// `checkpoints_written`, `checkpoints_restored`, `checkpoint_bytes` and
+/// `checkpoint_bytes_avoided` (the snapshot bytes random-boundary RTM does
+/// not move). Observation never changes the priced timings.
+pub fn price(
+    job: Job,
+    case: &SeismicCase,
+    config: &OptimizationConfig,
+    compiler: Compiler,
+    cluster: Cluster,
+    w: &Workload,
+    obs: Option<Arc<ObsSession>>,
+) -> Result<GpuRun, DataError> {
+    let mut rt = AccRuntime::new(cluster.device(), compiler);
+    if let Some(o) = &obs {
+        rt.attach_obs(o.clone());
     }
-}
-
-fn wavefield_bytes(case: &SeismicCase, w: &Workload) -> u64 {
-    let _ = case;
-    w.alloc_points(STENCIL_HALF) * 4
-}
-
-fn run_phases(rt: &mut AccRuntime, phases: &[plan::Phase]) {
-    for phase in phases {
-        let mut any_async = false;
-        for s in phase {
-            let t = rt.launch(&s.desc, &s.nest, s.kind, &s.clauses);
-            let _ = t;
-            any_async |= s
-                .clauses
-                .iter()
-                .any(|c| matches!(c, openacc_sim::Clause::Async(_)));
+    rt.default_maxregcount = config.maxregcount;
+    // One checkpoint write/restore span plus its registry series.
+    let checkpoint = |name: &str, counter: &str, start: SimTime, end: SimTime, bytes: u64| {
+        if let Some(o) = &obs {
+            let span = Span::new(Track::Host, SpanCat::Checkpoint, name, start, end - start);
+            o.span(span.with_bytes(bytes));
+            o.registry.inc(counter, 1);
+            o.registry.inc("checkpoint_bytes", bytes);
         }
-        if any_async {
-            rt.wait_async();
+    };
+    let save = match job {
+        Job::Modeling => "snapshot_write",
+        _ => "checkpoint_write",
+    };
+    let host = TransferKind::Contiguous;
+    let mut open = Vec::new();
+    plan::walk(job, case, config, compiler, w, |d| {
+        let t0 = rt.elapsed();
+        match d {
+            Directive::EnterData(region, bytes) => rt.enter_data_copyin(region, bytes)?,
+            Directive::ExitData(region) => rt.exit_data_delete(region)?,
+            Directive::Launch(s, ..) => {
+                rt.launch(&s.desc, &s.nest, s.kind, &s.clauses);
+            }
+            Directive::Wait => {
+                rt.wait_async();
+            }
+            // Declared for the verifier only: no driver computes it.
+            Directive::QcNorm(_) => {}
+            Directive::SnapshotSave(region, bytes) => {
+                rt.update_host(region, Some(bytes), host)?;
+                checkpoint(save, "checkpoints_written", t0, rt.elapsed(), bytes);
+            }
+            Directive::SnapshotAvoided(bytes) => {
+                if let Some(o) = &obs {
+                    o.registry.inc("checkpoint_bytes_avoided", bytes);
+                }
+            }
+            Directive::SnapshotRestore(region, bytes) => {
+                rt.update_device(region, Some(bytes), host)?;
+                let end = rt.elapsed();
+                checkpoint("checkpoint_restore", "checkpoints_restored", t0, end, bytes);
+            }
+            Directive::IsoRefresh(region, bytes) => {
+                rt.update_host(region, Some(bytes), host)?;
+                rt.update_device(region, Some(bytes), host)?;
+            }
+            Directive::HostImaging(region, bytes) => {
+                rt.update_host(region, Some(bytes), host)?;
+                rt.advance_host(cluster.cpu().kernel_time(w.points(), 2.0, 16.0));
+            }
+            Directive::ImageStore(region, bytes) => {
+                rt.update_host(region, Some(bytes), host)?;
+            }
+            Directive::Begin(_) => open.push(t0),
+            Directive::End(name) => {
+                let start = open.pop().unwrap_or(t0);
+                if let Some(o) = &obs {
+                    let dur = rt.elapsed() - start;
+                    o.span(Span::new(Track::Host, SpanCat::Phase, name, start, dur));
+                }
+            }
         }
-    }
+        Ok(())
+    })?;
+    Ok(GpuRun {
+        breakdown: TimingBreakdown {
+            total_s: rt.elapsed(),
+            kernel_s: rt.profiler().compute_time(),
+            transfer_s: rt.profiler().transfer_time(),
+        },
+        runtime: rt,
+    })
 }
 
-/// Price a seismic-modeling run (forward only) on `cluster`'s GPU under
-/// `compiler`. Fails with the allocation error for cases that do not fit
-/// the card (elastic 3D on the 6 GB Fermi — the `X` cells).
+/// Price a seismic-modeling run (forward only): [`price`] of
+/// [`Job::Modeling`], unobserved.
 pub fn modeling_time(
     case: &SeismicCase,
     config: &OptimizationConfig,
@@ -78,88 +149,11 @@ pub fn modeling_time(
     cluster: Cluster,
     w: &Workload,
 ) -> Result<GpuRun, DataError> {
-    modeling_time_obs(case, config, compiler, cluster, w, None)
+    price(Job::Modeling, case, config, compiler, cluster, w, None)
 }
 
-/// [`modeling_time`] with an optional observability session: the runtime
-/// records directive/kernel/transfer spans, and the driver adds the
-/// forward-phase span plus per-snapshot checkpoint spans. Observability
-/// never changes the modeled timings.
-pub fn modeling_time_obs(
-    case: &SeismicCase,
-    config: &OptimizationConfig,
-    compiler: Compiler,
-    cluster: Cluster,
-    w: &Workload,
-    obs: Option<Arc<ObsSession>>,
-) -> Result<GpuRun, DataError> {
-    let mut rt = AccRuntime::new(cluster.device(), compiler);
-    if let Some(o) = &obs {
-        rt.attach_obs(o.clone());
-    }
-    rt.default_maxregcount = config.maxregcount;
-    let alloc = w.alloc_points(STENCIL_HALF) as usize;
-    let bytes = footprint::modeling_bytes(case.formulation, case.dims, alloc);
-    rt.enter_data_copyin("fields", bytes)?;
-
-    let phases = plan::step_phases(case, config, w, compiler);
-    let src = plan::source_injection(case, compiler, config);
-    let wf_bytes = wavefield_bytes(case, w);
-    let t0 = rt.elapsed();
-    for step in 0..w.steps {
-        run_phases(&mut rt, &phases);
-        rt.launch(&src.desc, &src.nest, src.kind, &src.clauses);
-        if step % w.snap_period == 0 {
-            // "A branch condition was needed to ensure that the host
-            // snapshot data will not be updated at each time step."
-            let c0 = rt.elapsed();
-            rt.update_host("fields", Some(wf_bytes), TransferKind::Contiguous)
-                .expect("fields present");
-            checkpoint_span(&obs, "snapshot_write", c0, rt.elapsed(), wf_bytes, true);
-        }
-    }
-    if let Some(o) = &obs {
-        o.span(Span::new(
-            Track::Host,
-            SpanCat::Phase,
-            "forward",
-            t0,
-            rt.elapsed() - t0,
-        ));
-    }
-    rt.exit_data_delete("fields").expect("fields present");
-    Ok(GpuRun {
-        breakdown: breakdown(&rt),
-        runtime: rt,
-    })
-}
-
-/// Emit one checkpoint write/restore span plus its registry series.
-fn checkpoint_span(
-    obs: &Option<Arc<ObsSession>>,
-    name: &str,
-    start: SimTime,
-    end: SimTime,
-    bytes: u64,
-    write: bool,
-) {
-    if let Some(o) = obs {
-        o.span(
-            Span::new(Track::Host, SpanCat::Checkpoint, name, start, end - start).with_bytes(bytes),
-        );
-        o.registry.inc(
-            if write {
-                "checkpoints_written"
-            } else {
-                "checkpoints_restored"
-            },
-            1,
-        );
-        o.registry.inc("checkpoint_bytes", bytes);
-    }
-}
-
-/// Price a full RTM run (forward + backward + imaging) on `cluster`'s GPU.
+/// Price a full RTM run (forward + backward + imaging): [`price`] of
+/// [`Job::Rtm`], unobserved.
 pub fn rtm_time(
     case: &SeismicCase,
     config: &OptimizationConfig,
@@ -167,166 +161,15 @@ pub fn rtm_time(
     cluster: Cluster,
     w: &Workload,
 ) -> Result<GpuRun, DataError> {
-    rtm_time_obs(case, config, compiler, cluster, w, None)
-}
-
-/// [`rtm_time`] with an optional observability session: adds per-shot
-/// forward/backward phase spans, per-snapshot checkpoint write/restore
-/// spans (the `update host`/`update device` dance around the forward
-/// wavefield), and imaging spans, on top of the runtime's own
-/// directive/kernel/transfer instrumentation.
-pub fn rtm_time_obs(
-    case: &SeismicCase,
-    config: &OptimizationConfig,
-    compiler: Compiler,
-    cluster: Cluster,
-    w: &Workload,
-    obs: Option<Arc<ObsSession>>,
-) -> Result<GpuRun, DataError> {
-    let mut rt = AccRuntime::new(cluster.device(), compiler);
-    if let Some(o) = &obs {
-        rt.attach_obs(o.clone());
-    }
-    rt.default_maxregcount = config.maxregcount;
-    let alloc = w.alloc_points(STENCIL_HALF) as usize;
-    let fwd_bytes = footprint::modeling_bytes(case.formulation, case.dims, alloc);
-    let wf_bytes = wavefield_bytes(case, w);
-    // The isotropic formulation "requires many host-GPU updates within the
-    // (enter data/exit data) region to keep the variables consistent".
-    let iso_consistency = case.formulation == Formulation::Isotropic;
-
-    // Step 1: forward data allocation.
-    rt.enter_data_copyin("forward", fwd_bytes)?;
-
-    // Step 2: forward phase with snapshot saves.
-    let phases = plan::step_phases(case, config, w, compiler);
-    let src = plan::source_injection(case, compiler, config);
-    let fwd_t0 = rt.elapsed();
-    for step in 0..w.steps {
-        run_phases(&mut rt, &phases);
-        rt.launch(&src.desc, &src.nest, src.kind, &src.clauses);
-        if step % w.snap_period == 0 {
-            let c0 = rt.elapsed();
-            rt.update_host("forward", Some(wf_bytes), TransferKind::Contiguous)
-                .expect("forward present");
-            checkpoint_span(&obs, "checkpoint_write", c0, rt.elapsed(), wf_bytes, true);
-        }
-        if iso_consistency {
-            rt.update_host("forward", Some(wf_bytes / 8), TransferKind::Contiguous)
-                .expect("forward present");
-            rt.update_device("forward", Some(wf_bytes / 8), TransferKind::Contiguous)
-                .expect("forward present");
-        }
-    }
-
-    if let Some(o) = &obs {
-        o.span(Span::new(
-            Track::Host,
-            SpanCat::Phase,
-            "forward",
-            fwd_t0,
-            rt.elapsed() - fwd_t0,
-        ));
-    }
-
-    // Step 3: offload forward scratch (keep the forward wavefield), upload
-    // the backward/imaging set.
-    rt.exit_data_delete("forward").expect("forward present");
-    rt.enter_data_copyin("forward_wavefield", wf_bytes)?;
-    // The backward/receiver propagator re-uses a full modeling-sized field
-    // set plus the accumulating image — this phased peak (rather than
-    // forward + backward co-resident) is what the paper's enter/exit data
-    // restructuring buys.
-    rt.enter_data_copyin("backward", fwd_bytes + wf_bytes)?;
-
-    // Step 4: backward phase with receiver injection + imaging condition.
-    let rcv = plan::receiver_injection(case, compiler, config, w.n_receivers);
-    let img = plan::imaging_kernel(case, compiler, config, w);
-    let bwd_t0 = rt.elapsed();
-    for step in 0..w.steps {
-        if step % w.snap_period == 0 {
-            // Load the saved forward snapshot...
-            let c0 = rt.elapsed();
-            rt.update_device(
-                "forward_wavefield",
-                Some(wf_bytes),
-                TransferKind::Contiguous,
-            )
-            .expect("forward wavefield present");
-            checkpoint_span(
-                &obs,
-                "checkpoint_restore",
-                c0,
-                rt.elapsed(),
-                wf_bytes,
-                false,
-            );
-            let i0 = rt.elapsed();
-            match config.image_placement {
-                ImagePlacement::Gpu => {
-                    rt.launch(&img.desc, &img.nest, img.kind, &img.clauses);
-                }
-                ImagePlacement::Cpu => {
-                    // Host needs the receiver wavefield every snapshot; the
-                    // cross-correlation itself is host time.
-                    rt.update_host("backward", Some(wf_bytes), TransferKind::Contiguous)
-                        .expect("backward present");
-                    let cpu = cluster.cpu();
-                    rt.advance_host(cpu.kernel_time(w.points(), 2.0, 16.0));
-                }
-            }
-            if let Some(o) = &obs {
-                o.span(Span::new(
-                    Track::Host,
-                    SpanCat::Phase,
-                    "imaging",
-                    i0,
-                    rt.elapsed() - i0,
-                ));
-            }
-        }
-        run_phases(&mut rt, &phases);
-        for r in &rcv {
-            rt.launch(&r.desc, &r.nest, r.kind, &r.clauses);
-        }
-        if iso_consistency {
-            rt.update_host("backward", Some(wf_bytes / 8), TransferKind::Contiguous)
-                .expect("backward present");
-            rt.update_device("backward", Some(wf_bytes / 8), TransferKind::Contiguous)
-                .expect("backward present");
-        }
-    }
-
-    if let Some(o) = &obs {
-        o.span(Span::new(
-            Track::Host,
-            SpanCat::Phase,
-            "backward",
-            bwd_t0,
-            rt.elapsed() - bwd_t0,
-        ));
-    }
-
-    // Step 5: store the image and free the device.
-    rt.update_host("backward", Some(w.points() * 4), TransferKind::Contiguous)
-        .expect("backward present");
-    rt.exit_data_delete("backward").expect("backward present");
-    rt.exit_data_delete("forward_wavefield")
-        .expect("forward wavefield present");
-    Ok(GpuRun {
-        breakdown: breakdown(&rt),
-        runtime: rt,
-    })
+    price(Job::Rtm, case, config, compiler, cluster, w, None)
 }
 
 /// Price a random-boundary RTM run (forward remodeling + lockstep
-/// backward) on `cluster`'s GPU. Trades the checkpoint traffic of
-/// [`rtm_time`] for a second source propagation: the forward pass never
-/// updates the host (no snapshot stream), and the backward pass runs the
-/// source phases *again* in reverse, in lockstep with the receiver
-/// phases, with no snapshot restores. Both full field sets are
-/// co-resident during the backward pass — that is the method's memory
-/// price on-device, while host-side snapshot storage drops to zero.
+/// backward): [`price`] of [`Job::RtmRandomBoundary`], unobserved. It
+/// trades the checkpoint traffic of [`rtm_time`] for a second source
+/// propagation, and both full field sets are co-resident during the
+/// backward pass — the method's memory price on-device, while host-side
+/// snapshot storage drops to zero.
 pub fn rand_bound_time(
     case: &SeismicCase,
     config: &OptimizationConfig,
@@ -334,135 +177,15 @@ pub fn rand_bound_time(
     cluster: Cluster,
     w: &Workload,
 ) -> Result<GpuRun, DataError> {
-    rand_bound_time_obs(case, config, compiler, cluster, w, None)
-}
-
-/// [`rand_bound_time`] with an optional observability session:
-/// `remodel_forward`/`remodel_backward` phase spans, imaging spans, and a
-/// `checkpoint_bytes_avoided` registry counter (the snapshot bytes
-/// [`rtm_time`] would have moved to the host). No checkpoint spans are
-/// ever emitted — there are none.
-pub fn rand_bound_time_obs(
-    case: &SeismicCase,
-    config: &OptimizationConfig,
-    compiler: Compiler,
-    cluster: Cluster,
-    w: &Workload,
-    obs: Option<Arc<ObsSession>>,
-) -> Result<GpuRun, DataError> {
-    let mut rt = AccRuntime::new(cluster.device(), compiler);
-    if let Some(o) = &obs {
-        rt.attach_obs(o.clone());
-    }
-    rt.default_maxregcount = config.maxregcount;
-    let alloc = w.alloc_points(STENCIL_HALF) as usize;
-    let fwd_bytes = footprint::modeling_bytes(case.formulation, case.dims, alloc);
-    let wf_bytes = wavefield_bytes(case, w);
-    let iso_consistency = case.formulation == Formulation::Isotropic;
-
-    // Step 1: source field set (randomized medium — identical sizes).
-    rt.enter_data_copyin("source", fwd_bytes)?;
-
-    // Step 2: forward remodeling pass. No snapshot `update host` — the
-    // branch the paper needed to throttle host updates disappears
-    // entirely.
-    let phases = plan::step_phases(case, config, w, compiler);
-    let src = plan::source_injection(case, compiler, config);
-    let fwd_t0 = rt.elapsed();
-    for step in 0..w.steps {
-        run_phases(&mut rt, &phases);
-        rt.launch(&src.desc, &src.nest, src.kind, &src.clauses);
-        if step % w.snap_period == 0 {
-            if let Some(o) = &obs {
-                o.registry.inc("checkpoint_bytes_avoided", wf_bytes);
-            }
-        }
-        if iso_consistency {
-            rt.update_host("source", Some(wf_bytes / 8), TransferKind::Contiguous)
-                .expect("source present");
-            rt.update_device("source", Some(wf_bytes / 8), TransferKind::Contiguous)
-                .expect("source present");
-        }
-    }
-    if let Some(o) = &obs {
-        o.span(Span::new(
-            Track::Host,
-            SpanCat::Phase,
-            "remodel_forward",
-            fwd_t0,
-            rt.elapsed() - fwd_t0,
-        ));
-    }
-
-    // Step 3: the receiver/imaging set joins the source set on device —
-    // no `forward_wavefield` staging buffer, but both propagation states
-    // co-resident for the whole backward phase.
-    rt.enter_data_copyin("backward", fwd_bytes + wf_bytes)?;
-
-    // Step 4: lockstep backward — source phases re-run in reverse plus
-    // receiver phases, imaging straight off the live fields (no
-    // restores).
-    let rcv = plan::receiver_injection(case, compiler, config, w.n_receivers);
-    let img = plan::imaging_kernel(case, compiler, config, w);
-    let bwd_t0 = rt.elapsed();
-    for step in 0..w.steps {
-        if step % w.snap_period == 0 {
-            let i0 = rt.elapsed();
-            match config.image_placement {
-                ImagePlacement::Gpu => {
-                    rt.launch(&img.desc, &img.nest, img.kind, &img.clauses);
-                }
-                ImagePlacement::Cpu => {
-                    rt.update_host("backward", Some(wf_bytes), TransferKind::Contiguous)
-                        .expect("backward present");
-                    let cpu = cluster.cpu();
-                    rt.advance_host(cpu.kernel_time(w.points(), 2.0, 16.0));
-                }
-            }
-            if let Some(o) = &obs {
-                o.span(Span::new(
-                    Track::Host,
-                    SpanCat::Phase,
-                    "imaging",
-                    i0,
-                    rt.elapsed() - i0,
-                ));
-            }
-        }
-        // Source reconstruction: same per-step kernel cost as forward.
-        run_phases(&mut rt, &phases);
-        rt.launch(&src.desc, &src.nest, src.kind, &src.clauses);
-        // Receiver propagation.
-        run_phases(&mut rt, &phases);
-        for r in &rcv {
-            rt.launch(&r.desc, &r.nest, r.kind, &r.clauses);
-        }
-        if iso_consistency {
-            rt.update_host("backward", Some(wf_bytes / 8), TransferKind::Contiguous)
-                .expect("backward present");
-            rt.update_device("backward", Some(wf_bytes / 8), TransferKind::Contiguous)
-                .expect("backward present");
-        }
-    }
-    if let Some(o) = &obs {
-        o.span(Span::new(
-            Track::Host,
-            SpanCat::Phase,
-            "remodel_backward",
-            bwd_t0,
-            rt.elapsed() - bwd_t0,
-        ));
-    }
-
-    // Step 5: store the image and free the device.
-    rt.update_host("backward", Some(w.points() * 4), TransferKind::Contiguous)
-        .expect("backward present");
-    rt.exit_data_delete("backward").expect("backward present");
-    rt.exit_data_delete("source").expect("source present");
-    Ok(GpuRun {
-        breakdown: breakdown(&rt),
-        runtime: rt,
-    })
+    price(
+        Job::RtmRandomBoundary,
+        case,
+        config,
+        compiler,
+        cluster,
+        w,
+        None,
+    )
 }
 
 /// Dimensionality-aware default workloads used by tests.
@@ -490,7 +213,9 @@ pub fn test_workload(dims: Dims) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::case::ImagePlacement;
     use openacc_sim::PgiVersion;
+    use seismic_model::footprint::Formulation;
 
     const PGI: Compiler = Compiler::Pgi(PgiVersion::V14_6);
 
@@ -658,14 +383,22 @@ mod tests {
         let plain = rand_bound_time(&c, &cfg, PGI, Cluster::Ibm, &w)
             .unwrap()
             .breakdown;
-        let traced = rand_bound_time_obs(&c, &cfg, PGI, Cluster::Ibm, &w, Some(obs.clone()))
-            .unwrap()
-            .breakdown;
+        let traced = price(
+            Job::RtmRandomBoundary,
+            &c,
+            &cfg,
+            PGI,
+            Cluster::Ibm,
+            &w,
+            Some(obs.clone()),
+        )
+        .unwrap()
+        .breakdown;
         assert_eq!(plain, traced, "observation must not change the pricing");
         let n_snaps = w.steps.div_ceil(w.snap_period) as u64;
         assert_eq!(
             obs.registry.counter("checkpoint_bytes_avoided"),
-            n_snaps * wavefield_bytes(&c, &w)
+            n_snaps * w.alloc_points(seismic_grid::STENCIL_HALF) * 4
         );
         assert_eq!(obs.registry.counter("checkpoints_written"), 0);
         assert_eq!(obs.registry.counter("checkpoints_restored"), 0);

@@ -21,13 +21,14 @@
 
 use crate::case::{Cluster, OptimizationConfig, SeismicCase, Workload};
 use crate::error::{ConfigError, RtmError};
-use crate::plan;
+use crate::plan::{self, Directive};
 use accel_sim::pcie::{transfer_time, HostAlloc, TransferKind};
 use accel_sim::SimTime;
 use openacc_sim::{AccRuntime, Compiler};
 use seismic_grid::STENCIL_HALF;
 use seismic_model::footprint::{self, Dims};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// How ghost shells cross between device, host, and network.
 ///
@@ -217,19 +218,18 @@ pub fn modeling_time_multi(
     // Price one step's kernels over the local slab.
     let phases = plan::step_phases(case, config, &local, compiler);
     let t0 = rt.elapsed();
-    for phase in &phases {
-        let mut any_async = false;
-        for s in phase {
-            rt.launch(&s.desc, &s.nest, s.kind, &s.clauses);
-            any_async |= s
-                .clauses
-                .iter()
-                .any(|c| matches!(c, openacc_sim::Clause::Async(_)));
+    let Ok(()) = plan::emit_step(&phases, "fields", &mut |d| {
+        match d {
+            Directive::Launch(s, ..) => {
+                rt.launch(&s.desc, &s.nest, s.kind, &s.clauses);
+            }
+            Directive::Wait => {
+                rt.wait_async();
+            }
+            _ => {}
         }
-        if any_async {
-            rt.wait_async();
-        }
-    }
+        Ok::<(), Infallible>(())
+    });
     let step_compute = rt.elapsed() - t0;
 
     // Communication: interior ranks exchange with two neighbours; both
@@ -252,8 +252,9 @@ pub fn modeling_time_multi(
     };
     let step = step_compute + exposed;
     let total = step * w.steps as f64
-        // snapshot gathers to host stay on each card's own PCIe link.
-        + (w.steps / w.snap_period.max(1)) as f64
+        // snapshot gathers to host stay on each card's own PCIe link; the
+        // schedule saves at steps 0, p, 2p, …
+        + w.steps.div_ceil(w.snap_period.max(1)) as f64
             * transfer_time(
                 &cluster.device(),
                 local.alloc_points(STENCIL_HALF) * 4,
@@ -462,6 +463,40 @@ mod tests {
         let single = acc_obs::ObsSession::new();
         emit_halo_timeline(&single, &case, &w, &run(1, 128, CommMode::Blocking));
         assert!(single.tracer.is_empty());
+    }
+
+    /// Snapshots are saved at steps 0, p, 2p, …: ⌈steps/p⌉ gathers. A
+    /// 21-step run at period 5 pays one gather more than a 20-step run,
+    /// and a run shorter than one period still pays one.
+    #[test]
+    fn snapshot_gathers_round_up() {
+        let at = |steps| {
+            let w = Workload {
+                steps,
+                snap_period: 5,
+                ..w3(128)
+            };
+            modeling_time_multi(
+                &case3(),
+                &OptimizationConfig::default(),
+                PGI,
+                Cluster::CrayXc30,
+                &w,
+                2,
+                GhostPacking::DevicePacked,
+                CommMode::Blocking,
+            )
+            .expect("fits")
+        };
+        let t20 = at(20);
+        let step = t20.step_compute_s + t20.step_comm_exposed_s;
+        // Twenty steps save four snapshots either way.
+        let gather = (t20.total_s - 20.0 * step) / 4.0;
+        assert!(gather > 0.0);
+        let extra = at(21).total_s - t20.total_s - step;
+        assert!(extra > 0.5 * gather, "21 steps: {extra} vs gather {gather}");
+        let short = at(3).total_s - 3.0 * step;
+        assert!(short > 0.5 * gather, "3 steps: {short} vs gather {gather}");
     }
 
     #[test]

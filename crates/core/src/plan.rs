@@ -1,16 +1,28 @@
-//! Per-time-step kernel launch schedules.
+//! Per-time-step kernel launch schedules, and the one directive schedule
+//! of each driver.
 //!
 //! A *plan* is what the OpenACC port of a propagator looks like to the
 //! device: an ordered list of phases, each a set of kernels that are
 //! mutually independent (the elastic model's velocity kernels, say) and can
-//! go on async streams, with an implicit wait between phases. Both the
-//! production-scale timing estimator ([`crate::gpu_time`]) and the
-//! real-execution drivers consume these plans, so the simulated tables and
-//! the executed examples price identical launch sequences.
+//! go on async streams, with an implicit wait between phases.
+//!
+//! [`walk`] is the only place the drivers' directive sequence (Algorithm 1
+//! of the paper) is written down: the `enter data`/`exit data` phasing, the
+//! branch that issues `update host` only every `snap_period` steps, the
+//! extra host–device updates the isotropic case needs, and the
+//! random-boundary lockstep backward pass. It emits a stream of
+//! [`Directive`]s; the production-scale timing estimator
+//! ([`crate::gpu_time::price`]) and the verifier
+//! ([`crate::verify::program`]) are two replays of that stream, so the
+//! priced tables and the verified programs cannot drift apart. The one
+//! directive only one of them acts on is [`Directive::QcNorm`]: the QC
+//! energy norm is declared for the verifier, and no driver or pricer
+//! computes it.
 
-use crate::case::{OptimizationConfig, SeismicCase, Workload};
+use crate::case::{ImagePlacement, OptimizationConfig, SeismicCase, Workload};
 use openacc_sim::{Clause, Compiler, ConstructKind, LoopNest, LoopSched};
-use seismic_model::footprint::{Dims, Formulation};
+use seismic_grid::STENCIL_HALF;
+use seismic_model::footprint::{self, Dims, Formulation};
 use seismic_prop::desc::{self, KernelDesc};
 use seismic_prop::{IsoPmlVariant, TransposeVariant};
 
@@ -315,6 +327,211 @@ pub fn imaging_kernel(
         divergence: 0.0,
     };
     spec(case, w, compiler, config, d, 1.0, None)
+}
+
+/// Which driver's directive schedule [`walk`] emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Job {
+    /// Reverse time migration (forward + backward + imaging).
+    Rtm,
+    /// Forward modeling only.
+    Modeling,
+    /// Random-boundary RTM: remodeling-based source reconstruction —
+    /// roughly 2× the source compute of [`Job::Rtm`]'s forward pass in
+    /// exchange for zero checkpoint I/O.
+    RtmRandomBoundary,
+}
+
+/// What a kernel launch does in the schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Kernel `index` of the step's stencil phase `phase` (indices into
+    /// [`step_phases`]).
+    Stencil {
+        /// Phase index.
+        phase: usize,
+        /// Kernel index within the phase.
+        index: usize,
+    },
+    /// Source injection.
+    Source,
+    /// Receiver injection.
+    Receiver,
+    /// The imaging condition: correlates the source wavefield held in the
+    /// named region with the receiver field of the launch's region.
+    Imaging(&'static str),
+}
+
+/// One element of a driver's directive schedule. A `&'static str` is a
+/// region: a named device data block of the `enter data`/`exit data`
+/// phasing; a `u64` is the bytes the directive maps or moves.
+#[derive(Debug, Clone, Copy)]
+pub enum Directive<'a> {
+    /// `enter data copyin` of a region.
+    EnterData(&'static str, u64),
+    /// `exit data delete` of a region.
+    ExitData(&'static str),
+    /// One kernel launch on a region's fields.
+    Launch(&'a LaunchSpec, &'static str, Role),
+    /// `wait` after a phase with async launches.
+    Wait,
+    /// The per-step QC energy norm over a region's newest wavefield. It is
+    /// declared for the verifier only: no driver or pricer computes it.
+    QcNorm(&'static str),
+    /// Snapshot save: `update host` of the wavefield, which the host reads.
+    SnapshotSave(&'static str, u64),
+    /// A snapshot step of random-boundary RTM, which moves nothing: the
+    /// wavefield bytes the checkpointed driver would have saved.
+    SnapshotAvoided(u64),
+    /// Snapshot restore: the host stages the saved wavefield, then
+    /// `update device`.
+    SnapshotRestore(&'static str, u64),
+    /// Isotropic consistency refresh: `update host`, a host write, and
+    /// `update device` of part of the wavefield.
+    IsoRefresh(&'static str, u64),
+    /// Imaging on the host: `update host` of the receiver wavefield, then
+    /// the cross-correlation over the grid in host time.
+    HostImaging(&'static str, u64),
+    /// Final image store: `update host` of the image, which the host reads.
+    ImageStore(&'static str, u64),
+    /// Begin of a named phase (`forward`, `backward`, `imaging`,
+    /// `remodel_forward`, `remodel_backward`).
+    Begin(&'static str),
+    /// End of the innermost open phase.
+    End(&'static str),
+}
+
+/// Emit one time step's stencil phases on `region`: every launch of a
+/// phase, then a [`Directive::Wait`] if any of them went on an async queue.
+pub(crate) fn emit_step<'a, E>(
+    phases: &'a [Phase],
+    region: &'static str,
+    emit: &mut impl FnMut(Directive<'a>) -> Result<(), E>,
+) -> Result<(), E> {
+    for (phase, launches) in phases.iter().enumerate() {
+        for (index, spec) in launches.iter().enumerate() {
+            emit(Directive::Launch(
+                spec,
+                region,
+                Role::Stencil { phase, index },
+            ))?;
+        }
+        let is_async = |s: &LaunchSpec| s.clauses.iter().any(|c| matches!(c, Clause::Async(_)));
+        if launches.iter().any(is_async) {
+            emit(Directive::Wait)?;
+        }
+    }
+    Ok(())
+}
+
+/// Emit the whole directive schedule of `job` on `case`, stopping at the
+/// first error `emit` returns.
+///
+/// Modeling maps one `fields` region and saves a snapshot every
+/// `snap_period` steps. RTM runs the same forward pass on `forward`, then
+/// swaps it for the saved `forward_wavefield` and the `backward` set
+/// (receiver field + image), restoring a snapshot and imaging every
+/// `snap_period` steps. Random-boundary RTM saves nothing: its backward
+/// pass re-runs the source phases in lockstep on the co-resident `source`
+/// set and images straight off it.
+pub fn walk<E>(
+    job: Job,
+    case: &SeismicCase,
+    config: &OptimizationConfig,
+    compiler: Compiler,
+    w: &Workload,
+    mut emit: impl FnMut(Directive<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    use Directive::*;
+    let phases = step_phases(case, config, w, compiler);
+    let src = source_injection(case, compiler, config);
+    let rcv = receiver_injection(case, compiler, config, w.n_receivers);
+    let img = imaging_kernel(case, compiler, config, w);
+    let alloc = w.alloc_points(STENCIL_HALF);
+    let fields = footprint::modeling_bytes(case.formulation, case.dims, alloc as usize);
+    let wavefield = alloc * 4;
+    // The isotropic formulation "requires many host-GPU updates within the
+    // (enter data/exit data) region to keep the variables consistent".
+    let iso_refresh = case.formulation == Formulation::Isotropic && job != Job::Modeling;
+    let (source, forward, backward) = match job {
+        Job::Modeling => ("fields", "forward", ""),
+        Job::Rtm => ("forward", "forward", "backward"),
+        Job::RtmRandomBoundary => ("source", "remodel_forward", "remodel_backward"),
+    };
+
+    // Forward pass on the source field set.
+    emit(EnterData(source, fields))?;
+    emit(Begin(forward))?;
+    for step in 0..w.steps {
+        emit_step(&phases, source, &mut emit)?;
+        emit(Launch(&src, source, Role::Source))?;
+        emit(QcNorm(source))?;
+        // "A branch condition was needed to ensure that the host snapshot
+        // data will not be updated at each time step."
+        if step % w.snap_period == 0 {
+            emit(match job {
+                Job::RtmRandomBoundary => SnapshotAvoided(wavefield),
+                _ => SnapshotSave(source, wavefield),
+            })?;
+        }
+        if iso_refresh {
+            emit(IsoRefresh(source, wavefield / 8))?;
+        }
+    }
+    emit(End(forward))?;
+    if job == Job::Modeling {
+        return emit(ExitData(source));
+    }
+
+    // Checkpointed RTM offloads the forward scratch but keeps its saved
+    // wavefield; then the receiver/imaging set (a modeling-sized field set
+    // plus the accumulating image) is uploaded. This phased peak, rather
+    // than forward and backward co-resident, is what the paper's enter/exit
+    // data restructuring buys. Random-boundary RTM keeps both sets.
+    let image_source = match job {
+        Job::Rtm => "forward_wavefield",
+        _ => source,
+    };
+    if job == Job::Rtm {
+        emit(ExitData(source))?;
+        emit(EnterData(image_source, wavefield))?;
+    }
+    emit(EnterData("backward", fields + wavefield))?;
+
+    // Backward pass: imaging every `snap_period` steps, then the receiver
+    // step (after the source reconstruction step, for random boundaries).
+    emit(Begin(backward))?;
+    for step in 0..w.steps {
+        if step % w.snap_period == 0 {
+            if job == Job::Rtm {
+                emit(SnapshotRestore(image_source, wavefield))?;
+            }
+            emit(Begin("imaging"))?;
+            emit(match config.image_placement {
+                ImagePlacement::Gpu => Launch(&img, "backward", Role::Imaging(image_source)),
+                ImagePlacement::Cpu => HostImaging("backward", wavefield),
+            })?;
+            emit(End("imaging"))?;
+        }
+        if job == Job::RtmRandomBoundary {
+            emit_step(&phases, source, &mut emit)?;
+            emit(Launch(&src, source, Role::Source))?;
+        }
+        emit_step(&phases, "backward", &mut emit)?;
+        for spec in &rcv {
+            emit(Launch(spec, "backward", Role::Receiver))?;
+        }
+        emit(QcNorm("backward"))?;
+        if iso_refresh {
+            emit(IsoRefresh("backward", wavefield / 8))?;
+        }
+    }
+    emit(End(backward))?;
+
+    // Store the image and free the device.
+    emit(ImageStore("backward", w.points() * 4))?;
+    emit(ExitData("backward"))?;
+    emit(ExitData(image_source))
 }
 
 #[cfg(test)]

@@ -434,23 +434,6 @@ pub struct SurveySchedule {
     pub stats: ResilienceStats,
 }
 
-/// Deterministically simulate the survey schedule under a fault plan:
-/// round-robin initial placement (matching [`rtm_shot_parallel`]),
-/// per-rank clocks, transient failures retried under `policy`, lost
-/// devices blacklisted with their queued shots rescheduled onto the
-/// least-loaded survivor. Pure: same arguments → same schedule.
-///
-/// [`rtm_shot_parallel`]: crate::shot_parallel::rtm_shot_parallel
-pub fn plan_survey(
-    n_shots: usize,
-    ranks: usize,
-    shot_cost_s: f64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<SurveySchedule, RtmError> {
-    plan_survey_obs(n_shots, ranks, shot_cost_s, plan, policy, None)
-}
-
 /// Emit one resilience-timeline span on a rank track, when observing.
 fn resilience_span(
     obs: Option<&ObsSession>,
@@ -475,12 +458,20 @@ fn resilience_span(
     }
 }
 
-/// [`plan_survey`] with an optional observability session: every shot
-/// attempt, backoff sleep, mid-shot loss, and blacklisting lands as a
-/// span on that rank's timeline track (per-rank clocks are monotone, so
-/// each track stays serial), and the registry accumulates `shot_retries`
-/// and `ranks_blacklisted`. Observation never changes the schedule.
-pub fn plan_survey_obs(
+/// Deterministically simulate the survey schedule under a fault plan:
+/// round-robin initial placement (matching [`rtm_shot_parallel`]),
+/// per-rank clocks, transient failures retried under `policy`, lost
+/// devices blacklisted with their queued shots rescheduled onto the
+/// least-loaded survivor. Pure: same arguments → same schedule.
+///
+/// With an observability session every shot attempt, backoff sleep,
+/// mid-shot loss, and blacklisting lands as a span on that rank's
+/// timeline track (per-rank clocks are monotone, so each track stays
+/// serial), and the registry accumulates `shot_retries` and
+/// `ranks_blacklisted`. Observation never changes the schedule.
+///
+/// [`rtm_shot_parallel`]: crate::shot_parallel::rtm_shot_parallel
+pub fn plan_survey(
     n_shots: usize,
     ranks: usize,
     shot_cost_s: f64,
@@ -618,7 +609,7 @@ pub fn rtm_survey_resilient(
     plan: &FaultPlan,
     policy: &RetryPolicy,
 ) -> Result<(Field2, ResilienceStats), RtmError> {
-    let schedule = plan_survey(shots.len(), ranks, shot_cost_s, plan, policy)?;
+    let schedule = plan_survey(shots.len(), ranks, shot_cost_s, plan, policy, None)?;
     let exec = &schedule.survivors;
     let e = medium.extent();
 
@@ -1132,8 +1123,8 @@ mod tests {
         };
         let (_, plan) = seed_with_partial_loss(3, 100.0, rates);
         let policy = RetryPolicy::default();
-        let a = plan_survey(11, 3, 7.0, &plan, &policy).unwrap();
-        let b = plan_survey(11, 3, 7.0, &plan, &policy).unwrap();
+        let a = plan_survey(11, 3, 7.0, &plan, &policy, None).unwrap();
+        let b = plan_survey(11, 3, 7.0, &plan, &policy, None).unwrap();
         assert_eq!(a, b);
         // Every shot placed exactly once, on a valid rank; a placement on a
         // now-dead rank means the shot finished before that rank died.
@@ -1158,9 +1149,9 @@ mod tests {
         };
         let (_, plan) = seed_with_partial_loss(3, 100.0, rates);
         let policy = RetryPolicy::default();
-        let plain = plan_survey(11, 3, 7.0, &plan, &policy).unwrap();
+        let plain = plan_survey(11, 3, 7.0, &plan, &policy, None).unwrap();
         let obs = ObsSession::new();
-        let traced = plan_survey_obs(11, 3, 7.0, &plan, &policy, Some(&obs)).unwrap();
+        let traced = plan_survey(11, 3, 7.0, &plan, &policy, Some(&obs)).unwrap();
         assert_eq!(plain, traced, "observation must not perturb the schedule");
         obs.tracer.validate_tracks().expect("serial rank tracks");
         // One track per rank that did anything; spans carry shot ids.
@@ -1199,7 +1190,7 @@ mod tests {
             if plan.surviving_devices().is_empty()
                 && (0..2).all(|d| plan.device_lost_at(d).unwrap() < 1.0)
             {
-                let r = plan_survey(4, 2, 5.0, &plan, &RetryPolicy::default());
+                let r = plan_survey(4, 2, 5.0, &plan, &RetryPolicy::default(), None);
                 assert_eq!(r.unwrap_err(), RtmError::NoHealthyRanks);
                 return;
             }

@@ -1,18 +1,20 @@
 //! Directive-program extraction for the verifier.
 //!
 //! `acc-verify` checks a [`Program`]: the ordered data directives, kernel
-//! launches, and waits a driver issues. This module builds that program for
-//! every seismic case by walking the *same* launch plans
-//! ([`crate::plan::step_phases`] and friends) the timing estimator and the
-//! real-execution drivers consume, so the verified sequence is the executed
-//! sequence. Time loops are unrolled to [`VERIFY_STEPS`] steps — the steps
-//! are identical, so two iterations reach the checkers' fixpoint — with the
-//! snapshot branch taken on the first step.
+//! launches, and waits a driver issues. [`program`] builds it by replaying
+//! the driver's directive schedule ([`plan::walk`], the schedule's only
+//! home — the timing estimator replays the same stream), so the verified
+//! sequence is the priced and executed sequence, with one declared
+//! addition: the per-step QC energy norm, which the schedule emits for the
+//! verifier only and no driver computes. Time loops are unrolled to
+//! [`VERIFY_STEPS`] steps — the steps are identical, so two iterations
+//! reach the checkers' fixpoint — with the snapshot branch taken on the
+//! first step.
 //!
 //! ## Access declarations
 //!
-//! Each kernel's footprint is declared over *sub-field slots* of the one
-//! mapped block its case uses (`"fields"`, `"forward"`, `"backward"`):
+//! Each kernel's footprint is declared over *sub-field slots* of the
+//! mapped block it works on (`"fields"`, `"forward"`, `"backward"`):
 //! slot `k` starts at `k·slot_size + pad` elements, sized so an 8th-order
 //! stencil star never crosses a slot boundary. A kernel writes its own
 //! slot and reads the slots the previous phase wrote (for the first phase:
@@ -22,14 +24,14 @@
 //! phases touch disjoint slots, and the inter-phase `wait` is what keeps
 //! cross-queue readers off in-flight writes.
 
-use crate::case::{ImagePlacement, OptimizationConfig, SeismicCase, Workload};
-use crate::plan::{self, LaunchSpec, Phase};
+use crate::case::{OptimizationConfig, SeismicCase, Workload};
+use crate::plan::{self, Directive, Job, LaunchSpec, Phase, Role};
 use acc_verify::vectorize::VECTOR_ALIGN;
 use acc_verify::{Launch, Op, Program};
 use openacc_sim::access::{AccessSet, ReduceOp};
 use openacc_sim::{Clause, Compiler, ConstructKind, LoopNest};
 use seismic_grid::STENCIL_HALF;
-use seismic_model::footprint::Formulation;
+use std::convert::Infallible;
 
 /// Time steps each program unrolls (the steps are identical; two reach the
 /// abstract-interpretation fixpoint).
@@ -104,45 +106,8 @@ fn to_launch(spec: &LaunchSpec, access: AccessSet) -> Launch {
     }
 }
 
-fn is_async(spec: &LaunchSpec) -> bool {
-    spec.clauses.iter().any(|c| matches!(c, Clause::Async(_)))
-}
-
-/// Emit one time step's phases. Slot 0 is the input bank; phase `p` kernel
-/// `i` writes slot `phase_slots[p][i]` and reads the previous phase's
-/// slots (the last phase's, for `p == 0`).
-fn emit_step(
-    ops: &mut Vec<Op>,
-    phases: &[Phase],
-    array: &str,
-    lay: &SlotLayout,
-    phase_slots: &[Vec<usize>],
-) {
-    let n = phases.len();
-    for (p, phase) in phases.iter().enumerate() {
-        let prev: Vec<i64> = if p == 0 && n == 1 {
-            vec![lay.base(0)]
-        } else {
-            phase_slots[(p + n - 1) % n]
-                .iter()
-                .map(|&s| lay.base(s))
-                .collect()
-        };
-        let mut any_async = false;
-        for (i, spec) in phase.iter().enumerate() {
-            let out = lay.base(phase_slots[p][i]);
-            ops.push(Op::Launch(to_launch(
-                spec,
-                stencil_access(spec, array, out, &prev, lay),
-            )));
-            any_async |= is_async(spec);
-        }
-        if any_async {
-            ops.push(Op::Wait);
-        }
-    }
-}
-
+/// Slot 0 is the input bank; phase `p` kernel `i` writes slot
+/// `per_phase[p][i]`. Also returns the first free slot.
 fn assign_slots(phases: &[Phase]) -> (Vec<Vec<usize>>, usize) {
     let mut next = 1; // slot 0 is the input bank
     let mut per_phase = Vec::with_capacity(phases.len());
@@ -159,24 +124,11 @@ fn assign_slots(phases: &[Phase]) -> (Vec<Vec<usize>>, usize) {
     (per_phase, next)
 }
 
-fn source_op(
-    case: &SeismicCase,
-    compiler: Compiler,
-    config: &OptimizationConfig,
-    array: &str,
-    lay: &SlotLayout,
-    slot: usize,
-) -> Op {
-    let src = plan::source_injection(case, compiler, config);
-    let access = AccessSet::new(src.nest.points()).write(array, lay.base(slot), 0);
-    Op::Launch(to_launch(&src, access))
-}
-
 /// The per-step QC energy norm: a flat `sum(u[i]²)` sweep over the newest
 /// wavefield slot, accumulated with a declared `reduction(+:...)` into a
-/// dedicated (aligned) cell of `qc_slot`. This is the drivers' solver-QC
-/// / convergence check, and it gives every program a declared FP
-/// reduction for the vectorization verifier to judge: lane-private
+/// dedicated (aligned) cell of `qc_slot`. It is declared for the verifier
+/// only — no driver or pricer computes it — and gives every program a
+/// declared FP reduction for the vectorization verifier to judge: lane-private
 /// partials are race-free, but a vectorized `+` combine reassociates, so
 /// the certificate carries a documented ULP bound instead of `Legal`.
 fn qc_norm_op(array: &str, lay: &SlotLayout, in_slot: usize, qc_slot: usize, trip: u64) -> Op {
@@ -192,9 +144,10 @@ fn qc_norm_op(array: &str, lay: &SlotLayout, in_slot: usize, qc_slot: usize, tri
     })
 }
 
-/// The modeling driver's directive program (mirrors
-/// [`crate::gpu_time::modeling_time`]).
-pub fn modeling_program(
+/// The directive program of `job`'s driver: [`plan::walk`] mapped to
+/// verifier ops, with every kernel's slot footprint declared.
+pub fn program(
+    job: Job,
     case: &SeismicCase,
     config: &OptimizationConfig,
     compiler: Compiler,
@@ -203,185 +156,107 @@ pub fn modeling_program(
     let lay = SlotLayout::new(w);
     let phases = plan::step_phases(case, config, w, compiler);
     let (slots, n_slots) = assign_slots(&phases);
-    let newest_slot = slots.last().and_then(|s| s.last()).copied().unwrap_or(0);
+    let n = phases.len();
+    // Phase `p` reads the previous phase's slots (the input bank when the
+    // step has a single phase).
+    let inputs = |p: usize| -> Vec<i64> {
+        if n == 1 {
+            vec![lay.base(0)]
+        } else {
+            slots[(p + n - 1) % n]
+                .iter()
+                .map(|&s| lay.base(s))
+                .collect()
+        }
+    };
+    let newest = slots.last().and_then(|s| s.last()).copied().unwrap_or(0);
+    let (src_slot, rcv_slot, img_slot) = (n_slots, n_slots + 1, n_slots + 2);
+    // Modeling maps no receiver or image slots.
+    let qc_slot = if job == Job::Modeling {
+        n_slots + 1
+    } else {
+        n_slots + 3
+    };
     let qc_trip = (lay.slot - 2 * lay.pad) as u64;
-    let mut p = Program::new(format!("{} modeling", case.label()));
-    p.push(Op::EnterDataCopyin {
-        array: "fields".into(),
-    });
-    let steps = w.steps.clamp(1, VERIFY_STEPS);
-    for step in 0..steps {
-        emit_step(&mut p.ops, &phases, "fields", &lay, &slots);
-        p.push(source_op(case, compiler, config, "fields", &lay, n_slots));
-        p.push(qc_norm_op(
-            "fields",
-            &lay,
-            newest_slot,
-            n_slots + 1,
-            qc_trip,
-        ));
-        if step % w.snap_period == 0 {
-            p.push(Op::UpdateHost {
-                array: "fields".into(),
-            })
-            .push(Op::HostRead {
-                array: "fields".into(),
-            });
-        }
-    }
-    p.push(Op::ExitDataDelete {
-        array: "fields".into(),
-    });
-    p
-}
-
-/// The RTM driver's directive program (mirrors
-/// [`crate::gpu_time::rtm_time`]): forward phase, data-environment swap,
-/// backward phase with receiver injection and the imaging condition.
-pub fn rtm_program(
-    case: &SeismicCase,
-    config: &OptimizationConfig,
-    compiler: Compiler,
-    w: &Workload,
-) -> Program {
-    let lay = SlotLayout::new(w);
-    let phases = plan::step_phases(case, config, w, compiler);
-    let (slots, n_slots) = assign_slots(&phases);
-    let iso_consistency = case.formulation == Formulation::Isotropic;
-    let steps = w.steps.clamp(1, VERIFY_STEPS);
-    let src_slot = n_slots;
-    let rcv_slot = n_slots + 1;
-    let img_slot = n_slots + 2;
-    let qc_slot = n_slots + 3;
-    let newest_slot = slots.last().and_then(|s| s.last()).copied().unwrap_or(0);
-    let qc_trip = (lay.slot - 2 * lay.pad) as u64;
-
-    let mut p = Program::new(format!("{} RTM", case.label()));
-
-    // Step 1/2: forward allocation and forward sweep with snapshot saves.
-    p.push(Op::EnterDataCopyin {
-        array: "forward".into(),
-    });
-    for step in 0..steps {
-        emit_step(&mut p.ops, &phases, "forward", &lay, &slots);
-        p.push(source_op(case, compiler, config, "forward", &lay, src_slot));
-        p.push(qc_norm_op("forward", &lay, newest_slot, qc_slot, qc_trip));
-        if step % w.snap_period == 0 {
-            p.push(Op::UpdateHost {
-                array: "forward".into(),
-            })
-            .push(Op::HostRead {
-                array: "forward".into(),
-            });
-        }
-        if iso_consistency {
-            // "requires many host-GPU updates ... to keep the variables
-            // consistent": host refreshes its slice, mutates, re-uploads.
-            p.push(Op::UpdateHost {
-                array: "forward".into(),
-            })
-            .push(Op::HostWrite {
-                array: "forward".into(),
-            })
-            .push(Op::UpdateDevice {
-                array: "forward".into(),
-            });
-        }
-    }
-
-    // Step 3: offload forward scratch, upload the backward/imaging set.
-    p.push(Op::ExitDataDelete {
-        array: "forward".into(),
-    })
-    .push(Op::EnterDataCopyin {
-        array: "forward_wavefield".into(),
-    })
-    .push(Op::EnterDataCopyin {
-        array: "backward".into(),
-    });
-
-    // Step 4: backward sweep with receiver injection + imaging condition.
-    let rcv = plan::receiver_injection(case, compiler, config, w.n_receivers);
-    let img = plan::imaging_kernel(case, compiler, config, w);
-    let last_slot = slots.last().and_then(|s| s.last()).copied().unwrap_or(0);
-    for step in 0..steps {
-        if step % w.snap_period == 0 {
-            // The host stages the saved forward snapshot, then uploads it.
-            p.push(Op::HostWrite {
-                array: "forward_wavefield".into(),
-            })
-            .push(Op::UpdateDevice {
-                array: "forward_wavefield".into(),
-            });
-            match config.image_placement {
-                ImagePlacement::Gpu => {
-                    let access = AccessSet::new(img.nest.points())
-                        .read("forward_wavefield", lay.pad, 1)
-                        .read("backward", lay.base(last_slot), 1)
-                        .write("backward", lay.base(img_slot), 1);
-                    p.push(Op::Launch(to_launch(&img, access)));
-                }
-                ImagePlacement::Cpu => {
-                    p.push(Op::UpdateHost {
-                        array: "backward".into(),
-                    })
-                    .push(Op::HostRead {
-                        array: "backward".into(),
-                    });
-                }
+    let name = match job {
+        Job::Modeling => "modeling",
+        Job::Rtm => "RTM",
+        Job::RtmRandomBoundary => "random-boundary RTM",
+    };
+    let mut p = Program::new(format!("{} {name}", case.label()));
+    let unrolled = Workload {
+        steps: w.steps.clamp(1, VERIFY_STEPS),
+        ..*w
+    };
+    let Ok(()) = plan::walk(job, case, config, compiler, &unrolled, |d| {
+        match d {
+            Directive::EnterData(r, _) => {
+                p.push(Op::EnterDataCopyin { array: r.into() });
             }
+            Directive::ExitData(r) => {
+                p.push(Op::ExitDataDelete { array: r.into() });
+            }
+            Directive::Launch(spec, r, role) => {
+                let trip = spec.nest.points();
+                let access = match role {
+                    Role::Stencil { phase, index } => {
+                        let out = lay.base(slots[phase][index]);
+                        stencil_access(spec, r, out, &inputs(phase), &lay)
+                    }
+                    Role::Source => AccessSet::new(trip).write(r, lay.base(src_slot), 0),
+                    // Read the recorded trace, scatter into the receiver
+                    // slot; the offset-by-one strided pair is conflict-free
+                    // (gcd 7 ∤ 1).
+                    Role::Receiver => AccessSet::new(trip)
+                        .read(r, lay.base(rcv_slot) + 1, 7)
+                        .write(r, lay.base(rcv_slot), 7),
+                    Role::Imaging(source) => AccessSet::new(trip)
+                        .read(source, lay.pad, 1)
+                        .read(r, lay.base(newest), 1)
+                        .write(r, lay.base(img_slot), 1),
+                };
+                p.push(Op::Launch(to_launch(spec, access)));
+            }
+            Directive::Wait => {
+                p.push(Op::Wait);
+            }
+            Directive::QcNorm(r) => {
+                p.push(qc_norm_op(r, &lay, newest, qc_slot, qc_trip));
+            }
+            Directive::SnapshotSave(r, _)
+            | Directive::HostImaging(r, _)
+            | Directive::ImageStore(r, _) => {
+                p.push(Op::UpdateHost { array: r.into() })
+                    .push(Op::HostRead { array: r.into() });
+            }
+            // The host stages the saved snapshot, then uploads it.
+            Directive::SnapshotRestore(r, _) => {
+                p.push(Op::HostWrite { array: r.into() })
+                    .push(Op::UpdateDevice { array: r.into() });
+            }
+            // The host refreshes its slice, mutates it, and re-uploads.
+            Directive::IsoRefresh(r, _) => {
+                p.push(Op::UpdateHost { array: r.into() })
+                    .push(Op::HostWrite { array: r.into() })
+                    .push(Op::UpdateDevice { array: r.into() });
+            }
+            Directive::SnapshotAvoided(_) | Directive::Begin(_) | Directive::End(_) => {}
         }
-        emit_step(&mut p.ops, &phases, "backward", &lay, &slots);
-        for r in &rcv {
-            // Read the recorded trace, scatter into the receiver slot; the
-            // offset-by-one strided pair is conflict-free (gcd 7 ∤ 1).
-            let base = lay.base(rcv_slot);
-            let access = AccessSet::new(r.nest.points())
-                .read("backward", base + 1, 7)
-                .write("backward", base, 7);
-            p.push(Op::Launch(to_launch(r, access)));
-        }
-        p.push(qc_norm_op("backward", &lay, newest_slot, qc_slot, qc_trip));
-        if iso_consistency {
-            p.push(Op::UpdateHost {
-                array: "backward".into(),
-            })
-            .push(Op::HostWrite {
-                array: "backward".into(),
-            })
-            .push(Op::UpdateDevice {
-                array: "backward".into(),
-            });
-        }
-    }
-
-    // Step 5: store the image, free the device.
-    p.push(Op::UpdateHost {
-        array: "backward".into(),
-    })
-    .push(Op::HostRead {
-        array: "backward".into(),
-    })
-    .push(Op::ExitDataDelete {
-        array: "backward".into(),
-    })
-    .push(Op::ExitDataDelete {
-        array: "forward_wavefield".into(),
+        Ok::<(), Infallible>(())
     });
     p
 }
 
-/// Both programs of a case, labeled.
+/// Both programs of a case, labeled: modeling and RTM.
 pub fn case_programs(
     case: &SeismicCase,
     config: &OptimizationConfig,
     compiler: Compiler,
     w: &Workload,
 ) -> Vec<Program> {
-    vec![
-        modeling_program(case, config, compiler, w),
-        rtm_program(case, config, compiler, w),
-    ]
+    [Job::Modeling, Job::Rtm]
+        .map(|job| program(job, case, config, compiler, w))
+        .into()
 }
 
 /// Mutation: make the `nth` parallelized stencil launch update *in place*
@@ -539,7 +414,7 @@ mod tests {
     use crate::gpu_time::test_workload;
     use acc_verify::{sanitize, Rule, Severity, VerifyContext};
     use openacc_sim::PgiVersion;
-    use seismic_model::footprint::Dims;
+    use seismic_model::footprint::{Dims, Formulation};
 
     const PGI: Compiler = Compiler::Pgi(PgiVersion::V14_6);
 
@@ -571,6 +446,28 @@ mod tests {
         }
     }
 
+    /// The random-boundary schedule (not among [`case_programs`]) maps to a
+    /// clean program too: the lockstep source steps on the co-resident
+    /// `source` set, and imaging reads it with no snapshot restore.
+    #[test]
+    fn random_boundary_programs_verify_clean() {
+        let cfg = OptimizationConfig::default();
+        for case in SeismicCase::all() {
+            let w = test_workload(case.dims);
+            let prog = program(Job::RtmRandomBoundary, &case, &cfg, PGI, &w);
+            let bad = errors_and_warnings(&acc_verify::verify_program(&prog, &ctx()));
+            assert!(bad.is_empty(), "{}: {bad:?}", prog.name);
+            if case.formulation != Formulation::Isotropic {
+                // Only the iso consistency refresh uploads host data.
+                let uploads = prog
+                    .ops
+                    .iter()
+                    .filter(|o| matches!(o, Op::UpdateDevice { .. }));
+                assert_eq!(uploads.count(), 0, "{}", prog.name);
+            }
+        }
+    }
+
     #[test]
     fn broken_independent_flagged_and_confirmed_by_sanitizer() {
         let case = SeismicCase {
@@ -578,7 +475,13 @@ mod tests {
             dims: Dims::Three,
         };
         let w = test_workload(Dims::Three);
-        let mut prog = modeling_program(&case, &OptimizationConfig::default(), PGI, &w);
+        let mut prog = program(
+            Job::Modeling,
+            &case,
+            &OptimizationConfig::default(),
+            PGI,
+            &w,
+        );
         let op = break_kernel_inplace(&mut prog, 0).expect("an eligible launch");
         let diags = acc_verify::verify_program(&prog, &ctx());
         let race: Vec<_> = diags
@@ -602,7 +505,13 @@ mod tests {
             dims: Dims::Two,
         };
         let w = test_workload(Dims::Two);
-        let mut prog = modeling_program(&case, &OptimizationConfig::default(), PGI, &w);
+        let mut prog = program(
+            Job::Modeling,
+            &case,
+            &OptimizationConfig::default(),
+            PGI,
+            &w,
+        );
         assert!(drop_waits(&mut prog) > 0, "elastic must have waits");
         let diags = acc_verify::verify_program(&prog, &ctx());
         assert!(
@@ -618,7 +527,13 @@ mod tests {
             dims: Dims::Two,
         };
         let w = test_workload(Dims::Two);
-        let mut prog = modeling_program(&case, &OptimizationConfig::default(), PGI, &w);
+        let mut prog = program(
+            Job::Modeling,
+            &case,
+            &OptimizationConfig::default(),
+            PGI,
+            &w,
+        );
         let i = prog
             .ops
             .iter()
@@ -639,7 +554,7 @@ mod tests {
             dims: Dims::Three,
         };
         let w = test_workload(Dims::Three);
-        let prog = modeling_program(&case, &OptimizationConfig::naive(), PGI, &w);
+        let prog = program(Job::Modeling, &case, &OptimizationConfig::naive(), PGI, &w);
         let diags = acc_verify::verify_program(&prog, &ctx());
         // The fused 96-register pressure kernel starves occupancy on the
         // uncapped K40 (Figure 10's motivation).
@@ -652,7 +567,8 @@ mod tests {
             formulation: Formulation::Acoustic,
             dims: Dims::Two,
         };
-        let prog2 = modeling_program(
+        let prog2 = program(
+            Job::Modeling,
             &case2,
             &OptimizationConfig::naive(),
             PGI,
@@ -674,7 +590,7 @@ mod tests {
             dims: Dims::Three,
         };
         let w = test_workload(Dims::Three);
-        let mut prog = rtm_program(&case, &OptimizationConfig::default(), PGI, &w);
+        let mut prog = program(Job::Rtm, &case, &OptimizationConfig::default(), PGI, &w);
         prog.push(Op::ExitDataDelete {
             array: "backward".into(),
         });
@@ -727,8 +643,8 @@ mod tests {
         };
         let w = test_workload(Dims::Two);
         let cfg = OptimizationConfig::default();
-        let clean = modeling_program(&case, &cfg, PGI, &w);
-        let mut broken = modeling_program(&case, &cfg, PGI, &w);
+        let clean = program(Job::Modeling, &case, &cfg, PGI, &w);
+        let mut broken = program(Job::Modeling, &case, &cfg, PGI, &w);
         assert!(vector_breakable_launches(&clean) > 0);
         let op = break_vector_distance1(&mut broken, 0).expect("an eligible launch");
         let (Op::Launch(before), Op::Launch(after)) = (&clean.ops[op], &broken.ops[op]) else {
@@ -767,8 +683,8 @@ mod tests {
         };
         let w = test_workload(Dims::Three);
         let cfg = OptimizationConfig::default();
-        let clean = modeling_program(&case, &cfg, PGI, &w);
-        let mut broken = modeling_program(&case, &cfg, PGI, &w);
+        let clean = program(Job::Modeling, &case, &cfg, PGI, &w);
+        let mut broken = program(Job::Modeling, &case, &cfg, PGI, &w);
         let op = misalign_base(&mut broken, 0).expect("an eligible launch");
         let (Op::Launch(before), Op::Launch(after)) = (&clean.ops[op], &broken.ops[op]) else {
             panic!("mutated op must be a launch");
@@ -805,8 +721,8 @@ mod tests {
         };
         let w = test_workload(Dims::Two);
         let cfg = OptimizationConfig::default();
-        let clean = rtm_program(&case, &cfg, PGI, &w);
-        let mut broken = rtm_program(&case, &cfg, PGI, &w);
+        let clean = program(Job::Rtm, &case, &cfg, PGI, &w);
+        let mut broken = program(Job::Rtm, &case, &cfg, PGI, &w);
         assert!(reduction_launches(&clean) > 0, "QC kernels must be present");
         let op = break_reduction_recurrence(&mut broken, 0).expect("a reduction launch");
         let (Op::Launch(before), Op::Launch(after)) = (&clean.ops[op], &broken.ops[op]) else {

@@ -22,17 +22,11 @@ use acc_obs::ObsSession;
 use openacc_sim::{Compiler, PgiVersion};
 use rtm_core::case::{Cluster, ImagePlacement, OptimizationConfig, SeismicCase, Workload};
 use rtm_core::gpu_time::{self, GpuRun};
+use rtm_core::plan::Job;
 use rtm_core::verify::case_programs;
 use seismic_model::footprint::Dims;
 use seismic_prop::{FissionVariant, IsoPmlVariant, TransposeVariant};
 use std::sync::Arc;
-
-#[derive(Debug, Clone, Copy)]
-enum Job {
-    Modeling,
-    Rtm,
-    RtmRandomBoundary,
-}
 
 const JOBS: [Job; 3] = [Job::Modeling, Job::Rtm, Job::RtmRandomBoundary];
 const CLUSTERS: [Cluster; 2] = [Cluster::CrayXc30, Cluster::Ibm];
@@ -97,24 +91,6 @@ fn workloads(dims: Dims) -> [Workload; 2] {
     [gpu_time::test_workload(dims), odd]
 }
 
-fn price(
-    job: Job,
-    case: &SeismicCase,
-    cfg: &OptimizationConfig,
-    compiler: Compiler,
-    cluster: Cluster,
-    w: &Workload,
-    obs: Option<Arc<ObsSession>>,
-) -> Result<GpuRun, openacc_sim::data::DataError> {
-    match job {
-        Job::Modeling => gpu_time::modeling_time_obs(case, cfg, compiler, cluster, w, obs),
-        Job::Rtm => gpu_time::rtm_time_obs(case, cfg, compiler, cluster, w, obs),
-        Job::RtmRandomBoundary => {
-            gpu_time::rand_bound_time_obs(case, cfg, compiler, cluster, w, obs)
-        }
-    }
-}
-
 fn fold_run(hash: &mut u64, run: &Result<GpuRun, openacc_sim::data::DataError>) {
     match run {
         Ok(r) => {
@@ -138,7 +114,7 @@ fn priced_breakdowns_match_recorded_fingerprint() {
                         for w in workloads(case.dims) {
                             fold_run(
                                 &mut hash,
-                                &price(job, &case, &cfg, compiler, cluster, &w, None),
+                                &gpu_time::price(job, &case, &cfg, compiler, cluster, &w, None),
                             );
                             n += 1;
                         }
@@ -164,7 +140,7 @@ fn observed_runs_match_recorded_fingerprint() {
         for job in JOBS {
             for cfg in configs() {
                 let obs = Arc::new(ObsSession::new());
-                let run = price(
+                let run = gpu_time::price(
                     job,
                     &case,
                     &cfg,

@@ -19,8 +19,9 @@ use acc_obs::ObsSession;
 use openacc_sim::{Compiler, PgiVersion};
 use rtm_core::case::{Cluster, OptimizationConfig, SeismicCase, Workload};
 use rtm_core::error::RtmError;
-use rtm_core::gpu_time::{modeling_time_obs, rtm_time_obs, GpuRun};
+use rtm_core::gpu_time::{price, GpuRun};
 use rtm_core::multi_gpu::{emit_halo_timeline, modeling_time_multi, CommMode, GhostPacking};
+use rtm_core::plan::Job;
 use seismic_model::footprint::{Dims, Formulation};
 use std::sync::Arc;
 
@@ -185,12 +186,19 @@ pub fn profile(req: &ProfileRequest) -> Result<ProfileOutput, RtmError> {
     let compiler = req.device.compiler();
     let obs = Arc::new(ObsSession::new());
 
-    let run = match req.mode {
-        RunMode::Modeling => {
-            modeling_time_obs(&req.case, &cfg, compiler, cluster, &w, Some(obs.clone()))?
-        }
-        RunMode::Rtm => rtm_time_obs(&req.case, &cfg, compiler, cluster, &w, Some(obs.clone()))?,
+    let job = match req.mode {
+        RunMode::Modeling => Job::Modeling,
+        RunMode::Rtm => Job::Rtm,
     };
+    let run = price(
+        job,
+        &req.case,
+        &cfg,
+        compiler,
+        cluster,
+        &w,
+        Some(obs.clone()),
+    )?;
 
     // The MPI-rank tracks: a 2-way decomposed companion run of the same
     // case prices the halo exchanges the paper's hybrid OpenACC-MPI code
@@ -465,7 +473,8 @@ mod tests {
         )
         .unwrap();
         let obs = Arc::new(ObsSession::new());
-        let observed = rtm_time_obs(
+        let observed = price(
+            Job::Rtm,
             &case,
             &cfg,
             DeviceChoice::K40.compiler(),

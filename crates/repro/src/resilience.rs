@@ -73,7 +73,7 @@ pub fn overhead_vs_mtti(
             for &seed in seeds {
                 let plan = FaultPlan::generate(seed, ranks, horizon, rates);
                 // Err means every rank was lost: survey abandoned.
-                if let Ok(s) = plan_survey(n_shots, ranks, shot_cost_s, &plan, &policy) {
+                if let Ok(s) = plan_survey(n_shots, ranks, shot_cost_s, &plan, &policy, None) {
                     over += s.stats.overhead_frac();
                     resched += s.stats.rescheduled_shots as f64;
                     dead += s.stats.dead_ranks.len() as f64;

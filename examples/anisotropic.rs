@@ -18,6 +18,10 @@ use seismic_pml::DampProfile;
 use seismic_source::{Acquisition2, Wavelet};
 
 fn main() {
+    let gangs = openacc_sim::exec::try_default_gangs().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let n = 220;
     let extent = extent2(n, n);
     let h = 10.0;
@@ -43,7 +47,7 @@ fn main() {
         &OptimizationConfig::default(),
         steps,
         120,
-        openacc_sim::exec::default_gangs(),
+        gangs,
     );
 
     println!("VTI pseudo-acoustic wavefront (vp = {vp} m/s, ε = {epsilon}, δ = {delta}):\n");

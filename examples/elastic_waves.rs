@@ -21,6 +21,10 @@ use seismic_pml::CpmlAxis;
 use seismic_source::Wavelet;
 
 fn main() {
+    let gangs = openacc_sim::exec::try_default_gangs().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let n = 240;
     let extent = extent2(n, n);
     let h = 10.0;
@@ -45,7 +49,6 @@ fn main() {
     let w = Wavelet::ricker(16.0);
     let c = n / 2;
     let steps = 260;
-    let gangs = openacc_sim::exec::default_gangs();
     for t in 0..steps {
         state.step(&medium, &cfg, gangs);
         // Vertical shear couple: opposite-signed σxz increments straddling

@@ -18,6 +18,12 @@ use seismic_pml::CpmlAxis;
 use seismic_source::{Acquisition2, Wavelet};
 
 fn main() {
+    // 0. Host gangs: ACC_GANGS when set, else one per core.
+    let gangs = openacc_sim::exec::try_default_gangs().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
+
     // 1. Grid: 200 x 200 interior points, 10 m spacing, CFL-stable dt.
     let n = 200;
     let extent = extent2(n, n);
@@ -46,7 +52,7 @@ fn main() {
         &OptimizationConfig::default(),
         600,
         75,
-        openacc_sim::exec::default_gangs(),
+        gangs,
     );
 
     println!("acc-rtm quickstart — acoustic 2D forward modeling ({n}x{n}, dt = {dt:.2e} s)\n");

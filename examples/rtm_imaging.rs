@@ -23,6 +23,10 @@ use seismic_pml::CpmlAxis;
 use seismic_source::{Acquisition2, Wavelet};
 
 fn main() {
+    let gangs = openacc_sim::exec::try_default_gangs().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let n = 128;
     let extent = extent2(n, n);
     let h = 10.0;
@@ -36,7 +40,6 @@ fn main() {
         cpml: [cpml.clone(), cpml],
     };
 
-    let gangs = openacc_sim::exec::default_gangs();
     let config = OptimizationConfig::default();
     let wavelet = Wavelet::ricker(18.0);
     let steps = 1100;

@@ -13,7 +13,8 @@ use accel_sim::EventKind;
 use repro::accprof::{case_name, parse_case, profile, DeviceChoice, ProfileRequest, RunMode};
 use repro::cases::table_workload;
 use rtm_core::case::OptimizationConfig;
-use rtm_core::gpu_time::{modeling_time_obs, rtm_time, rtm_time_obs};
+use rtm_core::gpu_time::{price, rtm_time};
+use rtm_core::plan::Job;
 use std::sync::Arc;
 
 const CASES: [&str; 6] = ["iso2d", "ac2d", "el2d", "iso3d", "ac3d", "el3d"];
@@ -127,7 +128,8 @@ fn coalescing_mutation_drops_load_efficiency() {
 
     let run_with = |cfg: &OptimizationConfig| {
         let obs = Arc::new(ObsSession::new());
-        modeling_time_obs(
+        price(
+            Job::Modeling,
             &case,
             cfg,
             device.compiler(),
@@ -176,7 +178,8 @@ fn observation_leaves_nvprof_shares_unchanged() {
 
         let plain = rtm_time(&case, &cfg, device.compiler(), device.cluster(), &w).unwrap();
         let obs = Arc::new(ObsSession::new());
-        let observed = rtm_time_obs(
+        let observed = price(
+            Job::Rtm,
             &case,
             &cfg,
             device.compiler(),

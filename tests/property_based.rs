@@ -473,7 +473,7 @@ proptest! {
             ..FaultRates::none()
         };
         let plan = FaultPlan::generate(seed, ranks, 600.0, rates);
-        match plan_survey(n_shots, ranks, 9.0, &plan, &RetryPolicy::default()) {
+        match plan_survey(n_shots, ranks, 9.0, &plan, &RetryPolicy::default(), None) {
             Ok(s) => {
                 prop_assert_eq!(s.placement.len(), n_shots);
                 prop_assert!(s.placement.iter().all(|&r| r < ranks));
