@@ -128,9 +128,10 @@ fn assign_slots(phases: &[Phase]) -> (Vec<Vec<usize>>, usize) {
 /// wavefield slot, accumulated with a declared `reduction(+:...)` into a
 /// dedicated (aligned) cell of `qc_slot`. It is declared for the verifier
 /// only — no driver or pricer computes it — and gives every program a
-/// declared FP reduction for the vectorization verifier to judge: lane-private
-/// partials are race-free, but a vectorized `+` combine reassociates, so
-/// the certificate carries a documented ULP bound instead of `Legal`.
+/// declared FP reduction for the vectorization verifier to judge:
+/// lane-private partials are race-free, but a vectorized `+` combine
+/// reassociates, so the certificate carries a documented ULP bound instead
+/// of `Legal`.
 fn qc_norm_op(array: &str, lay: &SlotLayout, in_slot: usize, qc_slot: usize, trip: u64) -> Op {
     Op::Launch(Launch {
         name: "qc_energy_norm".into(),
