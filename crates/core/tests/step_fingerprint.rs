@@ -8,6 +8,10 @@
 //! phases). The f32 bits of every state field are folded into one FNV-1a
 //! hash and compared with a recorded constant, at gangs 1 and 3.
 //!
+//! The square grids are narrower than one row block of the staggered
+//! C-PML sweep, so the staggered formulations also run on wide grids whose
+//! x extent spans several row blocks and ends in a partial one.
+//!
 //! Gang invariance alone cannot see a reordered kernel sequence — every
 //! gang count would run the same wrong sequence. These constants can: any
 //! change to which kernels run, in which order, on which fields or ψ
@@ -33,6 +37,10 @@ use seismic_source::Wavelet;
 const N: usize = 12;
 const N2: usize = 32;
 const N3: usize = 16;
+/// x extents of the wide staggered grids: several row blocks of the
+/// staggered sweep, and not a multiple of one.
+const WIDE2: usize = 300;
+const WIDE3: usize = 200;
 const H: f32 = 10.0;
 const VMAX: f32 = 3200.0;
 
@@ -102,7 +110,10 @@ fn spec() -> RandomBoundarySpec {
 fn fingerprint2(medium: &Medium2, cfg: &OptimizationConfig, gangs: usize) -> u64 {
     let w = Wavelet::ricker(25.0);
     let dt = medium.dt();
-    let (sx, sz) = (N2 / 2, N2 / 3);
+    let e = medium.extent();
+    // Centred on the square grid; on a wide grid, in the last (partial) row
+    // block, next to the x C-PML strip.
+    let (sx, sz) = (e.nx - N2 / 2, e.nz / 3);
     let mut hash = 0xcbf2_9ce4_8422_2325;
     let transparent = randomize_medium2(medium, &spec());
     for (m, reverse) in [(medium, false), (&transparent, true)] {
@@ -127,7 +138,8 @@ fn fingerprint2(medium: &Medium2, cfg: &OptimizationConfig, gangs: usize) -> u64
 fn fingerprint3(medium: &Medium3, cfg: &OptimizationConfig, gangs: usize) -> u64 {
     let w = Wavelet::ricker(25.0);
     let dt = medium.dt();
-    let src = (N3 / 2, N3 / 2 + 1, N3 / 3);
+    let e = medium.extent();
+    let src = (e.nx - N3 / 2, e.ny / 2 + 1, e.nz / 3);
     let mut hash = 0xcbf2_9ce4_8422_2325;
     let transparent = randomize_medium3(medium, &spec());
     for (m, reverse) in [(medium, false), (&transparent, true)] {
@@ -152,21 +164,21 @@ fn geom(dims: usize, safety: f32) -> Geometry {
     Geometry::uniform(H, stable_dt(8, dims, VMAX, H, safety))
 }
 
-fn media2() -> Vec<(&'static str, Medium2)> {
-    let e = extent2(N2, N2);
+fn media2(nx: usize) -> Vec<(&'static str, Medium2)> {
+    let e = extent2(nx, N2);
     let layers = standard_layers(N2);
-    let damp = || DampProfile::new(N2, e.halo, 8, VMAX, H, 1e-4);
+    let damp = |n| DampProfile::new(n, e.halo, 8, VMAX, H, 1e-4);
     let cpml = |safety| {
-        let c = CpmlAxis::new(N2, e.halo, 8, geom(2, safety).dt, VMAX, H, 1e-4);
-        [c.clone(), c]
+        let c = |n| CpmlAxis::new(n, e.halo, 8, geom(2, safety).dt, VMAX, H, 1e-4);
+        [c(nx), c(N2)]
     };
     vec![
         (
             "iso2",
             Medium2::Iso {
                 model: iso2_layered(e, &layers, geom(2, 0.7)),
-                damp_x: damp(),
-                damp_z: damp(),
+                damp_x: damp(nx),
+                damp_z: damp(N2),
             },
         ),
         (
@@ -187,27 +199,27 @@ fn media2() -> Vec<(&'static str, Medium2)> {
             "vti2",
             Medium2::Vti {
                 model: VtiModel2::constant(e, 2200.0, 0.2, 0.1, geom(2, 0.5)),
-                damp_x: damp(),
-                damp_z: damp(),
+                damp_x: damp(nx),
+                damp_z: damp(N2),
             },
         ),
     ]
 }
 
-fn media3() -> Vec<(&'static str, Medium3)> {
-    let e = extent3(N3, N3, N3);
+fn media3(nx: usize) -> Vec<(&'static str, Medium3)> {
+    let e = extent3(nx, N3, N3);
     let layers = standard_layers(N3);
-    let damp = DampProfile::new(N3, e.halo, 5, VMAX, H, 1e-4);
+    let damp = |n| DampProfile::new(n, e.halo, 5, VMAX, H, 1e-4);
     let cpml = |safety| {
-        let c = CpmlAxis::new(N3, e.halo, 5, geom(3, safety).dt, VMAX, H, 1e-4);
-        [c.clone(), c.clone(), c]
+        let c = |n| CpmlAxis::new(n, e.halo, 5, geom(3, safety).dt, VMAX, H, 1e-4);
+        [c(nx), c(N3), c(N3)]
     };
     vec![
         (
             "iso3",
             Medium3::Iso {
                 model: iso3_layered(e, &layers, geom(3, 0.7)),
-                damp: [damp.clone(), damp.clone(), damp],
+                damp: [damp(nx), damp(N3), damp(N3)],
             },
         ),
         (
@@ -271,27 +283,56 @@ fn expected(case: &str) -> u64 {
         "ac3/Fused" => 0xfa9b_4f37_cd77_793d,
         "ac3/Fissioned" => 0x5165_6dcc_b4c5_b8cf,
         "el3" => 0xed83_7203_3e97_0f90,
+        "ac2/wide" => 0x7d16_0cd4_27be_eb97,
+        "el2/wide" => 0x31de_8983_f12c_66ba,
+        "ac3/Fused/wide" => 0x1eea_3928_d27d_e098,
+        "ac3/Fissioned/wide" => 0x762b_b9d2_052c_9a09,
+        "el3/wide" => 0x8645_81a5_4d97_febc,
         other => panic!("no recorded fingerprint for {other}"),
     }
 }
 
-#[test]
-fn step_sequences_match_recorded_fingerprints() {
+fn is_staggered(name: &str) -> bool {
+    matches!(name, "ac2" | "el2" | "ac3" | "el3")
+}
+
+/// Fingerprints of every case on `nx2`-wide 2-D and `nx3`-wide 3-D grids
+/// at gangs 1 and 3, keyed `case` (square grids) or `case/wide`.
+fn fingerprints(nx2: usize, nx3: usize, keep: fn(&str) -> bool) -> Vec<(String, usize, u64)> {
+    let key = |case: String, nx: usize| {
+        if nx == N2 || nx == N3 {
+            case
+        } else {
+            format!("{case}/wide")
+        }
+    };
     let mut got = Vec::new();
-    for (name, medium) in media2() {
+    for (name, medium) in media2(nx2).into_iter().filter(|(n, _)| keep(n)) {
         for (case, cfg) in configs(name) {
             for gangs in [1, 3] {
-                got.push((case.clone(), gangs, fingerprint2(&medium, &cfg, gangs)));
+                got.push((
+                    key(case.clone(), nx2),
+                    gangs,
+                    fingerprint2(&medium, &cfg, gangs),
+                ));
             }
         }
     }
-    for (name, medium) in media3() {
+    for (name, medium) in media3(nx3).into_iter().filter(|(n, _)| keep(n)) {
         for (case, cfg) in configs(name) {
             for gangs in [1, 3] {
-                got.push((case.clone(), gangs, fingerprint3(&medium, &cfg, gangs)));
+                got.push((
+                    key(case.clone(), nx3),
+                    gangs,
+                    fingerprint3(&medium, &cfg, gangs),
+                ));
             }
         }
     }
+    got
+}
+
+fn assert_recorded(got: &[(String, usize, u64)]) {
     let mismatches: Vec<String> = got
         .iter()
         .filter(|(case, _, h)| *h != expected(case))
@@ -303,4 +344,16 @@ fn step_sequences_match_recorded_fingerprints() {
         })
         .collect();
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn step_sequences_match_recorded_fingerprints() {
+    assert_recorded(&fingerprints(N2, N3, |_| true));
+}
+
+/// The staggered formulations on grids wider than a row block, forward and
+/// reverse, both fission variants.
+#[test]
+fn wide_staggered_rows_match_recorded_fingerprints() {
+    assert_recorded(&fingerprints(WIDE2, WIDE3, is_staggered));
 }
