@@ -7,16 +7,15 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mpi_sim::comm::Communicator;
 use mpi_sim::decomp::SlabDecomp;
 use mpi_sim::halo::exchange_halo2;
-use openacc_sim::exec::par_slabs;
 use seismic_grid::cfl::stable_dt;
-use seismic_grid::{Extent2, Field2, SyncSlice};
+use seismic_grid::{Extent2, Field2};
 use seismic_model::builder::{acoustic2_layered, standard_layers};
 use seismic_model::{extent2, Geometry};
 use seismic_pml::CpmlAxis;
 use seismic_prop::acoustic2d;
 use seismic_source::Seismogram;
 
-/// Gang scaling: the same acoustic velocity kernel over 1..8 gangs.
+/// Gang scaling: the acoustic 2-D velocity phase over 1..8 gangs.
 fn gang_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("gang_scaling");
     let n = 480;
@@ -29,30 +28,7 @@ fn gang_scaling(c: &mut Criterion) {
     for gangs in [1usize, 2, 4, 8] {
         g.throughput(Throughput::Elements(e.interior_len() as u64));
         g.bench_function(format!("gangs_{gangs}"), |b| {
-            b.iter(|| {
-                let qx = SyncSlice::new(s.qx.as_mut_slice());
-                let qz = SyncSlice::new(s.qz.as_mut_slice());
-                let px = SyncSlice::new(s.psi_px.as_mut_slice());
-                let pz = SyncSlice::new(s.psi_pz.as_mut_slice());
-                let p = s.p.as_slice();
-                par_slabs(n, gangs, |z0, z1| {
-                    acoustic2d::velocity_slab(
-                        qx,
-                        qz,
-                        px,
-                        pz,
-                        p,
-                        m.rho.as_slice(),
-                        e,
-                        10.0,
-                        10.0,
-                        dt,
-                        &cpml,
-                        z0,
-                        z1,
-                    );
-                });
-            })
+            b.iter(|| s.velocity_phase(&m, &cpml, dt, gangs))
         });
     }
     g.finish();

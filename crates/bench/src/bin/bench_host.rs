@@ -28,7 +28,10 @@ use rtm_core::rtm::run_rtm;
 use rtm_core::rtm3::run_rtm3;
 use rtm_core::OptimizationConfig;
 use seismic_grid::cfl::stable_dt;
-use seismic_model::builder::{acoustic2_layered, iso2_constant, iso3_layered, standard_layers};
+use seismic_model::builder::{
+    acoustic2_layered, acoustic3_layered, elastic2_layered, iso2_constant, iso3_layered,
+    standard_layers,
+};
 use seismic_model::{extent2, extent3, Geometry};
 use seismic_pml::{CpmlAxis, DampProfile};
 use seismic_source::{Acquisition2, Acquisition3, Seismogram, Wavelet};
@@ -82,6 +85,28 @@ fn ac2d_medium(n: usize) -> Medium2 {
     Medium2::Acoustic {
         model: acoustic2_layered(e, &standard_layers(n), Geometry::uniform(h, dt)),
         cpml: [c.clone(), c],
+    }
+}
+
+fn el2d_medium(n: usize) -> Medium2 {
+    let e = extent2(n, n);
+    let h = 10.0;
+    let dt = stable_dt(8, 2, 3200.0, h, 0.5);
+    let c = CpmlAxis::new(n, e.halo, 10, dt, 3200.0, h, 1e-4);
+    Medium2::Elastic {
+        model: elastic2_layered(e, &standard_layers(n), Geometry::uniform(h, dt)),
+        cpml: [c.clone(), c],
+    }
+}
+
+fn ac3d_medium(n: usize) -> Medium3 {
+    let e = extent3(n, n, n);
+    let h = 10.0;
+    let dt = stable_dt(8, 3, 3200.0, h, 0.55);
+    let c = CpmlAxis::new(n, e.halo, 6, dt, 3200.0, h, 1e-4);
+    Medium3::Acoustic {
+        model: acoustic3_layered(e, &standard_layers(n), Geometry::uniform(h, dt)),
+        cpml: [c.clone(), c.clone(), c],
     }
 }
 
@@ -268,43 +293,34 @@ fn main() {
 
     let mut results: Vec<Sample> = Vec::new();
 
-    {
-        let medium = iso2d_medium(n2);
-        let acq = Acquisition2::surface_line(n2, n2 / 2, n2 / 2, 2, 6);
+    let media2 = [
+        ("iso2d", iso2d_medium(n2)),
+        ("acoustic2d", ac2d_medium(n2)),
+        ("elastic2d", el2d_medium(n2)),
+    ];
+    let media3 = [("iso3d", iso3d_medium(n3)), ("acoustic3d", ac3d_medium(n3))];
+    let acq2 = Acquisition2::surface_line(n2, n2 / 2, n2 / 2, 2, 6);
+    let acq3 = Acquisition3::surface_patch(n3, n3, (n3 / 2, n3 / 2, n3 / 2), 3, 8);
+    for (case, medium) in &media2 {
         bench_case(
             &mut results,
-            "iso2d",
+            case,
             n2 * n2,
             steps2,
             &gangs_list,
             reps,
-            |gangs| run_modeling(&medium, &acq, &w, &cfg, steps2, steps2, gangs).seismogram,
+            |gangs| run_modeling(medium, &acq2, &w, &cfg, steps2, steps2, gangs).seismogram,
         );
     }
-    {
-        let medium = ac2d_medium(n2);
-        let acq = Acquisition2::surface_line(n2, n2 / 2, n2 / 2, 2, 6);
+    for (case, medium) in &media3 {
         bench_case(
             &mut results,
-            "acoustic2d",
-            n2 * n2,
-            steps2,
-            &gangs_list,
-            reps,
-            |gangs| run_modeling(&medium, &acq, &w, &cfg, steps2, steps2, gangs).seismogram,
-        );
-    }
-    {
-        let medium = iso3d_medium(n3);
-        let acq = Acquisition3::surface_patch(n3, n3, (n3 / 2, n3 / 2, n3 / 2), 3, 8);
-        bench_case(
-            &mut results,
-            "iso3d",
+            case,
             n3 * n3 * n3,
             steps3,
             &gangs_list,
             reps,
-            |gangs| run_modeling3(&medium, &acq, &w, &cfg, steps3, steps3, gangs).seismogram,
+            |gangs| run_modeling3(medium, &acq3, &w, &cfg, steps3, steps3, gangs).seismogram,
         );
     }
 
@@ -314,27 +330,15 @@ fn main() {
     let top_gangs = *gangs_list.last().expect("gangs list non-empty");
     let snap = 5usize;
     let mut phases: Vec<serde_json::Value> = Vec::new();
-    {
-        let medium = iso2d_medium(n2);
-        let acq = Acquisition2::surface_line(n2, n2 / 2, n2 / 2, 2, 6);
-        phases.push(profiled_phases("iso2d", top_gangs, |g| {
-            let r = run_rtm(&medium, &acq, &w, &cfg, steps2, snap, g);
+    for (case, medium) in &media2 {
+        phases.push(profiled_phases(case, top_gangs, |g| {
+            let r = run_rtm(medium, &acq2, &w, &cfg, steps2, snap, g);
             assert!(r.snapshots_saved > 0);
         }));
     }
-    {
-        let medium = ac2d_medium(n2);
-        let acq = Acquisition2::surface_line(n2, n2 / 2, n2 / 2, 2, 6);
-        phases.push(profiled_phases("acoustic2d", top_gangs, |g| {
-            let r = run_rtm(&medium, &acq, &w, &cfg, steps2, snap, g);
-            assert!(r.snapshots_saved > 0);
-        }));
-    }
-    {
-        let medium = iso3d_medium(n3);
-        let acq = Acquisition3::surface_patch(n3, n3, (n3 / 2, n3 / 2, n3 / 2), 3, 8);
-        phases.push(profiled_phases("iso3d", top_gangs, |g| {
-            let r = run_rtm3(&medium, &acq, &w, &cfg, steps3, snap, g);
+    for (case, medium) in &media3 {
+        phases.push(profiled_phases(case, top_gangs, |g| {
+            let r = run_rtm3(medium, &acq3, &w, &cfg, steps3, snap, g);
             assert!(r.snapshots_saved > 0);
         }));
     }

@@ -480,7 +480,6 @@ mod tests {
 
     #[test]
     fn covers_range_exactly_once_through_pool() {
-        let _prof = crate::prof::test_guard();
         let pool = GangPool::new(3);
         let n = 103;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
@@ -494,7 +493,6 @@ mod tests {
 
     #[test]
     fn many_back_to_back_launches() {
-        let _prof = crate::prof::test_guard();
         let pool = GangPool::new(2);
         let total = AtomicUsize::new(0);
         for _ in 0..500 {
@@ -510,7 +508,6 @@ mod tests {
     /// during either launch belongs to the pool's original worker set.
     #[test]
     fn launches_reuse_the_same_workers() {
-        let _prof = crate::prof::test_guard();
         let pool = GangPool::new(2);
         let allowed: HashSet<_> = pool.worker_ids().into_iter().collect();
         assert_eq!(pool.worker_count(), 2);
@@ -546,7 +543,6 @@ mod tests {
     /// still covers its range exactly.
     #[test]
     fn contended_launches_fall_back_inline() {
-        let _prof = crate::prof::test_guard();
         let pool: &'static GangPool = Box::leak(Box::new(GangPool::new(1)));
         let sum = AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -565,7 +561,6 @@ mod tests {
 
     #[test]
     fn zero_rows_is_a_no_op_and_gangs_clamp() {
-        let _prof = crate::prof::test_guard();
         let pool = GangPool::new(1);
         pool.run(0, 4, &|_, _, _| panic!("must not run"));
         let count = AtomicUsize::new(0);
@@ -580,7 +575,6 @@ mod tests {
     /// deadlocking on the launch mutex.
     #[test]
     fn nested_launch_runs_inline() {
-        let _prof = crate::prof::test_guard();
         let pool: &'static GangPool = Box::leak(Box::new(GangPool::new(1)));
         let count = AtomicUsize::new(0);
         pool.run(4, 2, &|_, _, _| {

@@ -76,7 +76,6 @@ mod tests {
 
     #[test]
     fn small_grid_is_single_tile() {
-        let _prof = crate::prof::test_guard();
         let t = tiles(200, 3, 9);
         assert!(t.tile_x >= 200, "narrow grid must not split: {t:?}");
         assert_eq!(t.ranges(4, 196).collect::<Vec<_>>(), vec![(4, 196)]);
@@ -91,7 +90,6 @@ mod tests {
 
     #[test]
     fn ranges_cover_exactly_once() {
-        let _prof = crate::prof::test_guard();
         for tile in [1usize, 3, 64, 1000] {
             let t = Tiling { tile_x: tile };
             let mut expect = 4usize;

@@ -114,22 +114,15 @@ impl CpmlAxis {
         }
     }
 
-    /// `a` coefficient at a raw index.
-    #[inline(always)]
-    pub fn a_raw(&self, raw: usize) -> f32 {
-        self.a[raw]
+    /// The coefficient arrays `[a, b, 1/κ]` over the full axis, halo
+    /// included: raw index `halo + i` holds interior point `i`.
+    pub fn raw(&self) -> [&[f32]; 3] {
+        [&self.a, &self.b, &self.inv_kappa]
     }
 
-    /// `b` coefficient at a raw index.
-    #[inline(always)]
-    pub fn b_raw(&self, raw: usize) -> f32 {
-        self.b[raw]
-    }
-
-    /// `1/κ` at a raw index.
-    #[inline(always)]
-    pub fn inv_kappa_raw(&self, raw: usize) -> f32 {
-        self.inv_kappa[raw]
+    /// Ghost points on each side of the axis.
+    pub fn halo(&self) -> usize {
+        self.halo
     }
 
     /// Coefficients at an interior index: `(a, b, 1/κ)`.
@@ -139,11 +132,11 @@ impl CpmlAxis {
         (self.a[r], self.b[r], self.inv_kappa[r])
     }
 
-    /// Apply one ψ-recursion step and return the corrected derivative:
+    /// Apply one ψ-recursion step with coefficients `(a, b, 1/κ)` (as
+    /// returned by [`Self::coeffs`]) and return the corrected derivative:
     /// `ψ ← b·ψ + a·du`, result `du/κ + ψ`.
     #[inline(always)]
-    pub fn apply(&self, interior: usize, du: f32, psi: &mut f32) -> f32 {
-        let (a, b, ik) = self.coeffs(interior);
+    pub fn apply((a, b, ik): (f32, f32, f32), du: f32, psi: &mut f32) -> f32 {
         *psi = b * *psi + a * du;
         du * ik + *psi
     }
@@ -193,7 +186,7 @@ mod tests {
     fn apply_is_transparent_in_interior() {
         let ax = axis();
         let mut psi = 0.0f32;
-        let d = ax.apply(60, 3.25, &mut psi);
+        let d = CpmlAxis::apply(ax.coeffs(60), 3.25, &mut psi);
         assert_eq!(d, 3.25);
         assert_eq!(psi, 0.0);
     }
@@ -217,7 +210,7 @@ mod tests {
         let mut psi = 0.0f32;
         let mut last = 0.0f32;
         for _ in 0..10_000 {
-            last = ax.apply(0, du, &mut psi);
+            last = CpmlAxis::apply(ax.coeffs(0), du, &mut psi);
         }
         let (a, b, ik) = ax.coeffs(0);
         let fixed = a * du / (1.0 - b);
@@ -232,7 +225,7 @@ mod tests {
         let ax = CpmlAxis::transparent(50, 4);
         let mut psi = 0.5f32;
         // b = 1, a = 0: ψ persists, derivative unchanged plus ψ.
-        let d = ax.apply(0, 2.0, &mut psi);
+        let d = CpmlAxis::apply(ax.coeffs(0), 2.0, &mut psi);
         assert_eq!(psi, 0.5);
         assert_eq!(d, 2.5);
         assert!(!ax.in_layer(0));
@@ -261,10 +254,8 @@ mod tests {
                 assert_eq!(w.coeffs(i), g.coeffs(z0 + i), "interior {i} of slab {z0}");
                 assert_eq!(w.in_layer(i), g.in_layer(z0 + i), "layer {i} of slab {z0}");
             }
-            for r in 0..nz + 8 {
-                assert_eq!(w.a_raw(r), g.a_raw(r + z0));
-                assert_eq!(w.b_raw(r), g.b_raw(r + z0));
-                assert_eq!(w.inv_kappa_raw(r), g.inv_kappa_raw(r + z0));
+            for (wv, gv) in w.raw().iter().zip(g.raw()) {
+                assert_eq!(*wv, &gv[z0..z0 + nz + 8]);
             }
         }
     }

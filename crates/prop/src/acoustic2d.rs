@@ -15,9 +15,8 @@
 //! every point is independent, which is what lets `openacc-sim` gangs and
 //! `mpi-sim` ranks split the z-range.
 
-use exec_host::par_slabs;
-use seismic_grid::fd::f32c;
-use seismic_grid::{Extent2, Field2, SyncSlice};
+use crate::stagger::{bwd, fwd, sweep, Grid, X, Z};
+use seismic_grid::{Extent2, Field2};
 use seismic_model::AcousticModel2;
 use seismic_pml::CpmlAxis;
 
@@ -92,29 +91,21 @@ impl Ac2State {
         dt: f32,
         gangs: usize,
     ) {
-        let e = self.p.extent();
-        let qx = SyncSlice::new(self.qx.as_mut_slice());
-        let qz = SyncSlice::new(self.qz.as_mut_slice());
-        let px = SyncSlice::new(self.psi_px.as_mut_slice());
-        let pz = SyncSlice::new(self.psi_pz.as_mut_slice());
         let p = self.p.as_slice();
-        par_slabs(e.nz, gangs, |z0, z1| {
-            velocity_slab(
-                qx,
-                qz,
-                px,
-                pz,
-                p,
-                model.rho.as_slice(),
-                e,
-                model.geom.dx,
-                model.geom.dz,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
+        sweep(
+            Grid::new2(self.p.extent(), [model.geom.dx, model.geom.dz], cpml),
+            [
+                fwd(p, self.psi_px.as_mut_slice(), X),
+                fwd(p, self.psi_pz.as_mut_slice(), Z),
+            ],
+            [model.rho.as_slice()],
+            [self.qx.as_mut_slice(), self.qz.as_mut_slice()],
+            gangs,
+            move |[dpx, dpz], [rho]| {
+                let r = dt / rho;
+                [r * dpx, r * dpz]
+            },
+        );
     }
 
     /// Phase 2: pressure from the velocity divergence, `p += dt·E(q)`.
@@ -125,29 +116,17 @@ impl Ac2State {
         dt: f32,
         gangs: usize,
     ) {
-        let e = self.p.extent();
-        let p = SyncSlice::new(self.p.as_mut_slice());
-        let sx = SyncSlice::new(self.psi_qx.as_mut_slice());
-        let sz = SyncSlice::new(self.psi_qz.as_mut_slice());
-        let (qx, qz) = (self.qx.as_slice(), self.qz.as_slice());
-        par_slabs(e.nz, gangs, |z0, z1| {
-            pressure_slab(
-                p,
-                sx,
-                sz,
-                qx,
-                qz,
-                model.vp.as_slice(),
-                model.rho.as_slice(),
-                e,
-                model.geom.dx,
-                model.geom.dz,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
+        sweep(
+            Grid::new2(self.p.extent(), [model.geom.dx, model.geom.dz], cpml),
+            [
+                bwd(self.qx.as_slice(), self.psi_qx.as_mut_slice(), X),
+                bwd(self.qz.as_slice(), self.psi_qz.as_mut_slice(), Z),
+            ],
+            [model.vp.as_slice(), model.rho.as_slice()],
+            [self.p.as_mut_slice()],
+            gangs,
+            move |[dqx, dqz], [vp, rho]| [dt * (rho * vp * vp) * (dqx + dqz)],
+        );
     }
 
     /// Add a pressure source sample: `p += Δt·ρ·vp²·f` (the `ρ·vp²·∂t⁻¹f`
@@ -158,114 +137,6 @@ impl Ac2State {
         let rho = model.rho.get(ix, iz);
         let v = self.p.get(ix, iz) + dt * rho * vp * vp * f;
         self.p.set(ix, iz, v);
-    }
-}
-
-/// 8th-order staggered forward difference along stride `s`.
-#[inline(always)]
-fn df(u: &[f32], c: usize, s: usize) -> f32 {
-    let mut d = 0.0f32;
-    for (k, &ck) in f32c::S1.iter().enumerate() {
-        d += ck * (u[c + (k + 1) * s] - u[c - k * s]);
-    }
-    d
-}
-
-/// 8th-order staggered backward difference along stride `s`.
-#[inline(always)]
-fn db(u: &[f32], c: usize, s: usize) -> f32 {
-    let mut d = 0.0f32;
-    for (k, &ck) in f32c::S1.iter().enumerate() {
-        d += ck * (u[c + k * s] - u[c - (k + 1) * s]);
-    }
-    d
-}
-
-/// Velocity kernel over interior rows `[z0, z1)`:
-/// `q_i += Δt/ρ · CPML(∂i p)`.
-#[allow(clippy::too_many_arguments)]
-pub fn velocity_slab(
-    qx: SyncSlice,
-    qz: SyncSlice,
-    psi_px: SyncSlice,
-    psi_pz: SyncSlice,
-    p: &[f32],
-    rho: &[f32],
-    e: Extent2,
-    dx: f32,
-    dz: f32,
-    dt: f32,
-    cpml: &[CpmlAxis; 2],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let rdx = 1.0 / dx;
-    let rdz = 1.0 / dz;
-    let [cx, cz] = cpml;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for ix in 0..e.nx {
-            let c = e.idx(ix, iz);
-            let r = dt / rho[c];
-            // ∂x p at (i+1/2): ψ recursion inline so a single pass updates
-            // both the memory field and the velocity.
-            let (axc, bxc, ikx) = cx.coeffs(ix);
-            let dpx = df(p, c, 1) * rdx;
-            let px = bxc * psi_px.get(c) + axc * dpx;
-            unsafe { psi_px.set(c, px) };
-            unsafe { qx.add(c, r * (dpx * ikx + px)) };
-
-            let dpz = df(p, c, fnx) * rdz;
-            let pz = bz * psi_pz.get(c) + az * dpz;
-            unsafe { psi_pz.set(c, pz) };
-            unsafe { qz.add(c, r * (dpz * ikz + pz)) };
-        }
-    }
-}
-
-/// Pressure kernel over interior rows `[z0, z1)`:
-/// `p += Δt·ρ·vp²·(CPML(∂x qx) + CPML(∂z qz))`.
-#[allow(clippy::too_many_arguments)]
-pub fn pressure_slab(
-    p: SyncSlice,
-    psi_qx: SyncSlice,
-    psi_qz: SyncSlice,
-    qx: &[f32],
-    qz: &[f32],
-    vp: &[f32],
-    rho: &[f32],
-    e: Extent2,
-    dx: f32,
-    dz: f32,
-    dt: f32,
-    cpml: &[CpmlAxis; 2],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let rdx = 1.0 / dx;
-    let rdz = 1.0 / dz;
-    let [cx, cz] = cpml;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for ix in 0..e.nx {
-            let c = e.idx(ix, iz);
-            let (axc, bxc, ikx) = cx.coeffs(ix);
-            let dqx = db(qx, c, 1) * rdx;
-            let sx = bxc * psi_qx.get(c) + axc * dqx;
-            unsafe { psi_qx.set(c, sx) };
-
-            let dqz = db(qz, c, fnx) * rdz;
-            let sz = bz * psi_qz.get(c) + az * dqz;
-            unsafe { psi_qz.set(c, sz) };
-
-            let v = vp[c];
-            let k = rho[c] * v * v;
-            unsafe { p.add(c, dt * k * ((dqx * ikx + sx) + (dqz * ikz + sz))) };
-        }
     }
 }
 
@@ -358,6 +229,8 @@ mod tests {
         assert!(fin < peak * 0.08, "final {fin} vs peak {peak}");
     }
 
+    /// Three gangs split every sweep into z-slabs; the bits must match
+    /// the one-gang sequential reference.
     #[test]
     fn slab_split_matches_sequential() {
         let n = 48;
@@ -367,53 +240,7 @@ mod tests {
         let mut par = Ac2State::new(e);
         for t in 0..30 {
             seq.step(&m, &cpml, 1);
-            // Parallel-equivalent: same kernels over three slabs.
-            {
-                let qx = SyncSlice::new(par.qx.as_mut_slice());
-                let qz = SyncSlice::new(par.qz.as_mut_slice());
-                let px = SyncSlice::new(par.psi_px.as_mut_slice());
-                let pz = SyncSlice::new(par.psi_pz.as_mut_slice());
-                for (z0, z1) in [(0usize, 15usize), (15, 31), (31, 48)] {
-                    velocity_slab(
-                        qx,
-                        qz,
-                        px,
-                        pz,
-                        par.p.as_slice(),
-                        m.rho.as_slice(),
-                        e,
-                        m.geom.dx,
-                        m.geom.dz,
-                        m.geom.dt,
-                        &cpml,
-                        z0,
-                        z1,
-                    );
-                }
-            }
-            {
-                let p = SyncSlice::new(par.p.as_mut_slice());
-                let sx = SyncSlice::new(par.psi_qx.as_mut_slice());
-                let sz = SyncSlice::new(par.psi_qz.as_mut_slice());
-                for (z0, z1) in [(0usize, 7usize), (7, 30), (30, 48)] {
-                    pressure_slab(
-                        p,
-                        sx,
-                        sz,
-                        par.qx.as_slice(),
-                        par.qz.as_slice(),
-                        m.vp.as_slice(),
-                        m.rho.as_slice(),
-                        e,
-                        m.geom.dx,
-                        m.geom.dz,
-                        m.geom.dt,
-                        &cpml,
-                        z0,
-                        z1,
-                    );
-                }
-            }
+            par.step(&m, &cpml, 3);
             let amp = ricker(20.0, t as f32 * m.geom.dt - 0.06);
             seq.inject(&m, 24, 10, amp);
             par.inject(&m, 24, 10, amp);
@@ -422,6 +249,4 @@ mod tests {
         assert_eq!(seq.qx, par.qx);
         assert_eq!(seq.psi_qz, par.psi_qz);
     }
-
-    use seismic_grid::Field2;
 }

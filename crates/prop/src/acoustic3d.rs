@@ -12,10 +12,9 @@
 //! (`p += Δt·K·(dx+dy+dz)` vs three separate `+=`), so equality tests use a
 //! tight relative tolerance rather than bitwise comparison.
 
+use crate::stagger::{bwd, fwd, sweep, Grid, X, Y, Z};
 use crate::FissionVariant;
-use exec_host::par_slabs;
-use seismic_grid::fd::f32c;
-use seismic_grid::{Extent3, Field3, SyncSlice};
+use seismic_grid::{Extent3, Field3};
 use seismic_model::AcousticModel3;
 use seismic_pml::CpmlAxis;
 
@@ -113,33 +112,27 @@ impl Ac3State {
         dt: f32,
         gangs: usize,
     ) {
-        let e = self.p.extent();
-        let h = [model.geom.dx, model.geom.dy, model.geom.dz];
-        let qx = SyncSlice::new(self.qx.as_mut_slice());
-        let qy = SyncSlice::new(self.qy.as_mut_slice());
-        let qz = SyncSlice::new(self.qz.as_mut_slice());
-        let px = SyncSlice::new(self.psi_px.as_mut_slice());
-        let py = SyncSlice::new(self.psi_py.as_mut_slice());
-        let pz = SyncSlice::new(self.psi_pz.as_mut_slice());
+        let g = &model.geom;
         let p = self.p.as_slice();
-        par_slabs(e.nz, gangs, |z0, z1| {
-            velocity_slab(
-                qx,
-                qy,
-                qz,
-                px,
-                py,
-                pz,
-                p,
-                model.rho.as_slice(),
-                e,
-                h,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
+        sweep(
+            Grid::new3(self.p.extent(), [g.dx, g.dy, g.dz], cpml),
+            [
+                fwd(p, self.psi_px.as_mut_slice(), X),
+                fwd(p, self.psi_py.as_mut_slice(), Y),
+                fwd(p, self.psi_pz.as_mut_slice(), Z),
+            ],
+            [model.rho.as_slice()],
+            [
+                self.qx.as_mut_slice(),
+                self.qy.as_mut_slice(),
+                self.qz.as_mut_slice(),
+            ],
+            gangs,
+            move |[dpx, dpy, dpz], [rho]| {
+                let r = dt / rho;
+                [r * dpx, r * dpy, r * dpz]
+            },
+        );
     }
 
     /// Phase 2: pressure from the velocity divergence, fused or fissioned.
@@ -154,61 +147,41 @@ impl Ac3State {
         dt: f32,
         gangs: usize,
     ) {
-        let e = self.p.extent();
-        let h = [model.geom.dx, model.geom.dy, model.geom.dz];
+        let g = Grid::new3(
+            self.p.extent(),
+            [model.geom.dx, model.geom.dy, model.geom.dz],
+            cpml,
+        );
+        let media = [model.vp.as_slice(), model.rho.as_slice()];
         match variant {
-            FissionVariant::Fused => {
-                let p = SyncSlice::new(self.p.as_mut_slice());
-                let sx = SyncSlice::new(self.psi_qx.as_mut_slice());
-                let sy = SyncSlice::new(self.psi_qy.as_mut_slice());
-                let sz = SyncSlice::new(self.psi_qz.as_mut_slice());
-                let (qx, qy, qz) = (self.qx.as_slice(), self.qy.as_slice(), self.qz.as_slice());
-                par_slabs(e.nz, gangs, |z0, z1| {
-                    pressure_fused_slab(
-                        p,
-                        sx,
-                        sy,
-                        sz,
-                        qx,
-                        qy,
-                        qz,
-                        model.vp.as_slice(),
-                        model.rho.as_slice(),
-                        e,
-                        h,
-                        dt,
-                        cpml,
-                        z0,
-                        z1,
-                    );
-                });
-            }
+            FissionVariant::Fused => sweep(
+                g,
+                [
+                    bwd(self.qx.as_slice(), self.psi_qx.as_mut_slice(), X),
+                    bwd(self.qy.as_slice(), self.psi_qy.as_mut_slice(), Y),
+                    bwd(self.qz.as_slice(), self.psi_qz.as_mut_slice(), Z),
+                ],
+                media,
+                [self.p.as_mut_slice()],
+                gangs,
+                move |[dqx, dqy, dqz], [vp, rho]| [dt * (rho * vp * vp) * (dqx + dqy + dqz)],
+            ),
             FissionVariant::Fissioned => {
-                let order = if dt < 0.0 { [2, 1, 0] } else { [0, 1, 2] };
+                let order = if dt < 0.0 { [Z, Y, X] } else { [X, Y, Z] };
                 for axis in order {
-                    let p = SyncSlice::new(self.p.as_mut_slice());
-                    let (psi, q) = match axis {
-                        0 => (&mut self.psi_qx, &self.qx),
-                        1 => (&mut self.psi_qy, &self.qy),
-                        _ => (&mut self.psi_qz, &self.qz),
+                    let (q, psi) = match axis {
+                        X => (&self.qx, &mut self.psi_qx),
+                        Y => (&self.qy, &mut self.psi_qy),
+                        _ => (&self.qz, &mut self.psi_qz),
                     };
-                    let (psi, q) = (SyncSlice::new(psi.as_mut_slice()), q.as_slice());
-                    par_slabs(e.nz, gangs, |z0, z1| {
-                        pressure_axis_slab(
-                            p,
-                            psi,
-                            q,
-                            model.vp.as_slice(),
-                            model.rho.as_slice(),
-                            e,
-                            axis,
-                            h[axis],
-                            dt,
-                            &cpml[axis],
-                            z0,
-                            z1,
-                        );
-                    });
+                    sweep(
+                        g,
+                        [bwd(q.as_slice(), psi.as_mut_slice(), axis)],
+                        media,
+                        [self.p.as_mut_slice()],
+                        gangs,
+                        move |[dq], [vp, rho]| [dt * (rho * vp * vp) * dq],
+                    );
                 }
             }
         }
@@ -221,172 +194,6 @@ impl Ac3State {
         let rho = model.rho.get(ix, iy, iz);
         let v = self.p.get(ix, iy, iz) + dt * rho * vp * vp * f;
         self.p.set(ix, iy, iz, v);
-    }
-}
-
-#[inline(always)]
-fn df(u: &[f32], c: usize, s: usize) -> f32 {
-    let mut d = 0.0f32;
-    for (k, &ck) in f32c::S1.iter().enumerate() {
-        d += ck * (u[c + (k + 1) * s] - u[c - k * s]);
-    }
-    d
-}
-
-#[inline(always)]
-fn db(u: &[f32], c: usize, s: usize) -> f32 {
-    let mut d = 0.0f32;
-    for (k, &ck) in f32c::S1.iter().enumerate() {
-        d += ck * (u[c + k * s] - u[c - (k + 1) * s]);
-    }
-    d
-}
-
-/// Velocity kernel: `q_i += Δt/ρ · CPML(∂i p)` for i ∈ {x, y, z}.
-#[allow(clippy::too_many_arguments)]
-pub fn velocity_slab(
-    qx: SyncSlice,
-    qy: SyncSlice,
-    qz: SyncSlice,
-    psi_px: SyncSlice,
-    psi_py: SyncSlice,
-    psi_pz: SyncSlice,
-    p: &[f32],
-    rho: &[f32],
-    e: Extent3,
-    h: [f32; 3],
-    dt: f32,
-    cpml: &[CpmlAxis; 3],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let fnxy = fnx * e.full_ny();
-    let rh = [1.0 / h[0], 1.0 / h[1], 1.0 / h[2]];
-    let [cx, cy, cz] = cpml;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for iy in 0..e.ny {
-            let (ay, by, iky) = cy.coeffs(iy);
-            for ix in 0..e.nx {
-                let c = e.idx(ix, iy, iz);
-                let r = dt / rho[c];
-                let (ax, bx, ikx) = cx.coeffs(ix);
-
-                let dpx = df(p, c, 1) * rh[0];
-                let px = bx * psi_px.get(c) + ax * dpx;
-                unsafe { psi_px.set(c, px) };
-                unsafe { qx.add(c, r * (dpx * ikx + px)) };
-
-                let dpy = df(p, c, fnx) * rh[1];
-                let py = by * psi_py.get(c) + ay * dpy;
-                unsafe { psi_py.set(c, py) };
-                unsafe { qy.add(c, r * (dpy * iky + py)) };
-
-                let dpz = df(p, c, fnxy) * rh[2];
-                let pz = bz * psi_pz.get(c) + az * dpz;
-                unsafe { psi_pz.set(c, pz) };
-                unsafe { qz.add(c, r * (dpz * ikz + pz)) };
-            }
-        }
-    }
-}
-
-/// Fused pressure kernel: all three derivative contributions in one pass.
-#[allow(clippy::too_many_arguments)]
-pub fn pressure_fused_slab(
-    p: SyncSlice,
-    psi_qx: SyncSlice,
-    psi_qy: SyncSlice,
-    psi_qz: SyncSlice,
-    qx: &[f32],
-    qy: &[f32],
-    qz: &[f32],
-    vp: &[f32],
-    rho: &[f32],
-    e: Extent3,
-    h: [f32; 3],
-    dt: f32,
-    cpml: &[CpmlAxis; 3],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let fnxy = fnx * e.full_ny();
-    let rh = [1.0 / h[0], 1.0 / h[1], 1.0 / h[2]];
-    let [cx, cy, cz] = cpml;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for iy in 0..e.ny {
-            let (ay, by, iky) = cy.coeffs(iy);
-            for ix in 0..e.nx {
-                let c = e.idx(ix, iy, iz);
-                let (ax, bx, ikx) = cx.coeffs(ix);
-
-                let dqx = db(qx, c, 1) * rh[0];
-                let sx = bx * psi_qx.get(c) + ax * dqx;
-                unsafe { psi_qx.set(c, sx) };
-
-                let dqy = db(qy, c, fnx) * rh[1];
-                let sy = by * psi_qy.get(c) + ay * dqy;
-                unsafe { psi_qy.set(c, sy) };
-
-                let dqz = db(qz, c, fnxy) * rh[2];
-                let sz = bz * psi_qz.get(c) + az * dqz;
-                unsafe { psi_qz.set(c, sz) };
-
-                let v = vp[c];
-                let k = rho[c] * v * v;
-                let div = (dqx * ikx + sx) + (dqy * iky + sy) + (dqz * ikz + sz);
-                unsafe { p.add(c, dt * k * div) };
-            }
-        }
-    }
-}
-
-/// One fissioned pressure kernel: the contribution of a single axis
-/// (`axis` ∈ {0 = x, 1 = y, 2 = z}).
-#[allow(clippy::too_many_arguments)]
-pub fn pressure_axis_slab(
-    p: SyncSlice,
-    psi: SyncSlice,
-    q: &[f32],
-    vp: &[f32],
-    rho: &[f32],
-    e: Extent3,
-    axis: usize,
-    h: f32,
-    dt: f32,
-    cpml: &CpmlAxis,
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let fnxy = fnx * e.full_ny();
-    let stride = match axis {
-        0 => 1,
-        1 => fnx,
-        2 => fnxy,
-        _ => panic!("axis must be 0..3"),
-    };
-    let rh = 1.0 / h;
-    for iz in z0..z1 {
-        for iy in 0..e.ny {
-            for ix in 0..e.nx {
-                let c = e.idx(ix, iy, iz);
-                let i_axis = [ix, iy, iz][axis];
-                let (a, b, ik) = cpml.coeffs(i_axis);
-                let dq = db(q, c, stride) * rh;
-                let s = b * psi.get(c) + a * dq;
-                unsafe { psi.set(c, s) };
-                let v = vp[c];
-                let k = rho[c] * v * v;
-                unsafe { p.add(c, dt * k * (dq * ik + s)) };
-            }
-        }
     }
 }
 
@@ -472,29 +279,5 @@ mod tests {
             peak = peak.max(s.p.energy());
         }
         assert!(s.p.energy() < peak * 0.15);
-    }
-
-    #[test]
-    #[should_panic(expected = "axis must be 0..3")]
-    fn pressure_axis_rejects_bad_axis() {
-        let (m, cpml) = setup(16);
-        let e = m.vp.extent();
-        let mut s = Ac3State::new(e);
-        let p = SyncSlice::new(s.p.as_mut_slice());
-        let psi = SyncSlice::new(s.psi_qx.as_mut_slice());
-        pressure_axis_slab(
-            p,
-            psi,
-            s.qx.as_slice(),
-            m.vp.as_slice(),
-            m.rho.as_slice(),
-            e,
-            7,
-            10.0,
-            1e-3,
-            &cpml[0],
-            0,
-            e.nz,
-        );
     }
 }

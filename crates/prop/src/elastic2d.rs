@@ -10,9 +10,8 @@
 //! phase. That independence is exactly what the paper exploits with the
 //! `async` clause on the elastic model (Figure 11).
 
-use exec_host::par_slabs;
-use seismic_grid::fd::f32c;
-use seismic_grid::{Extent2, Field2, SyncSlice};
+use crate::stagger::{bwd, fwd, sweep, Grid, X, Z};
+use seismic_grid::{Extent2, Field2};
 use seismic_model::ElasticModel2;
 use seismic_pml::CpmlAxis;
 
@@ -110,103 +109,71 @@ impl El2State {
         dt: f32,
         gangs: usize,
     ) {
-        let e = self.vx.extent();
-        let g = &model.geom;
+        let g = Grid::new2(self.vx.extent(), [model.geom.dx, model.geom.dz], cpml);
         let (sxx, szz, sxz) = (
             self.sxx.as_slice(),
             self.szz.as_slice(),
             self.sxz.as_slice(),
         );
-        let vx = SyncSlice::new(self.vx.as_mut_slice());
-        let p1 = SyncSlice::new(self.psi_sxx_x.as_mut_slice());
-        let p2 = SyncSlice::new(self.psi_sxz_z.as_mut_slice());
-        par_slabs(e.nz, gangs, |z0, z1| {
-            vx_slab(
-                vx,
-                p1,
-                p2,
-                sxx,
-                sxz,
-                model.rho.as_slice(),
-                e,
-                g.dx,
-                g.dz,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
-        let vz = SyncSlice::new(self.vz.as_mut_slice());
-        let p1 = SyncSlice::new(self.psi_sxz_x.as_mut_slice());
-        let p2 = SyncSlice::new(self.psi_szz_z.as_mut_slice());
-        par_slabs(e.nz, gangs, |z0, z1| {
-            vz_slab(
-                vz,
-                p1,
-                p2,
-                sxz,
-                szz,
-                model.rho.as_slice(),
-                e,
-                g.dx,
-                g.dz,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
+        let rho = [model.rho.as_slice()];
+        let accel = move |[d0, d1]: [f32; 2], [rho]: [f32; 1]| [dt / rho * (d0 + d1)];
+        // vx += Δt/ρ·(∂x σxx + ∂z σxz)
+        sweep(
+            g,
+            [
+                fwd(sxx, self.psi_sxx_x.as_mut_slice(), X),
+                bwd(sxz, self.psi_sxz_z.as_mut_slice(), Z),
+            ],
+            rho,
+            [self.vx.as_mut_slice()],
+            gangs,
+            accel,
+        );
+        // vz += Δt/ρ·(∂x σxz + ∂z σzz)
+        sweep(
+            g,
+            [
+                bwd(sxz, self.psi_sxz_x.as_mut_slice(), X),
+                fwd(szz, self.psi_szz_z.as_mut_slice(), Z),
+            ],
+            rho,
+            [self.vz.as_mut_slice()],
+            gangs,
+            accel,
+        );
     }
 
     /// Stress phase: diagonal then shear. Both read only velocities.
     fn stress_phase(&mut self, model: &ElasticModel2, cpml: &[CpmlAxis; 2], dt: f32, gangs: usize) {
-        let e = self.vx.extent();
-        let g = &model.geom;
+        let g = Grid::new2(self.vx.extent(), [model.geom.dx, model.geom.dz], cpml);
         let (vx, vz) = (self.vx.as_slice(), self.vz.as_slice());
-        let sxx = SyncSlice::new(self.sxx.as_mut_slice());
-        let szz = SyncSlice::new(self.szz.as_mut_slice());
-        let p1 = SyncSlice::new(self.psi_vx_x.as_mut_slice());
-        let p2 = SyncSlice::new(self.psi_vz_z.as_mut_slice());
-        par_slabs(e.nz, gangs, |z0, z1| {
-            stress_diag_slab(
-                sxx,
-                szz,
-                p1,
-                p2,
-                vx,
-                vz,
-                model.lam.as_slice(),
-                model.mu.as_slice(),
-                e,
-                g.dx,
-                g.dz,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
-        let sxz = SyncSlice::new(self.sxz.as_mut_slice());
-        let p1 = SyncSlice::new(self.psi_vx_z.as_mut_slice());
-        let p2 = SyncSlice::new(self.psi_vz_x.as_mut_slice());
-        par_slabs(e.nz, gangs, |z0, z1| {
-            stress_shear_slab(
-                sxz,
-                p1,
-                p2,
-                vx,
-                vz,
-                model.mu.as_slice(),
-                e,
-                g.dx,
-                g.dz,
-                dt,
-                cpml,
-                z0,
-                z1,
-            );
-        });
+        // σxx += Δt·((λ+2μ)·∂x vx + λ·∂z vz), σzz += Δt·(λ·∂x vx + (λ+2μ)·∂z vz)
+        sweep(
+            g,
+            [
+                bwd(vx, self.psi_vx_x.as_mut_slice(), X),
+                bwd(vz, self.psi_vz_z.as_mut_slice(), Z),
+            ],
+            [model.lam.as_slice(), model.mu.as_slice()],
+            [self.sxx.as_mut_slice(), self.szz.as_mut_slice()],
+            gangs,
+            move |[exx, ezz], [l, mu]| {
+                let l2m = l + 2.0 * mu;
+                [dt * (l2m * exx + l * ezz), dt * (l * exx + l2m * ezz)]
+            },
+        );
+        // σxz += Δt·μ·(∂z vx + ∂x vz)
+        sweep(
+            g,
+            [
+                fwd(vx, self.psi_vx_z.as_mut_slice(), Z),
+                fwd(vz, self.psi_vz_x.as_mut_slice(), X),
+            ],
+            [model.mu.as_slice()],
+            [self.sxz.as_mut_slice()],
+            gangs,
+            move |[d0, d1], [mu]| [dt * mu * (d0 + d1)],
+        );
     }
 
     /// Explosive source: equal increments on both normal stresses.
@@ -216,182 +183,6 @@ impl El2State {
         self.sxx.set(ix, iz, v);
         let v = self.szz.get(ix, iz) + a;
         self.szz.set(ix, iz, v);
-    }
-}
-
-#[inline(always)]
-fn df(u: &[f32], c: usize, s: usize) -> f32 {
-    let mut d = 0.0f32;
-    for (k, &ck) in f32c::S1.iter().enumerate() {
-        d += ck * (u[c + (k + 1) * s] - u[c - k * s]);
-    }
-    d
-}
-
-#[inline(always)]
-fn db(u: &[f32], c: usize, s: usize) -> f32 {
-    let mut d = 0.0f32;
-    for (k, &ck) in f32c::S1.iter().enumerate() {
-        d += ck * (u[c + k * s] - u[c - (k + 1) * s]);
-    }
-    d
-}
-
-/// `vx += Δt/ρ·(CPML(∂x σxx) + CPML(∂z σxz))`.
-#[allow(clippy::too_many_arguments)]
-pub fn vx_slab(
-    vx: SyncSlice,
-    psi_sxx_x: SyncSlice,
-    psi_sxz_z: SyncSlice,
-    sxx: &[f32],
-    sxz: &[f32],
-    rho: &[f32],
-    e: Extent2,
-    dx: f32,
-    dz: f32,
-    dt: f32,
-    cpml: &[CpmlAxis; 2],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let (rdx, rdz) = (1.0 / dx, 1.0 / dz);
-    let [cx, cz] = cpml;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for ix in 0..e.nx {
-            let c = e.idx(ix, iz);
-            let (ax, bx, ikx) = cx.coeffs(ix);
-            let d1 = df(sxx, c, 1) * rdx;
-            let p1 = bx * psi_sxx_x.get(c) + ax * d1;
-            unsafe { psi_sxx_x.set(c, p1) };
-            let d2 = db(sxz, c, fnx) * rdz;
-            let p2 = bz * psi_sxz_z.get(c) + az * d2;
-            unsafe { psi_sxz_z.set(c, p2) };
-            unsafe { vx.add(c, dt / rho[c] * ((d1 * ikx + p1) + (d2 * ikz + p2))) };
-        }
-    }
-}
-
-/// `vz += Δt/ρ·(CPML(∂x σxz) + CPML(∂z σzz))`.
-#[allow(clippy::too_many_arguments)]
-pub fn vz_slab(
-    vz: SyncSlice,
-    psi_sxz_x: SyncSlice,
-    psi_szz_z: SyncSlice,
-    sxz: &[f32],
-    szz: &[f32],
-    rho: &[f32],
-    e: Extent2,
-    dx: f32,
-    dz: f32,
-    dt: f32,
-    cpml: &[CpmlAxis; 2],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let (rdx, rdz) = (1.0 / dx, 1.0 / dz);
-    let [cx, cz] = cpml;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for ix in 0..e.nx {
-            let c = e.idx(ix, iz);
-            let (ax, bx, ikx) = cx.coeffs(ix);
-            let d1 = db(sxz, c, 1) * rdx;
-            let p1 = bx * psi_sxz_x.get(c) + ax * d1;
-            unsafe { psi_sxz_x.set(c, p1) };
-            let d2 = df(szz, c, fnx) * rdz;
-            let p2 = bz * psi_szz_z.get(c) + az * d2;
-            unsafe { psi_szz_z.set(c, p2) };
-            unsafe { vz.add(c, dt / rho[c] * ((d1 * ikx + p1) + (d2 * ikz + p2))) };
-        }
-    }
-}
-
-/// Diagonal stresses:
-/// `σxx += Δt·((λ+2μ)·∂x vx + λ·∂z vz)`, `σzz += Δt·(λ·∂x vx + (λ+2μ)·∂z vz)`.
-#[allow(clippy::too_many_arguments)]
-pub fn stress_diag_slab(
-    sxx: SyncSlice,
-    szz: SyncSlice,
-    psi_vx_x: SyncSlice,
-    psi_vz_z: SyncSlice,
-    vx: &[f32],
-    vz: &[f32],
-    lam: &[f32],
-    mu: &[f32],
-    e: Extent2,
-    dx: f32,
-    dz: f32,
-    dt: f32,
-    cpml: &[CpmlAxis; 2],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let (rdx, rdz) = (1.0 / dx, 1.0 / dz);
-    let [cx, cz] = cpml;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for ix in 0..e.nx {
-            let c = e.idx(ix, iz);
-            let (ax, bx, ikx) = cx.coeffs(ix);
-            let d1 = db(vx, c, 1) * rdx;
-            let p1 = bx * psi_vx_x.get(c) + ax * d1;
-            unsafe { psi_vx_x.set(c, p1) };
-            let exx = d1 * ikx + p1;
-
-            let d2 = db(vz, c, fnx) * rdz;
-            let p2 = bz * psi_vz_z.get(c) + az * d2;
-            unsafe { psi_vz_z.set(c, p2) };
-            let ezz = d2 * ikz + p2;
-
-            let l = lam[c];
-            let l2m = l + 2.0 * mu[c];
-            unsafe { sxx.add(c, dt * (l2m * exx + l * ezz)) };
-            unsafe { szz.add(c, dt * (l * exx + l2m * ezz)) };
-        }
-    }
-}
-
-/// Shear stress: `σxz += Δt·μ·(∂z vx + ∂x vz)`.
-#[allow(clippy::too_many_arguments)]
-pub fn stress_shear_slab(
-    sxz: SyncSlice,
-    psi_vx_z: SyncSlice,
-    psi_vz_x: SyncSlice,
-    vx: &[f32],
-    vz: &[f32],
-    mu: &[f32],
-    e: Extent2,
-    dx: f32,
-    dz: f32,
-    dt: f32,
-    cpml: &[CpmlAxis; 2],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let (rdx, rdz) = (1.0 / dx, 1.0 / dz);
-    let [cx, cz] = cpml;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for ix in 0..e.nx {
-            let c = e.idx(ix, iz);
-            let (ax, bx, ikx) = cx.coeffs(ix);
-            let d1 = df(vx, c, fnx) * rdz;
-            let p1 = bz * psi_vx_z.get(c) + az * d1;
-            unsafe { psi_vx_z.set(c, p1) };
-            let d2 = df(vz, c, 1) * rdx;
-            let p2 = bx * psi_vz_x.get(c) + ax * d2;
-            unsafe { psi_vz_x.set(c, p2) };
-            unsafe { sxz.add(c, dt * mu[c] * ((d1 * ikz + p1) + (d2 * ikx + p2))) };
-        }
     }
 }
 

@@ -7,9 +7,8 @@
 //! and the most memory-hungry case of the evaluation (the one that OOMs the
 //! 6 GB Fermi card at production grid sizes).
 
-use exec_host::par_slabs;
-use seismic_grid::fd::f32c;
-use seismic_grid::{Extent3, Field3, SyncSlice};
+use crate::stagger::{bwd, fwd, sweep, Grid, X, Y, Z};
+use seismic_grid::{Extent3, Field3};
 use seismic_model::ElasticModel3;
 use seismic_pml::CpmlAxis;
 
@@ -114,7 +113,8 @@ impl El3State {
     }
 
     /// Velocity phase: the vx, vy, vz kernels. Each reads only stresses and
-    /// writes its own field and three ψ fields. `dt` is signed so the
+    /// writes its own field and three ψ fields,
+    /// `v_i += Δt/ρ·(∂x σ_ix + ∂y σ_iy + ∂z σ_iz)`. `dt` is signed so the
     /// reverse step can undo it.
     fn velocity_phase(
         &mut self,
@@ -123,10 +123,10 @@ impl El3State {
         dt: f32,
         gangs: usize,
     ) {
-        let e = self.vx.extent();
-        let g = &model.geom;
-        let h = [g.dx, g.dy, g.dz];
-        let rho = model.rho.as_slice();
+        let geom = &model.geom;
+        let g = Grid::new3(self.vx.extent(), [geom.dx, geom.dy, geom.dz], cpml);
+        let rho = [model.rho.as_slice()];
+        let accel = move |[d0, d1, d2]: [f32; 3], [rho]: [f32; 1]| [dt / rho * (d0 + d1 + d2)];
         let (sxx, syy, szz) = (
             self.sxx.as_slice(),
             self.syy.as_slice(),
@@ -137,53 +137,71 @@ impl El3State {
             self.sxz.as_slice(),
             self.syz.as_slice(),
         );
-        let vx = SyncSlice::new(self.vx.as_mut_slice());
         let [p0, p1, p2] = psi_slices(&mut self.psi, PsiIdx::SxxX);
-        par_slabs(e.nz, gangs, |z0, z1| {
-            vx_slab(vx, p0, p1, p2, sxx, sxy, sxz, rho, e, h, dt, cpml, z0, z1);
-        });
-        let vy = SyncSlice::new(self.vy.as_mut_slice());
+        let derivs = [fwd(sxx, p0, X), bwd(sxy, p1, Y), bwd(sxz, p2, Z)];
+        sweep(g, derivs, rho, [self.vx.as_mut_slice()], gangs, accel);
         let [p0, p1, p2] = psi_slices(&mut self.psi, PsiIdx::SxyX);
-        par_slabs(e.nz, gangs, |z0, z1| {
-            vy_slab(vy, p0, p1, p2, sxy, syy, syz, rho, e, h, dt, cpml, z0, z1);
-        });
-        let vz = SyncSlice::new(self.vz.as_mut_slice());
+        let derivs = [bwd(sxy, p0, X), fwd(syy, p1, Y), bwd(syz, p2, Z)];
+        sweep(g, derivs, rho, [self.vy.as_mut_slice()], gangs, accel);
         let [p0, p1, p2] = psi_slices(&mut self.psi, PsiIdx::SxzX);
-        par_slabs(e.nz, gangs, |z0, z1| {
-            vz_slab(vz, p0, p1, p2, sxz, syz, szz, rho, e, h, dt, cpml, z0, z1);
-        });
+        let derivs = [bwd(sxz, p0, X), bwd(syz, p1, Y), fwd(szz, p2, Z)];
+        sweep(g, derivs, rho, [self.vz.as_mut_slice()], gangs, accel);
     }
 
     /// Stress phase: the diagonal, (σxy, σxz) and σyz kernels. Each reads
     /// only velocities. `dt` is signed.
     fn stress_phase(&mut self, model: &ElasticModel3, cpml: &[CpmlAxis; 3], dt: f32, gangs: usize) {
-        let e = self.vx.extent();
-        let g = &model.geom;
-        let h = [g.dx, g.dy, g.dz];
+        let geom = &model.geom;
+        let g = Grid::new3(self.vx.extent(), [geom.dx, geom.dy, geom.dz], cpml);
         let (lam, mu) = (model.lam.as_slice(), model.mu.as_slice());
         let (vx, vy, vz) = (self.vx.as_slice(), self.vy.as_slice(), self.vz.as_slice());
-        let sxx = SyncSlice::new(self.sxx.as_mut_slice());
-        let syy = SyncSlice::new(self.syy.as_mut_slice());
-        let szz = SyncSlice::new(self.szz.as_mut_slice());
+        // σii += Δt·(λ·(exx + eyy + ezz) + 2μ·eii)
         let [p0, p1, p2] = psi_slices(&mut self.psi, PsiIdx::VxX);
-        par_slabs(e.nz, gangs, |z0, z1| {
-            stress_diag_slab(
-                sxx, syy, szz, p0, p1, p2, vx, vy, vz, lam, mu, e, h, dt, cpml, z0, z1,
-            );
-        });
-        let sxy = SyncSlice::new(self.sxy.as_mut_slice());
-        let sxz = SyncSlice::new(self.sxz.as_mut_slice());
+        sweep(
+            g,
+            [bwd(vx, p0, X), bwd(vy, p1, Y), bwd(vz, p2, Z)],
+            [lam, mu],
+            [
+                self.sxx.as_mut_slice(),
+                self.syy.as_mut_slice(),
+                self.szz.as_mut_slice(),
+            ],
+            gangs,
+            move |[exx, eyy, ezz], [l, mu]| {
+                let m2 = 2.0 * mu;
+                let tr = exx + eyy + ezz;
+                [
+                    dt * (l * tr + m2 * exx),
+                    dt * (l * tr + m2 * eyy),
+                    dt * (l * tr + m2 * ezz),
+                ]
+            },
+        );
+        // σxy += Δt·μ·(∂y vx + ∂x vy), σxz += Δt·μ·(∂z vx + ∂x vz): one kernel
         let [p0, p1, p2, p3] = psi_slices(&mut self.psi, PsiIdx::VxY);
-        par_slabs(e.nz, gangs, |z0, z1| {
-            stress_sxy_sxz_slab(
-                sxy, sxz, p0, p1, p2, p3, vx, vy, vz, mu, e, h, dt, cpml, z0, z1,
-            );
-        });
-        let syz = SyncSlice::new(self.syz.as_mut_slice());
+        sweep(
+            g,
+            [
+                fwd(vx, p0, Y),
+                fwd(vy, p1, X),
+                fwd(vx, p2, Z),
+                fwd(vz, p3, X),
+            ],
+            [mu],
+            [self.sxy.as_mut_slice(), self.sxz.as_mut_slice()],
+            gangs,
+            move |[d0, d1, d2, d3], [mu]| [dt * mu * (d0 + d1), dt * mu * (d2 + d3)],
+        );
+        // σyz += Δt·μ·(∂z vy + ∂y vz)
         let [p0, p1] = psi_slices(&mut self.psi, PsiIdx::VyZ);
-        par_slabs(e.nz, gangs, |z0, z1| {
-            stress_syz_slab(syz, p0, p1, vy, vz, mu, e, h, dt, cpml, z0, z1);
-        });
+        sweep(
+            g,
+            [fwd(vy, p0, Z), fwd(vz, p1, Y)],
+            [mu],
+            [self.syz.as_mut_slice()],
+            gangs,
+            move |[d0, d1], [mu]| [dt * mu * (d0 + d1)],
+        );
     }
 
     /// Explosive source on the three normal stresses.
@@ -196,258 +214,12 @@ impl El3State {
     }
 }
 
-/// `SyncSlice`s over the `N` consecutive ψ fields starting at `first` —
-/// the memory fields one kernel owns.
-fn psi_slices<const N: usize>(psi: &mut [Field3], first: PsiIdx) -> [SyncSlice<'_>; N] {
+/// The `N` consecutive ψ fields starting at `first` — the memory fields
+/// one kernel owns.
+fn psi_slices<const N: usize>(psi: &mut [Field3], first: PsiIdx) -> [&mut [f32]; N] {
     let first = first as usize;
     let mut fields = psi[first..first + N].iter_mut();
-    std::array::from_fn(|_| SyncSlice::new(fields.next().expect("ψ field").as_mut_slice()))
-}
-
-#[inline(always)]
-fn df(u: &[f32], c: usize, s: usize) -> f32 {
-    let mut d = 0.0f32;
-    for (k, &ck) in f32c::S1.iter().enumerate() {
-        d += ck * (u[c + (k + 1) * s] - u[c - k * s]);
-    }
-    d
-}
-
-#[inline(always)]
-fn db(u: &[f32], c: usize, s: usize) -> f32 {
-    let mut d = 0.0f32;
-    for (k, &ck) in f32c::S1.iter().enumerate() {
-        d += ck * (u[c + k * s] - u[c - (k + 1) * s]);
-    }
-    d
-}
-
-macro_rules! vel_kernel {
-    ($name:ident, $doc:literal, $d0:ident, $d1:ident, $d2:ident) => {
-        #[doc = $doc]
-        #[allow(clippy::too_many_arguments)]
-        pub fn $name(
-            v: SyncSlice,
-            psi0: SyncSlice,
-            psi1: SyncSlice,
-            psi2: SyncSlice,
-            s0: &[f32],
-            s1: &[f32],
-            s2: &[f32],
-            rho: &[f32],
-            e: Extent3,
-            h: [f32; 3],
-            dt: f32,
-            cpml: &[CpmlAxis; 3],
-            z0: usize,
-            z1: usize,
-        ) {
-            assert!(z1 <= e.nz && z0 <= z1);
-            let fnx = e.full_nx();
-            let fnxy = fnx * e.full_ny();
-            let strides = [1usize, fnx, fnxy];
-            let rh = [1.0 / h[0], 1.0 / h[1], 1.0 / h[2]];
-            let [cx, cy, cz] = cpml;
-            for iz in z0..z1 {
-                let cc2 = cz.coeffs(iz);
-                for iy in 0..e.ny {
-                    let cc1 = cy.coeffs(iy);
-                    for ix in 0..e.nx {
-                        let c = e.idx(ix, iy, iz);
-                        let cc0 = cx.coeffs(ix);
-                        let d0v = $d0(s0, c, strides[0]) * rh[0];
-                        let p0 = cc0.1 * psi0.get(c) + cc0.0 * d0v;
-                        unsafe { psi0.set(c, p0) };
-                        let d1v = $d1(s1, c, strides[1]) * rh[1];
-                        let p1 = cc1.1 * psi1.get(c) + cc1.0 * d1v;
-                        unsafe { psi1.set(c, p1) };
-                        let d2v = $d2(s2, c, strides[2]) * rh[2];
-                        let p2 = cc2.1 * psi2.get(c) + cc2.0 * d2v;
-                        unsafe { psi2.set(c, p2) };
-                        let acc = (d0v * cc0.2 + p0) + (d1v * cc1.2 + p1) + (d2v * cc2.2 + p2);
-                        unsafe { v.add(c, dt / rho[c] * acc) };
-                    }
-                }
-            }
-        }
-    };
-}
-
-vel_kernel!(
-    vx_slab,
-    "`vx += Δt/ρ·(∂x σxx + ∂y σxy + ∂z σxz)` with C-PML on each derivative.",
-    df,
-    db,
-    db
-);
-vel_kernel!(
-    vy_slab,
-    "`vy += Δt/ρ·(∂x σxy + ∂y σyy + ∂z σyz)` with C-PML on each derivative.",
-    db,
-    df,
-    db
-);
-vel_kernel!(
-    vz_slab,
-    "`vz += Δt/ρ·(∂x σxz + ∂y σyz + ∂z σzz)` with C-PML on each derivative.",
-    db,
-    db,
-    df
-);
-
-/// Diagonal stress kernel:
-/// `σii += Δt·((λ+2μ)·e_ii + λ·(e_jj + e_kk))` for i ∈ {x, y, z}.
-#[allow(clippy::too_many_arguments)]
-pub fn stress_diag_slab(
-    sxx: SyncSlice,
-    syy: SyncSlice,
-    szz: SyncSlice,
-    psi_vx_x: SyncSlice,
-    psi_vy_y: SyncSlice,
-    psi_vz_z: SyncSlice,
-    vx: &[f32],
-    vy: &[f32],
-    vz: &[f32],
-    lam: &[f32],
-    mu: &[f32],
-    e: Extent3,
-    h: [f32; 3],
-    dt: f32,
-    cpml: &[CpmlAxis; 3],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let fnxy = fnx * e.full_ny();
-    let rh = [1.0 / h[0], 1.0 / h[1], 1.0 / h[2]];
-    let [cx, cy, cz] = cpml;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for iy in 0..e.ny {
-            let (ay, by, iky) = cy.coeffs(iy);
-            for ix in 0..e.nx {
-                let c = e.idx(ix, iy, iz);
-                let (ax, bx, ikx) = cx.coeffs(ix);
-                let d0 = db(vx, c, 1) * rh[0];
-                let p0 = bx * psi_vx_x.get(c) + ax * d0;
-                unsafe { psi_vx_x.set(c, p0) };
-                let exx = d0 * ikx + p0;
-
-                let d1 = db(vy, c, fnx) * rh[1];
-                let p1 = by * psi_vy_y.get(c) + ay * d1;
-                unsafe { psi_vy_y.set(c, p1) };
-                let eyy = d1 * iky + p1;
-
-                let d2 = db(vz, c, fnxy) * rh[2];
-                let p2 = bz * psi_vz_z.get(c) + az * d2;
-                unsafe { psi_vz_z.set(c, p2) };
-                let ezz = d2 * ikz + p2;
-
-                let l = lam[c];
-                let m2 = 2.0 * mu[c];
-                let tr = exx + eyy + ezz;
-                unsafe { sxx.add(c, dt * (l * tr + m2 * exx)) };
-                unsafe { syy.add(c, dt * (l * tr + m2 * eyy)) };
-                unsafe { szz.add(c, dt * (l * tr + m2 * ezz)) };
-            }
-        }
-    }
-}
-
-/// Shear kernels σxy and σxz (share reads of `vx`):
-/// `σxy += Δt·μ·(∂y vx + ∂x vy)`, `σxz += Δt·μ·(∂z vx + ∂x vz)`.
-#[allow(clippy::too_many_arguments)]
-pub fn stress_sxy_sxz_slab(
-    sxy: SyncSlice,
-    sxz: SyncSlice,
-    psi_vx_y: SyncSlice,
-    psi_vy_x: SyncSlice,
-    psi_vx_z: SyncSlice,
-    psi_vz_x: SyncSlice,
-    vx: &[f32],
-    vy: &[f32],
-    vz: &[f32],
-    mu: &[f32],
-    e: Extent3,
-    h: [f32; 3],
-    dt: f32,
-    cpml: &[CpmlAxis; 3],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let fnxy = fnx * e.full_ny();
-    let rh = [1.0 / h[0], 1.0 / h[1], 1.0 / h[2]];
-    let [cx, cy, cz] = cpml;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for iy in 0..e.ny {
-            let (ay, by, iky) = cy.coeffs(iy);
-            for ix in 0..e.nx {
-                let c = e.idx(ix, iy, iz);
-                let (ax, bx, ikx) = cx.coeffs(ix);
-                // σxy at (i+½, j+½, k).
-                let d0 = df(vx, c, fnx) * rh[1];
-                let p0 = by * psi_vx_y.get(c) + ay * d0;
-                unsafe { psi_vx_y.set(c, p0) };
-                let d1 = df(vy, c, 1) * rh[0];
-                let p1 = bx * psi_vy_x.get(c) + ax * d1;
-                unsafe { psi_vy_x.set(c, p1) };
-                unsafe { sxy.add(c, dt * mu[c] * ((d0 * iky + p0) + (d1 * ikx + p1))) };
-
-                // σxz at (i+½, j, k+½).
-                let d2 = df(vx, c, fnxy) * rh[2];
-                let p2 = bz * psi_vx_z.get(c) + az * d2;
-                unsafe { psi_vx_z.set(c, p2) };
-                let d3 = df(vz, c, 1) * rh[0];
-                let p3 = bx * psi_vz_x.get(c) + ax * d3;
-                unsafe { psi_vz_x.set(c, p3) };
-                unsafe { sxz.add(c, dt * mu[c] * ((d2 * ikz + p2) + (d3 * ikx + p3))) };
-            }
-        }
-    }
-}
-
-/// Shear kernel σyz: `σyz += Δt·μ·(∂z vy + ∂y vz)`.
-#[allow(clippy::too_many_arguments)]
-pub fn stress_syz_slab(
-    syz: SyncSlice,
-    psi_vy_z: SyncSlice,
-    psi_vz_y: SyncSlice,
-    vy: &[f32],
-    vz: &[f32],
-    mu: &[f32],
-    e: Extent3,
-    h: [f32; 3],
-    dt: f32,
-    cpml: &[CpmlAxis; 3],
-    z0: usize,
-    z1: usize,
-) {
-    assert!(z1 <= e.nz && z0 <= z1);
-    let fnx = e.full_nx();
-    let fnxy = fnx * e.full_ny();
-    let rh = [1.0 / h[0], 1.0 / h[1], 1.0 / h[2]];
-    let [cx, cy, cz] = cpml;
-    let _ = cx;
-    for iz in z0..z1 {
-        let (az, bz, ikz) = cz.coeffs(iz);
-        for iy in 0..e.ny {
-            let (ay, by, iky) = cy.coeffs(iy);
-            for ix in 0..e.nx {
-                let c = e.idx(ix, iy, iz);
-                let d0 = df(vy, c, fnxy) * rh[2];
-                let p0 = bz * psi_vy_z.get(c) + az * d0;
-                unsafe { psi_vy_z.set(c, p0) };
-                let d1 = df(vz, c, fnx) * rh[1];
-                let p1 = by * psi_vz_y.get(c) + ay * d1;
-                unsafe { psi_vz_y.set(c, p1) };
-                unsafe { syz.add(c, dt * mu[c] * ((d0 * ikz + p0) + (d1 * iky + p1))) };
-            }
-        }
-    }
+    std::array::from_fn(|_| fields.next().expect("ψ field").as_mut_slice())
 }
 
 #[cfg(test)]

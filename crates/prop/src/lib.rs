@@ -21,11 +21,16 @@
 //! anisotropic (VTI pseudo-acoustic) formulation the authors defer to
 //! future work.
 //!
-//! Every `*_slab` kernel is a plain sequential loop nest over a z-slab
-//! range `[z0, z1)`. Each state's `step(.., gangs)` is the formulation's
-//! one kernel sequence (Algorithm 1's per-step kernels, in order), each
-//! kernel launched slab-parallel through `exec_host::par_slabs`; one gang
-//! runs it inline and is the sequential reference. `step_reverse` undoes a
+//! The isotropic and VTI kernels are `step_slab` loop nests over a z-slab
+//! range `[z0, z1)`. The acoustic and elastic kernels are descriptions —
+//! which staggered derivatives feed them, through which ψ fields, and the
+//! point-local combination they add to their outputs — run by one private
+//! staggered C-PML sweep that owns the loop nest, the 8th-order staggered
+//! difference and the ψ recursion. Each state's `step(.., gangs)` is the
+//! formulation's one kernel sequence (Algorithm 1's per-step kernels, in
+//! order), each kernel launched slab-parallel through
+//! `exec_host::par_slabs`; one gang runs it inline and is the sequential
+//! reference. `step_reverse` undoes a
 //! step through a lossless medium (random-boundary RTM). Decomposed
 //! `mpi-sim` ranks call the same methods on their rank-local windows. The
 //! [`desc`] module publishes per-kernel arithmetic descriptors (flops,
@@ -38,6 +43,7 @@ pub mod elastic2d;
 pub mod elastic3d;
 pub mod iso2d;
 pub mod iso3d;
+mod stagger;
 pub mod vti2d;
 
 use serde::{Deserialize, Serialize};

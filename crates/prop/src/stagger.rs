@@ -1,0 +1,242 @@
+//! The staggered C-PML sweep: the one loop nest behind every acoustic and
+//! elastic kernel.
+//!
+//! Each kernel of Equations 2 and 3 does the same thing at every interior
+//! point: take 8th-order staggered derivatives, pass each through its
+//! C-PML memory field ψ, and add a point-local combination of the
+//! corrected derivatives and the medium to one or more fields. A kernel is
+//! therefore described as data — its [`Deriv`]s, its medium fields, its
+//! outputs and a `combine` closure — and [`sweep`] runs it: slab-parallel
+//! over z through `exec_host::par_slabs`, then row by row.
+//!
+//! Each row is cut into blocks of about [`ROW_BLOCK`] points. Per block,
+//! every derivative is its own short loop into a stack buffer (difference,
+//! then the ψ recursion), and one loop combines the buffers and the medium
+//! into the outputs. Short loops over equal-length slices and stack buffers
+//! are what lets LLVM vectorise every instance without a pile of runtime
+//! alias checks; the arithmetic per point, and so every bit, is that of the
+//! fused per-point loop.
+
+use exec_host::par_slabs;
+use seismic_grid::fd::f32c;
+use seismic_grid::{Extent2, Extent3, SyncSlice};
+use seismic_pml::CpmlAxis;
+
+/// Points per row block. A row's last block also takes a remainder shorter
+/// than half a block, so no block is shorter than `ROW_BLOCK / 2` points
+/// (or the row): short loops fall back to scalar code.
+const ROW_BLOCK: usize = 128;
+
+/// Longest block: one stack buffer per derivative holds it.
+const MAX_BLOCK: usize = ROW_BLOCK + ROW_BLOCK / 2 - 1;
+
+/// Axis index of x (the contiguous axis).
+pub(crate) const X: usize = 0;
+/// Axis index of y (3-D only).
+pub(crate) const Y: usize = 1;
+/// Axis index of z (depth, the slab axis).
+pub(crate) const Z: usize = 2;
+
+/// Interior shape, strides, spacings and C-PML axes of a 2-D or 3-D grid,
+/// indexed by [`X`], [`Y`], [`Z`]. A 2-D grid is one y-row deep.
+#[derive(Clone, Copy)]
+pub(crate) struct Grid<'a> {
+    n: [usize; 3],
+    stride: [usize; 3],
+    origin: usize,
+    len: usize,
+    rh: [f32; 3],
+    cpml: [&'a CpmlAxis; 3],
+}
+
+impl<'a> Grid<'a> {
+    /// A 2-D grid with spacings `[dx, dz]` and C-PML axes `[x, z]`.
+    pub(crate) fn new2(e: Extent2, [dx, dz]: [f32; 2], [cx, cz]: &'a [CpmlAxis; 2]) -> Self {
+        Self {
+            n: [e.nx, 1, e.nz],
+            stride: [1, 0, e.full_nx()],
+            origin: e.raw_idx(e.halo, e.halo),
+            len: e.len(),
+            rh: [1.0 / dx, 1.0, 1.0 / dz],
+            cpml: [cx, cx, cz],
+        }
+    }
+
+    /// A 3-D grid with spacings `h` and C-PML axes, both `[x, y, z]`.
+    pub(crate) fn new3(e: Extent3, h: [f32; 3], cpml: &'a [CpmlAxis; 3]) -> Self {
+        let fnx = e.full_nx();
+        Self {
+            n: [e.nx, e.ny, e.nz],
+            stride: [1, fnx, fnx * e.full_ny()],
+            origin: e.raw_idx(e.halo, e.halo, e.halo),
+            len: e.len(),
+            rh: h.map(|h| 1.0 / h),
+            cpml: cpml.each_ref(),
+        }
+    }
+}
+
+/// One C-PML-corrected staggered derivative of a kernel: `∂axis src` at
+/// the forward (`+½`) or backward (`−½`) half-point, with memory field
+/// `psi` (borrowed exclusively for `'a`).
+#[derive(Clone, Copy)]
+pub(crate) struct Deriv<'a> {
+    src: &'a [f32],
+    psi: SyncSlice<'a>,
+    axis: usize,
+    forward: bool,
+}
+
+/// Forward staggered derivative `∂axis src` at `+½`.
+pub(crate) fn fwd<'a>(src: &'a [f32], psi: &'a mut [f32], axis: usize) -> Deriv<'a> {
+    Deriv {
+        src,
+        psi: SyncSlice::new(psi),
+        axis,
+        forward: true,
+    }
+}
+
+/// Backward staggered derivative `∂axis src` at `−½`.
+pub(crate) fn bwd<'a>(src: &'a [f32], psi: &'a mut [f32], axis: usize) -> Deriv<'a> {
+    Deriv {
+        src,
+        psi: SyncSlice::new(psi),
+        axis,
+        forward: false,
+    }
+}
+
+/// One kernel, ready to launch on a slab: everything [`slab`] reads, by
+/// value.
+#[derive(Clone, Copy)]
+struct Plan<'a, const D: usize, const M: usize, const O: usize, F> {
+    g: Grid<'a>,
+    derivs: [Deriv<'a>; D],
+    media: [&'a [f32]; M],
+    outs: [SyncSlice<'a>; O],
+    combine: F,
+}
+
+/// Run one kernel over the interior on `gangs` host threads:
+/// `outs[o] += combine(derivs, media)[o]` at every point, where each
+/// derivative enters C-PML-corrected (`∂u/κ + ψ`, ψ updated in place) and
+/// each medium field by its value at the point.
+pub(crate) fn sweep<const D: usize, const M: usize, const O: usize, F>(
+    g: Grid<'_>,
+    derivs: [Deriv<'_>; D],
+    media: [&[f32]; M],
+    outs: [&mut [f32]; O],
+    gangs: usize,
+    combine: F,
+) where
+    F: Fn([f32; D], [f32; M]) -> [f32; O] + Copy + Sync,
+{
+    let lens = derivs.iter().flat_map(|d| [d.src.len(), d.psi.len()]);
+    let lens = lens.chain(media.iter().map(|m| m.len()));
+    assert!(
+        lens.chain(outs.iter().map(|o| o.len())).all(|l| l == g.len),
+        "every field of a sweep must span the grid"
+    );
+    let plan = Plan {
+        g,
+        derivs,
+        media,
+        outs: outs.map(SyncSlice::new),
+        combine,
+    };
+    par_slabs(g.n[Z], gangs, |z0, z1| slab(plan, z0, z1));
+}
+
+/// The kernel over interior z-rows `[z0, z1)`.
+#[inline(never)]
+fn slab<const D: usize, const M: usize, const O: usize, F>(
+    k: Plan<'_, D, M, O, F>,
+    z0: usize,
+    z1: usize,
+) where
+    F: Fn([f32; D], [f32; M]) -> [f32; O] + Copy,
+{
+    let g = k.g;
+    let mut dbuf = [[0.0f32; MAX_BLOCK]; D];
+    for iz in z0..z1 {
+        for iy in 0..g.n[Y] {
+            let at = [0, iy, iz];
+            let row = g.origin + iy * g.stride[Y] + iz * g.stride[Z];
+            let mut x0 = 0;
+            while x0 < g.n[X] {
+                let rest = g.n[X] - x0;
+                let n = if rest <= MAX_BLOCK { rest } else { ROW_BLOCK };
+                let c = row + x0;
+                for (d, buf) in k.derivs.iter().zip(&mut dbuf) {
+                    let cpml = g.cpml[d.axis];
+                    let diff = |s: usize| Diff {
+                        u: d.src,
+                        base: if d.forward { c } else { c - s },
+                        s,
+                        rh: g.rh[d.axis],
+                    };
+                    // SAFETY: ψ and output fields are borrowed `&mut` for the
+                    // whole sweep (by `fwd`/`bwd` and by `sweep`), so nothing
+                    // outside it reads them; slabs are disjoint z-ranges, so
+                    // no other gang touches this row; and this view dies
+                    // before the next ψ or output view is taken.
+                    let psi = unsafe { d.psi.range_mut(c, n) };
+                    if d.axis == X {
+                        // Unit stride as a constant: one base pointer for
+                        // all eight taps. The coefficients vary along the row.
+                        let [a, b, ik] = cpml.raw();
+                        let x = cpml.halo() + x0;
+                        let (a, b, ik) = (&a[x..][..n], &b[x..][..n], &ik[x..][..n]);
+                        diff(1).run(&mut buf[..n], psi, |i| (a[i], b[i], ik[i]));
+                    } else {
+                        let coeffs = cpml.coeffs(at[d.axis]);
+                        diff(g.stride[d.axis]).run(&mut buf[..n], psi, |_| coeffs);
+                    }
+                }
+                let media = k.media.map(|m| &m[c..][..n]);
+                // SAFETY: as for ψ above; the outputs are distinct `&mut`
+                // slices, so these views do not overlap one another.
+                let mut outs = k.outs.each_ref().map(|o| unsafe { o.range_mut(c, n) });
+                for i in 0..n {
+                    let d = std::array::from_fn(|j| dbuf[j][i]);
+                    let r = (k.combine)(d, std::array::from_fn(|j| media[j][i]));
+                    for (o, v) in outs.iter_mut().zip(r) {
+                        o[i] += v;
+                    }
+                }
+                x0 += n;
+            }
+        }
+    }
+}
+
+/// The 8th-order staggered difference along stride `s` of the row block
+/// starting at `base` (backward differences start one stride early), scaled
+/// by `rh = 1/h`.
+struct Diff<'a> {
+    u: &'a [f32],
+    base: usize,
+    s: usize,
+    rh: f32,
+}
+
+impl Diff<'_> {
+    /// `out[i] = ∂u/κ + ψ` with `ψ ← b·ψ + a·∂u` at every point of the
+    /// block, `(a, b, 1/κ) = coeffs(i)`.
+    #[inline(always)]
+    fn run(&self, out: &mut [f32], psi: &mut [f32], coeffs: impl Fn(usize) -> (f32, f32, f32)) {
+        let n = out.len();
+        let (u, b, s) = (self.u, self.base, self.s);
+        let hi: [&[f32]; 4] = std::array::from_fn(|k| &u[b + (k + 1) * s..][..n]);
+        let lo: [&[f32]; 4] = std::array::from_fn(|k| &u[b - k * s..][..n]);
+        let psi = &mut psi[..n];
+        for i in 0..n {
+            let mut d = 0.0f32;
+            for (k, &ck) in f32c::S1.iter().enumerate() {
+                d += ck * (hi[k][i] - lo[k][i]);
+            }
+            out[i] = CpmlAxis::apply(coeffs(i), d * self.rh, &mut psi[i]);
+        }
+    }
+}
