@@ -113,6 +113,42 @@ pub fn staggered_first(order: usize) -> &'static [f64] {
     try_staggered_first(order).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// Smallest magnitude a propagator kernel stores: 2⁻¹⁰⁰. See [`flush`].
+pub const FLOOR: f32 = f32::from_bits(0x0D80_0000);
+
+/// The numeric rule of every propagator store: a value with `|x| < FLOOR`
+/// is stored as `0.0`; every other value, non-finite ones included, is
+/// stored as is, so a blow-up still shows as inf or NaN.
+///
+/// Each forward pass starts from a zero field, and ahead of the wavefront
+/// the field decays towards zero. Without the floor it passes through the
+/// f32 subnormal range (below `f32::MIN_POSITIVE` = 2⁻¹²⁶), and every
+/// subnormal operand costs the CPU a microcode assist, tens of times the
+/// cost of a normal one. Flooring at `MIN_POSITIVE` alone is not enough:
+/// the stencils multiply stored values by coefficient products as small as
+/// about 2⁻¹⁶ (`C2[4]/h²` at h = 10 m; the staggered `S1[3]/h` and the
+/// C-PML `a` are larger), so the intermediates of values just above 2⁻¹²⁶
+/// would still underflow. The 26 binades between 2⁻¹⁰⁰ and 2⁻¹²⁶ cover
+/// those products: a stored value times any stencil coefficient stays a
+/// normal number, and so does a difference of two stored values, which is
+/// 0 or a multiple of an ulp of at least 2⁻¹²³. Only intermediates of deep
+/// cancellation can still be subnormal, and none of them is stored.
+///
+/// A field of wave amplitudes near 1 loses nothing it could show: 2⁻¹⁰⁰ is
+/// about 30 decades below the smallest value any image or trace resolves.
+/// The rule is a compare-and-select in safe code, so it gives the same bits
+/// on every target and at every gang count, and LLVM keeps it inside the
+/// packed loops. Setting the FPU's flush-to-zero mode instead would be
+/// per-thread state that safe Rust assumes is off.
+#[inline(always)]
+pub fn flush(x: f32) -> f32 {
+    if x.abs() < FLOOR {
+        0.0
+    } else {
+        x
+    }
+}
+
 /// The default 8th-order tables as `f32`, pre-cast for the hot kernels.
 // The written digits intentionally mirror the exact rational values; the
 // nearest-f32 roundings are checked against the f64 tables by test.
@@ -188,6 +224,35 @@ mod tests {
         let s1 = staggered_first(8);
         for (a, b) in f32c::S1.iter().zip(s1.iter()) {
             assert!((*a as f64 - b).abs() < 1e-6);
+        }
+    }
+
+    /// The floor is 2⁻¹⁰⁰; values below it become `+0.0`, values at or
+    /// above it and non-finite values pass through bit for bit.
+    #[test]
+    fn flush_zeroes_below_floor_only() {
+        assert_eq!(FLOOR, 2f32.powi(-100));
+        let below = f32::from_bits(FLOOR.to_bits() - 1);
+        let bits = |x: f32| flush(x).to_bits();
+        for x in [FLOOR, -FLOOR, f32::MIN_POSITIVE * 2f32.powi(26), 1.0, -3.5] {
+            assert_eq!(bits(x), x.to_bits(), "{x:e} must pass through");
+        }
+        for x in [f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN] {
+            assert_eq!(bits(x), x.to_bits(), "{x:e} must pass through");
+        }
+        assert!(flush(f32::NAN).is_nan(), "NaN must pass through");
+        assert!(flush(-f32::NAN).is_nan(), "NaN must pass through");
+        let subnormal = f32::from_bits(1);
+        for x in [
+            below,
+            -below,
+            f32::MIN_POSITIVE,
+            subnormal,
+            -subnormal,
+            0.0,
+            -0.0,
+        ] {
+            assert_eq!(bits(x), 0, "{x:e} must become +0.0");
         }
     }
 
