@@ -126,16 +126,17 @@ pub const FLOOR: f32 = f32::from_bits(0x0D80_0000);
 /// subnormal operand costs the CPU a microcode assist, tens of times the
 /// cost of a normal one. Flooring at `MIN_POSITIVE` alone is not enough:
 /// the stencils multiply stored values by coefficient products as small as
-/// about 2⁻¹⁶ (`C2[4]/h²` at h = 10 m; the staggered `S1[3]/h` and the
-/// C-PML `a` are larger), so the intermediates of values just above 2⁻¹²⁶
-/// would still underflow. The 26 binades between 2⁻¹⁰⁰ and 2⁻¹²⁶ cover
+/// about 2⁻¹⁶ (`C2[4]/h²` at h = 10 m; the staggered `S1[3]/h` is about
+/// 2⁻¹⁴), so the intermediates of values just above 2⁻¹²⁶ would still
+/// underflow. The 26 binades between 2⁻¹⁰⁰ and 2⁻¹²⁶ cover
 /// those products: a stored value times any stencil coefficient stays a
 /// normal number, and so does a difference of two stored values, which is
 /// 0 or a multiple of an ulp of at least 2⁻¹²³. Only intermediates of deep
 /// cancellation can still be subnormal, and none of them is stored.
 ///
-/// A field of wave amplitudes near 1 loses nothing it could show: 2⁻¹⁰⁰ is
-/// about 30 decades below the smallest value any image or trace resolves.
+/// Nothing an image or trace could show is lost: 2⁻¹⁰⁰ ≈ 7.9·10⁻³¹, about
+/// 30 decades below the wave amplitudes (order 1, and 10⁶ in the elastic
+/// stresses).
 /// The rule is a compare-and-select in safe code, so it gives the same bits
 /// on every target and at every gang count, and LLVM keeps it inside the
 /// packed loops. Setting the FPU's flush-to-zero mode instead would be

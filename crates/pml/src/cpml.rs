@@ -3,11 +3,13 @@
 //! For each axis the staggered systems store three one-dimensional arrays
 //! over the full allocated axis length: `b = exp(−(σ/κ + α)·dt)`,
 //! `a = σ·(b − 1)/(κ·(σ + κ·α))`, and `1/κ`. A per-field memory variable ψ
-//! is updated every step as `ψ ← b·ψ + a·∂u` and the physical derivative is
-//! replaced by `∂u/κ + ψ`. In the interior σ = 0 ⇒ a = 0, κ = 1, so the
+//! is updated every step as `ψ ← b·ψ + a·∂u` (stored through the
+//! propagators' floor, `seismic_grid::fd::flush`) and the physical
+//! derivative is replaced by `∂u/κ + ψ`. In the interior σ = 0 ⇒ a = 0, κ = 1, so the
 //! recursion leaves the derivative untouched — which is what makes the
 //! paper's "compute PML everywhere in the grid domain" restructuring legal.
 
+use seismic_grid::fd::flush;
 use serde::{Deserialize, Serialize};
 
 /// C-PML coefficient set for one axis.
@@ -134,10 +136,13 @@ impl CpmlAxis {
 
     /// Apply one ψ-recursion step with coefficients `(a, b, 1/κ)` (as
     /// returned by [`Self::coeffs`]) and return the corrected derivative:
-    /// `ψ ← b·ψ + a·du`, result `du/κ + ψ`.
+    /// `ψ ← flush(b·ψ + a·du)`, result `du/κ + ψ`. ψ is stored state that
+    /// the next step reads, so it takes the same floor as every propagator
+    /// store ([`flush`]): a magnitude below 2⁻¹⁰⁰ is stored as 0. This
+    /// covers every C-PML memory field of the staggered kernels.
     #[inline(always)]
     pub fn apply((a, b, ik): (f32, f32, f32), du: f32, psi: &mut f32) -> f32 {
-        *psi = b * *psi + a * du;
+        *psi = flush(b * *psi + a * du);
         du * ik + *psi
     }
 

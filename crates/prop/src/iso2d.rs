@@ -8,14 +8,17 @@
 //! One branch-free kernel evaluates the damped form at every point. σ ≡ 0
 //! off the absorbing strips, IEEE multiplication/division by exactly 1.0
 //! is exact, and Rust never contracts `a*b + c` into an FMA, so this is
-//! bitwise the paper's original per-point-branch kernel. Each row is swept as equal-length slices, which lets the compiler
-//! drop the bounds checks and vectorise the x loop. The paper's Figure 6/7
+//! bitwise the paper's original per-point-branch kernel with every store
+//! passed through the propagators' floor (`seismic_grid::fd::flush`: a
+//! magnitude below 2⁻¹⁰⁰ is stored as 0). Each row is swept as
+//! equal-length slices, which lets the compiler drop the bounds checks and
+//! vectorise the x loop. The paper's Figure 6/7
 //! restructurings of the PML control flow (boundary `if`s vs restructured
 //! indices vs PML-everywhere) are priced by the GPU mapping model
 //! (`crate::desc`), not run as separate host kernels.
 
 use exec_host::{par_slabs, tiles};
-use seismic_grid::fd::f32c;
+use seismic_grid::fd::{f32c, flush};
 use seismic_grid::{Extent2, Field2, SyncSlice, STENCIL_HALF};
 use seismic_model::IsoModel2;
 use seismic_pml::DampProfile;
@@ -110,6 +113,7 @@ impl Iso2State {
 /// legal on this loop nest). Every point takes the damped update with
 /// `σ = σx[ix] + σz[iz]`; the Laplacian sums the centre term, then the x and
 /// z terms for k = 1..=4, the association order of the Fortran original.
+/// The new value is stored through [`flush`].
 #[allow(clippy::too_many_arguments)]
 pub fn step_slab(
     u: SyncSlice,
@@ -164,8 +168,10 @@ pub fn step_slab(
                 }
                 let sigma = sx[i] + sz;
                 let v = vp[i];
-                out[i] = (2.0 * centre[i] - (1.0 - sigma * dt) * out[i] + dt2 * v * v * lap)
-                    / (1.0 + sigma * dt);
+                out[i] = flush(
+                    (2.0 * centre[i] - (1.0 - sigma * dt) * out[i] + dt2 * v * v * lap)
+                        / (1.0 + sigma * dt),
+                );
             }
         }
     }
@@ -203,7 +209,7 @@ pub(crate) mod tests {
     }
 
     /// The paper's original kernel, one point at a time: branch on the
-    /// absorbing strips, undamped update elsewhere.
+    /// absorbing strips, undamped update elsewhere; stores through the floor.
     #[allow(clippy::too_many_arguments)]
     fn pointwise_reference(
         u_prev: &mut [f32],
@@ -226,13 +232,13 @@ pub(crate) mod tests {
                     lap += f32c::C2[k] * ((u_cur[c + k * fnx] + u_cur[c - k * fnx]) * rdz2);
                 }
                 let v = vp[c];
-                u_prev[c] = if damp_x.in_layer(ix) || damp_z.in_layer(iz) {
+                u_prev[c] = flush(if damp_x.in_layer(ix) || damp_z.in_layer(iz) {
                     let sigma = damp_x.sigma(ix) + damp_z.sigma(iz);
                     (2.0 * u_cur[c] - (1.0 - sigma * dt) * u_prev[c] + dt2 * v * v * lap)
                         / (1.0 + sigma * dt)
                 } else {
                     2.0 * u_cur[c] - u_prev[c] + dt2 * v * v * lap
-                };
+                });
             }
         }
     }

@@ -6,7 +6,7 @@
 //! as separate host kernels.
 
 use exec_host::{par_slabs, tiles};
-use seismic_grid::fd::f32c;
+use seismic_grid::fd::{f32c, flush};
 use seismic_grid::{Extent3, Field3, SyncSlice, STENCIL_HALF};
 use seismic_model::IsoModel3;
 use seismic_pml::DampProfile;
@@ -75,8 +75,8 @@ impl Iso3State {
 }
 
 /// One time step over interior z rows `[z0, z1)`: the damped update with
-/// `σ = σx[ix] + σy[iy] + σz[iz]` at every point, swept row by row (see
-/// [`crate::iso2d::step_slab`]).
+/// `σ = σx[ix] + σy[iy] + σz[iz]` at every point, swept row by row and
+/// stored through [`flush`] (see [`crate::iso2d::step_slab`]).
 #[allow(clippy::too_many_arguments)]
 pub fn step_slab(
     u: SyncSlice,
@@ -134,8 +134,10 @@ pub fn step_slab(
                     }
                     let sigma = sx[i] + sy + sz;
                     let v = vp[i];
-                    out[i] = (2.0 * centre[i] - (1.0 - sigma * dt) * out[i] + dt2 * v * v * lap)
-                        / (1.0 + sigma * dt);
+                    out[i] = flush(
+                        (2.0 * centre[i] - (1.0 - sigma * dt) * out[i] + dt2 * v * v * lap)
+                            / (1.0 + sigma * dt),
+                    );
                 }
             }
         }
@@ -177,7 +179,8 @@ mod tests {
         s
     }
 
-    /// The paper's original kernel, one point at a time (see the 2D test).
+    /// The paper's original kernel, one point at a time, storing through the
+    /// floor (see the 2D test).
     fn pointwise_reference(
         u_prev: &mut [f32],
         u_cur: &[f32],
@@ -202,13 +205,14 @@ mod tests {
                         lap += f32c::C2[k] * ((u[c + k * fnxy] + u[c - k * fnxy]) * r2[2]);
                     }
                     let v = vp[c];
-                    u_prev[c] = if dpx.in_layer(ix) || dpy.in_layer(iy) || dpz.in_layer(iz) {
+                    let damped = dpx.in_layer(ix) || dpy.in_layer(iy) || dpz.in_layer(iz);
+                    u_prev[c] = flush(if damped {
                         let sigma = dpx.sigma(ix) + dpy.sigma(iy) + dpz.sigma(iz);
                         (2.0 * u[c] - (1.0 - sigma * dt) * u_prev[c] + dt2 * v * v * lap)
                             / (1.0 + sigma * dt)
                     } else {
                         2.0 * u[c] - u_prev[c] + dt2 * v * v * lap
-                    };
+                    });
                 }
             }
         }

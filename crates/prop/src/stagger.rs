@@ -4,7 +4,9 @@
 //! Each kernel of Equations 2 and 3 does the same thing at every interior
 //! point: take 8th-order staggered derivatives, pass each through its
 //! C-PML memory field ψ, and add a point-local combination of the
-//! corrected derivatives and the medium to one or more fields. A kernel is
+//! corrected derivatives and the medium to one or more fields. Every ψ and
+//! output store goes through the propagators' floor
+//! (`seismic_grid::fd::flush`: a magnitude below 2⁻¹⁰⁰ is stored as 0). A kernel is
 //! therefore described as data — its [`Deriv`]s, its medium fields, its
 //! outputs and a `combine` closure — and [`sweep`] runs it: slab-parallel
 //! over z through `exec_host::par_slabs`, then row by row.
@@ -18,7 +20,7 @@
 //! fused per-point loop.
 
 use exec_host::par_slabs;
-use seismic_grid::fd::f32c;
+use seismic_grid::fd::{f32c, flush};
 use seismic_grid::{Extent2, Extent3, SyncSlice};
 use seismic_pml::CpmlAxis;
 
@@ -119,7 +121,7 @@ struct Plan<'a, const D: usize, const M: usize, const O: usize, F> {
 }
 
 /// Run one kernel over the interior on `gangs` host threads:
-/// `outs[o] += combine(derivs, media)[o]` at every point, where each
+/// `outs[o] = flush(outs[o] + combine(derivs, media)[o])` at every point, where each
 /// derivative enters C-PML-corrected (`∂u/κ + ψ`, ψ updated in place) and
 /// each medium field by its value at the point.
 pub(crate) fn sweep<const D: usize, const M: usize, const O: usize, F>(
@@ -202,7 +204,7 @@ fn slab<const D: usize, const M: usize, const O: usize, F>(
                     let d = std::array::from_fn(|j| dbuf[j][i]);
                     let r = (k.combine)(d, std::array::from_fn(|j| media[j][i]));
                     for (o, v) in outs.iter_mut().zip(r) {
-                        o[i] += v;
+                        o[i] = flush(o[i] + v);
                     }
                 }
                 x0 += n;
@@ -222,8 +224,8 @@ struct Diff<'a> {
 }
 
 impl Diff<'_> {
-    /// `out[i] = ∂u/κ + ψ` with `ψ ← b·ψ + a·∂u` at every point of the
-    /// block, `(a, b, 1/κ) = coeffs(i)`.
+    /// `out[i] = ∂u/κ + ψ` with `ψ ← flush(b·ψ + a·∂u)` at every point of
+    /// the block, `(a, b, 1/κ) = coeffs(i)` (see [`CpmlAxis::apply`]).
     #[inline(always)]
     fn run(&self, out: &mut [f32], psi: &mut [f32], coeffs: impl Fn(usize) -> (f32, f32, f32)) {
         let n = out.len();

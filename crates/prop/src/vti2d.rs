@@ -18,7 +18,7 @@
 //! damping-layer boundary as the isotropic kernel applies.
 
 use exec_host::par_slabs;
-use seismic_grid::fd::f32c;
+use seismic_grid::fd::{f32c, flush};
 use seismic_grid::{Extent2, Field2, SyncSlice, STENCIL_HALF};
 use seismic_model::VtiModel2;
 use seismic_pml::DampProfile;
@@ -136,7 +136,8 @@ fn d2(u: &[f32], c: usize, s: usize, rh2: f32) -> f32 {
 
 /// One VTI time step over interior rows `[z0, z1)`.
 ///
-/// `p`/`q` alias the previous time levels and receive the next ones.
+/// `p`/`q` alias the previous time levels and receive the next ones,
+/// stored through [`flush`].
 #[allow(clippy::too_many_arguments)]
 pub fn step_slab(
     p: SyncSlice,
@@ -178,8 +179,8 @@ pub fn step_slab(
             let qn = (2.0 * q_cur[c] - keep * q.get(c) + dt2 * rq) / denom;
             // Safety: each slab writes only its own rows.
             unsafe {
-                p.set(c, pn);
-                q.set(c, qn);
+                p.set(c, flush(pn));
+                q.set(c, flush(qn));
             }
         }
     }
