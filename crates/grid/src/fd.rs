@@ -128,19 +128,18 @@ pub const FLOOR: f32 = f32::from_bits(0x0D80_0000);
 /// the stencils multiply stored values by coefficient products as small as
 /// about 2⁻¹⁶ (`C2[4]/h²` at h = 10 m; the staggered `S1[3]/h` is about
 /// 2⁻¹⁴), so the intermediates of values just above 2⁻¹²⁶ would still
-/// underflow. The 26 binades between 2⁻¹⁰⁰ and 2⁻¹²⁶ cover
-/// those products: a stored value times any stencil coefficient stays a
-/// normal number, and so does a difference of two stored values, which is
-/// 0 or a multiple of an ulp of at least 2⁻¹²³. Only intermediates of deep
-/// cancellation can still be subnormal, and none of them is stored.
+/// underflow. The 26 binades between 2⁻¹⁰⁰ and 2⁻¹²⁶ cover those products:
+/// a stored value times any stencil coefficient stays a normal number, and
+/// so does a difference of two stored values, which is 0 or a multiple of
+/// an ulp of at least 2⁻¹²³. Only intermediates of deep cancellation can
+/// still be subnormal, and none of them is stored.
 ///
 /// Nothing an image or trace could show is lost: 2⁻¹⁰⁰ ≈ 7.9·10⁻³¹, about
 /// 30 decades below the wave amplitudes (order 1, and 10⁶ in the elastic
-/// stresses).
-/// The rule is a compare-and-select in safe code, so it gives the same bits
-/// on every target and at every gang count, and LLVM keeps it inside the
-/// packed loops. Setting the FPU's flush-to-zero mode instead would be
-/// per-thread state that safe Rust assumes is off.
+/// stresses). The rule is a compare-and-select in safe code, so it gives
+/// the same bits on every target and at every gang count, and LLVM keeps
+/// it inside the packed loops. Setting the FPU's flush-to-zero mode
+/// instead would be per-thread state that safe Rust assumes is off.
 #[inline(always)]
 pub fn flush(x: f32) -> f32 {
     if x.abs() < FLOOR {

@@ -5,9 +5,10 @@
 //! `a = σ·(b − 1)/(κ·(σ + κ·α))`, and `1/κ`. A per-field memory variable ψ
 //! is updated every step as `ψ ← b·ψ + a·∂u` (stored through the
 //! propagators' floor, `seismic_grid::fd::flush`) and the physical
-//! derivative is replaced by `∂u/κ + ψ`. In the interior σ = 0 ⇒ a = 0, κ = 1, so the
-//! recursion leaves the derivative untouched — which is what makes the
-//! paper's "compute PML everywhere in the grid domain" restructuring legal.
+//! derivative is replaced by `∂u/κ + ψ`. In the interior σ = 0 ⇒ a = 0,
+//! κ = 1, so the recursion leaves the derivative untouched — which is what
+//! makes the paper's "compute PML everywhere in the grid domain"
+//! restructuring legal.
 
 use seismic_grid::fd::flush;
 use serde::{Deserialize, Serialize};

@@ -12,10 +12,10 @@
 //! passed through the propagators' floor (`seismic_grid::fd::flush`: a
 //! magnitude below 2⁻¹⁰⁰ is stored as 0). Each row is swept as
 //! equal-length slices, which lets the compiler drop the bounds checks and
-//! vectorise the x loop. The paper's Figure 6/7
-//! restructurings of the PML control flow (boundary `if`s vs restructured
-//! indices vs PML-everywhere) are priced by the GPU mapping model
-//! (`crate::desc`), not run as separate host kernels.
+//! vectorise the x loop. The paper's Figure 6/7 restructurings of the PML
+//! control flow (boundary `if`s vs restructured indices vs PML-everywhere)
+//! are priced by the GPU mapping model (`crate::desc`), not run as
+//! separate host kernels.
 
 use exec_host::{par_slabs, tiles};
 use seismic_grid::fd::{f32c, flush};

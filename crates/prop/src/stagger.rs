@@ -6,8 +6,8 @@
 //! C-PML memory field ψ, and add a point-local combination of the
 //! corrected derivatives and the medium to one or more fields. Every ψ and
 //! output store goes through the propagators' floor
-//! (`seismic_grid::fd::flush`: a magnitude below 2⁻¹⁰⁰ is stored as 0). A kernel is
-//! therefore described as data — its [`Deriv`]s, its medium fields, its
+//! (`seismic_grid::fd::flush`: a magnitude below 2⁻¹⁰⁰ is stored as 0).
+//! A kernel is therefore described as data — its [`Deriv`]s, its medium fields, its
 //! outputs and a `combine` closure — and [`sweep`] runs it: slab-parallel
 //! over z through `exec_host::par_slabs`, then row by row.
 //!
@@ -121,9 +121,9 @@ struct Plan<'a, const D: usize, const M: usize, const O: usize, F> {
 }
 
 /// Run one kernel over the interior on `gangs` host threads:
-/// `outs[o] = flush(outs[o] + combine(derivs, media)[o])` at every point, where each
-/// derivative enters C-PML-corrected (`∂u/κ + ψ`, ψ updated in place) and
-/// each medium field by its value at the point.
+/// `outs[o] = flush(outs[o] + combine(derivs, media)[o])` at every point,
+/// where each derivative enters C-PML-corrected (`∂u/κ + ψ`, ψ updated in
+/// place) and each medium field by its value at the point.
 pub(crate) fn sweep<const D: usize, const M: usize, const O: usize, F>(
     g: Grid<'_>,
     derivs: [Deriv<'_>; D],
