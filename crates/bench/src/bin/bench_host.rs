@@ -16,7 +16,9 @@
 //! * `--quick`    — smaller grids / fewer repetitions (the CI smoke mode)
 //! * `--out`      — where to write the JSON (default `BENCH_host.json`)
 //! * `--check`    — compare pooled grid-points/sec against a baseline JSON
-//!   and exit non-zero if any case regressed by more than 20%
+//!   and exit non-zero if any case falls more than 20% below its baseline
+//!   row. The committed baseline holds half the recorded median, so the
+//!   gate trips below 40% of the recorded rate (a 2.5× slowdown)
 //! * `--overhead` — profiler overhead budget check instead of the
 //!   benchmark: interleaved profiler-off/profiler-on runs, exit non-zero
 //!   if the enabled path costs more than 5% or the disabled path's
@@ -286,7 +288,12 @@ fn main() {
 
     let reps = if quick { 3 } else { 7 };
     let (n2, steps2) = if quick { (64, 30) } else { (96, 60) };
-    let (n3, steps3) = if quick { (16, 24) } else { (20, 40) };
+    // Quick 3-D runs start from rest on a grid large enough that, over the
+    // timed steps, most of it lies ahead of the wavefront, where values
+    // decay through the subnormal range, so the rows see the loss of the
+    // store floor (`seismic_grid::fd::flush`). A much smaller grid fills
+    // with normal values within a few steps and would not.
+    let (n3, steps3) = if quick { (48, 24) } else { (20, 40) };
     let gangs_list = [1usize, 2, 4, 8];
     let cfg = OptimizationConfig::default();
     let w = Wavelet::ricker(22.0);

@@ -7,7 +7,6 @@
 //! [`crate::gpu_time`]).
 
 use crate::case::OptimizationConfig;
-use crate::modeling::ModelingResult;
 use seismic_grid::{Extent3, Field3};
 use seismic_model::{AcousticModel3, ElasticModel3, IsoModel3};
 use seismic_pml::{CpmlAxis, DampProfile};
@@ -193,10 +192,6 @@ impl State3 {
         }
     }
 }
-
-/// Output of a 3D modeling run: x–z plane snapshots at the source's y
-/// index, every `snap_period`, plus the shot record.
-pub type Modeling3Result = ModelingResult;
 
 /// Run 3D forward modeling with plane-snapshot saves.
 pub use crate::modeling::run_modeling as run_modeling3;

@@ -789,12 +789,6 @@ fn restarted(
     }
 }
 
-/// Outcome of a checkpoint-restarted random-boundary RTM run: the result
-/// is bitwise-identical to an uninterrupted
-/// [`run_rtm_random_boundary`](crate::rand_boundary::run_rtm_random_boundary)
-/// of the same shot and seed.
-pub type RandBoundRestartOutcome = RestartOutcome;
-
 /// [`crate::rand_boundary::run_rtm_random_boundary`] with an
 /// interruptible, checkpointed forward
 /// acquisition pass (the recorded-data modeling run): a full propagation
@@ -817,7 +811,7 @@ pub fn run_rand_boundary_with_restart(
     gangs: usize,
     ckpt_every: usize,
     interrupts: &[usize],
-) -> Result<RandBoundRestartOutcome, RtmError> {
+) -> Result<RestartOutcome, RtmError> {
     if ckpt_every == 0 {
         return Err(ConfigError::ZeroSlots.into());
     }

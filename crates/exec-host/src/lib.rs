@@ -23,8 +23,7 @@
 //! * [`prof`] — the wall-clock host profiler: per-thread lock-free ring
 //!   buffers recording sweep/slab/barrier/wake/tile/phase events with
 //!   `Instant` timestamps, drained into `acc-obs` wall-clock tracks. Off
-//!   by default (one relaxed load per record site), compile-out via the
-//!   `measure` feature.
+//!   by default (one relaxed load per record site).
 //!
 //! Everything here is `std`-only and dependency-free. `seismic-prop`
 //! launches its kernel sequences through [`par_slabs`]; `openacc-sim`

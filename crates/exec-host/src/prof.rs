@@ -12,9 +12,6 @@
 //! * **Enabled**, each span costs two `Instant::now()` calls and one SPSC
 //!   ring push (no locks, no allocation after the ring exists); the same
 //!   budget test holds the end-to-end cost below 5%.
-//! * **Compiled out**: building this crate with
-//!   `--no-default-features` (dropping the `measure` feature) turns every
-//!   record site into a literal no-op that the optimizer deletes.
 //!
 //! ## Ring discipline
 //!
@@ -35,6 +32,9 @@
 //! scheduling decision reads profiler state, so enabled-vs-disabled runs
 //! are bitwise identical (pinned by `integration_host_prof`).
 
+use std::cell::{Cell, UnsafeCell};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// What one recorded event describes.
@@ -223,305 +223,221 @@ impl HostProfile {
     }
 }
 
-#[cfg(feature = "measure")]
-mod imp {
-    use super::{Event, EventKind, HostProfile, SlotEvents, MAX_SLOTS, RING_CAP};
-    use std::cell::{Cell, UnsafeCell};
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::OnceLock;
-    use std::time::Instant;
+/// One single-producer/single-consumer ring. The owning thread is the
+/// only pusher; [`drain`] is the only popper. `head`/`tail` are
+/// monotonically increasing indices (masked on access), so `head − tail`
+/// is the live count and full/empty are unambiguous.
+struct Ring {
+    head: AtomicUsize,
+    tail: AtomicUsize,
+    dropped: AtomicU64,
+    buf: Box<[UnsafeCell<Event>]>,
+}
 
-    /// One single-producer/single-consumer ring. The owning thread is the
-    /// only pusher; [`super::drain`] is the only popper. `head`/`tail` are
-    /// monotonically increasing indices (masked on access), so `head −
-    /// tail` is the live count and full/empty are unambiguous.
-    struct Ring {
-        head: AtomicUsize,
-        tail: AtomicUsize,
-        dropped: AtomicU64,
-        buf: Box<[UnsafeCell<Event>]>,
-    }
+// SAFETY: slots in `buf` are only written by the producer between
+// checking `head - tail < RING_CAP` and the Release store of `head`,
+// and only read by the consumer between the Acquire load of `head`
+// and the Release store of `tail` — never both sides on one index.
+unsafe impl Sync for Ring {}
 
-    // SAFETY: slots in `buf` are only written by the producer between
-    // checking `head - tail < RING_CAP` and the Release store of `head`,
-    // and only read by the consumer between the Acquire load of `head`
-    // and the Release store of `tail` — never both sides on one index.
-    unsafe impl Sync for Ring {}
-
-    impl Ring {
-        fn new() -> Self {
-            let zero = Event {
-                kind: EventKind::Sweep,
-                arg0: 0,
-                arg1: 0,
-                start_ns: 0,
-                end_ns: 0,
-            };
-            Self {
-                head: AtomicUsize::new(0),
-                tail: AtomicUsize::new(0),
-                dropped: AtomicU64::new(0),
-                buf: (0..RING_CAP).map(|_| UnsafeCell::new(zero)).collect(),
-            }
-        }
-
-        /// Producer side; never blocks, drops when full.
-        fn push(&self, ev: Event) {
-            let head = self.head.load(Ordering::Relaxed);
-            let tail = self.tail.load(Ordering::Acquire);
-            if head.wrapping_sub(tail) >= RING_CAP {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            // SAFETY: index `head` is unreachable by the consumer until
-            // the Release store below publishes it.
-            unsafe {
-                *self.buf[head & (RING_CAP - 1)].get() = ev;
-            }
-            self.head.store(head.wrapping_add(1), Ordering::Release);
-        }
-
-        /// Consumer side.
-        fn drain_into(&self, out: &mut Vec<Event>) {
-            let head = self.head.load(Ordering::Acquire);
-            let mut tail = self.tail.load(Ordering::Relaxed);
-            while tail != head {
-                // SAFETY: indices in [tail, head) were published by the
-                // producer's Release store of `head`.
-                out.push(unsafe { *self.buf[tail & (RING_CAP - 1)].get() });
-                tail = tail.wrapping_add(1);
-            }
-            self.tail.store(tail, Ordering::Release);
-        }
-    }
-
-    struct ProfState {
-        epoch: Instant,
-        rings: [OnceLock<Ring>; MAX_SLOTS],
-        next_slot: AtomicUsize,
-        thread_overflow: AtomicU64,
-    }
-
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static STATE: OnceLock<ProfState> = OnceLock::new();
-
-    thread_local! {
-        /// usize::MAX = unassigned; MAX_SLOTS = overflow (drop).
-        static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-
-    fn state() -> &'static ProfState {
-        STATE.get_or_init(|| ProfState {
-            epoch: Instant::now(),
-            rings: [const { OnceLock::new() }; MAX_SLOTS],
-            next_slot: AtomicUsize::new(0),
-            thread_overflow: AtomicU64::new(0),
-        })
-    }
-
-    pub fn set_enabled(on: bool) {
-        if on {
-            // Pin the epoch before any recorder can observe `enabled`.
-            let _ = state();
-        }
-        ENABLED.store(on, Ordering::SeqCst);
-    }
-
-    #[inline]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub fn begin() -> Option<Instant> {
-        if enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    pub fn now_ns() -> u64 {
-        to_ns(Instant::now())
-    }
-
-    fn to_ns(t: Instant) -> u64 {
-        t.checked_duration_since(state().epoch)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0)
-    }
-
-    fn record(ev: Event) {
-        let st = state();
-        let slot = SLOT.with(|s| {
-            let mut v = s.get();
-            if v == usize::MAX {
-                v = st.next_slot.fetch_add(1, Ordering::Relaxed).min(MAX_SLOTS);
-                s.set(v);
-            }
-            v
-        });
-        if slot >= MAX_SLOTS {
-            st.thread_overflow.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        st.rings[slot].get_or_init(Ring::new).push(ev);
-    }
-
-    #[inline]
-    pub fn end(t0: Option<Instant>, kind: EventKind, arg0: u32, arg1: u32) {
-        let Some(t0) = t0 else { return };
-        let start_ns = to_ns(t0);
-        let end_ns = to_ns(Instant::now());
-        record(Event {
-            kind,
-            arg0,
-            arg1,
-            start_ns,
-            end_ns: end_ns.max(start_ns),
-        });
-    }
-
-    #[inline]
-    pub fn instant(kind: EventKind, arg0: u32, arg1: u32) {
-        if !enabled() {
-            return;
-        }
-        let ns = now_ns();
-        record(Event {
-            kind,
-            arg0,
-            arg1,
-            start_ns: ns,
-            end_ns: ns,
-        });
-    }
-
-    #[inline]
-    pub fn span_ns(kind: EventKind, arg0: u32, arg1: u32, start_ns: u64, end_ns: u64) {
-        if !enabled() {
-            return;
-        }
-        record(Event {
-            kind,
-            arg0,
-            arg1,
-            start_ns,
-            end_ns: end_ns.max(start_ns),
-        });
-    }
-
-    pub fn drain() -> HostProfile {
-        let Some(st) = STATE.get() else {
-            return HostProfile::default();
+impl Ring {
+    fn new() -> Self {
+        let zero = Event {
+            kind: EventKind::Sweep,
+            arg0: 0,
+            arg1: 0,
+            start_ns: 0,
+            end_ns: 0,
         };
-        let mut profile = HostProfile {
-            slots: Vec::new(),
-            dropped: 0,
-            thread_overflow: st.thread_overflow.swap(0, Ordering::Relaxed),
-        };
-        for (i, cell) in st.rings.iter().enumerate() {
-            let Some(ring) = cell.get() else { continue };
-            let mut events = Vec::new();
-            ring.drain_into(&mut events);
-            profile.dropped += ring.dropped.swap(0, Ordering::Relaxed);
-            if !events.is_empty() {
-                profile.slots.push(SlotEvents {
-                    slot: i as u32,
-                    events,
-                });
-            }
+        Self {
+            head: AtomicUsize::new(0),
+            tail: AtomicUsize::new(0),
+            dropped: AtomicU64::new(0),
+            buf: (0..RING_CAP).map(|_| UnsafeCell::new(zero)).collect(),
         }
-        profile
+    }
+
+    /// Producer side; never blocks, drops when full.
+    fn push(&self, ev: Event) {
+        let head = self.head.load(Ordering::Relaxed);
+        let tail = self.tail.load(Ordering::Acquire);
+        if head.wrapping_sub(tail) >= RING_CAP {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        // SAFETY: index `head` is unreachable by the consumer until
+        // the Release store below publishes it.
+        unsafe {
+            *self.buf[head & (RING_CAP - 1)].get() = ev;
+        }
+        self.head.store(head.wrapping_add(1), Ordering::Release);
+    }
+
+    /// Consumer side.
+    fn drain_into(&self, out: &mut Vec<Event>) {
+        let head = self.head.load(Ordering::Acquire);
+        let mut tail = self.tail.load(Ordering::Relaxed);
+        while tail != head {
+            // SAFETY: indices in [tail, head) were published by the
+            // producer's Release store of `head`.
+            out.push(unsafe { *self.buf[tail & (RING_CAP - 1)].get() });
+            tail = tail.wrapping_add(1);
+        }
+        self.tail.store(tail, Ordering::Release);
     }
 }
 
-#[cfg(not(feature = "measure"))]
-mod imp {
-    //! Compile-out path: every record site is a literal no-op.
-    use super::{EventKind, HostProfile};
-    use std::time::Instant;
+struct ProfState {
+    epoch: Instant,
+    rings: [OnceLock<Ring>; MAX_SLOTS],
+    next_slot: AtomicUsize,
+    thread_overflow: AtomicU64,
+}
 
-    pub fn set_enabled(_on: bool) {}
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static STATE: OnceLock<ProfState> = OnceLock::new();
 
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
+thread_local! {
+    /// usize::MAX = unassigned; MAX_SLOTS = overflow (drop).
+    static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+fn state() -> &'static ProfState {
+    STATE.get_or_init(|| ProfState {
+        epoch: Instant::now(),
+        rings: [const { OnceLock::new() }; MAX_SLOTS],
+        next_slot: AtomicUsize::new(0),
+        thread_overflow: AtomicU64::new(0),
+    })
+}
+
+fn to_ns(t: Instant) -> u64 {
+    t.checked_duration_since(state().epoch)
+        .map(|d| d.as_nanos() as u64)
+        .unwrap_or(0)
+}
+
+fn record(ev: Event) {
+    let st = state();
+    let slot = SLOT.with(|s| {
+        let mut v = s.get();
+        if v == usize::MAX {
+            v = st.next_slot.fetch_add(1, Ordering::Relaxed).min(MAX_SLOTS);
+            s.set(v);
+        }
+        v
+    });
+    if slot >= MAX_SLOTS {
+        st.thread_overflow.fetch_add(1, Ordering::Relaxed);
+        return;
     }
-
-    #[inline(always)]
-    pub fn begin() -> Option<Instant> {
-        None
-    }
-
-    #[inline(always)]
-    pub fn now_ns() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn end(_t0: Option<Instant>, _kind: EventKind, _arg0: u32, _arg1: u32) {}
-
-    #[inline(always)]
-    pub fn instant(_kind: EventKind, _arg0: u32, _arg1: u32) {}
-
-    #[inline(always)]
-    pub fn span_ns(_kind: EventKind, _arg0: u32, _arg1: u32, _start_ns: u64, _end_ns: u64) {}
-
-    pub fn drain() -> HostProfile {
-        HostProfile::default()
-    }
+    st.rings[slot].get_or_init(Ring::new).push(ev);
 }
 
 /// Turn recording on or off process-wide. Enabling pins the timestamp
 /// epoch (idempotent); disabling leaves buffered events drainable.
 pub fn set_enabled(on: bool) {
-    imp::set_enabled(on)
+    if on {
+        // Pin the epoch before any recorder can observe `enabled`.
+        let _ = state();
+    }
+    ENABLED.store(on, Ordering::SeqCst);
 }
 
 /// True when recording is on (one relaxed load — the whole disabled-path
 /// cost besides a branch).
 #[inline]
 pub fn enabled() -> bool {
-    imp::enabled()
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Start a span: `Some(now)` when recording, `None` otherwise. Pass the
 /// result to [`end`] — a `None` start makes `end` free.
 #[inline]
 pub fn begin() -> Option<Instant> {
-    imp::begin()
+    if enabled() {
+        Some(Instant::now())
+    } else {
+        None
+    }
 }
 
 /// Close a span opened by [`begin`] and record it.
 #[inline]
 pub fn end(t0: Option<Instant>, kind: EventKind, arg0: u32, arg1: u32) {
-    imp::end(t0, kind, arg0, arg1)
+    let Some(t0) = t0 else { return };
+    let start_ns = to_ns(t0);
+    let end_ns = to_ns(Instant::now());
+    record(Event {
+        kind,
+        arg0,
+        arg1,
+        start_ns,
+        end_ns: end_ns.max(start_ns),
+    });
 }
 
 /// Record an instant (zero-duration) event.
 #[inline]
 pub fn instant(kind: EventKind, arg0: u32, arg1: u32) {
-    imp::instant(kind, arg0, arg1)
+    if !enabled() {
+        return;
+    }
+    let ns = now_ns();
+    record(Event {
+        kind,
+        arg0,
+        arg1,
+        start_ns: ns,
+        end_ns: ns,
+    });
 }
 
 /// Nanoseconds since the profiler epoch, for cross-thread spans whose
 /// start is stamped on one thread and recorded on another (worker wake).
 #[inline]
 pub fn now_ns() -> u64 {
-    imp::now_ns()
+    to_ns(Instant::now())
 }
 
 /// Record a span from explicit epoch-relative timestamps.
 #[inline]
 pub fn span_ns(kind: EventKind, arg0: u32, arg1: u32, start_ns: u64, end_ns: u64) {
-    imp::span_ns(kind, arg0, arg1, start_ns, end_ns)
+    if !enabled() {
+        return;
+    }
+    record(Event {
+        kind,
+        arg0,
+        arg1,
+        start_ns,
+        end_ns: end_ns.max(start_ns),
+    });
 }
 
 /// Consume every completed event from every ring. The single consumer:
 /// callers must not drain concurrently with each other (the engine's
 /// drivers drain once per run, after the run).
 pub fn drain() -> HostProfile {
-    imp::drain()
+    let Some(st) = STATE.get() else {
+        return HostProfile::default();
+    };
+    let mut profile = HostProfile {
+        slots: Vec::new(),
+        dropped: 0,
+        thread_overflow: st.thread_overflow.swap(0, Ordering::Relaxed),
+    };
+    for (i, cell) in st.rings.iter().enumerate() {
+        let Some(ring) = cell.get() else { continue };
+        let mut events = Vec::new();
+        ring.drain_into(&mut events);
+        profile.dropped += ring.dropped.swap(0, Ordering::Relaxed);
+        if !events.is_empty() {
+            profile.slots.push(SlotEvents {
+                slot: i as u32,
+                events,
+            });
+        }
+    }
+    profile
 }

@@ -6,7 +6,7 @@
 //! process, where nothing else launches gangs or records, and each one
 //! holds [`PROF_GATE`] so they do not see each other's events.
 
-#![cfg(all(feature = "measure", not(loom)))]
+#![cfg(not(loom))]
 
 use exec_host::prof::*;
 use std::sync::{Mutex, MutexGuard};

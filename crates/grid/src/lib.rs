@@ -15,7 +15,8 @@
 //!   paper hinge on),
 //! * [`fd`] — centered and staggered finite-difference coefficient tables for
 //!   orders 2–8 with their Taylor-series derivations tested,
-//! * [`deriv`] — reference derivative operators built from those tables,
+//! * [`deriv`] — 8th-order Laplacians built from those tables (the RTM
+//!   image post-filter),
 //! * [`cfl`] — Courant–Friedrichs–Lewy stability helpers,
 //! * [`dispersion`] — von Neumann phase-velocity analysis of the stencils,
 //! * [`Extent2`] / [`Extent3`] — index-space bookkeeping (interior vs halo),

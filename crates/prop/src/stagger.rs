@@ -242,3 +242,111 @@ impl Diff<'_> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seismic_grid::STENCIL_HALF;
+
+    /// One staggered derivative of `u` through transparent C-PML, as the
+    /// sweep computes it, written into a zeroed field (halo left at 0).
+    fn derivative(g: Grid<'_>, u: &[f32], axis: usize, forward: bool, gangs: usize) -> Vec<f32> {
+        let mut psi = vec![0.0; u.len()];
+        let mut out = vec![0.0; u.len()];
+        let d = if forward {
+            fwd(u, &mut psi, axis)
+        } else {
+            bwd(u, &mut psi, axis)
+        };
+        sweep(g, [d], [] as [&[f32]; 0], [&mut out], gangs, |[d], _| [d]);
+        out
+    }
+
+    /// Forward and backward staggered differences of a linear ramp are
+    /// exact along x and z in 2-D.
+    #[test]
+    fn exact_on_linear_2d() {
+        let e = Extent2::new(300, 10, STENCIL_HALF);
+        let cpml = [
+            CpmlAxis::transparent(e.nx, e.halo),
+            CpmlAxis::transparent(e.nz, e.halo),
+        ];
+        let g = Grid::new2(e, [1.0, 1.0], &cpml);
+        let mut u = vec![0.0f32; e.len()];
+        for iz in 0..e.full_nz() {
+            for ix in 0..e.full_nx() {
+                u[e.raw_idx(ix, iz)] = 3.0 * ix as f32 - 2.0 * iz as f32;
+            }
+        }
+        for (axis, slope) in [(X, 3.0), (Z, -2.0)] {
+            for forward in [true, false] {
+                let d = derivative(g, &u, axis, forward, 2);
+                for iz in 0..e.nz {
+                    for ix in 0..e.nx {
+                        let v = d[e.idx(ix, iz)];
+                        assert!(
+                            (v - slope).abs() < 1e-4,
+                            "axis {axis} fwd {forward} ({ix},{iz}): {v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same along x, y and z of a 3-D grid.
+    #[test]
+    fn exact_on_linear_3d() {
+        let e = Extent3::new(8, 8, 8, STENCIL_HALF);
+        let cpml = [e.nx, e.ny, e.nz].map(|n| CpmlAxis::transparent(n, e.halo));
+        let g = Grid::new3(e, [1.0; 3], &cpml);
+        let mut u = vec![0.0f32; e.len()];
+        for iz in 0..e.full_nz() {
+            for iy in 0..e.full_ny() {
+                for ix in 0..e.full_nx() {
+                    u[e.raw_idx(ix, iy, iz)] = ix as f32 + 2.0 * iy as f32 + 4.0 * iz as f32;
+                }
+            }
+        }
+        for (axis, slope) in [(X, 1.0), (Y, 2.0), (Z, 4.0)] {
+            for forward in [true, false] {
+                let d = derivative(g, &u, axis, forward, 2);
+                for iz in 0..e.nz {
+                    for iy in 0..e.ny {
+                        for ix in 0..e.nx {
+                            let v = d[e.idx(ix, iy, iz)];
+                            assert!((v - slope).abs() < 1e-4, "axis {axis} fwd {forward}: {v}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Backward after forward acts like the second derivative: on
+    /// `sin(2x)` it gives `−4 sin(2x)` away from the zero halo of the first
+    /// pass.
+    #[test]
+    fn forward_then_backward_is_second_derivative() {
+        let e = Extent2::new(200, 8, STENCIL_HALF);
+        let h = 0.05f32;
+        let cpml = [
+            CpmlAxis::transparent(e.nx, e.halo),
+            CpmlAxis::transparent(e.nz, e.halo),
+        ];
+        let g = Grid::new2(e, [h, h], &cpml);
+        let mut u = vec![0.0f32; e.len()];
+        for iz in 0..e.full_nz() {
+            for ix in 0..e.full_nx() {
+                u[e.raw_idx(ix, iz)] = (2.0 * ix as f32 * h).sin();
+            }
+        }
+        let d1 = derivative(g, &u, X, true, 1);
+        let d2 = derivative(g, &d1, X, false, 1);
+        for ix in 8..e.nx - 8 {
+            let want = -4.0 * (2.0 * (ix + e.halo) as f32 * h).sin();
+            let v = d2[e.idx(ix, 4)];
+            assert!((v - want).abs() < 1e-2, "ix={ix}: {v} vs {want}");
+        }
+    }
+}
