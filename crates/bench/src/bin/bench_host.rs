@@ -184,49 +184,58 @@ fn profiled_phases(case: &'static str, gangs: usize, run: impl FnOnce(usize)) ->
 ///
 /// Two bounds, both on the same pooled iso2d modeling run:
 ///
-/// * **enabled ≤ 5%** — interleaved profiler-off / profiler-on reps
-///   (min-of-N each, interleaving cancels thermal/scheduler drift); the
-///   enabled minimum must stay within 5% of the disabled minimum plus a
-///   small absolute slack for timer noise on sub-100ms runs.
+/// * **enabled ≤ 5%** — profiler-off / profiler-on runs taken in pairs,
+///   the order alternating from pair to pair so neither side always runs
+///   second; the median of the per-pair on/off ratios must stay within
+///   5%. Pairing cancels drift in the host's speed, and the median ignores
+///   the odd run a neighbouring process slows or a quiet moment speeds up
+///   (a min-of-N over each side read between −17% and +35% with the
+///   profiler off on both sides of the pair, on a shared 2-core host).
 /// * **disabled ≤ 1%** — the disabled fast path is one relaxed atomic
 ///   load per call site; its per-call cost is measured directly with a
 ///   hot microloop, projected onto the call count the enabled run
 ///   actually recorded, and that projection must be under 1% of the
 ///   disabled runtime.
 fn overhead_check(quick: bool) -> ! {
-    let n = if quick { 64 } else { 96 };
-    let steps = if quick { 40 } else { 80 };
-    let reps = if quick { 5 } else { 9 };
+    // Tens of milliseconds per run, so the timer and a stray wake-up are
+    // small against the 5% budget.
+    let n = if quick { 256 } else { 384 };
+    let steps = if quick { 400 } else { 600 };
+    let reps = if quick { 41 } else { 61 };
     let gangs = 4;
     let cfg = OptimizationConfig::default();
     let w = Wavelet::ricker(22.0);
     let medium = iso2d_medium(n);
     let acq = Acquisition2::surface_line(n, n / 2, n / 2, 2, 6);
-    let run = || {
+    let timed = |enabled: bool| {
+        exec_host::prof::set_enabled(enabled);
+        let t0 = Instant::now();
         let s = run_modeling(&medium, &acq, &w, &cfg, steps, steps, gangs).seismogram;
+        let secs = t0.elapsed().as_secs_f64();
         assert!(s.nt() > 0);
+        secs
     };
 
     // Warm-up: pool spin-up and first-touch of the model fields.
-    run();
+    timed(false);
 
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
+    let mut offs = Vec::with_capacity(reps);
+    let mut ratios = Vec::with_capacity(reps);
     let mut events: u64 = 0;
-    for _ in 0..reps {
-        exec_host::prof::set_enabled(false);
-        let t0 = Instant::now();
-        run();
-        off = off.min(t0.elapsed().as_secs_f64());
-
-        exec_host::prof::set_enabled(true);
+    for rep in 0..reps {
         let _ = exec_host::prof::drain();
-        let t0 = Instant::now();
-        run();
-        on = on.min(t0.elapsed().as_secs_f64());
+        let (off, on) = if rep % 2 == 0 {
+            let off = timed(false);
+            (off, timed(true))
+        } else {
+            let on = timed(true);
+            (timed(false), on)
+        };
         let p = exec_host::prof::drain();
         let recorded: u64 = p.slots.iter().map(|s| s.events.len() as u64).sum();
         events = events.max(recorded + p.dropped);
+        offs.push(off);
+        ratios.push(on / off);
     }
     exec_host::prof::set_enabled(false);
 
@@ -244,17 +253,16 @@ fn overhead_check(quick: bool) -> ! {
     assert_eq!(none_count, calls, "profiler must be off");
 
     // Each recorded event is one begin/end pair at a call site.
+    let off = median(offs);
     let disabled_projection_s = 2.0 * events as f64 * per_call_s;
     let disabled_frac = disabled_projection_s / off;
-    let enabled_frac = on / off - 1.0;
-    // 5 ms absolute slack: quick-mode runs are tens of ms and a single
-    // scheduler preemption would otherwise fail a healthy build.
-    let enabled_ok = on <= off * 1.05 + 0.005;
+    let enabled_frac = median(ratios) - 1.0;
+    let enabled_ok = enabled_frac <= 0.05;
     let disabled_ok = disabled_frac <= 0.01;
 
-    eprintln!("profiler overhead budget (iso2d, {gangs} gangs, {steps} steps, min of {reps}):");
+    eprintln!("profiler overhead budget (iso2d {n}², {gangs} gangs, {steps} steps, {reps} pairs):");
     eprintln!(
-        "  disabled run: {off:.4}s   enabled run: {on:.4}s   ({:+.2}% vs budget +5%)",
+        "  disabled run: {off:.4}s (median)   enabled/disabled: {:+.2}% (median of pairs, budget +5%)",
         enabled_frac * 100.0
     );
     eprintln!(

@@ -8,10 +8,9 @@
 //! Each rank runs the prop state's own step sequence (one gang) on its
 //! rank-local model window; only the halo exchanges live here.
 
-use bytes::Bytes;
 use mpi_sim::comm::{Communicator, RankCtx};
 use mpi_sim::decomp::SlabDecomp;
-use mpi_sim::halo::{exchange_halo2, exchange_halo3};
+use mpi_sim::halo::{exchange_halo, ZPlanes};
 use seismic_grid::{Extent2, Extent3, Field2, Field3, STENCIL_HALF};
 use seismic_model::{AcousticModel2, IsoModel2, IsoModel3};
 use seismic_pml::{CpmlAxis, DampProfile};
@@ -20,42 +19,38 @@ use seismic_prop::iso2d::Iso2State;
 use seismic_prop::iso3d::Iso3State;
 use seismic_source::Wavelet;
 
-/// Gather every rank's interior rows of a 2D field onto rank 0, which
-/// returns the global field (extent `ge`); other ranks return `None`.
-fn gather2(
+/// Gather every rank's interior z-planes of `local` onto rank 0, which
+/// returns them placed in `global()` (a zeroed field of the global
+/// extent); other ranks return `None`. Each plane travels whole, x (and
+/// y) halo columns included.
+fn gather<F: ZPlanes>(
     ctx: &mut RankCtx,
     decomp: &SlabDecomp,
-    ge: Extent2,
-    local: &Field2,
+    local: &F,
+    global: impl FnOnce() -> F,
     tag: u64,
-) -> Option<Field2> {
-    let slab = decomp.slab(ctx.rank());
+) -> Option<F> {
+    let (plane, nz, g) = local.z_planes();
+    let interior = &local.raw()[g * plane..(g + nz) * plane];
     if ctx.rank() != 0 {
-        let mut payload = Vec::with_capacity(slab.nz() * ge.nx * 4);
-        for iz in 0..slab.nz() {
-            for ix in 0..ge.nx {
-                payload.extend_from_slice(&local.get(ix, iz).to_le_bytes());
-            }
-        }
-        ctx.isend(0, tag, Bytes::from(payload));
+        ctx.isend(0, tag, interior.to_vec());
         return None;
     }
-    let mut global = Field2::zeros(ge);
-    for iz in 0..slab.nz() {
-        for ix in 0..ge.nx {
-            global.set(ix, iz, local.get(ix, iz));
-        }
-    }
+    let mut out = global();
+    assert_eq!(
+        out.z_planes().0,
+        plane,
+        "global halo must match the rank halo"
+    );
+    let mut place = |rank: usize, data: &[f32]| {
+        let s = decomp.slab(rank);
+        out.raw_mut()[(g + s.z0) * plane..(g + s.z1) * plane].copy_from_slice(data);
+    };
+    place(0, interior);
     for r in 1..ctx.size() {
-        let b = ctx.recv(r, tag);
-        let rs = decomp.slab(r);
-        assert_eq!(b.len(), rs.nz() * ge.nx * 4, "gather payload");
-        for (i, chunk) in b.chunks_exact(4).enumerate() {
-            let v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-            global.set(i % ge.nx, rs.z0 + i / ge.nx, v);
-        }
+        place(r, &ctx.recv(r, tag));
     }
-    Some(global)
+    Some(out)
 }
 
 /// Run isotropic 2D modeling decomposed over `ranks` ranks; returns the
@@ -89,14 +84,14 @@ pub fn modeling_iso2_mpi(
             // exchange_boundaries: both time levels feed the update (u_cur
             // through the stencil, u_prev pointwise — only u_cur's halo is
             // read, so one exchange per step suffices).
-            exchange_halo2(ctx, &mut st.u_cur, &slab, 100);
+            exchange_halo(ctx, &mut st.u_cur, &slab, 100);
             st.step(&local, damp_x, &damp_z_local, 1);
             // source_injection by the owning rank.
             if let Some((ix, iz)) = src_local {
                 st.inject(&local, ix, iz, wavelet.sample(t as f32 * model.geom.dt));
             }
         }
-        gather2(ctx, &decomp, ge, &st.u_cur, 999)
+        gather(ctx, &decomp, &st.u_cur, || Field2::zeros(ge), 999)
     });
     results
         .remove(0)
@@ -133,51 +128,14 @@ pub fn modeling_iso3_mpi(
             (src.2 >= slab.z0 && src.2 < slab.z1).then(|| (src.0, src.1, src.2 - slab.z0));
 
         for t in 0..steps {
-            exchange_halo3(ctx, &mut st.u_cur, &slab, 300);
+            exchange_halo(ctx, &mut st.u_cur, &slab, 300);
             st.step(&local, &damp_local, 1);
             if let Some((ix, iy, iz)) = src_local {
                 st.inject(&local, ix, iy, iz, wavelet.sample(t as f32 * model.geom.dt));
             }
         }
 
-        let u = &st.u_cur;
-        if ctx.rank() == 0 {
-            let mut global = Field3::zeros(ge);
-            for iz in 0..slab.nz() {
-                for iy in 0..ge.ny {
-                    for ix in 0..ge.nx {
-                        global.set(ix, iy, iz, u.get(ix, iy, iz));
-                    }
-                }
-            }
-            for r in 1..ctx.size() {
-                let b = ctx.recv(r, 998);
-                let rs = decomp.slab(r);
-                let vals: Vec<f32> = b
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect();
-                assert_eq!(vals.len(), rs.nz() * ge.ny * ge.nx, "gather payload");
-                for (i, v) in vals.into_iter().enumerate() {
-                    let iz = rs.z0 + i / (ge.nx * ge.ny);
-                    let iy = (i / ge.nx) % ge.ny;
-                    let ix = i % ge.nx;
-                    global.set(ix, iy, iz, v);
-                }
-            }
-            Some(global)
-        } else {
-            let mut payload = Vec::with_capacity(slab.nz() * ge.ny * ge.nx * 4);
-            for iz in 0..slab.nz() {
-                for iy in 0..ge.ny {
-                    for ix in 0..ge.nx {
-                        payload.extend_from_slice(&u.get(ix, iy, iz).to_le_bytes());
-                    }
-                }
-            }
-            ctx.isend(0, 998, Bytes::from(payload));
-            None
-        }
+        gather(ctx, &decomp, &st.u_cur, || Field3::zeros(ge), 998)
     });
     results
         .remove(0)
@@ -218,17 +176,17 @@ pub fn modeling_ac2_mpi(
 
         for t in 0..steps {
             // Velocity phase reads p's halo.
-            exchange_halo2(ctx, &mut st.p, &slab, 200);
+            exchange_halo(ctx, &mut st.p, &slab, 200);
             st.velocity_phase(&local, &cpml_local, dt, 1);
             // Pressure phase reads qx/qz halos.
-            exchange_halo2(ctx, &mut st.qx, &slab, 210);
-            exchange_halo2(ctx, &mut st.qz, &slab, 220);
+            exchange_halo(ctx, &mut st.qx, &slab, 210);
+            exchange_halo(ctx, &mut st.qz, &slab, 220);
             st.pressure_phase(&local, &cpml_local, dt, 1);
             if let Some((ix, iz)) = src_local {
                 st.inject(&local, ix, iz, wavelet.sample(t as f32 * dt));
             }
         }
-        gather2(ctx, &decomp, ge, &st.p, 997)
+        gather(ctx, &decomp, &st.p, || Field2::zeros(ge), 997)
     });
     results
         .remove(0)

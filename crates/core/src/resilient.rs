@@ -39,7 +39,6 @@ use crate::rtm::{run_rtm, RtmResult};
 use crate::shot_parallel::{shots_for_rank, Shot};
 use acc_obs::{ObsSession, Span, SpanCat, Track};
 use accel_sim::fault::{FaultPlan, FaultView};
-use bytes::Bytes;
 use mpi_sim::comm::Communicator;
 use openacc_sim::Compiler;
 use seismic_grid::Field2;
@@ -193,8 +192,6 @@ pub struct ResilienceStats {
     pub wasted_s: f64,
     /// Simulated seconds spent sleeping between retries.
     pub backoff_s: f64,
-    /// Message retransmits accounted by the communicator, if any.
-    pub net_retransmits: u64,
 }
 
 impl ResilienceStats {
@@ -649,22 +646,16 @@ pub fn rtm_survey_resilient(
             }
             for s in 0..shots.len() {
                 if images[s].is_none() {
-                    let b = ctx.recv(thread_of[s], s as u64);
                     let mut f = Field2::zeros(e);
-                    for (d, chunk) in f.as_mut_slice().iter_mut().zip(b.chunks_exact(4)) {
-                        *d = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-                    }
+                    f.as_mut_slice()
+                        .copy_from_slice(&ctx.recv(thread_of[s], s as u64));
                     images[s] = Some(f);
                 }
             }
             Some(images)
         } else {
             for (s, img) in local {
-                let mut payload = Vec::with_capacity(img.as_slice().len() * 4);
-                for v in img.as_slice() {
-                    payload.extend_from_slice(&v.to_le_bytes());
-                }
-                ctx.isend(0, s as u64, Bytes::from(payload));
+                ctx.isend(0, s as u64, img.as_slice().to_vec());
             }
             None
         }

@@ -12,7 +12,6 @@ use crate::case::OptimizationConfig;
 use crate::error::ConfigError;
 use crate::modeling::Medium2;
 use crate::rtm::run_rtm;
-use bytes::Bytes;
 use mpi_sim::comm::Communicator;
 use seismic_grid::Field2;
 use seismic_source::{Acquisition2, Wavelet};
@@ -66,19 +65,13 @@ pub fn rtm_shot_parallel(
         if ctx.rank() == 0 {
             let mut stack = local;
             for r in 1..ctx.size() {
-                let b = ctx.recv(r, 777);
-                for (i, chunk) in b.chunks_exact(4).enumerate() {
-                    stack.as_mut_slice()[i] +=
-                        f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
+                for (d, v) in stack.as_mut_slice().iter_mut().zip(ctx.recv(r, 777)) {
+                    *d += v;
                 }
             }
             Some(stack)
         } else {
-            let mut payload = Vec::with_capacity(local.as_slice().len() * 4);
-            for v in local.as_slice() {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-            ctx.isend(0, 777, Bytes::from(payload));
+            ctx.isend(0, 777, local.as_slice().to_vec());
             None
         }
     });

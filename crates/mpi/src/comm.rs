@@ -1,17 +1,16 @@
 //! Rank runtime: threads + channels with an MPI-flavoured nonblocking API.
+//!
+//! Every payload is a `Vec<f32>` — ghost planes, gathered slabs and
+//! migrated images, the only data Algorithm 1's ranks exchange.
 
-use crate::net::NetFaultPlan;
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::cell::Cell;
-use std::sync::{Arc, Barrier};
 
 /// A message in flight.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Msg {
     src: usize,
     tag: u64,
-    payload: Bytes,
+    payload: Vec<f32>,
 }
 
 /// A nonblocking communication request handle.
@@ -29,7 +28,7 @@ pub enum Request {
         /// Message tag.
         tag: u64,
         /// Filled once matched.
-        data: Option<Bytes>,
+        data: Option<Vec<f32>>,
     },
 }
 
@@ -43,7 +42,7 @@ impl Request {
     }
 
     /// Take the received payload (panics on sends or incomplete receives).
-    pub fn take(self) -> Bytes {
+    pub fn take(self) -> Vec<f32> {
         match self {
             Request::Recv { data: Some(b), .. } => b,
             _ => panic!("take() on a send or incomplete receive"),
@@ -58,12 +57,6 @@ pub struct RankCtx {
     inbox: Receiver<Msg>,
     peers: Vec<Sender<Msg>>,
     pending: Vec<Msg>,
-    barrier: Arc<Barrier>,
-    reduce_tx: Sender<(usize, f64)>,
-    reduce_rx: Receiver<(usize, f64)>,
-    net_faults: Option<NetFaultPlan>,
-    send_seq: Cell<u64>,
-    retransmits: Cell<u64>,
 }
 
 impl RankCtx {
@@ -77,24 +70,9 @@ impl RankCtx {
         self.size
     }
 
-    /// Retransmits this rank's sends have needed so far under the
-    /// communicator's [`NetFaultPlan`] (0 without one). Delivery always
-    /// eventually succeeds — the plan models the *cost* of loss, so faulty
-    /// runs stay deadlock-free and bitwise-identical in payload.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits.get()
-    }
-
     /// Post a nonblocking send (eager: the payload is buffered immediately).
-    pub fn isend(&self, dest: usize, tag: u64, payload: Bytes) -> Request {
+    pub fn isend(&self, dest: usize, tag: u64, payload: Vec<f32>) -> Request {
         assert!(dest < self.size, "destination rank out of range");
-        if let Some(p) = &self.net_faults {
-            let seq = self.send_seq.get();
-            self.send_seq.set(seq + 1);
-            let attempts = p.delivery_attempts(self.rank, dest, seq);
-            self.retransmits
-                .set(self.retransmits.get() + u64::from(attempts - 1));
-        }
         self.peers[dest]
             .send(Msg {
                 src: self.rank,
@@ -109,115 +87,54 @@ impl RankCtx {
     pub fn irecv(&mut self, src: usize, tag: u64) -> Request {
         assert!(src < self.size, "source rank out of range");
         // Check messages that already arrived out of order.
-        if let Some(pos) = self
+        let data = self
             .pending
             .iter()
             .position(|m| m.src == src && m.tag == tag)
-        {
-            let m = self.pending.remove(pos);
-            return Request::Recv {
-                src,
-                tag,
-                data: Some(m.payload),
-            };
-        }
-        Request::Recv {
-            src,
-            tag,
-            data: None,
+            .map(|pos| self.pending.remove(pos).payload);
+        Request::Recv { src, tag, data }
+    }
+
+    /// Block until an arriving message matches an incomplete receive in
+    /// `reqs`; returns its index. Unmatched arrivals wait in `pending` for
+    /// a later [`Self::irecv`].
+    fn complete_next(&mut self, reqs: &mut [Request]) -> usize {
+        loop {
+            let msg = self.inbox.recv().expect("communicator shut down");
+            for (i, r) in reqs.iter_mut().enumerate() {
+                if let Request::Recv { src, tag, data } = r {
+                    if *src == msg.src && *tag == msg.tag && data.is_none() {
+                        *data = Some(msg.payload);
+                        return i;
+                    }
+                }
+            }
+            self.pending.push(msg);
         }
     }
 
     /// Block until one incomplete request finishes; returns its index.
     /// Mirrors `MPI_WAITANY` over the request array of Algorithm 1.
     pub fn wait_any(&mut self, reqs: &mut [Request]) -> usize {
-        if let Some(i) = reqs.iter().position(Request::is_complete) {
-            return i;
-        }
-        loop {
-            let msg = self.inbox.recv().expect("communicator shut down");
-            let matched = reqs.iter_mut().position(|r| {
-                matches!(r, Request::Recv { src, tag, data } if *src == msg.src && *tag == msg.tag && data.is_none())
-            });
-            match matched {
-                Some(i) => {
-                    if let Request::Recv { data, .. } = &mut reqs[i] {
-                        *data = Some(msg.payload);
-                    }
-                    return i;
-                }
-                None => self.pending.push(msg),
-            }
+        match reqs.iter().position(Request::is_complete) {
+            Some(i) => i,
+            None => self.complete_next(reqs),
         }
     }
 
     /// Wait for every request in the slice.
     pub fn wait_all(&mut self, reqs: &mut [Request]) {
         while reqs.iter().any(|r| !r.is_complete()) {
-            let msg = self.inbox.recv().expect("communicator shut down");
-            let matched = reqs.iter_mut().position(|r| {
-                matches!(r, Request::Recv { src, tag, data } if *src == msg.src && *tag == msg.tag && data.is_none())
-            });
-            match matched {
-                Some(j) => {
-                    if let Request::Recv { data, .. } = &mut reqs[j] {
-                        *data = Some(msg.payload);
-                    }
-                }
-                None => self.pending.push(msg),
-            }
+            self.complete_next(reqs);
         }
     }
 
     /// Blocking receive convenience.
-    pub fn recv(&mut self, src: usize, tag: u64) -> Bytes {
+    pub fn recv(&mut self, src: usize, tag: u64) -> Vec<f32> {
         let mut reqs = [self.irecv(src, tag)];
-        self.wait_any(&mut reqs);
-        match reqs {
-            [Request::Recv { data: Some(b), .. }] => b,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Synchronize all ranks.
-    pub fn barrier(&self) {
-        self.barrier.wait();
-    }
-
-    /// All-reduce a scalar with `op` (commutative+associative); every rank
-    /// returns the same result.
-    pub fn allreduce(&mut self, v: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        // Simple gather-to-all through a shared channel, fenced by barriers.
-        self.barrier();
-        self.reduce_tx.send((self.rank, v)).expect("reduce channel");
-        self.barrier();
-        let mut vals = vec![None::<f64>; self.size];
-        // Every rank drains exactly `size` values then re-publishes for
-        // the others? Instead: each rank reads all messages then barriers —
-        // but a channel consumer steals. Use the pending trick: rank 0
-        // collects and rebroadcasts point-to-point.
-        if self.rank == 0 {
-            for _ in 0..self.size {
-                let (r, x) = self.reduce_rx.recv().expect("reduce recv");
-                vals[r] = Some(x);
-            }
-            let acc = vals
-                .into_iter()
-                .map(|x| x.expect("missing rank contribution"))
-                .reduce(&op)
-                .expect("non-empty communicator");
-            for dest in 1..self.size {
-                self.isend(dest, u64::MAX, Bytes::copy_from_slice(&acc.to_le_bytes()));
-            }
-            self.barrier();
-            acc
-        } else {
-            let b = self.recv(0, u64::MAX);
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&b);
-            self.barrier();
-            f64::from_le_bytes(buf)
-        }
+        self.wait_all(&mut reqs);
+        let [r] = reqs;
+        r.take()
     }
 }
 
@@ -228,66 +145,36 @@ impl Communicator {
     /// Run `f` on `size` ranks (threads); returns each rank's result in
     /// rank order. Panics in any rank propagate.
     pub fn run<T: Send>(size: usize, f: impl Fn(&mut RankCtx) -> T + Sync) -> Vec<T> {
-        Self::run_with_faults(size, None, f)
-    }
-
-    /// [`Self::run`] with an optional deterministic message-loss model:
-    /// every rank accounts retransmits for its sends (see
-    /// [`RankCtx::retransmits`]); payload delivery is unchanged.
-    pub fn run_with_faults<T: Send>(
-        size: usize,
-        net_faults: Option<NetFaultPlan>,
-        f: impl Fn(&mut RankCtx) -> T + Sync,
-    ) -> Vec<T> {
         assert!(size > 0, "communicator needs at least one rank");
-        let mut txs = Vec::with_capacity(size);
-        let mut rxs = Vec::with_capacity(size);
-        for _ in 0..size {
-            let (tx, rx) = unbounded::<Msg>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let barrier = Arc::new(Barrier::new(size));
-        let (rtx, rrx) = unbounded::<(usize, f64)>();
+        let (peers, inboxes): (Vec<_>, Vec<_>) = (0..size).map(|_| unbounded::<Msg>()).unzip();
         let f = &f;
-        let mut out: Vec<Option<T>> = (0..size).map(|_| None).collect();
         std::thread::scope(|s| {
-            let handles: Vec<_> = rxs
+            let handles: Vec<_> = inboxes
                 .into_iter()
                 .enumerate()
                 .map(|(rank, inbox)| {
-                    let peers = txs.clone();
-                    let barrier = Arc::clone(&barrier);
-                    let reduce_tx = rtx.clone();
-                    let reduce_rx = rrx.clone();
+                    let peers = peers.clone();
                     s.spawn(move || {
-                        let mut ctx = RankCtx {
+                        f(&mut RankCtx {
                             rank,
                             size,
                             inbox,
                             peers,
                             pending: Vec::new(),
-                            barrier,
-                            reduce_tx,
-                            reduce_rx,
-                            net_faults,
-                            send_seq: Cell::new(0),
-                            retransmits: Cell::new(0),
-                        };
-                        f(&mut ctx)
+                        })
                     })
                 })
                 .collect();
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(v) => out[rank] = Some(v),
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(v) => v,
                     // Re-raise with the original payload so callers (and
                     // `#[should_panic]` tests) see the rank's own message.
                     Err(e) => std::panic::resume_unwind(e),
-                }
-            }
-        });
-        out.into_iter().map(|x| x.expect("rank result")).collect()
+                })
+                .collect()
+        })
     }
 }
 
@@ -300,15 +187,11 @@ mod tests {
         let results = Communicator::run(4, |c| {
             let next = (c.rank() + 1) % c.size();
             let prev = (c.rank() + c.size() - 1) % c.size();
-            c.isend(
-                next,
-                7,
-                Bytes::copy_from_slice(&(c.rank() as u64).to_le_bytes()),
-            );
-            let b = c.recv(prev, 7);
-            u64::from_le_bytes(b.as_ref().try_into().unwrap())
+            c.isend(next, 7, vec![c.rank() as f32, 0.5]);
+            c.recv(prev, 7)
         });
-        assert_eq!(results, vec![3, 0, 1, 2]);
+        let want: Vec<Vec<f32>> = [3.0, 0.0, 1.0, 2.0].map(|r| vec![r, 0.5]).into();
+        assert_eq!(results, want);
     }
 
     #[test]
@@ -316,9 +199,9 @@ mod tests {
         let results = Communicator::run(2, |c| {
             if c.rank() == 0 {
                 // Send tag 2 first, then tag 1 — receiver posts 1 before 2.
-                c.isend(1, 2, Bytes::from_static(b"two"));
-                c.isend(1, 1, Bytes::from_static(b"one"));
-                Bytes::new()
+                c.isend(1, 2, vec![2.0, 2.0]);
+                c.isend(1, 1, vec![1.0]);
+                Vec::new()
             } else {
                 let mut reqs = vec![c.irecv(0, 1), c.irecv(0, 2)];
                 let first = c.wait_any(&mut reqs);
@@ -326,41 +209,21 @@ mod tests {
                 c.wait_all(&mut reqs);
                 assert!(reqs.iter().all(Request::is_complete));
                 let mut it = reqs.into_iter();
-                let one = it.next().unwrap().take();
-                assert_eq!(one.as_ref(), b"one");
+                assert_eq!(it.next().unwrap().take(), vec![1.0]);
                 it.next().unwrap().take()
             }
         });
-        assert_eq!(results[1].as_ref(), b"two");
-    }
-
-    #[test]
-    fn allreduce_sum_and_max() {
-        let sums = Communicator::run(5, |c| c.allreduce(c.rank() as f64, |a, b| a + b));
-        assert!(sums.iter().all(|&s| s == 10.0));
-        let maxes = Communicator::run(3, |c| c.allreduce((c.rank() * 2) as f64, f64::max));
-        assert!(maxes.iter().all(|&m| m == 4.0));
-    }
-
-    #[test]
-    fn barrier_orders_phases() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let phase1 = AtomicUsize::new(0);
-        Communicator::run(4, |c| {
-            phase1.fetch_add(1, Ordering::SeqCst);
-            c.barrier();
-            // After the barrier every rank must see all 4 increments.
-            assert_eq!(phase1.load(Ordering::SeqCst), 4);
-        });
+        assert_eq!(results[1], vec![2.0, 2.0]);
     }
 
     #[test]
     fn single_rank_works() {
         let r = Communicator::run(1, |c| {
             assert_eq!(c.size(), 1);
-            c.allreduce(42.0, f64::max)
+            c.isend(0, 3, vec![42.0]);
+            c.recv(0, 3)
         });
-        assert_eq!(r, vec![42.0]);
+        assert_eq!(r, vec![vec![42.0]]);
     }
 
     #[test]
@@ -368,68 +231,18 @@ mod tests {
     fn send_out_of_range_panics() {
         Communicator::run(2, |c| {
             if c.rank() == 0 {
-                c.isend(5, 0, Bytes::new());
+                c.isend(5, 0, Vec::new());
             }
         });
-    }
-
-    #[test]
-    fn faulty_run_delivers_everything_and_counts_retransmits() {
-        let plan = NetFaultPlan {
-            seed: 5,
-            drop_prob: 0.6,
-            timeout_s: 1e-3,
-            max_attempts: 16,
-        };
-        let results = Communicator::run_with_faults(4, Some(plan), |c| {
-            let next = (c.rank() + 1) % c.size();
-            let prev = (c.rank() + c.size() - 1) % c.size();
-            for i in 0..50u64 {
-                c.isend(next, i, Bytes::copy_from_slice(&i.to_le_bytes()));
-            }
-            for i in 0..50u64 {
-                let b = c.recv(prev, i);
-                assert_eq!(u64::from_le_bytes(b.as_ref().try_into().unwrap()), i);
-            }
-            c.retransmits()
-        });
-        // Payloads all arrived intact; at 60 % drop the retransmit count
-        // must be substantial and is identical across reruns (same seed).
-        let total: u64 = results.iter().sum();
-        assert!(total > 50, "retransmits {total}");
-        let again: u64 = Communicator::run_with_faults(4, Some(plan), |c| {
-            let next = (c.rank() + 1) % c.size();
-            let prev = (c.rank() + c.size() - 1) % c.size();
-            for i in 0..50u64 {
-                c.isend(next, i, Bytes::copy_from_slice(&i.to_le_bytes()));
-            }
-            for i in 0..50u64 {
-                c.recv(prev, i);
-            }
-            c.retransmits()
-        })
-        .iter()
-        .sum();
-        assert_eq!(total, again);
-        // No plan → no accounting.
-        let clean = Communicator::run(2, |c| {
-            if c.rank() == 0 {
-                c.isend(1, 0, Bytes::new());
-            } else {
-                c.recv(0, 0);
-            }
-            c.retransmits()
-        });
-        assert_eq!(clean, vec![0, 0]);
     }
 
     #[test]
     fn wait_all_completes_everything() {
-        Communicator::run(3, |c| {
+        let got = Communicator::run(3, |c| {
             let mut reqs = Vec::new();
             for dest in 0..c.size() {
                 if dest != c.rank() {
-                    reqs.push(c.isend(dest, 9, Bytes::from_static(b"x")));
+                    reqs.push(c.isend(dest, 9, vec![c.rank() as f32]));
                 }
             }
             for src in 0..c.size() {
@@ -439,6 +252,12 @@ mod tests {
             }
             c.wait_all(&mut reqs);
             assert!(reqs.iter().all(Request::is_complete));
+            // The receives follow the sends, in source-rank order.
+            reqs.into_iter()
+                .skip(c.size() - 1)
+                .flat_map(Request::take)
+                .collect::<Vec<f32>>()
         });
+        assert_eq!(got, vec![vec![1.0, 2.0], vec![0.0, 2.0], vec![0.0, 1.0]]);
     }
 }

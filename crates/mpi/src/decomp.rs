@@ -90,14 +90,6 @@ impl SlabDecomp {
             .position(|s| z >= s.z0 && z < s.z1)
             .expect("row inside the global range")
     }
-
-    /// Bytes exchanged per step per interior plane of `plane_points` points:
-    /// each internal boundary moves `2 · ghost` planes (one ghost shell in
-    /// each direction).
-    pub fn ghost_bytes_per_step(&self, plane_points: usize) -> u64 {
-        let internal_boundaries = self.n_ranks.saturating_sub(1) as u64;
-        internal_boundaries * 2 * self.ghost as u64 * plane_points as u64 * 4
-    }
 }
 
 #[cfg(test)]
@@ -147,15 +139,5 @@ mod tests {
     #[should_panic(expected = "too shallow")]
     fn rejects_too_many_ranks() {
         SlabDecomp::new(10, 8, 4);
-    }
-
-    #[test]
-    fn ghost_traffic_scales_with_ranks() {
-        let plane = 512 * 512;
-        let d2 = SlabDecomp::new(512, 2, 4);
-        let d8 = SlabDecomp::new(512, 8, 4);
-        assert_eq!(d2.ghost_bytes_per_step(plane), 2 * 4 * plane as u64 * 4);
-        assert!(d8.ghost_bytes_per_step(plane) == 7 * d2.ghost_bytes_per_step(plane));
-        assert_eq!(SlabDecomp::new(512, 1, 4).ghost_bytes_per_step(plane), 0);
     }
 }

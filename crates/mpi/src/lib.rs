@@ -13,26 +13,21 @@
 //!
 //! * [`comm`] — ranks as OS threads, [`comm::RankCtx::isend`] /
 //!   [`comm::RankCtx::irecv`] / [`comm::RankCtx::wait_any`] over channels,
-//!   barriers and reductions,
+//!   carrying `Vec<f32>` payloads,
 //! * [`decomp`] — 1-D slab domain decomposition along the slowest (z) axis
 //!   with stencil-width ghost shells,
-//! * [`halo`] — pack/exchange/unpack of ghost rows for 2D and 3D fields,
+//! * [`halo`] — one ghost exchange over a field's raw z-planes, shared by
+//!   2D and 3D fields,
 //! * [`net`] — interconnect and CPU-socket *timing models* used by the
 //!   Table 3/4 baseline predictions ("Aries"-class CRAY XC30 vs the older
 //!   IBM cluster network, whose difference the paper blames for the CRAY
-//!   speedups being lower), plus a seeded message-drop/timeout model
-//!   ([`net::NetFaultPlan`]) whose retransmit cost the communicator
-//!   accounts without ever losing a payload,
-//! * [`obs`] — a thread-safe halo-exchange event log (bytes, neighbour,
-//!   tag, direction) the tracing layer turns into MPI-rank timeline spans.
+//!   speedups being lower).
 
 pub mod comm;
 pub mod decomp;
 pub mod halo;
 pub mod net;
-pub mod obs;
 
 pub use comm::{Communicator, RankCtx, Request};
 pub use decomp::SlabDecomp;
-pub use net::{CpuSpec, Interconnect, NetFaultPlan};
-pub use obs::{HaloDir, HaloEvent, HaloLog};
+pub use net::{CpuSpec, Interconnect};

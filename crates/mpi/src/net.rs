@@ -44,89 +44,6 @@ impl Interconnect {
     pub fn msg_time(&self, bytes: u64) -> f64 {
         self.latency_s + bytes as f64 / self.bandwidth_bs
     }
-
-    /// Fault-aware variant of [`Self::msg_time`]: under a [`NetFaultPlan`]
-    /// the `seq`-th message on the `(src, dst)` link may need retransmits,
-    /// each failed attempt costing the plan's timeout before the resend.
-    /// Returns `(total time, attempts)`; with `plan = None` this is exactly
-    /// `(msg_time(bytes), 1)`.
-    pub fn msg_time_faulty(
-        &self,
-        bytes: u64,
-        plan: Option<&NetFaultPlan>,
-        src: usize,
-        dst: usize,
-        seq: u64,
-    ) -> (f64, u32) {
-        match plan {
-            None => (self.msg_time(bytes), 1),
-            Some(p) => {
-                let attempts = p.delivery_attempts(src, dst, seq);
-                (
-                    (attempts - 1) as f64 * p.timeout_s + self.msg_time(bytes),
-                    attempts,
-                )
-            }
-        }
-    }
-}
-
-/// Deterministic message-loss model for the interconnect: the `seq`-th
-/// message on a directed `(src, dst)` link drops with `drop_prob` per
-/// attempt, independently per attempt, all derived from `seed` — the same
-/// plan always drops the same attempts. Delivery always succeeds within
-/// `max_attempts` (the final attempt is forced through), so a run under
-/// faults is slower but never wedges.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NetFaultPlan {
-    /// Seed every drop decision derives from.
-    pub seed: u64,
-    /// Per-attempt drop probability in `[0, 1)`.
-    pub drop_prob: f64,
-    /// Sender-side retransmission timeout charged per dropped attempt.
-    pub timeout_s: f64,
-    /// Attempts after which delivery is forced (≥ 1).
-    pub max_attempts: u32,
-}
-
-impl NetFaultPlan {
-    /// A plan with no drops (every query returns one attempt).
-    pub fn none(seed: u64) -> Self {
-        Self {
-            seed,
-            drop_prob: 0.0,
-            timeout_s: 0.0,
-            max_attempts: 1,
-        }
-    }
-
-    fn draw(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> f64 {
-        // One splitmix64 step over the mixed coordinates — stateless, so
-        // the same (link, seq, attempt) cell always resolves identically.
-        let mut s = self.seed
-            ^ (src as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ (dst as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
-            ^ seq.wrapping_mul(0x1656_67b1_9e37_79f9)
-            ^ (attempt as u64).wrapping_mul(0x2545_f491_4f6c_dd1d);
-        s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Number of attempts the `seq`-th message on `(src, dst)` needs before
-    /// it gets through (1 = delivered first try). Deterministic per cell.
-    pub fn delivery_attempts(&self, src: usize, dst: usize, seq: u64) -> u32 {
-        let cap = self.max_attempts.max(1);
-        for attempt in 1..cap {
-            if self.draw(src, dst, seq, attempt) >= self.drop_prob {
-                return attempt;
-            }
-        }
-        cap
-    }
 }
 
 /// One CPU socket of the baseline platform (roofline parameters).
@@ -204,35 +121,6 @@ mod tests {
         assert_eq!(a.msg_time(0), a.latency_s);
         let t = a.msg_time(10_000_000_000);
         assert!((t - (a.latency_s + 1.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn net_faults_are_deterministic_and_bounded() {
-        let p = NetFaultPlan {
-            seed: 99,
-            drop_prob: 0.5,
-            timeout_s: 1e-3,
-            max_attempts: 8,
-        };
-        for seq in 0..2000u64 {
-            let a = p.delivery_attempts(0, 1, seq);
-            assert_eq!(a, p.delivery_attempts(0, 1, seq), "stateless");
-            assert!((1..=8).contains(&a));
-        }
-        // At 50 % drop, mean attempts ≈ 2 over many messages.
-        let total: u32 = (0..2000u64).map(|s| p.delivery_attempts(0, 1, s)).sum();
-        let mean = total as f64 / 2000.0;
-        assert!((mean - 2.0).abs() < 0.2, "mean {mean}");
-        // No-drop plan never retransmits; time matches the plain model.
-        let clean = NetFaultPlan::none(1);
-        assert_eq!(clean.delivery_attempts(3, 4, 17), 1);
-        let a = Interconnect::aries();
-        assert_eq!(
-            a.msg_time_faulty(1 << 20, None, 0, 1, 0),
-            (a.msg_time(1 << 20), 1)
-        );
-        let (t, att) = a.msg_time_faulty(1 << 20, Some(&p), 0, 1, 0);
-        assert_eq!(t, (att - 1) as f64 * p.timeout_s + a.msg_time(1 << 20));
     }
 
     #[test]

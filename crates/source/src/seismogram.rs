@@ -1,6 +1,5 @@
 //! Shot records: the traces recorded at each receiver over time.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// A dense (n_receivers × nt) shot record, receiver-major.
@@ -77,47 +76,6 @@ impl Seismogram {
         }
         best
     }
-
-    /// Serialize to a compact binary wire format (header + little-endian
-    /// f32 payload) — the format the `mpi-sim` ranks use to ship gathered
-    /// shot records to rank 0.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.data.len() * 4);
-        buf.put_u64_le(self.n_receivers as u64);
-        buf.put_u64_le(self.nt as u64);
-        for &v in &self.data {
-            buf.put_f32_le(v);
-        }
-        buf.freeze()
-    }
-
-    /// Deserialize from [`Seismogram::to_bytes`] output.
-    pub fn from_bytes(mut b: Bytes) -> Result<Self, String> {
-        if b.remaining() < 16 {
-            return Err("seismogram header truncated".into());
-        }
-        let n_receivers = b.get_u64_le() as usize;
-        let nt = b.get_u64_le() as usize;
-        let need = n_receivers
-            .checked_mul(nt)
-            .ok_or("seismogram size overflow")?;
-        if b.remaining() != need * 4 {
-            return Err(format!(
-                "seismogram payload mismatch: have {} bytes, need {}",
-                b.remaining(),
-                need * 4
-            ));
-        }
-        let mut data = Vec::with_capacity(need);
-        for _ in 0..need {
-            data.push(b.get_f32_le());
-        }
-        Ok(Self {
-            n_receivers,
-            nt,
-            data,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -142,27 +100,5 @@ mod tests {
         let want = ((9.0 + 16.0) / 8.0f64).sqrt();
         assert!((s.rms() - want).abs() < 1e-12);
         assert_eq!(Seismogram::zeros(0, 0).rms(), 0.0);
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let mut s = Seismogram::zeros(4, 7);
-        for r in 0..4 {
-            for t in 0..7 {
-                s.record(r, t, (r * 10 + t) as f32 - 3.5);
-            }
-        }
-        let b = s.to_bytes();
-        let back = Seismogram::from_bytes(b).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn bytes_rejects_truncation() {
-        let s = Seismogram::zeros(2, 2);
-        let b = s.to_bytes();
-        let short = b.slice(0..b.len() - 4);
-        assert!(Seismogram::from_bytes(short).is_err());
-        assert!(Seismogram::from_bytes(Bytes::from_static(&[1, 2])).is_err());
     }
 }

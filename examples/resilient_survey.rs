@@ -103,8 +103,7 @@ fn main() {
         stats.backoff_s,
         100.0 * stats.overhead_frac()
     );
-    println!(
-        "  image bitwise-identical to fault-free run: {}",
-        image == reference
-    );
+    let exact = image == reference;
+    println!("  image bitwise-identical to fault-free run: {exact}");
+    assert!(exact, "resilient stack diverged from the fault-free run");
 }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use seismic_grid::cfl::{courant_limit, stable_dt};
 use seismic_grid::{Extent2, Extent3, Field2, SyncSlice};
 use seismic_pml::{CpmlAxis, DampProfile};
-use seismic_source::{ricker, Seismogram};
+use seismic_source::ricker;
 
 proptest! {
     /// Interior indexing is a bijection into the allocated buffer: distinct
@@ -52,21 +52,6 @@ proptest! {
             }
         }
         prop_assert_eq!(t.transposed(), f);
-    }
-
-    /// Seismogram byte serialization round-trips arbitrary contents.
-    #[test]
-    fn seismogram_bytes_roundtrip(
-        n_rcv in 1usize..12,
-        nt in 1usize..50,
-        vals in prop::collection::vec(-1e12f32..1e12, 1..600),
-    ) {
-        let mut s = Seismogram::zeros(n_rcv, nt);
-        for (i, v) in vals.iter().enumerate().take(n_rcv * nt) {
-            s.record(i / nt, i % nt, *v);
-        }
-        let back = Seismogram::from_bytes(s.to_bytes()).unwrap();
-        prop_assert_eq!(back, s);
     }
 
     /// CFL: the stable dt scales linearly in h and inversely in v, and
