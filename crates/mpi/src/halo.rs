@@ -106,53 +106,65 @@ mod tests {
         out
     }
 
-    /// After one exchange, every ghost point — all x (and y), every ghost
-    /// plane, both neighbours — equals the global field, on an uneven
-    /// split of 23 planes over 3 ranks, in 2-D and in 3-D.
-    #[test]
-    fn halo_matches_global_field() {
-        let nz_global = 23;
-        let ghost = 4;
-        let d = SlabDecomp::new(nz_global, 3, ghost);
+    /// The uneven split both tests run on: 23 planes over 3 ranks, 4 ghosts.
+    fn uneven_split() -> SlabDecomp {
+        let d = SlabDecomp::new(23, 3, 4);
         assert_ne!(d.slab(0).nz(), d.slab(2).nz(), "the split is uneven");
+        d
+    }
 
-        let (nx, ny) = (6, 5);
-        let global2 = |ix: usize, iz: usize| (100 * iz + ix) as f32;
-        let global3 = |ix: usize, iy: usize, iz: usize| (1000 * iz + 10 * iy + ix) as f32;
+    /// After one 2-D exchange, every ghost point (all x, every ghost row,
+    /// both neighbours) equals the global field.
+    #[test]
+    fn halo2_matches_global_field() {
+        let (d, ghost, nx) = (uneven_split(), 4, 6);
+        let global = |ix: usize, iz: usize| (100 * iz + ix) as f32;
         let checked = Communicator::run(3, |ctx| {
             let slab = d.slab(ctx.rank());
-            let ghosts = ghost_planes(&slab, ghost);
+            let e = Extent2::new(nx, slab.nz(), ghost);
+            let mut f = Field2::from_fn(e, |ix, iz| global(ix, iz + slab.z0));
+            exchange_halo(ctx, &mut f, &slab, 10);
             let mut n = 0;
-
-            let e2 = Extent2::new(nx, slab.nz(), ghost);
-            let mut f2 = Field2::from_fn(e2, |ix, iz| global2(ix, iz + slab.z0));
-            exchange_halo(ctx, &mut f2, &slab, 10);
-            for &(rz, gz) in &ghosts {
+            for (rz, gz) in ghost_planes(&slab, ghost) {
                 for ix in 0..nx {
-                    let got = f2.as_slice()[rz * e2.full_nx() + ghost + ix];
-                    assert_eq!(got, global2(ix, gz), "2-D rank {} plane {rz}", ctx.rank());
+                    let got = f.as_slice()[rz * e.full_nx() + ghost + ix];
+                    assert_eq!(got, global(ix, gz), "rank {} plane {rz}", ctx.rank());
                     n += 1;
                 }
             }
+            n
+        });
+        // Edge ranks fill one shell, the middle rank two.
+        let shell = ghost * nx;
+        assert_eq!(checked, vec![shell, 2 * shell, shell]);
+    }
 
-            let e3 = Extent3::new(nx, ny, slab.nz(), ghost);
-            let mut f3 = Field3::from_fn(e3, |ix, iy, iz| global3(ix, iy, iz + slab.z0));
-            exchange_halo(ctx, &mut f3, &slab, 20);
-            let plane = e3.full_nx() * e3.full_ny();
-            for &(rz, gz) in &ghosts {
+    /// After one 3-D exchange, every ghost point (all x and y, every ghost
+    /// plane, both neighbours) equals the global field.
+    #[test]
+    fn halo3_matches_global_field() {
+        let (d, ghost, nx, ny) = (uneven_split(), 4, 6, 5);
+        let global = |ix: usize, iy: usize, iz: usize| (1000 * iz + 10 * iy + ix) as f32;
+        let checked = Communicator::run(3, |ctx| {
+            let slab = d.slab(ctx.rank());
+            let e = Extent3::new(nx, ny, slab.nz(), ghost);
+            let mut f = Field3::from_fn(e, |ix, iy, iz| global(ix, iy, iz + slab.z0));
+            exchange_halo(ctx, &mut f, &slab, 20);
+            let plane = e.full_nx() * e.full_ny();
+            let mut n = 0;
+            for (rz, gz) in ghost_planes(&slab, ghost) {
                 for iy in 0..ny {
                     for ix in 0..nx {
-                        let raw = rz * plane + (ghost + iy) * e3.full_nx() + ghost + ix;
-                        let got = f3.as_slice()[raw];
-                        assert_eq!(got, global3(ix, iy, gz), "3-D rank {}", ctx.rank());
+                        let raw = rz * plane + (ghost + iy) * e.full_nx() + ghost + ix;
+                        let got = f.as_slice()[raw];
+                        assert_eq!(got, global(ix, iy, gz), "rank {} plane {rz}", ctx.rank());
                         n += 1;
                     }
                 }
             }
             n
         });
-        // Edge ranks fill one shell, the middle rank two.
-        let shell = ghost * (nx + nx * ny);
+        let shell = ghost * nx * ny;
         assert_eq!(checked, vec![shell, 2 * shell, shell]);
     }
 
