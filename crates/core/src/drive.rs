@@ -12,7 +12,11 @@
 //! ([`Stored`]), segments replayed from checkpoints ([`Replay`]), or a
 //! lossless state walked back in time ([`Reversed`]). Dimensionality and
 //! formulation hide behind [`Wave`], implemented by [`State2`] and
-//! [`State3`]. The wall-clock `Phase` spans of [`exec_host::prof`] are
+//! [`State3`]. Snapshot copies ([`Wave::snapshot`]) and the imaging
+//! condition ([`Wave::correlate`]) are written once, over the interior
+//! [`Rows`] of a 2D or 3D grid, and launched through `par_slabs` over
+//! depth with the step's own slab map, so each gang touches the rows it
+//! just wrote. The wall-clock `Phase` spans of [`exec_host::prof`] are
 //! emitted here only — forward around every forward pass, backward around
 //! [`backward`], imaging around each correlation — so every strategy
 //! reports them.
@@ -23,8 +27,8 @@ use crate::modeling::{Medium2, State2};
 use crate::modeling3::{Medium3, State3};
 use crate::rand_boundary::{randomize_medium2, randomize_medium3};
 use crate::rtm::{mute_direct, RtmResult};
-use exec_host::prof;
-use seismic_grid::{Extent2, Field2, Field3};
+use exec_host::{par_slabs, prof};
+use seismic_grid::{Extent2, Field2, Field3, SyncSlice};
 use seismic_pml::RandomBoundarySpec;
 use seismic_source::{Acquisition2, Acquisition3, Seismogram, Wavelet};
 use std::ops::Range;
@@ -60,7 +64,7 @@ impl ShotPoints for Acquisition3 {
 
 /// A scalar field sampled at interior grid points: a stored snapshot or
 /// the pressure-like field of a live state.
-pub trait Sampled {
+pub trait Sampled: Sync {
     type Ix: Copy;
     fn at(&self, i: Self::Ix) -> f32;
     /// The sampled values as one halo-inclusive array laid out like the
@@ -118,27 +122,93 @@ impl Sampled for State3 {
     }
 }
 
-/// The imaging condition over stored fields, one interior row at a time:
-/// `image += src·rcv` (and `illum += src²`) over the `nx` points from each
-/// flat index in `rows`. Row slices let the compiler vectorise the loop;
-/// each point's sums are those of the per-point form.
-fn correlate_rows(
-    [src, rcv]: [&[f32]; 2],
-    image: &mut [f32],
-    mut illum: Option<&mut [f32]>,
-    rows: impl Iterator<Item = usize>,
+/// The interior rows of a grid: `ny` rows of `nx` points at each of `nz`
+/// depths (a 2D grid has `ny = 1`), the row at `(iy, iz)` starting at flat
+/// index `origin + iy·y_stride + iz·z_stride` of the halo-inclusive array.
+#[derive(Clone, Copy)]
+pub struct Rows {
     nx: usize,
-) {
-    assert!(src.len() == image.len() && rcv.len() == image.len());
-    for c in rows {
-        let s = &src[c..][..nx];
-        for ((o, &a), &b) in image[c..][..nx].iter_mut().zip(s).zip(&rcv[c..][..nx]) {
-            *o += a * b;
-        }
-        if let Some(il) = illum.as_deref_mut() {
-            for (o, &a) in il[c..][..nx].iter_mut().zip(s) {
-                *o += a * a;
+    ny: usize,
+    nz: usize,
+    origin: usize,
+    y_stride: usize,
+    z_stride: usize,
+}
+
+impl Rows {
+    /// Flat index of the first interior point of row `(iy, iz)`.
+    fn start(&self, iy: usize, iz: usize) -> usize {
+        self.origin + iy * self.y_stride + iz * self.z_stride
+    }
+
+    /// Run `row(iy, iz, start)` for every interior row, slab-parallel over
+    /// depth with the step's slab map. A row lies within one depth, so the
+    /// rows of different slabs never overlap.
+    fn par_for_each(&self, gangs: usize, row: impl Fn(usize, usize, usize) + Sync) {
+        par_slabs(self.nz, gangs, |z0, z1| {
+            for iz in z0..z1 {
+                for iy in 0..self.ny {
+                    row(iy, iz, self.start(iy, iz));
+                }
             }
+        });
+    }
+}
+
+/// An image or snapshot field: a halo-inclusive array with its interior
+/// rows.
+pub trait Grid: Sampled {
+    fn rows(&self) -> Rows;
+    fn data_mut(&mut self) -> &mut [f32];
+}
+
+impl Grid for Field2 {
+    fn rows(&self) -> Rows {
+        let e = self.extent();
+        Rows {
+            nx: e.nx,
+            ny: 1,
+            nz: e.nz,
+            origin: e.halo * e.full_nx() + e.halo,
+            y_stride: 0,
+            z_stride: e.full_nx(),
+        }
+    }
+
+    fn data_mut(&mut self) -> &mut [f32] {
+        self.as_mut_slice()
+    }
+}
+
+impl Grid for Field3 {
+    fn rows(&self) -> Rows {
+        let e = self.extent();
+        let plane = e.full_nx() * e.full_ny();
+        Rows {
+            nx: e.nx,
+            ny: e.ny,
+            nz: e.nz,
+            origin: e.halo * plane + e.halo * e.full_nx() + e.halo,
+            y_stride: e.full_nx(),
+            z_stride: plane,
+        }
+    }
+
+    fn data_mut(&mut self) -> &mut [f32] {
+        self.as_mut_slice()
+    }
+}
+
+/// The imaging condition over one interior row: `image += src·rcv`, and
+/// `illum += src²`. Row slices let the compiler vectorise the loop; each
+/// point's sums are those of the per-point form.
+fn correlate_row(src: &[f32], rcv: &[f32], image: &mut [f32], illum: Option<&mut [f32]>) {
+    for ((o, &a), &b) in image.iter_mut().zip(src).zip(rcv) {
+        *o += a * b;
+    }
+    if let Some(il) = illum {
+        for (o, &a) in il.iter_mut().zip(src) {
+            *o += a * a;
         }
     }
 }
@@ -176,7 +246,7 @@ pub trait Wave: Sampled + Sized {
     type Medium;
     type Acq: ShotPoints;
     /// Image and snapshot field.
-    type Field: Sampled<Ix = Self::Ix>;
+    type Field: Grid<Ix = Self::Ix>;
 
     fn new(medium: &Self::Medium) -> Self;
     /// A zeroed image/snapshot field over the medium's grid.
@@ -188,21 +258,81 @@ pub trait Wave: Sampled + Sized {
     /// The grid index of an `[x, y, z]` shot point.
     fn point(p: [usize; 3]) -> Self::Ix;
     fn inject_at(&mut self, medium: &Self::Medium, i: Self::Ix, amp: f32);
-    fn snapshot(&self, out: &mut Self::Field);
     /// A zeroed movie frame: the x–z plane modeling saves.
     fn frame(medium: &Self::Medium) -> Field2;
     /// Write the frame: the whole field in 2D, the source's y plane in 3D.
-    fn write_frame(&self, acq: &Self::Acq, out: &mut Field2);
-    /// The imaging condition over the interior: `image += src·self`, and
-    /// `illum += src²` when an illumination field is given.
+    fn write_frame(&self, acq: &Self::Acq, out: &mut Field2, gangs: usize);
+    /// Direct-wave mute inputs: grid spacing, velocity at the source, dt.
+    fn direct_wave(medium: &Self::Medium, acq: &Self::Acq) -> (f32, f32, f32);
+
+    /// Copy the sampled field's interior into `out`, slab-parallel over
+    /// `gangs`. The halo of `out` is not written: snapshots keep the zero
+    /// halo they were allocated with, as a state's fields do.
+    fn snapshot(&self, out: &mut Self::Field, gangs: usize) {
+        let rows = out.rows();
+        let src = self.stored();
+        let out = out.data_mut();
+        assert!(src.is_none_or(|s| s.len() == out.len()), "extent mismatch");
+        let out = SyncSlice::new(out);
+        rows.par_for_each(gangs, |iy, iz, c| {
+            // SAFETY: each row is written by the one slab holding its depth.
+            let o = unsafe { out.range_mut(c, rows.nx) };
+            match src {
+                Some(s) => o.copy_from_slice(&s[c..][..rows.nx]),
+                None => {
+                    for (ix, v) in o.iter_mut().enumerate() {
+                        *v = self.at(Self::point([ix, iy, iz]));
+                    }
+                }
+            }
+        });
+    }
+
+    /// The imaging condition over the interior, slab-parallel over
+    /// `gangs`: `image += src·self`, and `illum += src²` when an
+    /// illumination field is given. Fields without a stored array (the
+    /// elastic stress mean) are sampled point by point.
     fn correlate(
         &self,
         src: &impl Sampled<Ix = Self::Ix>,
         image: &mut Self::Field,
         illum: Option<&mut Self::Field>,
-    );
-    /// Direct-wave mute inputs: grid spacing, velocity at the source, dt.
-    fn direct_wave(medium: &Self::Medium, acq: &Self::Acq) -> (f32, f32, f32);
+        gangs: usize,
+    ) {
+        let rows = image.rows();
+        let image = image.data_mut();
+        let dense = src.stored().zip(self.stored());
+        assert!(
+            dense.is_none_or(|(s, r)| s.len() == image.len() && r.len() == image.len()),
+            "extent mismatch"
+        );
+        let image = SyncSlice::new(image);
+        let illum = illum.map(|f| SyncSlice::new(f.data_mut()));
+        rows.par_for_each(gangs, |iy, iz, c| {
+            let nx = rows.nx;
+            // SAFETY: each row is written by the one slab holding its
+            // depth; the image and illumination are distinct fields.
+            let (img, mut il) = unsafe {
+                (
+                    image.range_mut(c, nx),
+                    illum.as_ref().map(|f| f.range_mut(c, nx)),
+                )
+            };
+            match dense {
+                Some((s, r)) => correlate_row(&s[c..][..nx], &r[c..][..nx], img, il),
+                None => {
+                    for (ix, o) in img.iter_mut().enumerate() {
+                        let p = Self::point([ix, iy, iz]);
+                        let a = src.at(p);
+                        *o += a * self.at(p);
+                        if let Some(il) = il.as_deref_mut() {
+                            il[ix] += a * a;
+                        }
+                    }
+                }
+            }
+        });
+    }
 
     fn inject_source(&mut self, medium: &Self::Medium, acq: &Self::Acq, amp: f32) {
         self.inject_at(medium, Self::point(acq.source()), amp);
@@ -266,39 +396,12 @@ impl Wave for State2 {
         self.inject(medium, ix, iz, amp)
     }
 
-    fn snapshot(&self, out: &mut Field2) {
-        self.write_wavefield_into(out)
-    }
-
     fn frame(medium: &Medium2) -> Field2 {
         Field2::zeros(medium.extent())
     }
 
-    fn write_frame(&self, _acq: &Acquisition2, out: &mut Field2) {
-        self.write_wavefield_into(out)
-    }
-
-    fn correlate(
-        &self,
-        src: &impl Sampled<Ix = [usize; 2]>,
-        image: &mut Field2,
-        mut illum: Option<&mut Field2>,
-    ) {
-        let e = image.extent();
-        if let (Some(s), Some(r)) = (src.stored(), self.stored()) {
-            let rows = (0..e.nz).map(|iz| e.idx(0, iz));
-            let illum = illum.map(Field2::as_mut_slice);
-            return correlate_rows([s, r], image.as_mut_slice(), illum, rows, e.nx);
-        }
-        for iz in 0..e.nz {
-            for ix in 0..e.nx {
-                let s = src.at([ix, iz]);
-                image.set(ix, iz, image.get(ix, iz) + s * self.sample(ix, iz));
-                if let Some(il) = illum.as_deref_mut() {
-                    il.set(ix, iz, il.get(ix, iz) + s * s);
-                }
-            }
-        }
+    fn write_frame(&self, _acq: &Acquisition2, out: &mut Field2, gangs: usize) {
+        self.snapshot(out, gangs)
     }
 
     fn direct_wave(medium: &Medium2, acq: &Acquisition2) -> (f32, f32, f32) {
@@ -360,43 +463,13 @@ impl Wave for State3 {
         self.inject(medium, ix, iy, iz, amp)
     }
 
-    fn snapshot(&self, out: &mut Field3) {
-        self.write_wavefield_into(out)
-    }
-
     fn frame(medium: &Medium3) -> Field2 {
         let e = medium.extent();
         Field2::zeros(Extent2::new(e.nx, e.nz, e.halo))
     }
 
-    fn write_frame(&self, acq: &Acquisition3, out: &mut Field2) {
+    fn write_frame(&self, acq: &Acquisition3, out: &mut Field2, _gangs: usize) {
         self.write_slice_y_into(acq.src_iy, out)
-    }
-
-    fn correlate(
-        &self,
-        src: &impl Sampled<Ix = [usize; 3]>,
-        image: &mut Field3,
-        mut illum: Option<&mut Field3>,
-    ) {
-        let e = image.extent();
-        if let (Some(s), Some(r)) = (src.stored(), self.stored()) {
-            let rows = (0..e.nz).flat_map(|iz| (0..e.ny).map(move |iy| e.idx(0, iy, iz)));
-            let illum = illum.map(Field3::as_mut_slice);
-            return correlate_rows([s, r], image.as_mut_slice(), illum, rows, e.nx);
-        }
-        for iz in 0..e.nz {
-            for iy in 0..e.ny {
-                for ix in 0..e.nx {
-                    let s = src.at([ix, iy, iz]);
-                    let v = image.get(ix, iy, iz) + s * self.sample(ix, iy, iz);
-                    image.set(ix, iy, iz, v);
-                    if let Some(il) = illum.as_deref_mut() {
-                        il.set(ix, iy, iz, il.get(ix, iy, iz) + s * s);
-                    }
-                }
-            }
-        }
     }
 
     fn direct_wave(medium: &Medium3, acq: &Acquisition3) -> (f32, f32, f32) {
@@ -571,11 +644,13 @@ pub(crate) fn record<W: Wave>(
 
 /// Where the backward loop's source wavefield comes from.
 pub(crate) trait SourceField<W: Wave> {
+    /// A stored snapshot or a live state.
+    type Src: Sampled<Ix = W::Ix>;
     /// Bring the source field to forward step `t` (the state after step
     /// `t`). Called once per step, with `t` descending.
     fn seek(&mut self, t: usize);
-    /// Correlate source snapshot `k` (step `k · snap_period`) with `rcv`.
-    fn image(&self, k: usize, rcv: &W, image: &mut W::Field, illum: Option<&mut W::Field>);
+    /// Source snapshot `k` (step `k · snap_period`), if there is one.
+    fn snap(&self, k: usize) -> Option<&Self::Src>;
 }
 
 /// The backward time loop: at every `snap_period`-th step correlate the
@@ -594,10 +669,11 @@ pub(crate) fn backward<W: Wave>(
         for t in (0..shot.steps).rev() {
             src.seek(t);
             if t.is_multiple_of(shot.snap_period) {
-                phase(prof::PHASE_IMAGING, || {
-                    let k = t / shot.snap_period;
-                    src.image(k, &rstate, &mut image, illum.as_deref_mut())
-                });
+                if let Some(s) = src.snap(t / shot.snap_period) {
+                    phase(prof::PHASE_IMAGING, || {
+                        rstate.correlate(s, &mut image, illum.as_deref_mut(), shot.gangs)
+                    });
+                }
             }
             rstate.step(shot.medium, shot.config, shot.gangs);
             rstate.inject_receivers(shot.medium, shot.acq, seis, t);
@@ -610,12 +686,12 @@ pub(crate) fn backward<W: Wave>(
 pub(crate) struct Stored<'a, F>(pub &'a [F]);
 
 impl<W: Wave> SourceField<W> for Stored<'_, W::Field> {
+    type Src = W::Field;
+
     fn seek(&mut self, _t: usize) {}
 
-    fn image(&self, k: usize, rcv: &W, image: &mut W::Field, illum: Option<&mut W::Field>) {
-        if let Some(s) = self.0.get(k) {
-            rcv.correlate(s, image, illum);
-        }
+    fn snap(&self, k: usize) -> Option<&W::Field> {
+        self.0.get(k)
     }
 }
 
@@ -664,6 +740,8 @@ impl<'a, W: Wave> Replay<'a, W> {
 }
 
 impl<W: Wave> SourceField<W> for Replay<'_, W> {
+    type Src = W::Field;
+
     fn seek(&mut self, t: usize) {
         if t >= self.seg_start {
             return;
@@ -685,7 +763,7 @@ impl<W: Wave> SourceField<W> for Replay<'_, W> {
                     if n == snaps.len() {
                         snaps.push(W::zeros(shot.medium));
                     }
-                    s.snapshot(&mut snaps[n]);
+                    s.snapshot(&mut snaps[n], shot.gangs);
                     n += 1;
                 }
             },
@@ -693,8 +771,8 @@ impl<W: Wave> SourceField<W> for Replay<'_, W> {
         self.seg_start = start;
     }
 
-    fn image(&self, k: usize, rcv: &W, image: &mut W::Field, illum: Option<&mut W::Field>) {
-        rcv.correlate(&self.snaps[k - self.first], image, illum);
+    fn snap(&self, k: usize) -> Option<&W::Field> {
+        Some(&self.snaps[k - self.first])
     }
 }
 
@@ -726,6 +804,8 @@ impl<'a, W: Wave> Reversed<'a, W> {
 }
 
 impl<W: Wave> SourceField<W> for Reversed<'_, W> {
+    type Src = W;
+
     fn seek(&mut self, t: usize) {
         if self.at > t {
             // Undo forward step `at`: remove its injection, reverse the step.
@@ -737,8 +817,8 @@ impl<W: Wave> SourceField<W> for Reversed<'_, W> {
         }
     }
 
-    fn image(&self, _k: usize, rcv: &W, image: &mut W::Field, illum: Option<&mut W::Field>) {
-        rcv.correlate(&self.state, image, illum);
+    fn snap(&self, _k: usize) -> Option<&W> {
+        Some(&self.state)
     }
 }
 
@@ -765,7 +845,7 @@ pub(crate) fn rtm<W: Wave>(
     let mut snaps: Vec<W::Field> = (0..n_snaps).map(|_| W::zeros(shot.medium)).collect();
     let seis = record(shot, wavelet, restart, |k, s| {
         if let Some(f) = snaps.get_mut(k) {
-            s.snapshot(f)
+            s.snapshot(f, shot.gangs)
         }
     });
     let seismogram = mute(shot, &seis, wavelet);
@@ -782,5 +862,324 @@ pub(crate) fn rtm<W: Wave>(
         image,
         seismogram,
         snapshots_saved: n_snaps,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::plan_checkpoints;
+    use crate::modeling::run_modeling;
+    use seismic_grid::cfl::stable_dt;
+    use seismic_model::builder::{
+        acoustic2_layered, acoustic3_layered, elastic2_layered, elastic3_layered, iso2_layered,
+        iso3_layered, standard_layers,
+    };
+    use seismic_model::{extent2, extent3, Geometry, VtiModel2};
+    use seismic_pml::{CpmlAxis, DampProfile};
+
+    const H: f32 = 10.0;
+    const VMAX: f32 = 3200.0;
+    const SNAP: usize = 3;
+
+    fn geom(dims: usize, safety: f32) -> Geometry {
+        Geometry::uniform(H, stable_dt(8, dims, VMAX, H, safety))
+    }
+
+    fn media2(n: usize) -> Vec<(&'static str, Medium2)> {
+        let e = extent2(n, n);
+        let layers = standard_layers(n);
+        let damp = || DampProfile::new(n, e.halo, 6, VMAX, H, 1e-4);
+        let cpml = |safety| {
+            let c = || CpmlAxis::new(n, e.halo, 6, geom(2, safety).dt, VMAX, H, 1e-4);
+            [c(), c()]
+        };
+        vec![
+            (
+                "iso2d",
+                Medium2::Iso {
+                    model: iso2_layered(e, &layers, geom(2, 0.7)),
+                    damp_x: damp(),
+                    damp_z: damp(),
+                },
+            ),
+            (
+                "acoustic2d",
+                Medium2::Acoustic {
+                    model: acoustic2_layered(e, &layers, geom(2, 0.6)),
+                    cpml: cpml(0.6),
+                },
+            ),
+            (
+                "vti2d",
+                Medium2::Vti {
+                    model: VtiModel2::constant(e, 2200.0, 0.2, 0.1, geom(2, 0.5)),
+                    damp_x: damp(),
+                    damp_z: damp(),
+                },
+            ),
+            (
+                "elastic2d",
+                Medium2::Elastic {
+                    model: elastic2_layered(e, &layers, geom(2, 0.5)),
+                    cpml: cpml(0.5),
+                },
+            ),
+        ]
+    }
+
+    fn media3(n: usize) -> Vec<(&'static str, Medium3)> {
+        let e = extent3(n, n, n);
+        let layers = standard_layers(n);
+        let damp = || DampProfile::new(n, e.halo, 3, VMAX, H, 1e-4);
+        let cpml = |safety| {
+            let c = || CpmlAxis::new(n, e.halo, 3, geom(3, safety).dt, VMAX, H, 1e-4);
+            [c(), c(), c()]
+        };
+        vec![
+            (
+                "iso3d",
+                Medium3::Iso {
+                    model: iso3_layered(e, &layers, geom(3, 0.7)),
+                    damp: [damp(), damp(), damp()],
+                },
+            ),
+            (
+                "acoustic3d",
+                Medium3::Acoustic {
+                    model: acoustic3_layered(e, &layers, geom(3, 0.55)),
+                    cpml: cpml(0.55),
+                },
+            ),
+            (
+                "elastic3d",
+                Medium3::Elastic {
+                    model: elastic3_layered(e, &layers, geom(3, 0.5)),
+                    cpml: cpml(0.5),
+                },
+            ),
+        ]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn field_bits(f: &impl Grid) -> Vec<u32> {
+        bits(f.stored().expect("a field stores its samples"))
+    }
+
+    /// The serial imaging condition over stored fields, one interior row
+    /// at a time — the oracle the slab-parallel row body must match.
+    fn correlate_rows(
+        [src, rcv]: [&[f32]; 2],
+        image: &mut [f32],
+        mut illum: Option<&mut [f32]>,
+        rows: impl Iterator<Item = usize>,
+        nx: usize,
+    ) {
+        assert!(src.len() == image.len() && rcv.len() == image.len());
+        for c in rows {
+            let s = &src[c..][..nx];
+            for ((o, &a), &b) in image[c..][..nx].iter_mut().zip(s).zip(&rcv[c..][..nx]) {
+                *o += a * b;
+            }
+            if let Some(il) = illum.as_deref_mut() {
+                for (o, &a) in il[c..][..nx].iter_mut().zip(s) {
+                    *o += a * a;
+                }
+            }
+        }
+    }
+
+    /// `x` sampled point by point, serially, into a fresh field.
+    fn dense<W: Wave>(x: &impl Sampled<Ix = W::Ix>, medium: &W::Medium) -> W::Field {
+        let mut f = W::zeros(medium);
+        let rows = f.rows();
+        let v = f.data_mut();
+        for iz in 0..rows.nz {
+            for iy in 0..rows.ny {
+                for ix in 0..rows.nx {
+                    v[rows.start(iy, iz) + ix] = x.at(W::point([ix, iy, iz]));
+                }
+            }
+        }
+        f
+    }
+
+    /// The backward loop's image and illumination, as bits.
+    fn migrate<W: Wave>(
+        shot: &Shot<W>,
+        seis: &Seismogram,
+        src: &mut impl SourceField<W>,
+    ) -> [Vec<u32>; 2] {
+        let mut illum = W::zeros(shot.medium);
+        let image = backward(shot, seis, src, Some(&mut illum));
+        [field_bits(&image), field_bits(&illum)]
+    }
+
+    /// [`migrate`] with the backward loop written out and imaging through
+    /// the serial oracle.
+    fn migrate_serial<W: Wave>(
+        shot: &Shot<W>,
+        seis: &Seismogram,
+        src: &mut impl SourceField<W>,
+    ) -> [Vec<u32>; 2] {
+        let (mut image, mut illum) = (W::zeros(shot.medium), W::zeros(shot.medium));
+        let mut rstate = W::new(shot.medium);
+        let rows = image.rows();
+        for t in (0..shot.steps).rev() {
+            src.seek(t);
+            if t.is_multiple_of(shot.snap_period) {
+                if let Some(s) = src.snap(t / shot.snap_period) {
+                    let (s, r) = (dense::<W>(s, shot.medium), dense::<W>(&rstate, shot.medium));
+                    let pair = [s.stored(), r.stored()].map(|f| f.expect("stored"));
+                    let starts =
+                        (0..rows.nz).flat_map(|iz| (0..rows.ny).map(move |iy| rows.start(iy, iz)));
+                    let il = Some(illum.data_mut());
+                    correlate_rows(pair, image.data_mut(), il, starts, rows.nx);
+                }
+            }
+            rstate.step(shot.medium, shot.config, shot.gangs);
+            rstate.inject_receivers(shot.medium, shot.acq, seis, t);
+        }
+        [field_bits(&image), field_bits(&illum)]
+    }
+
+    /// Dense, checkpointed and random-boundary images and illuminations at
+    /// gangs 1, 2 and 3 against the serial oracle, and every dense snapshot
+    /// against a serial point-by-point copy; one line per mismatch.
+    fn imaging_mismatches<M: Medium>(
+        name: &str,
+        medium: &M,
+        acq: &AcqOf<M>,
+        steps: usize,
+    ) -> Vec<String> {
+        let w = Wavelet::ricker(25.0);
+        let cfg = OptimizationConfig::default();
+        let randomized = medium.randomized(&RandomBoundarySpec::new(4, 7));
+        let checkpoints = plan_checkpoints(steps, 3).expect("valid schedule");
+        let serial = Shot::<M::Wave>::new(medium, acq, &cfg, steps, SNAP, 1);
+        let mut snaps: Vec<FieldOf<M>> = (0..steps.div_ceil(SNAP))
+            .map(|_| M::Wave::zeros(medium))
+            .collect();
+        let seis = record(&serial, &w, None, |k, s| s.snapshot(&mut snaps[k], 1));
+        let oracle = [
+            migrate_serial(&serial, &seis, &mut Stored(&snaps)),
+            migrate_serial(
+                &serial,
+                &seis,
+                &mut Replay::new(serial, &w, checkpoints.clone()),
+            ),
+            migrate_serial(
+                &serial,
+                &seis,
+                &mut Reversed::new(serial.through(&randomized), &w),
+            ),
+        ];
+        let mut bad = Vec::new();
+        for gangs in 1..=3 {
+            let shot = Shot::<M::Wave>::new(medium, acq, &cfg, steps, SNAP, gangs);
+            let mut scratch = M::Wave::zeros(medium);
+            record(&shot, &w, None, |k, s| {
+                s.snapshot(&mut scratch, gangs);
+                if field_bits(&scratch) != field_bits(&dense::<M::Wave>(s, medium)) {
+                    bad.push(format!("{name} gangs {gangs}: snapshot {k}"));
+                }
+            });
+            let got = [
+                migrate(&shot, &seis, &mut Stored(&snaps)),
+                migrate(
+                    &shot,
+                    &seis,
+                    &mut Replay::new(shot, &w, checkpoints.clone()),
+                ),
+                migrate(
+                    &shot,
+                    &seis,
+                    &mut Reversed::new(shot.through(&randomized), &w),
+                ),
+            ];
+            for ((strategy, got), want) in
+                ["dense", "replay", "reversed"].iter().zip(got).zip(&oracle)
+            {
+                if got != *want {
+                    bad.push(format!(
+                        "{name} gangs {gangs}: {strategy} image or illumination"
+                    ));
+                }
+            }
+        }
+        bad
+    }
+
+    /// Slab-parallel imaging is bitwise the serial imaging condition, for
+    /// every 2D formulation and source-field strategy.
+    #[test]
+    fn imaging_2d_matches_the_serial_oracle() {
+        let n = 32;
+        let acq = Acquisition2::surface_line(n, n / 2, 3, 3, 2);
+        let bad: Vec<String> = media2(n)
+            .iter()
+            .flat_map(|(name, m)| imaging_mismatches(name, m, &acq, 36))
+            .collect();
+        assert!(bad.is_empty(), "{bad:#?}");
+    }
+
+    /// The same in 3D.
+    #[test]
+    fn imaging_3d_matches_the_serial_oracle() {
+        let n = 12;
+        let acq = Acquisition3::surface_patch(n, n, (n / 2, n / 2, 2), 2, 3);
+        let bad: Vec<String> = media3(n)
+            .iter()
+            .flat_map(|(name, m)| imaging_mismatches(name, m, &acq, 18))
+            .collect();
+        assert!(bad.is_empty(), "{bad:#?}");
+    }
+
+    /// The old serial snapshot: the whole pressure-like field, halo
+    /// included.
+    fn full_copy(s: &State2) -> Vec<f32> {
+        match s {
+            State2::Iso(s) => s.u_cur.as_slice().to_vec(),
+            State2::Acoustic(s) => s.p.as_slice().to_vec(),
+            State2::Vti(s) => s.p_cur.as_slice().to_vec(),
+            State2::Elastic(s) => s
+                .sxx
+                .as_slice()
+                .iter()
+                .zip(s.szz.as_slice())
+                .map(|(a, b)| 0.5 * (a + b))
+                .collect(),
+        }
+    }
+
+    /// Modeling frames copy only the interior, so they equal full-field
+    /// copies only while every state's halo stays zero.
+    #[test]
+    fn modeling_frames_equal_full_field_copies() {
+        let (n, steps) = (32, 30);
+        let w = Wavelet::ricker(25.0);
+        let cfg = OptimizationConfig::default();
+        let acq = Acquisition2::surface_line(n, n / 2, 3, 3, 2);
+        for (name, medium) in media2(n) {
+            let dt = medium.dt();
+            for gangs in [2, 3] {
+                let frames = run_modeling(&medium, &acq, &w, &cfg, steps, SNAP, gangs).snapshots;
+                let mut s = State2::new(&medium);
+                for t in 0..steps {
+                    s.step(&medium, &cfg, 1);
+                    s.inject(&medium, acq.src_ix, acq.src_iz, w.sample(t as f32 * dt));
+                    if t.is_multiple_of(SNAP) {
+                        assert_eq!(
+                            bits(frames[t / SNAP].as_slice()),
+                            bits(&full_copy(&s)),
+                            "{name} gangs {gangs}: frame at step {t}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

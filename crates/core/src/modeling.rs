@@ -112,25 +112,17 @@ impl State2 {
         }
     }
 
-    /// Snapshot of the pressure-like field into a caller-owned field
-    /// without allocating — the steady-state snapshot path (extents must
-    /// match).
+    /// Snapshot of the pressure-like field's interior into a caller-owned
+    /// field of the same extent, slab-parallel over `gangs` and without
+    /// allocating — the steady-state snapshot path. The halo of `out` is
+    /// not written (a state's halo is zero, and so is a fresh field's).
+    pub fn snapshot(&self, out: &mut Field2, gangs: usize) {
+        Wave::snapshot(self, out, gangs)
+    }
+
+    /// [`State2::snapshot`] on one gang.
     pub fn write_wavefield_into(&self, out: &mut Field2) {
-        match self {
-            State2::Iso(s) => out.copy_from(&s.u_cur),
-            State2::Acoustic(s) => out.copy_from(&s.p),
-            State2::Elastic(s) => {
-                assert_eq!(out.extent(), s.sxx.extent(), "wavefield extent mismatch");
-                for (d, (a, b)) in out
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(s.sxx.as_slice().iter().zip(s.szz.as_slice()))
-                {
-                    *d = 0.5 * (a + b);
-                }
-            }
-            State2::Vti(s) => out.copy_from(&s.p_cur),
-        }
+        self.snapshot(out, 1)
     }
 
     /// Overwrite this state from `other` without allocating. Both must be
@@ -258,7 +250,7 @@ pub fn run_modeling<M: Medium>(
         .map(|_| M::Wave::frame(medium))
         .collect();
     let seismogram = drive::record(&shot, wavelet, None, |k, s| {
-        s.write_frame(acq, &mut snapshots[k])
+        s.write_frame(acq, &mut snapshots[k], gangs)
     });
     ModelingResult {
         snapshots,

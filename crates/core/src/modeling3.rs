@@ -7,6 +7,7 @@
 //! [`crate::gpu_time`]).
 
 use crate::case::OptimizationConfig;
+use crate::drive::Wave;
 use seismic_grid::{Extent3, Field3};
 use seismic_model::{AcousticModel3, ElasticModel3, IsoModel3};
 use seismic_pml::{CpmlAxis, DampProfile};
@@ -89,26 +90,11 @@ impl State3 {
         }
     }
 
-    /// Snapshot of the pressure-like volume into a caller-owned field
-    /// without allocating — the steady-state snapshot path (for the elastic
-    /// formulation only the interior is written, so `out` should start
-    /// zeroed).
+    /// Snapshot of the pressure-like volume's interior into a
+    /// caller-owned field of the same extent without allocating (the halo
+    /// of `out` is not written).
     pub fn write_wavefield_into(&self, out: &mut Field3) {
-        match self {
-            State3::Iso(s) => out.copy_from(&s.u_cur),
-            State3::Acoustic(s) => out.copy_from(&s.p),
-            State3::Elastic(s) => {
-                let e = s.sxx.extent();
-                assert_eq!(out.extent(), e, "wavefield extent mismatch");
-                for iz in 0..e.nz {
-                    for iy in 0..e.ny {
-                        for ix in 0..e.nx {
-                            out.set(ix, iy, iz, self.sample(ix, iy, iz));
-                        }
-                    }
-                }
-            }
-        }
+        Wave::snapshot(self, out, 1)
     }
 
     /// The x–z plane of the pressure-like field at interior `iy`, into a

@@ -141,7 +141,7 @@ fn modeling_step_loop_is_allocation_free_after_warmup() {
             for (r, rcv) in acq.receivers.iter().enumerate() {
                 seismogram.record(r, t, state.sample(rcv.ix, rcv.iz));
             }
-            state.write_wavefield_into(&mut snap);
+            state.snapshot(&mut snap, gangs);
         }
 
         // Measured window: the exact per-step body of `run_modeling`.
@@ -153,7 +153,7 @@ fn modeling_step_loop_is_allocation_free_after_warmup() {
             for (r, rcv) in acq.receivers.iter().enumerate() {
                 seismogram.record(r, t, state.sample(rcv.ix, rcv.iz));
             }
-            state.write_wavefield_into(&mut snap);
+            state.snapshot(&mut snap, gangs);
         }
         let after = ALLOCS.load(Ordering::SeqCst);
         WINDOW_BASE.store(usize::MAX, Ordering::SeqCst);

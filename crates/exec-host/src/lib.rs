@@ -10,10 +10,10 @@
 //!
 //! * [`pool`] — a persistent, lazily-initialized gang worker pool with a
 //!   low-overhead fork-join barrier, and [`par_slabs`], the one
-//!   slab-parallel launch every propagator step goes through. Parked
-//!   threads are woken by a generation counter and claim
-//!   deterministically-partitioned slabs instead of being spawned per
-//!   launch. Slab partitioning is a pure function of `(n, gangs, g)`, so
+//!   slab-parallel launch every propagator step goes through. Workers
+//!   spin briefly and then park between launches, pick up a launch from a
+//!   generation counter and claim deterministically-partitioned slabs
+//!   instead of being spawned per launch. Slab partitioning is a pure function of `(n, gangs, g)`, so
 //!   parallel output is bit-identical to sequential regardless of which
 //!   worker executes which slab.
 //! * [`tile`] — the cache-blocking tuner: picks an x-tile width for the

@@ -11,12 +11,37 @@
 //! The propagator drivers issue one launch per kernel per time step; a
 //! production run is millions of launches. Spawning and joining OS threads
 //! for each one costs hundreds of microseconds — comparable to the kernel
-//! body itself on small and medium grids. The pool parks its workers on a
-//! condvar between launches; a launch bumps a generation counter, wakes
-//! them, and they claim slabs from an atomic counter until none remain.
-//! The steady-state cost of a launch is one mutex lock, one `notify_all`,
-//! and two atomics per slab — and **zero heap allocation**, which is what
-//! the counting-allocator test in `rtm-core` pins down.
+//! body itself on small and medium grids. The pool keeps its workers
+//! between launches; a launch bumps a generation counter (the *epoch*) and
+//! workers claim slabs from an atomic counter until none remain. A launch
+//! allocates nothing, which is what the counting-allocator test in
+//! `rtm-core` pins down.
+//!
+//! ## Spin, then park
+//!
+//! A short 2-D step is tens of microseconds, and a driver issues the next
+//! launch a few microseconds after the last one returns. Waking a worker
+//! parked on a futex costs a syscall on the caller and a scheduler (on a
+//! VM, a vCPU) wake-up on the worker — as long as the launch itself. So
+//! both sides of the barrier spin for `SPIN_WINDOW` (100 µs) before they
+//! park:
+//!
+//! * an idle worker spins on a lock-free mirror of the epoch, then parks
+//!   on the work condvar, counted in `sleepers` under the control mutex;
+//! * the caller publishes a launch under the control mutex and calls
+//!   `notify_all` only when `sleepers` is non-zero;
+//! * after its own claim loop the caller retires the launch (no worker
+//!   may join it any more) and spins on the in-flight count — the workers
+//!   still holding the job — then parks on the done condvar, flagged in
+//!   `caller_parked`; the worker that drains the count notifies only a
+//!   parked caller.
+//!
+//! Every flag a notifier reads is written under the control mutex by the
+//! thread about to wait, so no wakeup is lost; `tests/loom_pool.rs` checks
+//! that under bounded schedule exploration. A worker that sees an epoch
+//! already retired (the caller ran every slab before the worker looked)
+//! skips it and goes back to spinning. Spinning is bounded by wall time,
+//! so an idle pool goes quiet within the window.
 //!
 //! ## Concurrency discipline
 //!
@@ -29,6 +54,7 @@
 //! launches.
 
 use std::cell::UnsafeCell;
+use std::time::Duration;
 
 /// Synchronization primitives, swappable for `loom`'s model-checked
 /// versions: build with `RUSTFLAGS="--cfg loom"` and the pool's barrier
@@ -39,9 +65,6 @@ mod sys {
     pub use std::sync::atomic::{AtomicUsize, Ordering};
     pub use std::sync::{Condvar, Mutex};
     pub use std::thread;
-
-    /// Fork-join spin budget before parking on the condvar.
-    pub const SPIN_LIMIT: u32 = 1 << 14;
 }
 
 #[cfg(loom)]
@@ -49,13 +72,20 @@ mod sys {
     pub use loom::sync::atomic::{AtomicUsize, Ordering};
     pub use loom::sync::{Condvar, Mutex};
     pub use loom::thread;
-
-    /// Spinning never makes progress under the serialized model scheduler
-    /// (no other thread runs while we spin), so park immediately.
-    pub const SPIN_LIMIT: u32 = 0;
 }
 
-use sys::{thread, AtomicUsize, Condvar, Mutex, Ordering, SPIN_LIMIT};
+use sys::{thread, AtomicUsize, Condvar, Mutex, Ordering};
+
+/// How long an idle worker, or a caller at the barrier, spins before it
+/// parks: a few short launches' worth, so back-to-back launches find the
+/// workers hot and an idle pool stops burning cores almost at once.
+#[cfg(not(loom))]
+const SPIN_WINDOW: Duration = Duration::from_micros(100);
+
+/// Spinning never makes progress under the serialized model scheduler
+/// (no other thread runs while we spin), so park at once.
+#[cfg(loom)]
+const SPIN_WINDOW: Duration = Duration::ZERO;
 
 #[cfg(not(loom))]
 use std::sync::OnceLock;
@@ -84,6 +114,27 @@ pub fn slab_bounds(n: usize, gangs: usize, g: usize) -> (usize, usize) {
     (z0, z1)
 }
 
+/// Spin until `ready()` holds or `SPIN_WINDOW` has passed; returns
+/// whether it holds. With a zero window it looks once and reads no clock.
+fn spin_until(mut ready: impl FnMut() -> bool) -> bool {
+    if SPIN_WINDOW.is_zero() {
+        return ready();
+    }
+    let start = std::time::Instant::now();
+    loop {
+        // Read the clock once per batch of polls, not once per poll.
+        for _ in 0..64 {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= SPIN_WINDOW {
+            return false;
+        }
+    }
+}
+
 /// The body of one launch: `(gang index, z0, z1)`.
 type Body<'a> = &'a (dyn Fn(usize, usize, usize) + Sync);
 
@@ -101,11 +152,14 @@ struct JobDesc {
 /// State guarded by the control mutex.
 struct Ctl {
     /// Launch generation; workers run at most one claim loop per epoch.
-    epoch: u64,
-    /// True while a launch is published and may still hand out slabs.
+    /// Mirrored in [`Shared::epoch`] for spinning workers.
+    epoch: usize,
+    /// True while a launch is published and workers may still join it.
     active: bool,
-    /// Workers currently holding the job pointer (between copy and retire).
-    in_flight: usize,
+    /// Workers parked on `work_cv`.
+    sleepers: usize,
+    /// True while the launching caller is parked on `done_cv`.
+    caller_parked: bool,
     /// Tells workers to exit (pool drop — test pools only; the global pool
     /// lives for the process).
     shutdown: bool,
@@ -113,14 +167,20 @@ struct Ctl {
 
 struct Shared {
     ctl: Mutex<Ctl>,
-    /// Workers park here between launches.
+    /// Idle workers park here once their spin window has passed.
     work_cv: Condvar,
-    /// The launching caller parks here waiting for slab completion / drain.
+    /// The launching caller parks here waiting for the in-flight drain.
     done_cv: Condvar,
+    /// `ctl.epoch`, stored under the control mutex whenever it changes and
+    /// read without it by spinning workers.
+    epoch: AtomicUsize,
     /// Next slab index to claim (may overshoot `gangs`; harmless).
     claim: AtomicUsize,
-    /// Slabs fully executed this epoch.
-    done: AtomicUsize,
+    /// Workers holding the job pointer: incremented under the control
+    /// mutex while the launch is active, decremented (`Release`) after the
+    /// worker's last slab, so a caller that reads 0 (`Acquire`) after
+    /// retiring the launch sees every slab's writes.
+    in_flight: AtomicUsize,
     /// Current job. Written by the caller before the epoch bump, read by
     /// workers under the control mutex only while `active`.
     job: UnsafeCell<Option<JobDesc>>,
@@ -134,7 +194,8 @@ struct Shared {
 
 // SAFETY: `job` is only written while no launch is active (enforced by the
 // launch mutex + in-flight drain) and only read under the control mutex by
-// workers that observed `active` for a fresh epoch.
+// workers that observed `active` for a fresh epoch. Every other field is a
+// mutex, condvar or atomic.
 unsafe impl Sync for Shared {}
 unsafe impl Send for Shared {}
 
@@ -146,27 +207,29 @@ pub struct GangPool {
     workers: Vec<JoinHandle>,
     /// Serializes launches; contended callers run inline.
     launch: Mutex<()>,
-    /// Total launches that went through the parked-worker path.
+    /// Total launches that went through the worker barrier.
     pooled_launches: AtomicUsize,
     /// Total launches executed inline (single gang, busy pool, no workers).
     inline_launches: AtomicUsize,
 }
 
 impl GangPool {
-    /// Pool with exactly `workers` parked worker threads (the launching
-    /// caller always participates as one extra executor).
+    /// Pool with exactly `workers` worker threads (the launching caller
+    /// always participates as one extra executor).
     pub fn new(workers: usize) -> Self {
         let shared: &'static Shared = Box::leak(Box::new(Shared {
             ctl: Mutex::new(Ctl {
                 epoch: 0,
                 active: false,
-                in_flight: 0,
+                sleepers: 0,
+                caller_parked: false,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
+            epoch: AtomicUsize::new(0),
             claim: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
+            in_flight: AtomicUsize::new(0),
             job: UnsafeCell::new(None),
             #[cfg(not(loom))]
             publish_ns: AtomicU64::new(0),
@@ -204,19 +267,19 @@ impl GangPool {
         })
     }
 
-    /// Number of parked worker threads (excludes the launching caller).
+    /// Number of worker threads (excludes the launching caller).
     pub fn worker_count(&self) -> usize {
         self.workers.len()
     }
 
-    /// Thread ids of the parked workers — lets tests verify that
-    /// back-to-back launches reuse the same OS threads.
+    /// Thread ids of the workers — lets tests verify that back-to-back
+    /// launches reuse the same OS threads.
     #[cfg(not(loom))]
     pub fn worker_ids(&self) -> Vec<std::thread::ThreadId> {
         self.workers.iter().map(|h| h.thread().id()).collect()
     }
 
-    /// Launches executed through the parked-worker barrier so far.
+    /// Launches executed through the worker barrier so far.
     pub fn pooled_launches(&self) -> usize {
         self.pooled_launches.load(Ordering::Relaxed)
     }
@@ -224,6 +287,12 @@ impl GangPool {
     /// Launches executed inline (single gang, contended, or worker-less).
     pub fn inline_launches(&self) -> usize {
         self.inline_launches.load(Ordering::Relaxed)
+    }
+
+    /// Workers parked on the work condvar right now.
+    #[cfg(test)]
+    fn parked_workers(&self) -> usize {
+        self.shared.ctl.lock().expect("pool poisoned").sleepers
     }
 
     /// Run `body(g, z0, z1)` for every slab of `[0, n)` split over `gangs`.
@@ -257,7 +326,6 @@ impl GangPool {
             std::mem::transmute::<Body<'_>, *const (dyn Fn(usize, usize, usize) + Sync)>(body)
         };
         shared.claim.store(0, Ordering::Relaxed);
-        shared.done.store(0, Ordering::Relaxed);
         // SAFETY: no launch is active (we hold the launch mutex and the
         // previous launch drained in_flight to zero), so no worker can read
         // `job` concurrently with this write.
@@ -278,9 +346,13 @@ impl GangPool {
         );
         {
             let mut ctl = shared.ctl.lock().expect("pool poisoned");
-            ctl.epoch += 1;
+            ctl.epoch = ctl.epoch.wrapping_add(1);
             ctl.active = true;
-            shared.work_cv.notify_all();
+            shared.epoch.store(ctl.epoch, Ordering::Release);
+            // Spinning workers see the mirror; only parked ones need a wake.
+            if ctl.sleepers > 0 {
+                shared.work_cv.notify_all();
+            }
         }
         // The caller is an executor too: claim slabs until none remain.
         loop {
@@ -294,40 +366,29 @@ impl GangPool {
             body(g, z0, z1);
             #[cfg(not(loom))]
             prof::end(t_slab, prof::EventKind::Slab, g as u32, (z1 - z0) as u32);
-            shared.done.fetch_add(1, Ordering::Release);
         }
-        // Fork-join barrier: spin briefly (slabs are usually comparable in
-        // cost), then park on the condvar.
+        // Fork-join barrier. Every slab is claimed, so retire the launch:
+        // no worker may join it any more. Then wait for the workers that
+        // did join to leave their claim loops — each finishes its slab
+        // before it leaves, so a drained count means every slab is done.
         #[cfg(not(loom))]
         let t_barrier = prof::begin();
-        let mut spins = 0u32;
-        while shared.done.load(Ordering::Acquire) < gangs {
-            spins += 1;
-            if spins < SPIN_LIMIT {
-                std::hint::spin_loop();
-            } else {
-                let mut ctl = shared.ctl.lock().expect("pool poisoned");
-                while shared.done.load(Ordering::Acquire) < gangs {
-                    ctl = shared.done_cv.wait(ctl).expect("pool poisoned");
-                }
-                break;
+        shared.ctl.lock().expect("pool poisoned").active = false;
+        let drained = || shared.in_flight.load(Ordering::Acquire) == 0;
+        if !spin_until(drained) {
+            let mut ctl = shared.ctl.lock().expect("pool poisoned");
+            ctl.caller_parked = true;
+            while !drained() {
+                ctl = shared.done_cv.wait(ctl).expect("pool poisoned");
             }
+            ctl.caller_parked = false;
         }
         #[cfg(not(loom))]
         prof::end(t_barrier, prof::EventKind::BarrierWait, gangs as u32, 0);
-        // Retire the job: wait until every worker that saw this epoch has
-        // dropped the pointer, then clear it. A straggler that claimed
-        // nothing exits its (empty) claim loop in nanoseconds.
-        {
-            let mut ctl = shared.ctl.lock().expect("pool poisoned");
-            ctl.active = false;
-            while ctl.in_flight > 0 {
-                ctl = shared.done_cv.wait(ctl).expect("pool poisoned");
-            }
-            // SAFETY: in_flight == 0 and active is false — no reader left.
-            unsafe {
-                *shared.job.get() = None;
-            }
+        // SAFETY: the launch is retired and in_flight drained (`Acquire`,
+        // pairing with each worker's `Release` decrement): no reader left.
+        unsafe {
+            *shared.job.get() = None;
         }
     }
 
@@ -383,6 +444,9 @@ impl Drop for GangPool {
         {
             let mut ctl = self.shared.ctl.lock().expect("pool poisoned");
             ctl.shutdown = true;
+            // Bump the mirror too, so spinning workers look at once.
+            ctl.epoch = ctl.epoch.wrapping_add(1);
+            self.shared.epoch.store(ctl.epoch, Ordering::Release);
             self.shared.work_cv.notify_all();
         }
         for h in self.workers.drain(..) {
@@ -393,22 +457,33 @@ impl Drop for GangPool {
 }
 
 fn worker_loop(shared: &'static Shared) {
-    let mut seen_epoch = 0u64;
+    let mut seen_epoch = 0usize;
     loop {
+        spin_until(|| shared.epoch.load(Ordering::Acquire) != seen_epoch);
         let desc = {
             let mut ctl = shared.ctl.lock().expect("pool poisoned");
             loop {
                 if ctl.shutdown {
                     return;
                 }
-                if ctl.active && ctl.epoch != seen_epoch {
+                if ctl.epoch != seen_epoch {
                     seen_epoch = ctl.epoch;
-                    ctl.in_flight += 1;
+                    if !ctl.active {
+                        // Retired before we looked: the caller ran every
+                        // slab. Skip it and spin for the next launch.
+                        break None;
+                    }
+                    shared.in_flight.fetch_add(1, Ordering::Relaxed);
                     // SAFETY: read under the control mutex while active.
-                    break unsafe { (*shared.job.get()).expect("active launch has a job") };
+                    break Some(unsafe { (*shared.job.get()).expect("active launch has a job") });
                 }
+                ctl.sleepers += 1;
                 ctl = shared.work_cv.wait(ctl).expect("pool poisoned");
+                ctl.sleepers -= 1;
             }
+        };
+        let Some(desc) = desc else {
+            continue;
         };
         // Wake latency: publish stamp (caller clock) → here (worker clock).
         // The stamp was stored before the epoch bump we just observed under
@@ -436,15 +511,12 @@ fn worker_loop(shared: &'static Shared) {
             body(g, z0, z1);
             #[cfg(not(loom))]
             prof::end(t_slab, prof::EventKind::Slab, g as u32, (z1 - z0) as u32);
-            if shared.done.fetch_add(1, Ordering::Release) + 1 == desc.gangs {
-                let _ctl = shared.ctl.lock().expect("pool poisoned");
-                shared.done_cv.notify_all();
-            }
         }
-        {
-            let mut ctl = shared.ctl.lock().expect("pool poisoned");
-            ctl.in_flight -= 1;
-            if ctl.in_flight == 0 {
+        // Release: this worker's slab writes happen-before the caller's
+        // `Acquire` read of the drained count.
+        if shared.in_flight.fetch_sub(1, Ordering::Release) == 1 {
+            let ctl = shared.ctl.lock().expect("pool poisoned");
+            if ctl.caller_parked {
                 shared.done_cv.notify_all();
             }
         }
@@ -569,6 +641,31 @@ mod tests {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 3);
+    }
+
+    /// An idle pool goes quiet: once the spin window has passed, every
+    /// worker is parked on the work condvar, and a launch still wakes them.
+    #[test]
+    fn idle_workers_park_after_the_spin_window() {
+        let pool = GangPool::new(2);
+        let wait_parked = |want: usize| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while pool.parked_workers() < want {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{} of {want} workers parked after 10 s",
+                    pool.parked_workers()
+                );
+                std::thread::sleep(SPIN_WINDOW);
+            }
+        };
+        wait_parked(2);
+        let total = AtomicUsize::new(0);
+        pool.run(64, 8, &|_, z0, z1| {
+            total.fetch_add(z1 - z0, Ordering::Relaxed);
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 64);
+        wait_parked(2);
     }
 
     /// Nested launches (a body that launches again) run inline rather than
