@@ -165,6 +165,44 @@ mod tests {
         );
     }
 
+    /// The six rows of EXPERIMENTS.md "Resilience — overhead vs MTTI", at
+    /// the precision the `resilience` binary prints them: 48 shots × 120 s
+    /// over 8 ranks, seeds 0..64, checkpoint cost 3 s.
+    #[test]
+    fn study_reproduces_the_published_table() {
+        let seeds: Vec<u64> = (0..64).collect();
+        let mttis = [120.0, 300.0, 900.0, 3600.0, 14400.0, 86400.0];
+        let rows = overhead_vs_mtti(48, 8, 120.0, 3.0, &mttis, &seeds);
+        let got: Vec<(usize, String, String, String)> = rows
+            .iter()
+            .map(|r| {
+                assert_eq!(r.seeds, 64);
+                (
+                    r.completed,
+                    format!("{:.1}", 100.0 * r.overhead_frac),
+                    format!("{:.1}", r.rescheduled),
+                    format!("{:.2}", r.dead_ranks),
+                )
+            })
+            .collect();
+        let want = [
+            (0, "0.0", "0.0", "0.00"),
+            (0, "0.0", "0.0", "0.00"),
+            (46, "5.1", "25.7", "5.26"),
+            (64, "1.5", "5.3", "1.41"),
+            (64, "0.3", "0.9", "0.30"),
+            (64, "0.0", "0.1", "0.03"),
+        ];
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                (g.0, g.1.as_str(), g.2.as_str(), g.3.as_str()),
+                w,
+                "row {i} (MTTI {} s)",
+                mttis[i]
+            );
+        }
+    }
+
     #[test]
     fn recompute_shrinks_with_denser_checkpoints() {
         use seismic_grid::cfl::stable_dt;
