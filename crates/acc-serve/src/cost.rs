@@ -7,8 +7,10 @@
 //! [`PROBE_STEPS`], then extrapolates linearly in the step count (both
 //! drivers are step-linear once the fixed setup cost is amortized — the
 //! probe includes that setup, making the estimate conservative).
-//! Prices are cached per (case, workload, kind, cluster, compiler), so a
-//! burst of identical submissions prices exactly one probe.
+//! Every price is for the paper's best configuration,
+//! [`OptimizationConfig::default`]. Each server keeps a price cache
+//! keyed by (case, workload, kind, cluster, compiler), so a burst of
+//! identical submissions prices exactly one probe.
 
 use crate::job::JobKind;
 use openacc_sim::compiler::Compiler;
@@ -21,26 +23,6 @@ use std::collections::BTreeMap;
 /// Step cap of the pricing probe.
 pub const PROBE_STEPS: usize = 4;
 
-/// Process-wide probe cache: same key → same price without a second
-/// probe run.
-fn price_cache() -> &'static Mutex<BTreeMap<String, f64>> {
-    static CACHE: std::sync::OnceLock<Mutex<BTreeMap<String, f64>>> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn cache_key(
-    case: &SeismicCase,
-    w: &Workload,
-    kind: JobKind,
-    cluster: Cluster,
-    compiler: Compiler,
-) -> String {
-    format!(
-        "{:?}|{}x{}x{} s{} p{} r{}|{:?}|{:?}|{:?}",
-        case, w.nx, w.ny, w.nz, w.steps, w.snap_period, w.n_receivers, kind, cluster, compiler
-    )
-}
-
 /// Price one shot of the given case/workload in estimated device seconds.
 /// Deterministic; errors (as a human-readable string suitable for
 /// [`crate::job::Rejected::WorkloadInfeasible`]) when the timing model
@@ -49,27 +31,50 @@ pub fn price_shot_cost(
     case: &SeismicCase,
     workload: &Workload,
     kind: JobKind,
-    config: &OptimizationConfig,
     cluster: Cluster,
     compiler: Compiler,
 ) -> Result<f64, String> {
-    let key = cache_key(case, workload, kind, cluster, compiler);
-    if let Some(&hit) = price_cache().lock().get(&key) {
-        return Ok(hit);
-    }
     let probe = Workload {
         steps: workload.steps.clamp(1, PROBE_STEPS),
         ..*workload
     };
+    let config = OptimizationConfig::default();
     let run =
-        price(kind, case, config, compiler, cluster, &probe, None).map_err(|e| e.to_string())?;
+        price(kind, case, &config, compiler, cluster, &probe, None).map_err(|e| e.to_string())?;
     let per_step = run.breakdown.total_s / probe.steps as f64;
     let price = per_step * workload.steps.max(1) as f64;
     if !price.is_finite() || price <= 0.0 {
         return Err(format!("non-positive shot price {price}"));
     }
-    price_cache().lock().insert(key, price);
     Ok(price)
+}
+
+/// Memoised [`price_shot_cost`]: same key → same price without a second
+/// probe run. Errors are not cached.
+#[derive(Debug, Default)]
+pub(crate) struct PriceCache(Mutex<BTreeMap<String, f64>>);
+
+impl PriceCache {
+    /// [`price_shot_cost`], probing only on the first lookup of a key.
+    pub(crate) fn price(
+        &self,
+        case: &SeismicCase,
+        w: &Workload,
+        kind: JobKind,
+        cluster: Cluster,
+        compiler: Compiler,
+    ) -> Result<f64, String> {
+        let key = format!(
+            "{:?}|{}x{}x{} s{} p{} r{}|{:?}|{:?}|{:?}",
+            case, w.nx, w.ny, w.nz, w.steps, w.snap_period, w.n_receivers, kind, cluster, compiler
+        );
+        if let Some(&hit) = self.0.lock().get(&key) {
+            return Ok(hit);
+        }
+        let price = price_shot_cost(case, w, kind, cluster, compiler)?;
+        self.0.lock().insert(key, price);
+        Ok(price)
+    }
 }
 
 #[cfg(test)]
@@ -97,65 +102,50 @@ mod tests {
 
     #[test]
     fn price_scales_linearly_in_steps_and_caches() {
-        let cfg = OptimizationConfig::default();
         let c = iso2();
-        let p40 = price_shot_cost(
-            &c,
-            &small_workload(40),
-            JobKind::Modeling,
-            &cfg,
-            Cluster::CrayXc30,
-            Compiler::Cray,
-        )
-        .unwrap();
-        let p80 = price_shot_cost(
-            &c,
-            &small_workload(80),
-            JobKind::Modeling,
-            &cfg,
-            Cluster::CrayXc30,
-            Compiler::Cray,
-        )
-        .unwrap();
+        let cache = PriceCache::default();
+        let p40 = cache
+            .price(
+                &c,
+                &small_workload(40),
+                JobKind::Modeling,
+                Cluster::CrayXc30,
+                Compiler::Cray,
+            )
+            .unwrap();
+        let p80 = cache
+            .price(
+                &c,
+                &small_workload(80),
+                JobKind::Modeling,
+                Cluster::CrayXc30,
+                Compiler::Cray,
+            )
+            .unwrap();
         assert!(p40 > 0.0);
         // Linear extrapolation from the same probe: exactly 2×.
         assert!((p80 / p40 - 2.0).abs() < 1e-9, "p80={p80} p40={p40}");
         // Second call hits the cache and returns the identical price.
-        let again = price_shot_cost(
-            &c,
-            &small_workload(40),
-            JobKind::Modeling,
-            &cfg,
-            Cluster::CrayXc30,
-            Compiler::Cray,
-        )
-        .unwrap();
+        let again = cache
+            .price(
+                &c,
+                &small_workload(40),
+                JobKind::Modeling,
+                Cluster::CrayXc30,
+                Compiler::Cray,
+            )
+            .unwrap();
         assert_eq!(again, p40);
+        assert_eq!(cache.0.lock().len(), 2, "one probe per distinct key");
     }
 
     #[test]
     fn rtm_prices_above_modeling() {
-        let cfg = OptimizationConfig::default();
         let c = iso2();
         let w = small_workload(40);
-        let m = price_shot_cost(
-            &c,
-            &w,
-            JobKind::Modeling,
-            &cfg,
-            Cluster::CrayXc30,
-            Compiler::Cray,
-        )
-        .unwrap();
-        let r = price_shot_cost(
-            &c,
-            &w,
-            JobKind::Rtm,
-            &cfg,
-            Cluster::CrayXc30,
-            Compiler::Cray,
-        )
-        .unwrap();
+        let m =
+            price_shot_cost(&c, &w, JobKind::Modeling, Cluster::CrayXc30, Compiler::Cray).unwrap();
+        let r = price_shot_cost(&c, &w, JobKind::Rtm, Cluster::CrayXc30, Compiler::Cray).unwrap();
         assert!(
             r > m,
             "RTM replays the forward wavefield, so it must cost more: rtm={r} modeling={m}"
@@ -166,36 +156,24 @@ mod tests {
     /// propagations vs one) and get their own cache partition.
     #[test]
     fn random_boundary_prices_remodeling_compute() {
-        let cfg = OptimizationConfig::default();
         let c = iso2();
+        let cache = PriceCache::default();
         let w = small_workload(40);
-        let m = price_shot_cost(
-            &c,
-            &w,
-            JobKind::Modeling,
-            &cfg,
-            Cluster::CrayXc30,
-            Compiler::Cray,
-        )
-        .unwrap();
-        let rb = price_shot_cost(
-            &c,
-            &w,
-            JobKind::RtmRandomBoundary,
-            &cfg,
-            Cluster::CrayXc30,
-            Compiler::Cray,
-        )
-        .unwrap();
-        let r = price_shot_cost(
-            &c,
-            &w,
-            JobKind::Rtm,
-            &cfg,
-            Cluster::CrayXc30,
-            Compiler::Cray,
-        )
-        .unwrap();
+        let m = cache
+            .price(&c, &w, JobKind::Modeling, Cluster::CrayXc30, Compiler::Cray)
+            .unwrap();
+        let rb = cache
+            .price(
+                &c,
+                &w,
+                JobKind::RtmRandomBoundary,
+                Cluster::CrayXc30,
+                Compiler::Cray,
+            )
+            .unwrap();
+        let r = cache
+            .price(&c, &w, JobKind::Rtm, Cluster::CrayXc30, Compiler::Cray)
+            .unwrap();
         assert!(
             rb > 2.0 * m,
             "remodeling runs the source twice plus the receiver pass: rb={rb} modeling={m}"

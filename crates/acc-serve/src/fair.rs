@@ -139,11 +139,6 @@ impl DrrQueue {
         }
         None
     }
-
-    /// Queued job ids of one tenant, front first (snapshot/drain order).
-    pub fn queued_jobs(&self, tenant: usize) -> impl Iterator<Item = usize> + '_ {
-        self.tenants[tenant].jobs.iter().copied()
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@
 //!   bitwise identical to an uninterrupted run.
 //!
 //! Scheduling runs in simulated time and is a pure function of the
-//! scenario, the server configuration, and the fleet fault plan; the
+//! scenario, the server configuration, and the fault plan; the
 //! physics of real payloads runs on worker threads (crossbeam channels),
 //! but no scheduling decision depends on a physics result, so the whole
 //! serve is deterministic.

@@ -3,11 +3,11 @@
 //!
 //! Scheduling runs entirely in simulated time: device occupancy, retry
 //! backoff, breaker cooldowns, and deadlines are all derived from the
-//! fleet fault plan and the per-shot cost model, never from wall clocks.
+//! fault plan and the per-shot cost model, never from wall clocks.
 //! Real payload physics (per-shot RTM images) runs on worker threads fed
 //! over crossbeam channels — but no scheduling decision reads a physics
 //! result, so the schedule, every outcome, and every metric are a pure
-//! function of `(config, scenario, fleet plan, drain time)`.
+//! function of `(config, scenario, fault plan, drain time)`.
 //!
 //! Within one simulated instant the processing order is fixed:
 //! completions, then the drain trigger, then arrivals, then deadline
@@ -16,12 +16,12 @@
 //! drain/resume replays bit-identical.
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerTransition};
-use crate::cost::price_shot_cost;
+use crate::cost::PriceCache;
 use crate::fair::DrrQueue;
 use crate::job::{JobCost, JobKind, JobOutcome, Payload, Rejected, RtmJob, Scenario, Submission};
 use crate::snapshot::{CompletedShot, QueueSnapshot, SnapJob};
 use acc_obs::{ObsSession, Span, SpanCat, Track};
-use accel_sim::fault::{FaultView, FleetFaultPlan};
+use accel_sim::fault::FaultPlan;
 use openacc_sim::compiler::Compiler;
 use rtm_core::case::Cluster;
 use rtm_core::resilient::{run_shot_attempts, CancellationToken, ShotOutcome};
@@ -206,17 +206,23 @@ type ShotTask = (usize, usize, Arc<RtmJob>);
 /// One computed image back from the pool.
 type ShotResult = (usize, usize, Field2);
 
-/// The job server. Construction binds the configuration and the fleet
-/// fault plan; [`Server::run`] / [`Server::resume`] execute scenarios.
+/// The job server. Construction binds the configuration and the fault
+/// plan; [`Server::run`] / [`Server::resume`] execute scenarios.
 pub struct Server {
     cfg: ServerConfig,
-    fleet: FleetFaultPlan,
+    faults: FaultPlan,
+    /// Per-shot prices of [`JobCost::Priced`] jobs, probed once per key.
+    prices: PriceCache,
 }
 
 impl Server {
-    /// Server over the given fleet.
-    pub fn new(cfg: ServerConfig, fleet: FleetFaultPlan) -> Self {
-        Self { cfg, fleet }
+    /// Server over the devices of the given fault plan.
+    pub fn new(cfg: ServerConfig, faults: FaultPlan) -> Self {
+        Self {
+            cfg,
+            faults,
+            prices: PriceCache::default(),
+        }
     }
 
     /// Serve a scenario to completion.
@@ -263,15 +269,10 @@ impl Server {
                 case,
                 workload,
                 kind,
-            } => price_shot_cost(
-                case,
-                workload,
-                *kind,
-                &rtm_core::OptimizationConfig::default(),
-                self.cfg.cluster,
-                self.cfg.compiler,
-            )
-            .map_err(|why| Rejected::WorkloadInfeasible { why })?,
+            } => self
+                .prices
+                .price(case, workload, *kind, self.cfg.cluster, self.cfg.compiler)
+                .map_err(|why| Rejected::WorkloadInfeasible { why })?,
         };
         if !cost.is_finite() || cost <= 0.0 {
             return Err(Rejected::WorkloadInfeasible {
@@ -290,7 +291,7 @@ impl Server {
         obs: Option<&ObsSession>,
     ) -> Result<(ServeReport, Option<QueueSnapshot>), RtmError> {
         let n_subs = scenario.jobs.len();
-        let n_dev = self.cfg.n_devices.min(self.fleet.n_devices()).max(1);
+        let n_dev = self.cfg.n_devices.min(self.faults.n_devices()).max(1);
         for sub in &scenario.jobs {
             if sub.spec.tenant >= scenario.tenants.len() {
                 return Err(RtmError::MalformedPlan(format!(
@@ -664,7 +665,7 @@ impl Server {
                     if dev.inflight.is_some() || dev.lost {
                         continue;
                     }
-                    if self.fleet.device_lost(d, t) {
+                    if self.faults.device_lost(d, t) {
                         dev.lost = true;
                         record(obs, "fleet_devices_lost", 1);
                         continue;
@@ -712,7 +713,7 @@ impl Server {
                         d,
                         t,
                         eff_cost,
-                        &self.fleet,
+                        &self.faults,
                         &self.cfg.retry,
                         &mut dev.attempt_seq,
                         job.deadline_s,
@@ -1118,8 +1119,8 @@ mod tests {
     use crate::job::{JobSpec, Scenario, Submission, Tenant};
     use accel_sim::fault::{FaultPlan, FaultRates};
 
-    fn clean_fleet(n: usize) -> FleetFaultPlan {
-        FleetFaultPlan::single(FaultPlan::generate(0, n, 1e7, FaultRates::none()))
+    fn clean_fleet(n: usize) -> FaultPlan {
+        FaultPlan::generate(0, n, 1e7, FaultRates::none())
     }
 
     fn one_tenant() -> Vec<Tenant> {
@@ -1359,23 +1360,14 @@ mod tests {
             },
             payload: Payload::Synthetic,
         };
-        // The server prices with the same defaults, so these match its
-        // internal per-shot costs exactly (and warm the probe cache).
-        let cfg = rtm_core::OptimizationConfig::default();
-        let c_rtm = price_shot_cost(
-            &case,
-            &wl,
-            JobKind::Rtm,
-            &cfg,
-            Cluster::CrayXc30,
-            Compiler::Cray,
-        )
-        .unwrap();
+        // The server prices through the same function, so these match its
+        // internal per-shot costs exactly.
+        let c_rtm =
+            price_shot_cost(&case, &wl, JobKind::Rtm, Cluster::CrayXc30, Compiler::Cray).unwrap();
         let c_rb = price_shot_cost(
             &case,
             &wl,
             JobKind::RtmRandomBoundary,
-            &cfg,
             Cluster::CrayXc30,
             Compiler::Cray,
         )
@@ -1468,7 +1460,7 @@ mod tests {
         // Deterministic seed scan: find a seed whose serve trips at least
         // one breaker and still completes all jobs.
         for seed in 0..64u64 {
-            let fleet = FleetFaultPlan::single(FaultPlan::generate(seed, 1, 1e7, rates));
+            let fleet = FaultPlan::generate(seed, 1, 1e7, rates);
             let server = Server::new(
                 ServerConfig {
                     n_devices: 1,
@@ -1523,7 +1515,7 @@ mod tests {
             ..FaultRates::none()
         };
         let mk = || {
-            let fleet = FleetFaultPlan::single(FaultPlan::generate(11, 2, 1e7, rates));
+            let fleet = FaultPlan::generate(11, 2, 1e7, rates);
             let server = Server::new(
                 ServerConfig {
                     n_devices: 2,
@@ -1618,7 +1610,7 @@ mod tests {
                 break;
             }
         }
-        let fleet = FleetFaultPlan::single(chosen.expect("seed with one early loss"));
+        let fleet = chosen.expect("seed with one early loss");
         let server = Server::new(
             ServerConfig {
                 n_devices: 2,

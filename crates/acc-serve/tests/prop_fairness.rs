@@ -9,11 +9,11 @@
 //! issue states).
 
 use acc_serve::{DrrQueue, JobSpec, Scenario, Server, ServerConfig, Submission, Tenant};
-use accel_sim::fault::{FaultPlan, FaultRates, FleetFaultPlan};
+use accel_sim::fault::{FaultPlan, FaultRates};
 use proptest::prelude::*;
 
-fn clean_fleet(n: usize) -> FleetFaultPlan {
-    FleetFaultPlan::single(FaultPlan::generate(0, n, 1e7, FaultRates::none()))
+fn clean_fleet(n: usize) -> FaultPlan {
+    FaultPlan::generate(0, n, 1e7, FaultRates::none())
 }
 
 /// Deterministic per-index variation (the proptest shim draws scalars;

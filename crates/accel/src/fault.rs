@@ -1,25 +1,25 @@
 //! Deterministic fault injection for the simulated cluster.
 //!
-//! Production GPU surveys fail in well-catalogued ways: Xid-style device
-//! losses, ECC page retirement eating device memory, PCIe replay/transfer
-//! errors, transient allocation failures, and stragglers (thermal
-//! throttling, a busy PCIe switch). A resilience layer can only be tested
-//! against *reproducible* failures, so every fault here derives from a
-//! single `u64` seed: the same seed always yields the same [`FaultPlan`],
-//! and every query is a pure function of the plan — no wall clock, no
-//! global RNG, no query-order dependence.
+//! Three fault classes are modeled, the ones the survey scheduler
+//! (`rtm-core::resilient`) and the job server (`acc-serve`) react to:
+//! Xid-style device losses, transient allocation failures, and stragglers
+//! (thermal throttling, a busy PCIe switch). A resilience layer can only
+//! be tested against *reproducible* failures, so every fault here derives
+//! from a single `u64` seed: the same seed always yields the same
+//! [`FaultPlan`], and every query is a pure function of the plan — no
+//! wall clock, no global RNG, no query-order dependence.
 //!
-//! Two mechanisms coexist:
-//!
-//! * **scheduled events** ([`FaultEvent`]) — device losses, ECC
-//!   retirements and straggler windows are drawn once at plan generation
-//!   with exponential inter-arrival times (mean = the configured MTTI),
-//!   giving each device a failure timeline over the simulated horizon,
-//! * **stateless per-operation draws** — transfer failures and transient
-//!   OOMs hash `(seed, device, sequence-number)` so the i-th transfer on a
+//! * **Scheduled events** ([`FaultEvent`]) — device losses and straggler
+//!   windows are drawn once at plan generation with exponential
+//!   inter-arrival times (mean = the configured MTTI), giving each device
+//!   a failure timeline over the simulated horizon. Each class draws from
+//!   its own salted stream, so one class's rates never move another's
+//!   events.
+//! * **Stateless per-operation draws** — transient allocation failures
+//!   hash `(seed, device, sequence-number)`, so the i-th allocation on a
 //!   device fails identically no matter when or how often it is asked.
 
-use crate::{DeviceSpec, SimTime};
+use crate::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// What went wrong.
@@ -27,8 +27,6 @@ use serde::{Deserialize, Serialize};
 pub enum FaultKind {
     /// The device fell off the bus (Xid 79-style): terminal for the device.
     DeviceLost,
-    /// ECC retired a page block: device memory shrinks, work continues.
-    EccRetired,
     /// A straggler window opened: kernels and transfers slow down.
     Straggler,
 }
@@ -52,12 +50,6 @@ pub struct FaultEvent {
 pub struct FaultRates {
     /// Mean time between device losses, per device, seconds.
     pub device_lost_mtti_s: f64,
-    /// Mean time between ECC retirement events, per device, seconds.
-    pub ecc_retire_mtti_s: f64,
-    /// Bytes retired per ECC event.
-    pub ecc_retire_bytes: u64,
-    /// Probability any single PCIe transfer fails.
-    pub transfer_fail_prob: f64,
     /// Probability any single device allocation transiently fails.
     pub transient_oom_prob: f64,
     /// Mean time between straggler windows, per device, seconds.
@@ -73,9 +65,6 @@ impl FaultRates {
     pub fn none() -> Self {
         Self {
             device_lost_mtti_s: f64::INFINITY,
-            ecc_retire_mtti_s: f64::INFINITY,
-            ecc_retire_bytes: 8 << 20,
-            transfer_fail_prob: 0.0,
             transient_oom_prob: 0.0,
             straggler_mtti_s: f64::INFINITY,
             straggler_duration_s: 0.0,
@@ -88,9 +77,6 @@ impl FaultRates {
     pub fn harsh(device_lost_mtti_s: f64) -> Self {
         Self {
             device_lost_mtti_s,
-            ecc_retire_mtti_s: device_lost_mtti_s / 2.0,
-            ecc_retire_bytes: 8 << 20,
-            transfer_fail_prob: 1e-3,
             transient_oom_prob: 1e-3,
             straggler_mtti_s: device_lost_mtti_s / 4.0,
             straggler_duration_s: device_lost_mtti_s / 20.0,
@@ -125,9 +111,7 @@ fn unit(x: u64) -> f64 {
 }
 
 const SALT_DEVICE_LOST: u64 = 1;
-const SALT_ECC: u64 = 2;
 const SALT_STRAGGLER: u64 = 3;
-const SALT_TRANSFER: u64 = 4;
 const SALT_ALLOC: u64 = 5;
 
 /// Draw exponential arrival times with mean `mtti_s` over `[0, horizon_s)`.
@@ -155,7 +139,6 @@ fn arrivals(seed: u64, salt: u64, device: usize, mtti_s: f64, horizon_s: f64) ->
 pub struct FaultPlan {
     seed: u64,
     n_devices: usize,
-    horizon_s: SimTime,
     rates: FaultRates,
     events: Vec<FaultEvent>,
 }
@@ -183,14 +166,6 @@ impl FaultPlan {
                     duration_s: 0.0,
                 });
             }
-            for t in arrivals(seed, SALT_ECC, dev, rates.ecc_retire_mtti_s, horizon_s) {
-                events.push(FaultEvent {
-                    t_s: t,
-                    device: dev,
-                    kind: FaultKind::EccRetired,
-                    duration_s: 0.0,
-                });
-            }
             for t in arrivals(seed, SALT_STRAGGLER, dev, rates.straggler_mtti_s, horizon_s) {
                 events.push(FaultEvent {
                     t_s: t,
@@ -204,7 +179,6 @@ impl FaultPlan {
         Self {
             seed,
             n_devices,
-            horizon_s,
             rates,
             events,
         }
@@ -218,16 +192,6 @@ impl FaultPlan {
     /// Devices covered by the plan.
     pub fn n_devices(&self) -> usize {
         self.n_devices
-    }
-
-    /// Simulated horizon the schedule covers.
-    pub fn horizon_s(&self) -> SimTime {
-        self.horizon_s
-    }
-
-    /// The configured fault intensities.
-    pub fn rates(&self) -> &FaultRates {
-        &self.rates
     }
 
     /// All scheduled events in time order.
@@ -248,15 +212,8 @@ impl FaultPlan {
         self.device_lost_at(device).is_some_and(|lost| lost <= t_s)
     }
 
-    /// Does the `seq`-th PCIe transfer on `device` fail? Stateless: the
-    /// answer never changes for a given `(device, seq)`.
-    pub fn transfer_fails(&self, device: usize, seq: u64) -> bool {
-        self.rates.transfer_fail_prob > 0.0
-            && unit(mix(self.seed, SALT_TRANSFER, device as u64, seq))
-                < self.rates.transfer_fail_prob
-    }
-
     /// Does the `seq`-th device allocation on `device` transiently fail?
+    /// Stateless: the answer never changes for a given `(device, seq)`.
     pub fn alloc_fails(&self, device: usize, seq: u64) -> bool {
         self.rates.transient_oom_prob > 0.0
             && unit(mix(self.seed, SALT_ALLOC, device as u64, seq)) < self.rates.transient_oom_prob
@@ -278,175 +235,11 @@ impl FaultPlan {
         }
     }
 
-    /// Device memory still usable at `t_s` after ECC retirements so far.
-    pub fn effective_mem_bytes(&self, dev: &DeviceSpec, device: usize, t_s: SimTime) -> u64 {
-        let retired = self
-            .events
-            .iter()
-            .filter(|e| e.device == device && e.kind == FaultKind::EccRetired && e.t_s <= t_s)
-            .count() as u64
-            * self.rates.ecc_retire_bytes;
-        dev.global_mem_bytes.saturating_sub(retired)
-    }
-
     /// Devices still alive (never lost within the horizon).
     pub fn surviving_devices(&self) -> Vec<usize> {
         (0..self.n_devices)
             .filter(|&d| self.device_lost_at(d).is_none())
             .collect()
-    }
-
-    /// Configured mean time to interrupt for device losses (the input to
-    /// Young/Daly checkpoint-interval sizing).
-    pub fn mtti_s(&self) -> f64 {
-        self.rates.device_lost_mtti_s
-    }
-}
-
-/// The fault queries a retry/scheduling loop needs, abstracted over the
-/// plan shape: a single-node [`FaultPlan`] or a multi-node
-/// [`FleetFaultPlan`] answer them identically, so the resilient executor
-/// and the job server share one retry loop.
-pub trait FaultView {
-    /// Devices covered.
-    fn n_devices(&self) -> usize;
-    /// Seed the plan was generated from (salts deterministic jitter).
-    fn seed(&self) -> u64;
-    /// When (if ever) `device` becomes permanently unusable.
-    fn device_lost_at(&self, device: usize) -> Option<SimTime>;
-    /// Does the `seq`-th allocation on `device` transiently fail?
-    fn alloc_fails(&self, device: usize, seq: u64) -> bool;
-    /// Multiplicative slowdown on `device` at `t_s` (1.0 = healthy).
-    fn slowdown(&self, device: usize, t_s: SimTime) -> f64;
-
-    /// True when `device` is already lost at time `t_s`.
-    fn device_lost(&self, device: usize, t_s: SimTime) -> bool {
-        self.device_lost_at(device).is_some_and(|lost| lost <= t_s)
-    }
-}
-
-impl FaultView for FaultPlan {
-    fn n_devices(&self) -> usize {
-        self.n_devices
-    }
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-    fn device_lost_at(&self, device: usize) -> Option<SimTime> {
-        FaultPlan::device_lost_at(self, device)
-    }
-    fn alloc_fails(&self, device: usize, seq: u64) -> bool {
-        FaultPlan::alloc_fails(self, device, seq)
-    }
-    fn slowdown(&self, device: usize, t_s: SimTime) -> f64 {
-        FaultPlan::slowdown(self, device, t_s)
-    }
-}
-
-const SALT_NODE_LOST: u64 = 6;
-
-/// A fleet of nodes, each holding `devices_per_node` devices with its own
-/// per-device [`FaultPlan`], plus *correlated* whole-node losses (a PSU or
-/// fabric switch failure takes every device on the node down at once) —
-/// the failure mode single-node plans cannot express. Devices are indexed
-/// globally: device `d` lives on node `d / devices_per_node`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetFaultPlan {
-    nodes: Vec<FaultPlan>,
-    devices_per_node: usize,
-    node_lost_at: Vec<Option<SimTime>>,
-    seed: u64,
-}
-
-impl FleetFaultPlan {
-    /// Generate a fleet plan: per-node device plans are derived from
-    /// `seed` with distinct sub-seeds, and whole-node losses arrive with
-    /// mean `node_lost_mtti_s` (infinite disables them). Deterministic.
-    pub fn generate(
-        seed: u64,
-        n_nodes: usize,
-        devices_per_node: usize,
-        horizon_s: SimTime,
-        rates: FaultRates,
-        node_lost_mtti_s: f64,
-    ) -> Self {
-        let nodes: Vec<FaultPlan> = (0..n_nodes)
-            .map(|n| {
-                let sub = mix(seed, SALT_NODE_LOST, n as u64, 0x5eed);
-                FaultPlan::generate(sub, devices_per_node, horizon_s, rates)
-            })
-            .collect();
-        let node_lost_at = (0..n_nodes)
-            .map(|n| {
-                arrivals(seed, SALT_NODE_LOST, n, node_lost_mtti_s, horizon_s)
-                    .first()
-                    .copied()
-            })
-            .collect();
-        Self {
-            nodes,
-            devices_per_node,
-            node_lost_at,
-            seed,
-        }
-    }
-
-    /// Wrap a single [`FaultPlan`] as a one-node fleet (no correlated
-    /// losses beyond what the plan already schedules).
-    pub fn single(plan: FaultPlan) -> Self {
-        let seed = plan.seed();
-        let devices_per_node = plan.n_devices();
-        Self {
-            nodes: vec![plan],
-            devices_per_node,
-            node_lost_at: vec![None],
-            seed,
-        }
-    }
-
-    /// Node hosting global device `d`.
-    pub fn node_of(&self, device: usize) -> usize {
-        device / self.devices_per_node.max(1)
-    }
-
-    /// When (if ever) the whole node `n` is lost.
-    pub fn node_lost_at(&self, node: usize) -> Option<SimTime> {
-        self.node_lost_at.get(node).copied().flatten()
-    }
-
-    /// Devices never lost (individually or via their node).
-    pub fn surviving_devices(&self) -> Vec<usize> {
-        (0..self.n_devices())
-            .filter(|&d| FaultView::device_lost_at(self, d).is_none())
-            .collect()
-    }
-}
-
-impl FaultView for FleetFaultPlan {
-    fn n_devices(&self) -> usize {
-        self.nodes.len() * self.devices_per_node
-    }
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-    fn device_lost_at(&self, device: usize) -> Option<SimTime> {
-        let node = self.node_of(device);
-        let local = device % self.devices_per_node.max(1);
-        let own = self.nodes.get(node)?.device_lost_at(local);
-        match (own, self.node_lost_at(node)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-    fn alloc_fails(&self, device: usize, seq: u64) -> bool {
-        let node = self.node_of(device);
-        let local = device % self.devices_per_node.max(1);
-        self.nodes[node].alloc_fails(local, seq)
-    }
-    fn slowdown(&self, device: usize, t_s: SimTime) -> f64 {
-        let node = self.node_of(device);
-        let local = device % self.devices_per_node.max(1);
-        self.nodes[node].slowdown(local, t_s)
     }
 }
 
@@ -463,7 +256,6 @@ mod tests {
         assert_eq!(a.events(), b.events());
         // Stateless queries agree too, in any order.
         for seq in [0u64, 1, 999] {
-            assert_eq!(a.transfer_fails(3, seq), b.transfer_fails(3, seq));
             assert_eq!(a.alloc_fails(3, seq), b.alloc_fails(3, seq));
         }
     }
@@ -481,7 +273,6 @@ mod tests {
         let p = FaultPlan::generate(7, 16, 1e6, FaultRates::none());
         assert!(p.events().is_empty());
         assert_eq!(p.surviving_devices().len(), 16);
-        assert!(!p.transfer_fails(0, 0));
         assert!(!p.alloc_fails(0, 0));
         assert_eq!(p.slowdown(0, 123.0), 1.0);
     }
@@ -502,13 +293,13 @@ mod tests {
     }
 
     #[test]
-    fn transfer_failure_rate_close_to_prob() {
+    fn alloc_failure_rate_close_to_prob() {
         let r = FaultRates {
-            transfer_fail_prob: 0.05,
+            transient_oom_prob: 0.05,
             ..FaultRates::none()
         };
         let p = FaultPlan::generate(5, 1, 1.0, r);
-        let fails = (0..20_000).filter(|&s| p.transfer_fails(0, s)).count();
+        let fails = (0..20_000).filter(|&s| p.alloc_fails(0, s)).count();
         let rate = fails as f64 / 20_000.0;
         assert!((rate - 0.05).abs() < 0.01, "rate {rate}");
     }
@@ -529,70 +320,5 @@ mod tests {
             .expect("straggler scheduled");
         assert_eq!(p.slowdown(w.device, w.t_s + 1.0), 3.0);
         assert_eq!(p.slowdown(w.device, w.t_s - 1e-3), 1.0);
-    }
-
-    #[test]
-    fn fleet_plan_correlates_node_losses() {
-        let rates = FaultRates {
-            transient_oom_prob: 0.05,
-            ..FaultRates::none()
-        };
-        // Node losses only: every device on a lost node dies at the same
-        // instant, devices on surviving nodes never do.
-        for seed in 0..200u64 {
-            let f = FleetFaultPlan::generate(seed, 3, 4, 1000.0, rates, 800.0);
-            assert_eq!(f.n_devices(), 12);
-            let lost_nodes: Vec<usize> = (0..3).filter(|&n| f.node_lost_at(n).is_some()).collect();
-            if lost_nodes.is_empty() || lost_nodes.len() == 3 {
-                continue;
-            }
-            for n in 0..3 {
-                for local in 0..4 {
-                    let d = n * 4 + local;
-                    assert_eq!(f.node_of(d), n);
-                    assert_eq!(FaultView::device_lost_at(&f, d), f.node_lost_at(n));
-                }
-            }
-            // Deterministic and distinct per seed.
-            assert_eq!(
-                f,
-                FleetFaultPlan::generate(seed, 3, 4, 1000.0, rates, 800.0)
-            );
-            return;
-        }
-        panic!("no seed with a partial node loss");
-    }
-
-    #[test]
-    fn fleet_single_matches_plan() {
-        let rates = FaultRates::harsh(500.0);
-        let p = FaultPlan::generate(9, 3, 2000.0, rates);
-        let f = FleetFaultPlan::single(p.clone());
-        assert_eq!(f.n_devices(), 3);
-        for d in 0..3 {
-            assert_eq!(FaultView::device_lost_at(&f, d), p.device_lost_at(d));
-            for seq in [0u64, 5, 17] {
-                assert_eq!(FaultView::alloc_fails(&f, d, seq), p.alloc_fails(d, seq));
-            }
-            assert_eq!(FaultView::slowdown(&f, d, 123.0), p.slowdown(d, 123.0));
-        }
-        assert_eq!(f.surviving_devices(), p.surviving_devices());
-    }
-
-    #[test]
-    fn ecc_retirement_shrinks_memory_monotonically() {
-        let r = FaultRates {
-            ecc_retire_mtti_s: 50.0,
-            ecc_retire_bytes: 16 << 20,
-            ..FaultRates::none()
-        };
-        let p = FaultPlan::generate(9, 1, 1000.0, r);
-        let dev = DeviceSpec::k40();
-        let m0 = p.effective_mem_bytes(&dev, 0, 0.0);
-        let m1 = p.effective_mem_bytes(&dev, 0, 500.0);
-        let m2 = p.effective_mem_bytes(&dev, 0, 1000.0);
-        assert_eq!(m0, dev.global_mem_bytes);
-        assert!(m1 <= m0 && m2 <= m1);
-        assert!(m2 < m0, "some retirement over 20 MTTIs");
     }
 }

@@ -26,8 +26,9 @@
 //! * **Profiling** ([`profiler`]) — an `nvprof`-style event ledger that
 //!   regenerates the kernel-utilization breakdowns of Figures 11/14/15,
 //! * **Fault injection** ([`fault`]) — seeded, fully deterministic
-//!   device-loss / ECC-retirement / PCIe-failure / straggler schedules that
-//!   the resilience layer (`rtm-core::resilient`) is tested against.
+//!   device-loss / transient-allocation-failure / straggler schedules that
+//!   the survey scheduler (`rtm-core::resilient`) and the job server
+//!   (`acc-serve`) run against.
 
 pub mod device;
 pub mod fault;

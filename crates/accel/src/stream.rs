@@ -143,25 +143,6 @@ impl StreamSim {
         }
     }
 
-    /// Fault-aware variant of [`Self::drain_makespan`]: a straggler window
-    /// open at `at_s` on `device` stretches the whole batch by the plan's
-    /// slowdown factor. With `plan = None` this is exactly
-    /// [`Self::drain_makespan`].
-    pub fn drain_makespan_faulty(
-        &mut self,
-        dev: &DeviceSpec,
-        mode: IssueMode,
-        plan: Option<&crate::fault::FaultPlan>,
-        device: usize,
-        at_s: SimTime,
-    ) -> SimTime {
-        let base = self.drain_makespan(dev, mode);
-        match plan {
-            None => base,
-            Some(p) => base * p.slowdown(device, at_s),
-        }
-    }
-
     /// Compute the makespan of the queued batch under the given issue mode,
     /// then clear the queue.
     pub fn drain_makespan(&mut self, dev: &DeviceSpec, mode: IssueMode) -> SimTime {
@@ -400,50 +381,5 @@ mod tests {
         let last = &sched.kernels[1];
         assert!((last.start_s + last.exec_s - sched.makespan_s).abs() < 1e-15);
         assert!(last.start_s >= first.start_s + first.exec_s);
-    }
-
-    #[test]
-    fn straggler_stretches_drain() {
-        use crate::fault::{FaultKind, FaultPlan, FaultRates};
-        let dev = DeviceSpec::k40();
-        let rates = FaultRates {
-            straggler_mtti_s: 10.0,
-            straggler_duration_s: 4.0,
-            straggler_slowdown: 3.0,
-            ..FaultRates::none()
-        };
-        let plan = FaultPlan::generate(17, 1, 100.0, rates);
-        let win = plan
-            .events()
-            .iter()
-            .find(|e| e.kind == FaultKind::Straggler)
-            .copied()
-            .expect("window");
-        let batch = || {
-            let mut s = StreamSim::new();
-            s.push(k("a", 0.5, 1.0, 0));
-            s.push(k("b", 0.5, 1.0, 0));
-            s
-        };
-        let healthy = batch().drain_makespan_faulty(
-            &dev,
-            IssueMode::Synchronous,
-            Some(&plan),
-            0,
-            win.t_s - 1.0,
-        );
-        let slowed = batch().drain_makespan_faulty(
-            &dev,
-            IssueMode::Synchronous,
-            Some(&plan),
-            0,
-            win.t_s + 0.5,
-        );
-        let plain = batch().drain_makespan(&dev, IssueMode::Synchronous);
-        assert_eq!(healthy, plain);
-        assert!((slowed / healthy - 3.0).abs() < 1e-9);
-        // No plan → identical to the plain path.
-        let none = batch().drain_makespan_faulty(&dev, IssueMode::Synchronous, None, 0, 0.0);
-        assert_eq!(none, plain);
     }
 }

@@ -5,8 +5,8 @@
 //! module wraps the plain drivers so a seeded [`FaultPlan`] degrades a run
 //! instead of killing it:
 //!
-//! * **Retry with backoff** — transient failures (allocation, transfer)
-//!   retry under a [`RetryPolicy`] whose jittered exponential delays are
+//! * **Retry with backoff** — transient allocation failures retry under
+//!   a [`RetryPolicy`] whose jittered exponential delays are
 //!   deterministic per plan seed, bounded, and monotone in the attempt,
 //! * **Blacklisting & rescheduling** — a rank whose device is lost (or
 //!   that exhausts its retries) is blacklisted by the [`HealthTracker`]
@@ -21,7 +21,8 @@
 //! * **Checkpoint-restart** — [`run_rtm_with_restart`] resumes an
 //!   interrupted forward pass from the most recent stored state, redoing
 //!   strictly fewer steps than a restart from zero, with bitwise-identical
-//!   output (replay overwrites are idempotent),
+//!   output (replay overwrites are idempotent), for dense-snapshot and
+//!   random-boundary migration alike,
 //! * **Accounting** — [`ResilienceStats`] splits simulated seconds into
 //!   useful, wasted (lost to mid-shot failures), and backoff time, the
 //!   inputs to the overhead-vs-MTTI tables in `repro`, and
@@ -34,20 +35,15 @@ use crate::case::OptimizationConfig;
 use crate::drive::{self, Medium as _, Restart};
 use crate::error::{ConfigError, RtmError};
 use crate::modeling::{Medium2, State2};
-use crate::multi_gpu::{modeling_time_multi, CommMode, GhostPacking, MultiGpuTiming};
 use crate::rtm::{run_rtm, RtmResult};
 use crate::shot_parallel::{shots_for_rank, Shot};
 use acc_obs::{ObsSession, Span, SpanCat, Track};
-use accel_sim::fault::{FaultPlan, FaultView};
+use accel_sim::fault::FaultPlan;
 use mpi_sim::comm::Communicator;
-use openacc_sim::Compiler;
 use seismic_grid::Field2;
-use seismic_model::IsoModel2;
-use seismic_pml::{DampProfile, RandomBoundarySpec};
+use seismic_pml::RandomBoundarySpec;
 use seismic_source::Wavelet;
 use std::collections::VecDeque;
-
-use crate::case::{Cluster, SeismicCase, Workload};
 
 /// `splitmix64` over mixed coordinates — the jitter draw for backoff.
 fn jitter_unit(seed: u64, salt: u64, a: u64) -> f64 {
@@ -305,11 +301,11 @@ pub struct ShotAttempt {
 /// stateless fault process sees a per-device sequence number. With no
 /// deadline and no token this reproduces the PR 1 retry loop exactly.
 #[allow(clippy::too_many_arguments)]
-pub fn run_shot_attempts<F: FaultView>(
+pub fn run_shot_attempts(
     device: usize,
     start_s: f64,
     shot_cost_s: f64,
-    plan: &F,
+    plan: &FaultPlan,
     policy: &RetryPolicy,
     attempt_seq: &mut u64,
     deadline_s: Option<f64>,
@@ -702,15 +698,26 @@ pub struct RestartOutcome {
     pub restores: usize,
 }
 
-/// [`run_rtm`] with an interruptible, checkpointed forward pass: a full
-/// propagation state is stored every `ckpt_every` steps; each entry of
-/// `interrupts` kills the forward pass when it first reaches that step,
-/// and execution resumes from the most recent stored state. Replay
-/// overwrites the seismogram and snapshot slots it re-produces, and the
-/// propagator is bitwise deterministic, so the final result is identical
-/// to the uninterrupted run — only `forward_steps_executed` grows.
-/// Setting `ckpt_every >= steps` keeps only the step-0 state, i.e. a
-/// restart-from-zero baseline.
+/// [`run_rtm`] with an interruptible, checkpointed forward pass: the
+/// pre-step state is stored at every step in `checkpoints` (in any order;
+/// the quiescent state of step 0 is always available), and each entry of
+/// `interrupts` kills the forward pass when it first reaches that step;
+/// execution resumes from the most recent stored state. Callers build the
+/// schedule with [`plan_checkpoints`](crate::checkpoint::plan_checkpoints)
+/// (the bounded-memory schedule the store-vs-recompute migration already
+/// pays for) or as every `k`-th step, `(0..steps).step_by(k)`; `&[0]` is
+/// the restart-from-zero baseline.
+///
+/// With `random_boundary` the shot migrates through that randomized
+/// medium ([`crate::rand_boundary::run_rtm_random_boundary`]) instead of
+/// dense snapshots: the migration stores nothing to restart *from*, since
+/// its source wavefield is a pure function of the seed, so only the
+/// acquisition pass is checkpointed.
+///
+/// Replay overwrites the seismogram and snapshot slots it re-produces,
+/// the propagator is bitwise deterministic, and the randomized halo is a
+/// pure function of `(seed, cell)`, so the result is bit for bit that of
+/// the uninterrupted run — only `forward_steps_executed` grows.
 #[allow(clippy::too_many_arguments)]
 pub fn run_rtm_with_restart(
     medium: &Medium2,
@@ -720,203 +727,37 @@ pub fn run_rtm_with_restart(
     steps: usize,
     snap_period: usize,
     gangs: usize,
-    ckpt_every: usize,
-    interrupts: &[usize],
-) -> Result<RestartOutcome, RtmError> {
-    if ckpt_every == 0 {
-        return Err(ConfigError::ZeroSlots.into());
-    }
-    let shot =
-        drive::Shot::<State2>::new(medium, acq, config, steps, snap_period, gangs).checked()?;
-    let schedule: Vec<usize> = (0..steps).step_by(ckpt_every).collect();
-    Ok(restarted(&shot, wavelet, &schedule, interrupts, None))
-}
-
-/// [`run_rtm_with_restart`] storing states at the bounded-memory
-/// [`plan_checkpoints`](crate::checkpoint::plan_checkpoints) schedule for
-/// `slots` stored states — a failed shot resumes from the nearest planned
-/// checkpoint instead of restarting from step 0, with the same memory
-/// budget the store-vs-recompute migration already pays.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rtm_with_restart_planned(
-    medium: &Medium2,
-    acq: &Shot,
-    wavelet: &Wavelet,
-    config: &OptimizationConfig,
-    steps: usize,
-    snap_period: usize,
-    gangs: usize,
-    slots: usize,
-    interrupts: &[usize],
-) -> Result<RestartOutcome, RtmError> {
-    let schedule = crate::checkpoint::plan_checkpoints(steps, slots)?;
-    let shot =
-        drive::Shot::<State2>::new(medium, acq, config, steps, snap_period, gangs).checked()?;
-    Ok(restarted(&shot, wavelet, &schedule, interrupts, None))
-}
-
-/// The general form: the pre-step state is stored at each step of the
-/// sorted `checkpoints` (step 0 is always an implicit checkpoint — the
-/// initial quiescent state); `randomized` selects random-boundary
-/// migration through that medium instead of dense snapshots.
-fn restarted(
-    shot: &drive::Shot<State2>,
-    wavelet: &Wavelet,
     checkpoints: &[usize],
+    random_boundary: Option<&RandomBoundarySpec>,
     interrupts: &[usize],
-    randomized: Option<&Medium2>,
-) -> RestartOutcome {
+) -> Result<RestartOutcome, RtmError> {
+    let shot =
+        drive::Shot::<State2>::new(medium, acq, config, steps, snap_period, gangs).checked()?;
+    let randomized = random_boundary.map(|spec| medium.randomized(spec));
+    let mut checkpoints = checkpoints.to_vec();
+    checkpoints.sort_unstable();
     let mut restart = Restart {
-        checkpoints,
+        checkpoints: &checkpoints,
         interrupts,
         executed: 0,
         restores: 0,
     };
-    let result = drive::rtm(shot, wavelet, randomized, Some(&mut restart));
-    RestartOutcome {
+    let result = drive::rtm(&shot, wavelet, randomized.as_ref(), Some(&mut restart));
+    Ok(RestartOutcome {
         result,
         forward_steps_executed: restart.executed,
         restores: restart.restores,
-    }
-}
-
-/// [`crate::rand_boundary::run_rtm_random_boundary`] with an
-/// interruptible, checkpointed forward
-/// acquisition pass (the recorded-data modeling run): a full propagation
-/// state is stored every `ckpt_every` steps and each entry of `interrupts`
-/// kills the pass once when it first reaches that step. The migration
-/// itself stores nothing to restart *from* — its source wavefield is a
-/// pure function of the seed — so a restarted shot reproduces the
-/// uninterrupted image **bit for bit** for a fixed
-/// [`RandomBoundarySpec`]: replay overwrites are idempotent and the
-/// randomized halo is a pure function of `(seed, cell)`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rand_boundary_with_restart(
-    medium: &Medium2,
-    acq: &Shot,
-    wavelet: &Wavelet,
-    config: &OptimizationConfig,
-    steps: usize,
-    snap_period: usize,
-    spec: &RandomBoundarySpec,
-    gangs: usize,
-    ckpt_every: usize,
-    interrupts: &[usize],
-) -> Result<RestartOutcome, RtmError> {
-    if ckpt_every == 0 {
-        return Err(ConfigError::ZeroSlots.into());
-    }
-    let shot =
-        drive::Shot::<State2>::new(medium, acq, config, steps, snap_period, gangs).checked()?;
-    let schedule: Vec<usize> = (0..steps).step_by(ckpt_every).collect();
-    let randomized = medium.randomized(spec);
-    Ok(restarted(
-        &shot,
-        wavelet,
-        &schedule,
-        interrupts,
-        Some(&randomized),
-    ))
-}
-
-/// [`modeling_time_multi`] under a fault plan: devices already lost are
-/// dropped (the run degrades to the survivors), and transient allocation
-/// failures retry with backoff. Returns the timing on the surviving card
-/// count plus the accounting.
-#[allow(clippy::too_many_arguments)]
-pub fn modeling_time_multi_resilient(
-    case: &SeismicCase,
-    config: &OptimizationConfig,
-    compiler: Compiler,
-    cluster: Cluster,
-    w: &Workload,
-    n_gpus: usize,
-    packing: GhostPacking,
-    mode: CommMode,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<(MultiGpuTiming, ResilienceStats), RtmError> {
-    if n_gpus == 0 {
-        return Err(ConfigError::ZeroGpus.into());
-    }
-    let mut stats = ResilienceStats::default();
-    let mut alive: Vec<usize> = (0..n_gpus)
-        .filter(|&g| plan.device_lost_at(g).is_none())
-        .collect();
-    stats.dead_ranks = (0..n_gpus).filter(|&g| !alive.contains(&g)).collect();
-    // Each surviving card must get through its allocation, retrying
-    // transient failures; a card that exhausts its retries is dropped too.
-    let mut seq = vec![0u64; n_gpus];
-    alive.retain(|&g| {
-        for attempt in 0..=policy.max_retries {
-            let s = seq[g];
-            seq[g] += 1;
-            if !plan.alloc_fails(g, s) {
-                return true;
-            }
-            stats.retries += 1;
-            if attempt < policy.max_retries {
-                stats.backoff_s += policy.backoff_delay(plan.seed() ^ g as u64, attempt);
-            }
-        }
-        stats.dead_ranks.push(g);
-        false
-    });
-    if alive.is_empty() {
-        return Err(RtmError::NoHealthyRanks);
-    }
-    let timing = modeling_time_multi(
-        case,
-        config,
-        compiler,
-        cluster,
-        w,
-        alive.len(),
-        packing,
-        mode,
-    )?;
-    stats.useful_s = timing.total_s;
-    Ok((timing, stats))
-}
-
-/// Decomposed 2D modeling that degrades gracefully: ranks whose device is
-/// already lost under `plan` are dropped and the run proceeds on the
-/// survivors. The decomposed propagator is bitwise-identical for *any*
-/// rank count, so the degraded field equals the full-cluster field
-/// exactly. Returns the field and the rank count actually used.
-#[allow(clippy::too_many_arguments)]
-pub fn modeling_iso2_mpi_resilient(
-    model: &IsoModel2,
-    damp_x: &DampProfile,
-    damp_z: &DampProfile,
-    src: (usize, usize),
-    wavelet: &Wavelet,
-    steps: usize,
-    ranks: usize,
-    plan: &FaultPlan,
-) -> Result<(Field2, usize), RtmError> {
-    if ranks == 0 {
-        return Err(ConfigError::ZeroRanks.into());
-    }
-    let alive = (0..ranks)
-        .filter(|&r| plan.device_lost_at(r).is_none())
-        .count();
-    if alive == 0 {
-        return Err(RtmError::NoHealthyRanks);
-    }
-    Ok((
-        crate::mpi_run::modeling_iso2_mpi(model, damp_x, damp_z, src, wavelet, steps, alive),
-        alive,
-    ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::plan_checkpoints;
     use crate::shot_parallel::rtm_shot_parallel;
     use accel_sim::fault::FaultRates;
     use seismic_grid::cfl::stable_dt;
-    use seismic_model::builder::{acoustic2_layered, iso2_constant, Layer};
+    use seismic_model::builder::{acoustic2_layered, Layer};
     use seismic_model::{extent2, Geometry};
     use seismic_pml::CpmlAxis;
     use seismic_source::Acquisition2;
@@ -1206,7 +1047,6 @@ mod tests {
             straggler_mtti_s: 25.0,
             straggler_duration_s: 10.0,
             straggler_slowdown: 2.0,
-            ..FaultRates::none()
         };
         let (_, plan) = seed_with_partial_loss(ranks, 200.0, rates);
         let (img, stats) = rtm_survey_resilient(
@@ -1228,6 +1068,11 @@ mod tests {
         assert!(stats.overhead_frac() > 0.0);
     }
 
+    /// A checkpoint every `k` steps.
+    fn every(steps: usize, k: usize) -> Vec<usize> {
+        (0..steps).step_by(k).collect()
+    }
+
     /// Checkpoint-restart redoes strictly fewer forward steps than a
     /// restart from zero, with bitwise-identical output.
     #[test]
@@ -1241,9 +1086,23 @@ mod tests {
         let interrupts = [140usize];
 
         let plain = run_rtm(&m, &acq, &w, &cfg, steps, 4, 2);
-        let ck = run_rtm_with_restart(&m, &acq, &w, &cfg, steps, 4, 2, 25, &interrupts).unwrap();
-        let zero =
-            run_rtm_with_restart(&m, &acq, &w, &cfg, steps, 4, 2, steps, &interrupts).unwrap();
+        let restart = |checkpoints: &[usize], interrupts: &[usize]| {
+            run_rtm_with_restart(
+                &m,
+                &acq,
+                &w,
+                &cfg,
+                steps,
+                4,
+                2,
+                checkpoints,
+                None,
+                interrupts,
+            )
+            .unwrap()
+        };
+        let ck = restart(&every(steps, 25), &interrupts);
+        let zero = restart(&[0], &interrupts);
 
         assert_eq!(ck.restores, 1);
         assert_eq!(zero.restores, 1);
@@ -1256,14 +1115,13 @@ mod tests {
         assert_eq!(ck.result.seismogram, plain.seismogram);
         assert_eq!(zero.result.image, plain.image);
         // No interrupts → no replay at all.
-        let clean = run_rtm_with_restart(&m, &acq, &w, &cfg, steps, 4, 2, 25, &[]).unwrap();
+        let clean = restart(&every(steps, 25), &[]);
         assert_eq!(clean.forward_steps_executed, steps);
         assert_eq!(clean.restores, 0);
         assert_eq!(clean.result.image, plain.image);
         // The plan_checkpoints-driven schedule also resumes mid-shot with
         // strictly less recompute than from-zero, bit-exact.
-        let planned =
-            run_rtm_with_restart_planned(&m, &acq, &w, &cfg, steps, 4, 2, 6, &interrupts).unwrap();
+        let planned = restart(&plan_checkpoints(steps, 6).unwrap(), &interrupts);
         assert_eq!(planned.restores, 1);
         assert!(
             planned.forward_steps_executed > steps,
@@ -1272,6 +1130,11 @@ mod tests {
         assert!(planned.forward_steps_executed < zero.forward_steps_executed);
         assert_eq!(planned.result.image, plain.image);
         assert_eq!(planned.result.seismogram, plain.seismogram);
+        // The schedule may come in any order.
+        let reversed: Vec<usize> = every(steps, 25).into_iter().rev().collect();
+        let unsorted = restart(&reversed, &interrupts);
+        assert_eq!(unsorted.forward_steps_executed, ck.forward_steps_executed);
+        assert_eq!(unsorted.result.image, plain.image);
     }
 
     /// Random-boundary shots survive interrupts with the same guarantee as
@@ -1292,22 +1155,23 @@ mod tests {
         let plain =
             crate::rand_boundary::run_rtm_random_boundary(&m, &acq, &w, &cfg, steps, 4, &spec, 2)
                 .unwrap();
-        let ck =
-            run_rand_boundary_with_restart(&m, &acq, &w, &cfg, steps, 4, &spec, 2, 25, &interrupts)
-                .unwrap();
-        let zero = run_rand_boundary_with_restart(
-            &m,
-            &acq,
-            &w,
-            &cfg,
-            steps,
-            4,
-            &spec,
-            2,
-            steps,
-            &interrupts,
-        )
-        .unwrap();
+        let restart = |checkpoints: &[usize], interrupts: &[usize]| {
+            run_rtm_with_restart(
+                &m,
+                &acq,
+                &w,
+                &cfg,
+                steps,
+                4,
+                2,
+                checkpoints,
+                Some(&spec),
+                interrupts,
+            )
+            .unwrap()
+        };
+        let ck = restart(&every(steps, 25), &interrupts);
+        let zero = restart(&[0], &interrupts);
 
         assert_eq!(ck.restores, 1);
         assert_eq!(ck.forward_steps_executed, steps + (140 - 125));
@@ -1318,140 +1182,9 @@ mod tests {
         assert_eq!(zero.result.image, plain.image);
         assert_eq!(ck.result.snapshots_saved, 0);
         // Clean run does no replay.
-        let clean = run_rand_boundary_with_restart(&m, &acq, &w, &cfg, steps, 4, &spec, 2, 25, &[])
-            .unwrap();
+        let clean = restart(&every(steps, 25), &[]);
         assert_eq!(clean.forward_steps_executed, steps);
         assert_eq!(clean.restores, 0);
         assert_eq!(clean.result.image, plain.image);
-    }
-
-    #[test]
-    fn multi_gpu_resilient_degrades_and_retries() {
-        use openacc_sim::PgiVersion;
-        use seismic_model::footprint::{Dims, Formulation};
-        let case = SeismicCase {
-            formulation: Formulation::Acoustic,
-            dims: Dims::Three,
-        };
-        let w = Workload {
-            nx: 256,
-            ny: 256,
-            nz: 256,
-            steps: 100,
-            snap_period: 10,
-            n_receivers: 100,
-        };
-        let cfg = OptimizationConfig::default();
-        let pgi = Compiler::Pgi(PgiVersion::V14_6);
-        let rates = FaultRates {
-            device_lost_mtti_s: 50.0,
-            transient_oom_prob: 0.3,
-            ..FaultRates::none()
-        };
-        // A plan that loses at least one of 4 devices inside the horizon.
-        let (_, plan) = {
-            let mut found = None;
-            for seed in 0..1000u64 {
-                let p = FaultPlan::generate(seed, 4, 100.0, rates);
-                let s = p.surviving_devices().len();
-                if (1..4).contains(&s) {
-                    found = Some((seed, p));
-                    break;
-                }
-            }
-            found.expect("partial-loss seed")
-        };
-        let (t, stats) = modeling_time_multi_resilient(
-            &case,
-            &cfg,
-            pgi,
-            Cluster::CrayXc30,
-            &w,
-            4,
-            GhostPacking::DevicePacked,
-            CommMode::Blocking,
-            &plan,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert!(t.n_gpus < 4, "degraded below the nominal count");
-        assert!(t.n_gpus >= 1);
-        assert!(!stats.dead_ranks.is_empty());
-        // Fault-free plan reproduces the plain pricing exactly.
-        let clean = FaultPlan::generate(0, 4, 100.0, FaultRates::none());
-        let (tc, sc) = modeling_time_multi_resilient(
-            &case,
-            &cfg,
-            pgi,
-            Cluster::CrayXc30,
-            &w,
-            4,
-            GhostPacking::DevicePacked,
-            CommMode::Blocking,
-            &clean,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        let plain = modeling_time_multi(
-            &case,
-            &cfg,
-            pgi,
-            Cluster::CrayXc30,
-            &w,
-            4,
-            GhostPacking::DevicePacked,
-            CommMode::Blocking,
-        )
-        .unwrap();
-        assert_eq!(tc, plain);
-        assert_eq!(sc.retries, 0);
-    }
-
-    /// Degraded decomposed runs keep the exact field — the rank-count
-    /// bitwise-identity of the mpi driver is what makes degradation
-    /// "graceful" in the strongest sense.
-    #[test]
-    fn mpi_degradation_preserves_field_exactly() {
-        let n = 40;
-        let e = extent2(n, n);
-        let h = 10.0;
-        let dt = stable_dt(8, 2, 2000.0, h, 0.5);
-        let model = iso2_constant(e, 2000.0, Geometry::uniform(h, dt));
-        let damp = DampProfile::new(n, e.halo, 12, 2000.0, h, 1e-4);
-        let w = Wavelet::ricker(18.0);
-        let full =
-            crate::mpi_run::modeling_iso2_mpi(&model, &damp, &damp, (n / 2, n / 2), &w, 60, 4);
-        let rates = FaultRates {
-            device_lost_mtti_s: 20.0,
-            ..FaultRates::none()
-        };
-        let (_, plan) = {
-            let mut found = None;
-            for seed in 0..1000u64 {
-                let p = FaultPlan::generate(seed, 4, 100.0, rates);
-                let s = p.surviving_devices().len();
-                if (1..4).contains(&s) {
-                    found = Some((seed, p));
-                    break;
-                }
-            }
-            found.expect("partial-loss seed")
-        };
-        let (degraded, used) =
-            modeling_iso2_mpi_resilient(&model, &damp, &damp, (n / 2, n / 2), &w, 60, 4, &plan)
-                .unwrap();
-        assert!((1..4).contains(&used));
-        assert_eq!(degraded, full, "bitwise-equal under degradation");
-        // Total loss is a typed error.
-        let lethal = FaultRates {
-            device_lost_mtti_s: 1e-6,
-            ..FaultRates::none()
-        };
-        let dead = FaultPlan::generate(3, 4, 100.0, lethal);
-        if dead.surviving_devices().is_empty() {
-            let r =
-                modeling_iso2_mpi_resilient(&model, &damp, &damp, (n / 2, n / 2), &w, 60, 4, &dead);
-            assert_eq!(r.unwrap_err(), RtmError::NoHealthyRanks);
-        }
     }
 }

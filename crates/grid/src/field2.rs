@@ -177,17 +177,6 @@ impl Field2 {
         );
         self.data.copy_from_slice(&other.data);
     }
-
-    /// Copy interior values from `other` (same extent), leaving halo alone.
-    pub fn copy_interior_from(&mut self, other: &Field2) {
-        assert_eq!(self.extent, other.extent);
-        for iz in 0..self.extent.nz {
-            for ix in 0..self.extent.nx {
-                let i = self.extent.idx(ix, iz);
-                self.data[i] = other.data[i];
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -211,23 +211,6 @@ pub fn min_max2(f: &Field2) -> (f32, f32) {
     (lo, hi)
 }
 
-/// Min/max of the interior of a 3D field.
-pub fn min_max3(f: &Field3) -> (f32, f32) {
-    let e = f.extent();
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for iz in 0..e.nz {
-        for iy in 0..e.ny {
-            for ix in 0..e.nx {
-                let v = f.get(ix, iy, iz);
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-    }
-    (lo, hi)
-}
-
 /// Extent helpers for building matched model sets.
 pub fn extent2(nx: usize, nz: usize) -> Extent2 {
     Extent2::new(nx, nz, seismic_grid::STENCIL_HALF)

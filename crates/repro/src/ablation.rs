@@ -20,7 +20,7 @@ use crate::cases::table_workload;
 use accel_sim::kernel::{time_kernel, KernelProfile};
 use accel_sim::pcie::{transfer_time, HostAlloc, TransferKind};
 use openacc_sim::{Compiler, PgiVersion};
-use rtm_core::case::{Cluster, OptimizationConfig, SeismicCase, Workload};
+use rtm_core::case::{Cluster, OptimizationConfig, SeismicCase};
 use rtm_core::gpu_time::rtm_time;
 use seismic_model::footprint::{Dims, Formulation};
 
@@ -172,13 +172,6 @@ pub fn pml_width_ablation() -> Vec<(usize, f64)> {
             (width, late / peak)
         })
         .collect()
-}
-
-/// Convenience: table workload with steps scaled down for quick studies.
-pub fn quick_workload(case: &SeismicCase, divisor: usize) -> Workload {
-    let mut w = table_workload(case);
-    w.steps = (w.steps / divisor).max(1);
-    w
 }
 
 #[cfg(test)]

@@ -64,7 +64,6 @@ pub fn overhead_vs_mtti(
                 straggler_mtti_s: 4.0 * mtti,
                 straggler_duration_s: shot_cost_s,
                 straggler_slowdown: 1.5,
-                ..FaultRates::none()
             };
             let mut over = 0.0;
             let mut resched = 0.0;
@@ -122,6 +121,7 @@ pub fn restart_recompute_rows(
     intervals
         .iter()
         .map(|&ck| {
+            let checkpoints: Vec<usize> = (0..steps).step_by(ck).collect();
             let out = run_rtm_with_restart(
                 medium,
                 acq,
@@ -130,7 +130,8 @@ pub fn restart_recompute_rows(
                 steps,
                 4,
                 2,
-                ck,
+                &checkpoints,
+                None,
                 &[interrupt_step],
             )
             .expect("valid restart configuration");

@@ -12,7 +12,7 @@ use acc_obs::ObsSession;
 use acc_serve::{
     JobOutcome, JobSpec, Rejected, Scenario, ServeReport, Server, ServerConfig, Submission, Tenant,
 };
-use accel_sim::fault::{FaultPlan, FaultRates, FleetFaultPlan};
+use accel_sim::fault::{FaultPlan, FaultRates};
 use rtm_core::error::RtmError;
 use rtm_core::RetryPolicy;
 
@@ -57,14 +57,14 @@ pub fn study_config(n_devices: usize) -> ServerConfig {
     }
 }
 
-/// The study fleet: transient allocation faults at a rate that trips
-/// breakers now and then, plus whatever device losses the seed draws.
-pub fn study_fleet(seed: u64, n_devices: usize) -> FleetFaultPlan {
+/// The study's fault plan: transient allocation faults at a rate that
+/// trips breakers now and then, plus whatever device losses the seed draws.
+pub fn study_fleet(seed: u64, n_devices: usize) -> FaultPlan {
     let rates = FaultRates {
         transient_oom_prob: 0.35,
         ..FaultRates::none()
     };
-    FleetFaultPlan::single(FaultPlan::generate(seed, n_devices, 4.0 * HORIZON_S, rates))
+    FaultPlan::generate(seed, n_devices, 4.0 * HORIZON_S, rates)
 }
 
 /// A mixed-tenant submission stream offering `multiplier ×` the fleet's
@@ -219,14 +219,14 @@ pub fn overload_rows_json(rows: &[OverloadRow]) -> serde_json::Value {
     serde_json::Value::from(out)
 }
 
-/// Seed of the smoke scenario. Chosen (and pinned) so the fleet plan
+/// Seed of the smoke scenario. Chosen (and pinned) so the fault plan
 /// loses one device early while at least one device survives the run —
 /// the smoke test wants both fault handling and completion.
 pub const SMOKE_SEED: u64 = 11;
 
 /// The CI smoke scenario: a 2× capacity mixed-tenant burst on a fleet
 /// with transient allocation faults and an early device loss.
-pub fn smoke_scenario() -> (ServerConfig, FleetFaultPlan, Scenario) {
+pub fn smoke_scenario() -> (ServerConfig, FaultPlan, Scenario) {
     let n_devices = 4;
     let cfg = study_config(n_devices);
     let rates = FaultRates {
@@ -234,21 +234,16 @@ pub fn smoke_scenario() -> (ServerConfig, FleetFaultPlan, Scenario) {
         device_lost_mtti_s: 200.0,
         ..FaultRates::none()
     };
-    let fleet = FleetFaultPlan::single(FaultPlan::generate(
-        SMOKE_SEED,
-        n_devices,
-        2.0 * HORIZON_S,
-        rates,
-    ));
+    let faults = FaultPlan::generate(SMOKE_SEED, n_devices, 2.0 * HORIZON_S, rates);
     let scenario = overload_scenario(2.0, SMOKE_SEED, n_devices);
-    (cfg, fleet, scenario)
+    (cfg, faults, scenario)
 }
 
 /// Run the smoke scenario (optionally observed: queue/shed gauges and
 /// service spans land in `obs`).
 pub fn smoke_run(obs: Option<&ObsSession>) -> Result<(Scenario, ServeReport), RtmError> {
-    let (cfg, fleet, scenario) = smoke_scenario();
-    let report = Server::new(cfg, fleet).run(&scenario, obs)?;
+    let (cfg, faults, scenario) = smoke_scenario();
+    let report = Server::new(cfg, faults).run(&scenario, obs)?;
     Ok((scenario, report))
 }
 

@@ -57,7 +57,6 @@ fn main() {
         straggler_mtti_s: 40.0,
         straggler_duration_s: 15.0,
         straggler_slowdown: 2.0,
-        ..FaultRates::none()
     };
     let plan = (0..10_000)
         .map(|seed| FaultPlan::generate(seed, ranks, 200.0, rates))

@@ -319,9 +319,7 @@ fn forward_loops_record_identical_shots() {
 fn zero_snap_period_is_a_typed_error() {
     use rtm_core::checkpoint::migrate_checkpointed;
     use rtm_core::rand_boundary::{migrate_random_boundary, run_rtm_random_boundary};
-    use rtm_core::resilient::{
-        run_rand_boundary_with_restart, run_rtm_with_restart, run_rtm_with_restart_planned,
-    };
+    use rtm_core::resilient::run_rtm_with_restart;
     use rtm_core::{ConfigError, RtmError};
     use seismic_pml::RandomBoundarySpec;
     use seismic_source::Seismogram;
@@ -344,38 +342,18 @@ fn zero_snap_period_is_a_typed_error() {
     assert!(zero_snap(migrate_checkpointed(
         &m, &acq, &seis, &w, &cfg, 20, 0, 3, 2
     )));
-    assert!(zero_snap(run_rtm_with_restart(
-        &m,
-        &acq,
-        &w,
-        &cfg,
-        20,
-        0,
-        2,
-        5,
-        &[]
-    )));
-    assert!(zero_snap(run_rtm_with_restart_planned(
-        &m,
-        &acq,
-        &w,
-        &cfg,
-        20,
-        0,
-        2,
-        3,
-        &[]
-    )));
-    assert!(zero_snap(run_rand_boundary_with_restart(
-        &m,
-        &acq,
-        &w,
-        &cfg,
-        20,
-        0,
-        &spec,
-        2,
-        5,
-        &[]
-    )));
+    for randomized in [None, Some(&spec)] {
+        assert!(zero_snap(run_rtm_with_restart(
+            &m,
+            &acq,
+            &w,
+            &cfg,
+            20,
+            0,
+            2,
+            &[0, 5, 10, 15],
+            randomized,
+            &[]
+        )));
+    }
 }

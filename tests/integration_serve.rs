@@ -5,7 +5,7 @@ use acc_serve::{
     JobCost, JobOutcome, JobSpec, Payload, QueueSnapshot, Rejected, RtmJob, Scenario, Server,
     ServerConfig, Submission, Tenant,
 };
-use accel_sim::fault::{FaultPlan, FaultRates, FleetFaultPlan};
+use accel_sim::fault::{FaultPlan, FaultRates};
 use rtm_core::case::OptimizationConfig;
 use rtm_core::modeling::Medium2;
 use seismic_grid::cfl::stable_dt;
@@ -15,8 +15,8 @@ use seismic_pml::CpmlAxis;
 use seismic_source::{Acquisition2, Wavelet};
 use std::sync::Arc;
 
-fn clean_fleet(n: usize) -> FleetFaultPlan {
-    FleetFaultPlan::single(FaultPlan::generate(0, n, 1e7, FaultRates::none()))
+fn clean_fleet(n: usize) -> FaultPlan {
+    FaultPlan::generate(0, n, 1e7, FaultRates::none())
 }
 
 /// A 2× overload burst with an unambiguous shed class: priority-0 filler

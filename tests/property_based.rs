@@ -297,7 +297,6 @@ proptest! {
         for d in 0..devices {
             prop_assert_eq!(a.device_lost_at(d), b.device_lost_at(d));
             for q in 0..32u64 {
-                prop_assert_eq!(a.transfer_fails(d, q), b.transfer_fails(d, q));
                 prop_assert_eq!(a.alloc_fails(d, q), b.alloc_fails(d, q));
                 let t = horizon * (q as f64 / 32.0);
                 prop_assert!(a.slowdown(d, t) == b.slowdown(d, t));
