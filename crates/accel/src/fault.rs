@@ -20,10 +20,9 @@
 //!   device fails identically no matter when or how often it is asked.
 
 use crate::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// What went wrong.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The device fell off the bus (Xid 79-style): terminal for the device.
     DeviceLost,
@@ -32,7 +31,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault on one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Simulated time the fault strikes.
     pub t_s: SimTime,
@@ -46,7 +45,7 @@ pub struct FaultEvent {
 
 /// Fault process intensities. A rate of `f64::INFINITY` for an MTTI (or
 /// `0.0` for a probability) disables that fault class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRates {
     /// Mean time between device losses, per device, seconds.
     pub device_lost_mtti_s: f64,
@@ -69,18 +68,6 @@ impl FaultRates {
             straggler_mtti_s: f64::INFINITY,
             straggler_duration_s: 0.0,
             straggler_slowdown: 1.0,
-        }
-    }
-
-    /// A harsh burn-in profile: every class active at rates that hit a
-    /// multi-hour survey several times.
-    pub fn harsh(device_lost_mtti_s: f64) -> Self {
-        Self {
-            device_lost_mtti_s,
-            transient_oom_prob: 1e-3,
-            straggler_mtti_s: device_lost_mtti_s / 4.0,
-            straggler_duration_s: device_lost_mtti_s / 20.0,
-            straggler_slowdown: 2.5,
         }
     }
 }
@@ -135,7 +122,7 @@ fn arrivals(seed: u64, salt: u64, device: usize, mtti_s: f64, horizon_s: f64) ->
 
 /// A reproducible fault schedule for `n_devices` devices over a simulated
 /// horizon. Cheap to clone and to query; immutable once generated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     n_devices: usize,
@@ -247,9 +234,18 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// Every class active at rates that hit a day-long horizon many times.
+    const HARSH: FaultRates = FaultRates {
+        device_lost_mtti_s: 3600.0,
+        transient_oom_prob: 1e-3,
+        straggler_mtti_s: 900.0,
+        straggler_duration_s: 180.0,
+        straggler_slowdown: 2.5,
+    };
+
     #[test]
     fn same_seed_same_plan() {
-        let r = FaultRates::harsh(3600.0);
+        let r = HARSH;
         let a = FaultPlan::generate(42, 8, 86_400.0, r);
         let b = FaultPlan::generate(42, 8, 86_400.0, r);
         assert_eq!(a, b);
@@ -262,7 +258,7 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let r = FaultRates::harsh(3600.0);
+        let r = HARSH;
         let a = FaultPlan::generate(1, 8, 86_400.0, r);
         let b = FaultPlan::generate(2, 8, 86_400.0, r);
         assert_ne!(a.events(), b.events());

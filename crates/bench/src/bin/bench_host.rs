@@ -54,6 +54,20 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// The vector ISA the kernels dispatch to on this CPU: their AVX2 builds
+/// when it has AVX2, their baseline x86-64 (SSE2) builds otherwise.
+fn vector_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    if cfg!(target_arch = "x86_64") {
+        "sse2"
+    } else {
+        "baseline"
+    }
+}
+
 /// Time `reps` runs of `f` (which must do a full modeling run) and return
 /// the median wall-clock seconds.
 fn time_runs(reps: usize, mut f: impl FnMut() -> Seismogram) -> f64 {
@@ -365,6 +379,7 @@ fn main() {
         "cores",
         std::thread::available_parallelism().map_or(1, |c| c.get()),
     );
+    root.insert("vector_isa", vector_isa());
     let samples: Vec<serde_json::Value> = results
         .iter()
         .map(|s| {

@@ -201,8 +201,28 @@ impl Grid for Field3 {
 
 /// The imaging condition over one interior row: `image += src·rcv`, and
 /// `illum += src²`. Row slices let the compiler vectorise the loop; each
-/// point's sums are those of the per-point form.
+/// point's sums are those of the per-point form. Runs the AVX2 build when
+/// the CPU has AVX2; both builds compile one body and give the same bits
+/// (see `seismic_prop`'s "Vector ISA dispatch").
 fn correlate_row(src: &[f32], rcv: &[f32], image: &mut [f32], illum: Option<&mut [f32]>) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has AVX2, checked just above.
+        return unsafe { correlate_row_avx2(src, rcv, image, illum) };
+    }
+    correlate_row_body(src, rcv, image, illum)
+}
+
+/// [`correlate_row_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn correlate_row_avx2(src: &[f32], rcv: &[f32], image: &mut [f32], illum: Option<&mut [f32]>) {
+    correlate_row_body(src, rcv, image, illum)
+}
+
+/// The one source body of [`correlate_row`], inlined into each build.
+#[inline(always)]
+fn correlate_row_body(src: &[f32], rcv: &[f32], image: &mut [f32], illum: Option<&mut [f32]>) {
     for ((o, &a), &b) in image.iter_mut().zip(src).zip(rcv) {
         *o += a * b;
     }

@@ -122,37 +122,18 @@ impl CancellationToken {
     }
 }
 
-/// Per-rank health: consecutive-failure counting with blacklisting.
+/// Per-rank health: which ranks are blacklisted.
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
-    consecutive: Vec<u32>,
     blacklisted: Vec<bool>,
-    threshold: u32,
 }
 
 impl HealthTracker {
-    /// Track `n` ranks; blacklist after `threshold` consecutive failures.
-    pub fn new(n: usize, threshold: u32) -> Self {
+    /// Track `ranks` ranks, all healthy.
+    pub fn new(ranks: usize) -> Self {
         Self {
-            consecutive: vec![0; n],
-            blacklisted: vec![false; n],
-            threshold: threshold.max(1),
+            blacklisted: vec![false; ranks],
         }
-    }
-
-    /// Record a success (resets the failure streak).
-    pub fn record_success(&mut self, rank: usize) {
-        self.consecutive[rank] = 0;
-    }
-
-    /// Record a failure; returns true when the rank just got blacklisted.
-    pub fn record_failure(&mut self, rank: usize) -> bool {
-        self.consecutive[rank] += 1;
-        if self.consecutive[rank] >= self.threshold && !self.blacklisted[rank] {
-            self.blacklisted[rank] = true;
-            return true;
-        }
-        false
     }
 
     /// Blacklist immediately (terminal faults like a lost device).
@@ -483,7 +464,7 @@ pub fn plan_survey(
         .collect();
     let mut clock = vec![0.0f64; ranks];
     let mut attempt_seq = vec![0u64; ranks];
-    let mut health = HealthTracker::new(ranks, policy.max_retries.max(1));
+    let mut health = HealthTracker::new(ranks);
     let mut placement = vec![usize::MAX; n_shots];
     let mut stats = ResilienceStats::default();
 
@@ -548,7 +529,6 @@ pub fn plan_survey(
         match att.outcome {
             ShotOutcome::Completed { dur_s, .. } => {
                 stats.useful_s += dur_s;
-                health.record_success(r);
                 placement[s] = r;
             }
             ShotOutcome::DeviceLost { .. } | ShotOutcome::RetriesExhausted { .. } => {
@@ -897,19 +877,6 @@ mod tests {
         assert_eq!(after.outcome, ShotOutcome::Cancelled { at_s: 3.0 });
         assert_eq!(after.end_s, 3.0);
         assert_eq!(after.events, vec![ShotEvent::point("cancel:token", 3.0)]);
-    }
-
-    #[test]
-    fn health_tracker_blacklists_after_streak() {
-        let mut h = HealthTracker::new(3, 2);
-        assert!(!h.record_failure(1));
-        h.record_success(1);
-        assert!(!h.record_failure(1), "streak was reset");
-        assert!(h.record_failure(1), "second consecutive blacklists");
-        assert!(!h.is_healthy(1));
-        assert_eq!(h.healthy(), vec![0, 2]);
-        h.blacklist(0);
-        assert_eq!(h.healthy(), vec![2]);
     }
 
     #[test]

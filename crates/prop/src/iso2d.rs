@@ -114,8 +114,56 @@ impl Iso2State {
 /// `σ = σx[ix] + σz[iz]`; the Laplacian sums the centre term, then the x and
 /// z terms for k = 1..=4, the association order of the Fortran original.
 /// The new value is stored through [`flush`].
+///
+/// Runs the AVX2 build of the kernel when the CPU has AVX2, the baseline
+/// build otherwise; both compile one body and store the same bits (see the
+/// crate docs, "Vector ISA dispatch").
 #[allow(clippy::too_many_arguments)]
 pub fn step_slab(
+    u: SyncSlice,
+    u_cur: &[f32],
+    vp: &[f32],
+    e: Extent2,
+    dx: f32,
+    dz: f32,
+    dt: f32,
+    damp_x: &DampProfile,
+    damp_z: &DampProfile,
+    z0: usize,
+    z1: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has AVX2, checked just above.
+        return unsafe { step_slab_avx2(u, u_cur, vp, e, dx, dz, dt, damp_x, damp_z, z0, z1) };
+    }
+    step_slab_body(u, u_cur, vp, e, dx, dz, dt, damp_x, damp_z, z0, z1)
+}
+
+/// [`step_slab_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn step_slab_avx2(
+    u: SyncSlice,
+    u_cur: &[f32],
+    vp: &[f32],
+    e: Extent2,
+    dx: f32,
+    dz: f32,
+    dt: f32,
+    damp_x: &DampProfile,
+    damp_z: &DampProfile,
+    z0: usize,
+    z1: usize,
+) {
+    step_slab_body(u, u_cur, vp, e, dx, dz, dt, damp_x, damp_z, z0, z1)
+}
+
+/// The one source body of [`step_slab`], inlined into each build.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn step_slab_body(
     u: SyncSlice,
     u_cur: &[f32],
     vp: &[f32],
@@ -257,9 +305,38 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// The branch-free row kernel must be bitwise the per-point kernel it
-    /// replaces — full, windowed and transparent profiles, slabs cut
-    /// through a z strip, and a grid wide enough to need several x-tiles.
+    /// A build of [`step_slab`]'s body.
+    type Slab2 = fn(
+        SyncSlice,
+        &[f32],
+        &[f32],
+        Extent2,
+        f32,
+        f32,
+        f32,
+        &DampProfile,
+        &DampProfile,
+        usize,
+        usize,
+    );
+
+    /// The baseline build, and the AVX2 twin when this CPU has AVX2.
+    fn builds() -> Vec<(&'static str, Slab2)> {
+        let mut builds: Vec<(&str, Slab2)> = vec![("baseline", step_slab_body)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::has_avx2() {
+            builds.push(("avx2", |u, c, vp, e, dx, dz, dt, px, pz, z0, z1| {
+                // SAFETY: the CPU has AVX2, checked just above.
+                unsafe { step_slab_avx2(u, c, vp, e, dx, dz, dt, px, pz, z0, z1) }
+            }));
+        }
+        builds
+    }
+
+    /// Each build of the branch-free row kernel must be bitwise the
+    /// per-point kernel it replaces — full, windowed and transparent
+    /// profiles, slabs cut through a z strip, and a grid wide enough to
+    /// need several x-tiles.
     #[test]
     fn row_kernel_matches_pointwise_reference() {
         let (dx, dz, vmax, width) = (10.0, 12.5, 2000.0, 6);
@@ -282,16 +359,18 @@ pub(crate) mod tests {
                 .map(|r| 1500.0 + 500.0 * r)
                 .collect();
             let u_cur = noise(e.len(), 2);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for (dpx, dpz) in &profiles {
                 let mut expect = noise(e.len(), 3);
                 pointwise_reference(&mut expect, &u_cur, &vp, e, [dx, dz], dt, dpx, dpz);
-                let mut got = noise(e.len(), 3);
-                let u = SyncSlice::new(&mut got);
-                for (z0, z1) in [(0, width / 2), (width / 2, nz - 1), (nz - 1, nz)] {
-                    step_slab(u, &u_cur, &vp, e, dx, dz, dt, dpx, dpz, z0, z1);
+                for (build, slab) in builds() {
+                    let mut got = noise(e.len(), 3);
+                    let u = SyncSlice::new(&mut got);
+                    for (z0, z1) in [(0, width / 2), (width / 2, nz - 1), (nz - 1, nz)] {
+                        slab(u, &u_cur, &vp, e, dx, dz, dt, dpx, dpz, z0, z1);
+                    }
+                    assert_eq!(bits(&got), bits(&expect), "{build} {nx}x{nz}");
                 }
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&expect), "{nx}x{nz}");
             }
         }
         let tiling = tiles(1300, 3, 2 * STENCIL_HALF + 1);

@@ -76,9 +76,50 @@ impl Iso3State {
 
 /// One time step over interior z rows `[z0, z1)`: the damped update with
 /// `σ = σx[ix] + σy[iy] + σz[iz]` at every point, swept row by row and
-/// stored through [`flush`] (see [`crate::iso2d::step_slab`]).
+/// stored through [`flush`] (see [`crate::iso2d::step_slab`]). Runs the
+/// AVX2 build when the CPU has AVX2, as the 2D kernel does.
 #[allow(clippy::too_many_arguments)]
 pub fn step_slab(
+    u: SyncSlice,
+    u_cur: &[f32],
+    vp: &[f32],
+    e: Extent3,
+    h: [f32; 3],
+    dt: f32,
+    damp: &[DampProfile; 3],
+    z0: usize,
+    z1: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has AVX2, checked just above.
+        return unsafe { step_slab_avx2(u, u_cur, vp, e, h, dt, damp, z0, z1) };
+    }
+    step_slab_body(u, u_cur, vp, e, h, dt, damp, z0, z1)
+}
+
+/// [`step_slab_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn step_slab_avx2(
+    u: SyncSlice,
+    u_cur: &[f32],
+    vp: &[f32],
+    e: Extent3,
+    h: [f32; 3],
+    dt: f32,
+    damp: &[DampProfile; 3],
+    z0: usize,
+    z1: usize,
+) {
+    step_slab_body(u, u_cur, vp, e, h, dt, damp, z0, z1)
+}
+
+/// The one source body of [`step_slab`], inlined into each build.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn step_slab_body(
     u: SyncSlice,
     u_cur: &[f32],
     vp: &[f32],
@@ -218,8 +259,25 @@ mod tests {
         }
     }
 
-    /// The branch-free row kernel must be bitwise the per-point kernel it
-    /// replaces (cases as in the 2D test).
+    /// A build of [`step_slab`]'s body.
+    type Slab3 =
+        fn(SyncSlice, &[f32], &[f32], Extent3, [f32; 3], f32, &[DampProfile; 3], usize, usize);
+
+    /// The baseline build, and the AVX2 twin when this CPU has AVX2.
+    fn builds() -> Vec<(&'static str, Slab3)> {
+        let mut builds: Vec<(&str, Slab3)> = vec![("baseline", step_slab_body)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::has_avx2() {
+            builds.push(("avx2", |u, c, vp, e, h, dt, damp, z0, z1| {
+                // SAFETY: the CPU has AVX2, checked just above.
+                unsafe { step_slab_avx2(u, c, vp, e, h, dt, damp, z0, z1) }
+            }));
+        }
+        builds
+    }
+
+    /// Each build of the branch-free row kernel must be bitwise the
+    /// per-point kernel it replaces (cases as in the 2D test).
     #[test]
     fn row_kernel_matches_pointwise_reference() {
         let (h, vmax, width) = ([10.0, 11.0, 12.5], 2000.0, 4);
@@ -239,16 +297,18 @@ mod tests {
                 .map(|r| 1500.0 + 500.0 * r)
                 .collect();
             let u_cur = noise(e.len(), 2);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for damp in &profiles {
                 let mut expect = noise(e.len(), 3);
                 pointwise_reference(&mut expect, &u_cur, &vp, e, h, dt, damp);
-                let mut got = noise(e.len(), 3);
-                let u = SyncSlice::new(&mut got);
-                for (z0, z1) in [(0, width / 2), (width / 2, nz - 1), (nz - 1, nz)] {
-                    step_slab(u, &u_cur, &vp, e, h, dt, damp, z0, z1);
+                for (build, slab) in builds() {
+                    let mut got = noise(e.len(), 3);
+                    let u = SyncSlice::new(&mut got);
+                    for (z0, z1) in [(0, width / 2), (width / 2, nz - 1), (nz - 1, nz)] {
+                        slab(u, &u_cur, &vp, e, h, dt, damp, z0, z1);
+                    }
+                    assert_eq!(bits(&got), bits(&expect), "{build} {nx}x{ny}x{nz}");
                 }
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&expect), "{nx}x{ny}x{nz}");
             }
         }
         let tiling = tiles(150, 3, 81);

@@ -35,6 +35,18 @@
 //! `mpi-sim` ranks call the same methods on their rank-local windows. The
 //! [`desc`] module publishes per-kernel arithmetic descriptors (flops,
 //! bytes, registers) consumed by the `accel-sim` performance model.
+//!
+//! ## Vector ISA dispatch
+//!
+//! The iso kernels and the staggered sweep are each built twice from one
+//! `#[inline(always)]` source body: for baseline x86-64 (SSE2, 4 f32 lanes)
+//! and as a `#[target_feature(enable = "avx2")]` twin (8 lanes). Each launch
+//! runs the twin when `is_x86_feature_detected!("avx2")` holds (the sweep
+//! only on rows long enough for it to pay); a CPU without AVX2, or another
+//! target, runs the baseline build. Both store the same bits: `avx2` does
+//! not enable FMA, Rust never contracts `a*b + c`, and IEEE add, mul, div
+//! and the floor's compare/select give the same result in every lane
+//! whatever the lane width.
 
 pub mod acoustic2d;
 pub mod acoustic3d;
@@ -45,6 +57,17 @@ pub mod iso2d;
 pub mod iso3d;
 mod stagger;
 pub mod vti2d;
+
+/// Whether this CPU can run the AVX2 twins; prints a note when it cannot,
+/// so a test that checks only the baseline build says so.
+#[cfg(all(test, target_arch = "x86_64"))]
+fn has_avx2() -> bool {
+    let yes = std::arch::is_x86_feature_detected!("avx2");
+    if !yes {
+        println!("note: this CPU lacks AVX2; the AVX2 twin is not checked");
+    }
+    yes
+}
 
 use serde::{Deserialize, Serialize};
 

@@ -290,7 +290,14 @@ proptest! {
         horizon in 50.0f64..500.0,
     ) {
         use accel_sim::fault::{FaultPlan, FaultRates};
-        let rates = FaultRates::harsh(horizon / 3.0);
+        let mtti = horizon / 3.0;
+        let rates = FaultRates {
+            device_lost_mtti_s: mtti,
+            transient_oom_prob: 1e-3,
+            straggler_mtti_s: mtti / 4.0,
+            straggler_duration_s: mtti / 20.0,
+            straggler_slowdown: 2.5,
+        };
         let a = FaultPlan::generate(seed, devices, horizon, rates);
         let b = FaultPlan::generate(seed, devices, horizon, rates);
         prop_assert_eq!(a.events(), b.events());
