@@ -27,7 +27,8 @@
 //!   real-time profile (`exec_host::prof`) as `wall worker N` tracks in
 //!   the *same* trace (distinct clock domain, explicitly labeled), plus
 //!   derived gang metrics: utilization, barrier-wait fraction, slab
-//!   imbalance, tiles/s per worker.
+//!   imbalance, per-worker busy time, and a `complete` flag that turns
+//!   false when the profiler lost events.
 
 pub mod metrics;
 pub mod registry;

@@ -2,7 +2,8 @@
 //! session: `exec_host::prof::HostProfile` → spans on [`Track::WallWorker`]
 //! tracks, histograms/counters in the [`Registry`], and a derived
 //! [`HostReport`] (utilization, barrier-wait fraction, slab imbalance,
-//! tiles/s per worker).
+//! per-worker busy/barrier/wake seconds, and whether the profile is
+//! complete). [`report`] is the one place a drained profile is summed up.
 //!
 //! ## Two clock domains, one trace
 //!
@@ -14,10 +15,6 @@
 //! measured time. The timestamps are deliberately **not** aligned or
 //! rescaled: the point of the calibration layer is to compare the two
 //! domains, not to blend them.
-//!
-//! `TileBatch` instants are folded into counters and per-worker tile
-//! totals rather than rendered as spans — a small run records tens of
-//! thousands of them, which would drown the timeline.
 //!
 //! [`Registry`]: crate::Registry
 
@@ -37,16 +34,12 @@ pub struct WorkerStat {
     pub slabs: u64,
     /// Grid rows executed.
     pub rows: u64,
-    /// x-tiles executed.
-    pub tiles: u64,
     /// Seconds inside slab bodies.
     pub busy_s: f64,
     /// Seconds the launching caller spent in the join barrier.
     pub barrier_wait_s: f64,
     /// Seconds of publish→pickup wake latency.
     pub wake_s: f64,
-    /// Tiles per busy second (0 when never busy).
-    pub tiles_per_s: f64,
 }
 
 /// Gang-level roll-up of one drained host profile.
@@ -73,8 +66,6 @@ pub struct HostReport {
     pub sweeps: u64,
     /// Slabs observed.
     pub slabs: u64,
-    /// Tiles observed.
-    pub tiles: u64,
     /// Events lost to full rings.
     pub dropped: u64,
     /// Events lost to thread-slot exhaustion.
@@ -82,10 +73,18 @@ pub struct HostReport {
 }
 
 impl HostReport {
+    /// True when no event was lost: no ring overflowed and no thread was
+    /// refused a slot. An incomplete report undercounts every total.
+    pub fn complete(&self) -> bool {
+        self.dropped + self.thread_overflow == 0
+    }
+
     /// The report as a JSON object (the `host_profile.json` payload's
-    /// `report` section).
+    /// `report` section, and the `host` section of accprof's
+    /// `report.json`).
     pub fn to_json(&self) -> serde_json::Value {
         let mut o = serde_json::Map::new();
+        o.insert("complete", self.complete());
         o.insert("wall_s", self.wall_s);
         o.insert("utilization", self.utilization);
         o.insert("barrier_wait_frac", self.barrier_wait_frac);
@@ -97,7 +96,6 @@ impl HostReport {
         o.insert("phases_s", phases);
         o.insert("sweeps", self.sweeps);
         o.insert("slabs", self.slabs);
-        o.insert("tiles", self.tiles);
         o.insert("dropped", self.dropped);
         o.insert("thread_overflow", self.thread_overflow);
         o.insert(
@@ -109,11 +107,9 @@ impl HostReport {
                     m.insert("slot", u64::from(w.slot));
                     m.insert("slabs", w.slabs);
                     m.insert("rows", w.rows);
-                    m.insert("tiles", w.tiles);
                     m.insert("busy_s", w.busy_s);
                     m.insert("barrier_wait_s", w.barrier_wait_s);
                     m.insert("wake_s", w.wake_s);
-                    m.insert("tiles_per_s", w.tiles_per_s);
                     serde_json::Value::Object(m)
                 })
                 .collect::<Vec<serde_json::Value>>(),
@@ -122,32 +118,53 @@ impl HostReport {
     }
 }
 
-/// Derive the gang-level report from a drained profile.
+/// Derive the gang-level report from a drained profile, in one pass over
+/// its events.
 pub fn report(profile: &HostProfile) -> HostReport {
-    let (lo_ns, hi_ns) = profile.time_bounds_ns();
-    let wall_s = (hi_ns - lo_ns) as f64 * NS;
+    let (mut lo_ns, mut hi_ns) = (u64::MAX, 0u64);
+    let (mut sweeps, mut sweep_ns, mut barrier_ns) = (0u64, 0u64, 0u64);
+    let mut phase_ns = [0u64; 3];
     let mut workers: Vec<WorkerStat> = profile
-        .worker_summaries()
+        .slots
         .iter()
-        .map(|w| {
-            let busy_s = w.busy_ns as f64 * NS;
+        .map(|s| {
+            let (mut slabs, mut rows) = (0u64, 0u64);
+            let (mut busy, mut barrier, mut wake) = (0u64, 0u64, 0u64);
+            for e in &s.events {
+                lo_ns = lo_ns.min(e.start_ns);
+                hi_ns = hi_ns.max(e.end_ns);
+                match e.kind {
+                    EventKind::Slab => {
+                        slabs += 1;
+                        rows += u64::from(e.arg1);
+                        busy += e.dur_ns();
+                    }
+                    EventKind::BarrierWait => barrier += e.dur_ns(),
+                    EventKind::Wake => wake += e.dur_ns(),
+                    EventKind::Sweep => {
+                        sweeps += 1;
+                        sweep_ns += e.dur_ns();
+                    }
+                    EventKind::Phase => {
+                        if let Some(t) = phase_ns.get_mut(e.arg0 as usize) {
+                            *t += e.dur_ns();
+                        }
+                    }
+                }
+            }
+            barrier_ns += barrier;
             WorkerStat {
-                slot: w.slot,
-                slabs: w.slabs,
-                rows: w.rows,
-                tiles: w.tiles,
-                busy_s,
-                barrier_wait_s: w.barrier_wait_ns as f64 * NS,
-                wake_s: w.wake_ns as f64 * NS,
-                tiles_per_s: if busy_s > 0.0 {
-                    w.tiles as f64 / busy_s
-                } else {
-                    0.0
-                },
+                slot: s.slot,
+                slabs,
+                rows,
+                busy_s: busy as f64 * NS,
+                barrier_wait_s: barrier as f64 * NS,
+                wake_s: wake as f64 * NS,
             }
         })
         .collect();
     workers.sort_by_key(|w| w.slot);
+    let wall_s = hi_ns.saturating_sub(lo_ns) as f64 * NS;
 
     let engaged: Vec<&WorkerStat> = workers.iter().filter(|w| w.slabs > 0).collect();
     let busy_total: f64 = engaged.iter().map(|w| w.busy_s).sum();
@@ -162,76 +179,50 @@ pub fn report(profile: &HostProfile) -> HostReport {
     } else {
         0.0
     };
-
-    let mut sweep_ns = 0u64;
-    let mut barrier_ns = 0u64;
-    let mut sweeps = 0u64;
-    for s in &profile.slots {
-        for e in &s.events {
-            match e.kind {
-                EventKind::Sweep => {
-                    sweeps += 1;
-                    sweep_ns += e.dur_ns();
-                }
-                EventKind::BarrierWait => barrier_ns += e.dur_ns(),
-                _ => {}
-            }
-        }
-    }
     let barrier_wait_frac = if sweep_ns > 0 {
         barrier_ns as f64 / sweep_ns as f64
     } else {
         0.0
     };
-    let phase_ns = profile.phase_totals_ns();
 
     HostReport {
         wall_s,
         utilization,
         barrier_wait_frac,
         imbalance,
-        phases_s: [
-            phase_ns[0] as f64 * NS,
-            phase_ns[1] as f64 * NS,
-            phase_ns[2] as f64 * NS,
-        ],
+        phases_s: phase_ns.map(|ns| ns as f64 * NS),
         sweeps,
         slabs: workers.iter().map(|w| w.slabs).sum(),
-        tiles: workers.iter().map(|w| w.tiles).sum(),
         dropped: profile.dropped,
         thread_overflow: profile.thread_overflow,
         workers,
     }
 }
 
-fn span_for(slot: u32, e: &Event) -> Option<Span> {
+fn span_for(slot: u32, e: &Event) -> Span {
     let (cat, name) = match e.kind {
         EventKind::Sweep => (SpanCat::Sweep, format!("sweep g{}", e.arg0)),
         EventKind::Slab => (SpanCat::Slab, format!("slab g{}", e.arg0)),
         EventKind::BarrierWait => (SpanCat::Barrier, "barrier".to_string()),
         EventKind::Wake => (SpanCat::Wake, "wake".to_string()),
         EventKind::Phase => (SpanCat::Phase, phase_name(e.arg0).to_string()),
-        // Folded into counters — see module docs.
-        EventKind::TileBatch => return None,
     };
-    Some(
-        Span::new(
-            Track::WallWorker(slot),
-            cat,
-            name,
-            e.start_ns as f64 * NS,
-            e.dur_ns() as f64 * NS,
-        )
-        .with_arg("clock", "wall"),
+    Span::new(
+        Track::WallWorker(slot),
+        cat,
+        name,
+        e.start_ns as f64 * NS,
+        e.dur_ns() as f64 * NS,
     )
+    .with_arg("clock", "wall")
 }
 
 /// Ingest a drained profile into a session: spans onto `wall worker N`
 /// tracks (tagged `clock=wall`), per-event-kind duration histograms
 /// (`host_slab_s`, `host_sweep_s`, `host_barrier_wait_s`, `host_wake_s`),
-/// counters (`host_sweeps`, `host_slabs`, `host_tiles`,
-/// `host_prof_dropped`, `host_prof_thread_overflow`), and headline gauges
-/// from the derived report. Returns that report.
+/// counters (`host_sweeps`, `host_slabs`, `host_prof_dropped`,
+/// `host_prof_thread_overflow`), and headline gauges from the derived
+/// report. Returns that report.
 pub fn ingest(profile: &HostProfile, session: &ObsSession) -> HostReport {
     let mut slab_h = Histogram::default();
     let mut sweep_h = Histogram::default();
@@ -245,11 +236,9 @@ pub fn ingest(profile: &HostProfile, session: &ObsSession) -> HostReport {
                 EventKind::Sweep => sweep_h.observe(dur_s),
                 EventKind::BarrierWait => barrier_h.observe(dur_s),
                 EventKind::Wake => wake_h.observe(dur_s),
-                EventKind::TileBatch | EventKind::Phase => {}
+                EventKind::Phase => {}
             }
-            if let Some(span) = span_for(s.slot, e) {
-                session.span(span);
-            }
+            session.span(span_for(s.slot, e));
         }
     }
     session.registry.merge_histogram("host_slab_s", &slab_h);
@@ -262,7 +251,6 @@ pub fn ingest(profile: &HostProfile, session: &ObsSession) -> HostReport {
     let rep = report(profile);
     session.registry.inc("host_sweeps", rep.sweeps);
     session.registry.inc("host_slabs", rep.slabs);
-    session.registry.inc("host_tiles", rep.tiles);
     session.registry.inc("host_prof_dropped", rep.dropped);
     session
         .registry
@@ -306,7 +294,6 @@ pub fn host_profile_json(profile: &HostProfile) -> String {
                                     EventKind::Slab => "slab",
                                     EventKind::BarrierWait => "barrier_wait",
                                     EventKind::Wake => "wake",
-                                    EventKind::TileBatch => "tile_batch",
                                     EventKind::Phase => "phase",
                                 },
                             );
@@ -361,7 +348,6 @@ mod tests {
                     events: vec![
                         ev(EventKind::Wake, 1, 0, 1_050, 1_150),
                         ev(EventKind::Slab, 1, 32, 1_200, 8_700),
-                        ev(EventKind::TileBatch, 5, 64, 1_300, 1_300),
                     ],
                 },
             ],
@@ -375,8 +361,8 @@ mod tests {
         let rep = report(&sample_profile());
         assert_eq!(rep.sweeps, 1);
         assert_eq!(rep.slabs, 2);
-        assert_eq!(rep.tiles, 5);
         assert_eq!(rep.dropped, 2);
+        assert!(!rep.complete());
         assert!((rep.wall_s - 30_000.0 * NS).abs() < 1e-12);
         // Phases: forward 10µs, backward 20µs, imaging 2µs.
         assert!((rep.phases_s[0] - 1e-5).abs() < 1e-12);
@@ -387,9 +373,17 @@ mod tests {
         // Two engaged slots; busy 3800ns and 7500ns → imbalance > 1.
         assert!(rep.imbalance > 1.0 && rep.imbalance < 2.0, "{rep:?}");
         assert!(rep.utilization > 0.0 && rep.utilization < 1.0);
-        let w1 = rep.workers.iter().find(|w| w.slot == 1).unwrap();
-        assert_eq!(w1.tiles, 5);
-        assert!(w1.tiles_per_s > 0.0);
+        // Per-slot roll-up: slot 0 is the caller (slab, barrier, phases),
+        // slot 1 a worker (wake, slab).
+        let w0 = &rep.workers[0];
+        assert_eq!((w0.slot, w0.slabs, w0.rows), (0, 1, 32));
+        assert!((w0.busy_s - 3_800.0 * NS).abs() < 1e-15);
+        assert!((w0.barrier_wait_s - 3_700.0 * NS).abs() < 1e-15);
+        assert_eq!(w0.wake_s, 0.0);
+        let w1 = &rep.workers[1];
+        assert_eq!((w1.slot, w1.slabs, w1.rows), (1, 1, 32));
+        assert!((w1.busy_s - 7_500.0 * NS).abs() < 1e-15);
+        assert_eq!(w1.barrier_wait_s, 0.0);
         assert!((w1.wake_s - 100.0 * NS).abs() < 1e-15);
     }
 
@@ -400,8 +394,8 @@ mod tests {
         session.span(Span::new(Track::Host, SpanCat::Phase, "forward", 0.0, 1.0));
         let rep = ingest(&sample_profile(), &session);
         assert!(rep.sweeps == 1);
-        // Tile instants are not rendered as spans: 8 spans + 1 simulated.
-        assert_eq!(session.tracer.len(), 10 - 1);
+        // Every event is a span: 8 wall spans + 1 simulated.
+        assert_eq!(session.tracer.len(), 9);
         // Both clock domains present, flame discipline holds per track.
         let tracks = session.tracer.tracks();
         assert!(tracks.contains(&Track::Host));
@@ -421,7 +415,6 @@ mod tests {
         assert_eq!(session.registry.histogram("host_slab_s").unwrap().count, 2);
         assert_eq!(session.registry.histogram("host_wake_s").unwrap().count, 1);
         assert_eq!(session.registry.counter("host_slabs"), 2);
-        assert_eq!(session.registry.counter("host_tiles"), 5);
         assert_eq!(session.registry.counter("host_prof_dropped"), 2);
         assert!(session.registry.gauge("host_utilization").unwrap() > 0.0);
     }
@@ -434,6 +427,8 @@ mod tests {
         let rep = v.get("report").unwrap();
         assert_eq!(rep.get("sweeps").unwrap().as_u64(), Some(1));
         assert_eq!(rep.get("slabs").unwrap().as_u64(), Some(2));
+        // The sample lost 2 events, so the profile says it is incomplete.
+        assert_eq!(rep.get("complete").unwrap().as_bool(), Some(false));
         assert!(rep.get("phases_s").unwrap().get("forward").is_some());
         let slots = v.get("slots").unwrap().as_array().unwrap();
         assert_eq!(slots.len(), 2);
@@ -449,6 +444,7 @@ mod tests {
         assert_eq!(rep.utilization, 0.0);
         assert_eq!(rep.imbalance, 0.0);
         assert!(rep.workers.is_empty());
+        assert!(rep.complete());
         let session = ObsSession::new();
         ingest(&HostProfile::default(), &session);
         assert!(session.tracer.is_empty());

@@ -16,14 +16,14 @@
 //!   instead of being spawned per launch. Slab partitioning is a pure function of `(n, gangs, g)`, so
 //!   parallel output is bit-identical to sequential regardless of which
 //!   worker executes which slab.
-//! * [`tile`] — the cache-blocking tuner: picks an x-tile width for the
-//!   z-slab × x-tile loop schedule of the stencil sweeps from the stencil
-//!   footprint and a cache budget (à la the paper's loop-schedule
-//!   experiments).
 //! * [`prof`] — the wall-clock host profiler: per-thread lock-free ring
-//!   buffers recording sweep/slab/barrier/wake/tile/phase events with
+//!   buffers recording sweep/slab/barrier/wake/phase events with
 //!   `Instant` timestamps, drained into `acc-obs` wall-clock tracks. Off
 //!   by default (one relaxed load per record site).
+//!
+//! There is no cache-blocking tuner: splitting rows into x-tiles measured
+//! slower on every grid it split (EXPERIMENTS.md, "Untiled rows"), so the
+//! stencil sweeps run each row over its full interior width.
 //!
 //! Everything here is `std`-only and dependency-free. `seismic-prop`
 //! launches its kernel sequences through [`par_slabs`]; `openacc-sim`
@@ -31,10 +31,8 @@
 
 pub mod pool;
 pub mod prof;
-pub mod tile;
 
 #[cfg(not(loom))]
 pub use pool::par_slabs;
 pub use pool::{slab_bounds, GangPool};
-pub use prof::{HostProfile, WorkerSummary};
-pub use tile::{tiles, Tiling};
+pub use prof::HostProfile;

@@ -3,7 +3,7 @@
 //! The simulated-device stack (`accel-sim`/`acc-obs`) times everything in
 //! *modeled* seconds; the real gang engine in this crate ran dark until
 //! now. This module records what the pool actually does — sweeps, slab
-//! claims, barrier waits, worker wake latency, tile batches, RTM phases —
+//! claims, barrier waits, worker wake latency, RTM phases —
 //! with `Instant` timestamps, at a cost low enough to leave compiled in:
 //!
 //! * **Disabled** (the default), every record site is one relaxed atomic
@@ -51,9 +51,6 @@ pub enum EventKind {
     /// Worker wake latency: epoch publish (caller clock) → job pickup
     /// (worker clock). `arg0` = low 32 bits of the pool epoch.
     Wake,
-    /// One x-tile batch over a row interval (instant event).
-    /// `arg0` = tiles in the batch, `arg1` = tile width.
-    TileBatch,
     /// One RTM driver phase. `arg0` = [`PHASE_FORWARD`] /
     /// [`PHASE_BACKWARD`] / [`PHASE_IMAGING`].
     Phase,
@@ -82,13 +79,13 @@ pub fn phase_name(id: u32) -> &'static str {
 pub struct Event {
     /// Event kind.
     pub kind: EventKind,
-    /// Kind-specific argument (gang index, gangs, tiles, phase id).
+    /// Kind-specific argument (gang index, gangs, phase id).
     pub arg0: u32,
-    /// Kind-specific argument (rows, tile width).
+    /// Kind-specific argument (rows).
     pub arg1: u32,
     /// Start, ns since epoch.
     pub start_ns: u64,
-    /// End, ns since epoch (== start for instant events).
+    /// End, ns since epoch.
     pub end_ns: u64,
 }
 
@@ -127,28 +124,6 @@ pub struct HostProfile {
     pub thread_overflow: u64,
 }
 
-/// Per-slot roll-up derived from a [`HostProfile`] (dependency-free; the
-/// JSON/track rendering lives in `acc-obs::wallclock`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerSummary {
-    /// Thread slot.
-    pub slot: u32,
-    /// Slabs executed.
-    pub slabs: u64,
-    /// Rows executed (sum of slab widths).
-    pub rows: u64,
-    /// Tiles executed (sum of tile-batch counts).
-    pub tiles: u64,
-    /// Time inside slab bodies, ns.
-    pub busy_ns: u64,
-    /// Time the launching caller spent waiting on the join barrier, ns.
-    pub barrier_wait_ns: u64,
-    /// Wake latency total (publish → pickup), ns.
-    pub wake_ns: u64,
-    /// Sweeps launched from this thread.
-    pub sweeps: u64,
-}
-
 impl HostProfile {
     /// Total completed events.
     pub fn len(&self) -> usize {
@@ -158,68 +133,6 @@ impl HostProfile {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Per-slot totals.
-    pub fn worker_summaries(&self) -> Vec<WorkerSummary> {
-        self.slots
-            .iter()
-            .map(|s| {
-                let mut w = WorkerSummary {
-                    slot: s.slot,
-                    ..Default::default()
-                };
-                for e in &s.events {
-                    match e.kind {
-                        EventKind::Slab => {
-                            w.slabs += 1;
-                            w.rows += u64::from(e.arg1);
-                            w.busy_ns += e.dur_ns();
-                        }
-                        EventKind::BarrierWait => w.barrier_wait_ns += e.dur_ns(),
-                        EventKind::Wake => w.wake_ns += e.dur_ns(),
-                        EventKind::TileBatch => w.tiles += u64::from(e.arg0),
-                        EventKind::Sweep => w.sweeps += 1,
-                        EventKind::Phase => {}
-                    }
-                }
-                w
-            })
-            .collect()
-    }
-
-    /// Total ns per phase id `[forward, backward, imaging]`, summed over
-    /// every `Phase` event. Imaging events are nested inside backward, so
-    /// exclusive backward time is `backward − imaging`.
-    pub fn phase_totals_ns(&self) -> [u64; 3] {
-        let mut out = [0u64; 3];
-        for s in &self.slots {
-            for e in &s.events {
-                if e.kind == EventKind::Phase {
-                    if let Some(t) = out.get_mut(e.arg0 as usize) {
-                        *t += e.dur_ns();
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// `[min, max]` event timestamps, ns (0,0 when empty).
-    pub fn time_bounds_ns(&self) -> (u64, u64) {
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for s in &self.slots {
-            for e in &s.events {
-                lo = lo.min(e.start_ns);
-                hi = hi.max(e.end_ns);
-            }
-        }
-        if lo == u64::MAX {
-            (0, 0)
-        } else {
-            (lo, hi)
-        }
     }
 }
 
@@ -374,22 +287,6 @@ pub fn end(t0: Option<Instant>, kind: EventKind, arg0: u32, arg1: u32) {
         arg1,
         start_ns,
         end_ns: end_ns.max(start_ns),
-    });
-}
-
-/// Record an instant (zero-duration) event.
-#[inline]
-pub fn instant(kind: EventKind, arg0: u32, arg1: u32) {
-    if !enabled() {
-        return;
-    }
-    let ns = now_ns();
-    record(Event {
-        kind,
-        arg0,
-        arg1,
-        start_ns: ns,
-        end_ns: ns,
     });
 }
 

@@ -1,6 +1,7 @@
 //! Span-ring behaviour of the wall-clock profiler: recording on and off,
 //! span arguments and order, one ring per thread, ring overflow, and the
-//! per-worker summaries.
+//! raw spans behind the per-worker summaries and phase totals (the roll-up
+//! itself is tested where it lives, in `acc-obs::wallclock`).
 //!
 //! The profiler switch is process-global. These tests run in their own
 //! process, where nothing else launches gangs or records, and each one
@@ -23,7 +24,7 @@ fn disabled_records_nothing() {
     set_enabled(false);
     drain();
     end(begin(), EventKind::Slab, 0, 8);
-    instant(EventKind::TileBatch, 4, 64);
+    span_ns(EventKind::Wake, 4, 64, 0, 10);
     assert!(drain().is_empty());
 }
 
@@ -35,7 +36,8 @@ fn spans_round_trip_with_args_and_order() {
     let t0 = begin();
     std::thread::sleep(std::time::Duration::from_millis(1));
     end(t0, EventKind::Slab, 3, 17);
-    instant(EventKind::TileBatch, 5, 128);
+    let ns = now_ns();
+    span_ns(EventKind::Wake, 5, 128, ns, ns);
     set_enabled(false);
     let p = drain();
     assert_eq!(p.len(), 2);
@@ -43,7 +45,8 @@ fn spans_round_trip_with_args_and_order() {
     assert_eq!(evs[0].kind, EventKind::Slab);
     assert_eq!((evs[0].arg0, evs[0].arg1), (3, 17));
     assert!(evs[0].dur_ns() >= 1_000_000, "slept 1ms: {:?}", evs[0]);
-    assert_eq!(evs[1].kind, EventKind::TileBatch);
+    assert_eq!(evs[1].kind, EventKind::Wake);
+    assert_eq!((evs[1].arg0, evs[1].arg1), (5, 128));
     assert!(evs[1].start_ns >= evs[0].end_ns);
     assert_eq!(evs[1].dur_ns(), 0);
     assert_eq!(p.dropped, 0);
@@ -81,7 +84,7 @@ fn full_ring_drops_and_counts() {
     set_enabled(true);
     drain();
     for _ in 0..RING_CAP + 10 {
-        instant(EventKind::TileBatch, 1, 64);
+        end(begin(), EventKind::Slab, 1, 64);
     }
     set_enabled(false);
     let p = drain();
@@ -89,7 +92,7 @@ fn full_ring_drops_and_counts() {
     assert_eq!(p.dropped, 10);
     // Drained rings are reusable.
     set_enabled(true);
-    instant(EventKind::TileBatch, 1, 64);
+    end(begin(), EventKind::Slab, 1, 64);
     set_enabled(false);
     let p = drain();
     assert_eq!(p.len(), 1);
@@ -98,6 +101,9 @@ fn full_ring_drops_and_counts() {
 
 #[test]
 fn summaries_and_phase_totals() {
+    // The rings keep everything the per-worker roll-up in
+    // `acc-obs::wallclock::report` reads: kind, arguments and exact
+    // timestamps of each span, on the slot of the thread that recorded it.
     let _g = gate();
     set_enabled(true);
     drain();
@@ -108,19 +114,35 @@ fn summaries_and_phase_totals() {
     span_ns(EventKind::Slab, 1, 12, 200, 350);
     span_ns(EventKind::BarrierWait, 2, 0, 350, 400);
     span_ns(EventKind::Wake, 0, 0, 90, 120);
-    instant(EventKind::TileBatch, 7, 64);
     set_enabled(false);
     let p = drain();
-    let totals = p.phase_totals_ns();
+    assert_eq!(p.slots.len(), 1, "one recording thread, one slot");
+    assert_eq!((p.dropped, p.thread_overflow), (0, 0));
+    let evs = &p.slots[0].events;
+    assert_eq!(evs.len(), 7);
+
+    let mut totals = [0u64; 3];
+    let (mut slabs, mut rows, mut busy, mut barrier, mut wake) = (0, 0, 0, 0, 0);
+    for e in evs {
+        match e.kind {
+            EventKind::Phase => totals[e.arg0 as usize] += e.dur_ns(),
+            EventKind::Slab => {
+                slabs += 1;
+                rows += u64::from(e.arg1);
+                busy += e.dur_ns();
+            }
+            EventKind::BarrierWait => barrier += e.dur_ns(),
+            EventKind::Wake => wake += e.dur_ns(),
+            EventKind::Sweep => unreachable!("no sweep was recorded"),
+        }
+    }
     assert_eq!(totals, [3_000, 6_000, 1_000]);
-    let w = &p.worker_summaries()[0];
-    assert_eq!(w.slabs, 2);
-    assert_eq!(w.rows, 22);
-    assert_eq!(w.busy_ns, 100 + 150);
-    assert_eq!(w.barrier_wait_ns, 50);
-    assert_eq!(w.wake_ns, 30);
-    assert_eq!(w.tiles, 7);
-    let (lo, hi) = p.time_bounds_ns();
-    assert_eq!(lo, 0);
-    assert!(hi >= 9_000);
+    assert_eq!(slabs, 2);
+    assert_eq!(rows, 22);
+    assert_eq!(busy, 100 + 150);
+    assert_eq!(barrier, 50);
+    assert_eq!(wake, 30);
+    let lo = evs.iter().map(|e| e.start_ns).min().unwrap();
+    let hi = evs.iter().map(|e| e.end_ns).max().unwrap();
+    assert_eq!((lo, hi), (0, 9_000));
 }

@@ -5,19 +5,9 @@
 //! They read the halo, so the caller must have applied boundary conditions
 //! / ghost exchange first. The propagators do not call them: each
 //! `seismic-prop` state runs its own fused kernels.
-//!
-//! The sweeps are cache-blocked along x (z-rows × x-tiles, tile width from
-//! `exec_host::tile::tiles`). Blocking is bitwise-free: every output point
-//! is written exactly once from inputs that never change during the sweep,
-//! so any iteration order over points produces identical bits — the tuner
-//! affects speed only.
 
 use crate::fd::f32c;
 use crate::{Field2, Field3, STENCIL_HALF};
-use exec_host::tiles;
-
-/// Stencil rows a Laplacian point touches along the slow axes.
-const LAP_ROWS: usize = 2 * STENCIL_HALF + 1;
 
 /// 8th-order Laplacian of `u` into `out` (interior points only), grid
 /// spacings `dx`, `dz`.
@@ -33,18 +23,15 @@ pub fn laplacian2(u: &Field2, out: &mut Field2, dx: f32, dz: f32) {
     let oi = out.as_mut_slice();
     let rdx2 = 1.0 / (dx * dx);
     let rdz2 = 1.0 / (dz * dz);
-    let tiling = tiles(e.nx, 2, LAP_ROWS);
-    for (x0, x1) in tiling.ranges(0, e.nx) {
-        for iz in 0..e.nz {
-            for ix in x0..x1 {
-                let c = e.idx(ix, iz);
-                let mut lap = f32c::C2[0] * ui[c] * (rdx2 + rdz2);
-                for k in 1..=STENCIL_HALF {
-                    lap += f32c::C2[k] * ((ui[c + k] + ui[c - k]) * rdx2);
-                    lap += f32c::C2[k] * ((ui[c + k * fnx] + ui[c - k * fnx]) * rdz2);
-                }
-                oi[c] = lap;
+    for iz in 0..e.nz {
+        for ix in 0..e.nx {
+            let c = e.idx(ix, iz);
+            let mut lap = f32c::C2[0] * ui[c] * (rdx2 + rdz2);
+            for k in 1..=STENCIL_HALF {
+                lap += f32c::C2[k] * ((ui[c + k] + ui[c - k]) * rdx2);
+                lap += f32c::C2[k] * ((ui[c + k * fnx] + ui[c - k * fnx]) * rdz2);
             }
+            oi[c] = lap;
         }
     }
 }
@@ -64,20 +51,17 @@ pub fn laplacian3(u: &Field3, out: &mut Field3, dx: f32, dy: f32, dz: f32) {
     let rdx2 = 1.0 / (dx * dx);
     let rdy2 = 1.0 / (dy * dy);
     let rdz2 = 1.0 / (dz * dz);
-    let tiling = tiles(e.nx, 2, LAP_ROWS * LAP_ROWS);
-    for (x0, x1) in tiling.ranges(0, e.nx) {
-        for iz in 0..e.nz {
-            for iy in 0..e.ny {
-                for ix in x0..x1 {
-                    let c = e.idx(ix, iy, iz);
-                    let mut lap = f32c::C2[0] * ui[c] * (rdx2 + rdy2 + rdz2);
-                    for k in 1..=STENCIL_HALF {
-                        lap += f32c::C2[k] * ((ui[c + k] + ui[c - k]) * rdx2);
-                        lap += f32c::C2[k] * ((ui[c + k * fnx] + ui[c - k * fnx]) * rdy2);
-                        lap += f32c::C2[k] * ((ui[c + k * fnxy] + ui[c - k * fnxy]) * rdz2);
-                    }
-                    oi[c] = lap;
+    for iz in 0..e.nz {
+        for iy in 0..e.ny {
+            for ix in 0..e.nx {
+                let c = e.idx(ix, iy, iz);
+                let mut lap = f32c::C2[0] * ui[c] * (rdx2 + rdy2 + rdz2);
+                for k in 1..=STENCIL_HALF {
+                    lap += f32c::C2[k] * ((ui[c + k] + ui[c - k]) * rdx2);
+                    lap += f32c::C2[k] * ((ui[c + k * fnx] + ui[c - k * fnx]) * rdy2);
+                    lap += f32c::C2[k] * ((ui[c + k * fnxy] + ui[c - k * fnxy]) * rdz2);
                 }
+                oi[c] = lap;
             }
         }
     }
@@ -138,40 +122,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A grid wide enough for the tuner to split into x-tiles gives the
-    /// same Laplacian bits as an untiled per-point loop: the blocking
-    /// schedule may only change speed, never bits.
-    #[test]
-    fn tiling_is_bitwise_invariant() {
-        let e = Extent2::new(1900, 5, H);
-        assert!(tiles(e.nx, 2, LAP_ROWS).tile_x < e.nx, "grid must split");
-        let mut u = Field2::zeros(e);
-        for iz in 0..e.full_nz() {
-            for ix in 0..e.full_nx() {
-                let v = ((ix * 31 + iz * 17) % 101) as f32 * 0.013 - 0.5;
-                u.as_mut_slice()[e.raw_idx(ix, iz)] = v;
-            }
-        }
-        let (dx, dz) = (0.7f32, 1.3f32);
-        let mut tiled = Field2::zeros(e);
-        laplacian2(&u, &mut tiled, dx, dz);
-        let (rdx2, rdz2) = (1.0 / (dx * dx), 1.0 / (dz * dz));
-        let (ui, fnx) = (u.as_slice(), e.full_nx());
-        let mut expect = Field2::zeros(e);
-        for iz in 0..e.nz {
-            for ix in 0..e.nx {
-                let c = e.idx(ix, iz);
-                let mut lap = f32c::C2[0] * ui[c] * (rdx2 + rdz2);
-                for k in 1..=STENCIL_HALF {
-                    lap += f32c::C2[k] * ((ui[c + k] + ui[c - k]) * rdx2);
-                    lap += f32c::C2[k] * ((ui[c + k * fnx] + ui[c - k * fnx]) * rdz2);
-                }
-                expect.as_mut_slice()[c] = lap;
-            }
-        }
-        let bits = |f: &Field2| f.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&tiled), bits(&expect));
     }
 }

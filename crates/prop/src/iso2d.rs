@@ -17,7 +17,8 @@
 //! are priced by the GPU mapping model (`crate::desc`), not run as
 //! separate host kernels.
 
-use exec_host::{par_slabs, tiles};
+use crate::shifted_rows;
+use exec_host::par_slabs;
 use seismic_grid::fd::{f32c, flush};
 use seismic_grid::{Extent2, Field2, SyncSlice, STENCIL_HALF};
 use seismic_model::IsoModel2;
@@ -186,41 +187,29 @@ fn step_slab_body(
     let rdx2 = 1.0 / (dx * dx);
     let rdz2 = 1.0 / (dz * dz);
     let r2_sum = rdx2 + rdz2;
-    // x-tile × z-row blocking: keeps the vertical stencil neighbors of a
-    // tile resident across rows on wide grids. Point updates are
-    // independent, so the schedule is bitwise-free (single tile on small
-    // grids).
-    let tiling = tiles(e.nx, 3, 2 * STENCIL_HALF + 1);
-    for (x0, x1) in tiling.ranges(0, e.nx) {
-        let n = x1 - x0;
-        let sx = &damp_x.as_slice()[x0 + e.halo..][..n];
-        for iz in z0..z1 {
-            let c = e.idx(x0, iz);
-            let row = |at: usize| &u_cur[at..][..n];
-            let centre = row(c);
-            // Rows shifted by ±k·stride, k = 1..=4.
-            let shifted = |stride: usize| -> [[&[f32]; 2]; STENCIL_HALF] {
-                std::array::from_fn(|k| [row(c + (k + 1) * stride), row(c - (k + 1) * stride)])
-            };
-            let (xs, zs) = (shifted(1), shifted(fnx));
-            let vp = &vp[c..][..n];
-            let sz = damp_z.sigma(iz);
-            // SAFETY: slabs are disjoint z-ranges, so no other gang touches
-            // row `iz`; the view is dropped before the next row is taken.
-            let out = unsafe { u.range_mut(c, n) };
-            for i in 0..n {
-                let mut lap = f32c::C2[0] * centre[i] * r2_sum;
-                for k in 0..STENCIL_HALF {
-                    lap += f32c::C2[k + 1] * ((xs[k][0][i] + xs[k][1][i]) * rdx2);
-                    lap += f32c::C2[k + 1] * ((zs[k][0][i] + zs[k][1][i]) * rdz2);
-                }
-                let sigma = sx[i] + sz;
-                let v = vp[i];
-                out[i] = flush(
-                    (2.0 * centre[i] - (1.0 - sigma * dt) * out[i] + dt2 * v * v * lap)
-                        / (1.0 + sigma * dt),
-                );
+    let n = e.nx;
+    let sx = &damp_x.as_slice()[e.halo..][..n];
+    for iz in z0..z1 {
+        let c = e.idx(0, iz);
+        let centre = &u_cur[c..][..n];
+        let (xs, zs) = (shifted_rows(u_cur, c, 1, n), shifted_rows(u_cur, c, fnx, n));
+        let vp = &vp[c..][..n];
+        let sz = damp_z.sigma(iz);
+        // SAFETY: slabs are disjoint z-ranges, so no other gang touches
+        // row `iz`; the view is dropped before the next row is taken.
+        let out = unsafe { u.range_mut(c, n) };
+        for i in 0..n {
+            let mut lap = f32c::C2[0] * centre[i] * r2_sum;
+            for k in 0..STENCIL_HALF {
+                lap += f32c::C2[k + 1] * ((xs[k][0][i] + xs[k][1][i]) * rdx2);
+                lap += f32c::C2[k + 1] * ((zs[k][0][i] + zs[k][1][i]) * rdz2);
             }
+            let sigma = sx[i] + sz;
+            let v = vp[i];
+            out[i] = flush(
+                (2.0 * centre[i] - (1.0 - sigma * dt) * out[i] + dt2 * v * v * lap)
+                    / (1.0 + sigma * dt),
+            );
         }
     }
 }
@@ -335,8 +324,7 @@ pub(crate) mod tests {
 
     /// Each build of the branch-free row kernel must be bitwise the
     /// per-point kernel it replaces — full, windowed and transparent
-    /// profiles, slabs cut through a z strip, and a grid wide enough to
-    /// need several x-tiles.
+    /// profiles, slabs cut through a z strip, and a 1300-point row.
     #[test]
     fn row_kernel_matches_pointwise_reference() {
         let (dx, dz, vmax, width) = (10.0, 12.5, 2000.0, 6);
@@ -373,8 +361,6 @@ pub(crate) mod tests {
                 }
             }
         }
-        let tiling = tiles(1300, 3, 2 * STENCIL_HALF + 1);
-        assert!(tiling.tile_x < 1300, "wide grid must split into x-tiles");
     }
 
     /// A stable run must not blow up and must actually propagate energy.

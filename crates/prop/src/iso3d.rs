@@ -5,7 +5,8 @@
 //! restructurings on this case; they are priced by `crate::desc`, not run
 //! as separate host kernels.
 
-use exec_host::{par_slabs, tiles};
+use crate::shifted_rows;
+use exec_host::par_slabs;
 use seismic_grid::fd::{f32c, flush};
 use seismic_grid::{Extent3, Field3, SyncSlice, STENCIL_HALF};
 use seismic_model::IsoModel3;
@@ -145,41 +146,36 @@ fn step_slab_body(
         1.0 / (h[2] * h[2]),
     ];
     let r2_sum = r2[0] + r2[1] + r2[2];
-    // x-tile blocking over the y/z row sweeps (bitwise-free; single tile
-    // on small grids — see the 2D kernel).
-    let tiling = tiles(e.nx, 3, (2 * STENCIL_HALF + 1) * (2 * STENCIL_HALF + 1));
-    for (x0, x1) in tiling.ranges(0, e.nx) {
-        let n = x1 - x0;
-        let sx = &dpx.as_slice()[x0 + e.halo..][..n];
-        for iz in z0..z1 {
-            let sz = dpz.sigma(iz);
-            for iy in 0..e.ny {
-                let sy = dpy.sigma(iy);
-                let c = e.idx(x0, iy, iz);
-                let row = |at: usize| &u_cur[at..][..n];
-                let centre = row(c);
-                let shifted = |stride: usize| -> [[&[f32]; 2]; STENCIL_HALF] {
-                    std::array::from_fn(|k| [row(c + (k + 1) * stride), row(c - (k + 1) * stride)])
-                };
-                let (xs, ys, zs) = (shifted(1), shifted(fnx), shifted(fnxy));
-                let vp = &vp[c..][..n];
-                // SAFETY: slabs are disjoint z-ranges, so no other gang touches
-                // row `(iy, iz)`; the view is dropped before the next is taken.
-                let out = unsafe { u.range_mut(c, n) };
-                for i in 0..n {
-                    let mut lap = f32c::C2[0] * centre[i] * r2_sum;
-                    for k in 0..STENCIL_HALF {
-                        lap += f32c::C2[k + 1] * ((xs[k][0][i] + xs[k][1][i]) * r2[0]);
-                        lap += f32c::C2[k + 1] * ((ys[k][0][i] + ys[k][1][i]) * r2[1]);
-                        lap += f32c::C2[k + 1] * ((zs[k][0][i] + zs[k][1][i]) * r2[2]);
-                    }
-                    let sigma = sx[i] + sy + sz;
-                    let v = vp[i];
-                    out[i] = flush(
-                        (2.0 * centre[i] - (1.0 - sigma * dt) * out[i] + dt2 * v * v * lap)
-                            / (1.0 + sigma * dt),
-                    );
+    let n = e.nx;
+    let sx = &dpx.as_slice()[e.halo..][..n];
+    for iz in z0..z1 {
+        let sz = dpz.sigma(iz);
+        for iy in 0..e.ny {
+            let sy = dpy.sigma(iy);
+            let c = e.idx(0, iy, iz);
+            let centre = &u_cur[c..][..n];
+            let (xs, ys, zs) = (
+                shifted_rows(u_cur, c, 1, n),
+                shifted_rows(u_cur, c, fnx, n),
+                shifted_rows(u_cur, c, fnxy, n),
+            );
+            let vp = &vp[c..][..n];
+            // SAFETY: slabs are disjoint z-ranges, so no other gang touches
+            // row `(iy, iz)`; the view is dropped before the next is taken.
+            let out = unsafe { u.range_mut(c, n) };
+            for i in 0..n {
+                let mut lap = f32c::C2[0] * centre[i] * r2_sum;
+                for k in 0..STENCIL_HALF {
+                    lap += f32c::C2[k + 1] * ((xs[k][0][i] + xs[k][1][i]) * r2[0]);
+                    lap += f32c::C2[k + 1] * ((ys[k][0][i] + ys[k][1][i]) * r2[1]);
+                    lap += f32c::C2[k + 1] * ((zs[k][0][i] + zs[k][1][i]) * r2[2]);
                 }
+                let sigma = sx[i] + sy + sz;
+                let v = vp[i];
+                out[i] = flush(
+                    (2.0 * centre[i] - (1.0 - sigma * dt) * out[i] + dt2 * v * v * lap)
+                        / (1.0 + sigma * dt),
+                );
             }
         }
     }
@@ -311,8 +307,6 @@ mod tests {
                 }
             }
         }
-        let tiling = tiles(150, 3, 81);
-        assert!(tiling.tile_x < 150, "wide grid must split into x-tiles");
     }
 
     #[test]

@@ -58,6 +58,25 @@ pub mod iso3d;
 mod stagger;
 pub mod vti2d;
 
+/// The rows `k·stride` after and before `c`, each `n` points long, for
+/// k = 1..=`STENCIL_HALF`: the neighbour streams of one iso row kernel.
+///
+/// Written out pair by pair on purpose. With `std::array::from_fn` the
+/// element closure stayed an out-of-line call in every row of whichever iso
+/// kernel the inliner passed over, which changed with unrelated edits, and
+/// those calls tripled the cost of a 48³ step (EXPERIMENTS.md, "Untiled
+/// rows").
+#[inline(always)]
+fn shifted_rows(
+    u: &[f32],
+    c: usize,
+    stride: usize,
+    n: usize,
+) -> [[&[f32]; 2]; seismic_grid::STENCIL_HALF] {
+    let pair = |k: usize| [&u[c + k * stride..][..n], &u[c - k * stride..][..n]];
+    [pair(1), pair(2), pair(3), pair(4)]
+}
+
 /// Whether this CPU can run the AVX2 twins; prints a note when it cannot,
 /// so a test that checks only the baseline build says so.
 #[cfg(all(test, target_arch = "x86_64"))]

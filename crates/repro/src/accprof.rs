@@ -161,6 +161,8 @@ pub struct ProfileOutput {
     /// Standalone wall-clock profile document (`--host` only): the
     /// derived gang report plus the raw per-slot event streams.
     pub host_profile_json: Option<String>,
+    /// The derived gang report of the host run (`--host` only).
+    pub host_report: Option<acc_obs::wallclock::HostReport>,
     /// The observed session (tracer + metrics + registry).
     pub session: Arc<ObsSession>,
     /// The priced run (timing breakdown + profiler ledger).
@@ -259,6 +261,7 @@ pub fn profile(req: &ProfileRequest) -> Result<ProfileOutput, RtmError> {
         trace_json,
         report_json,
         host_profile_json,
+        host_report,
         session: obs,
         run,
     })

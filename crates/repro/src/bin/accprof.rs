@@ -131,6 +131,12 @@ fn main() -> ExitCode {
         }
         println!("wrote {}", path.display());
     }
+    if let Some(h) = out.host_report.as_ref().filter(|h| !h.complete()) {
+        eprintln!(
+            "warning: host profile incomplete: {} events lost to full rings, {} to thread-slot overflow",
+            h.dropped, h.thread_overflow
+        );
+    }
     println!();
     println!("{}", out.nvprof_summary);
     println!("{}", out.metrics);

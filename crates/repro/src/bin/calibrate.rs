@@ -8,7 +8,9 @@
 //! Runs all six propagator cases for real on the pooled host engine with
 //! the wall-clock profiler on, prices the same workloads on both of the
 //! paper's GPUs, and writes `calibration.json` plus a markdown table to
-//! stdout. `--smoke` shrinks the grids for CI.
+//! stdout. `--smoke` shrinks the grids for CI. The host runs use
+//! `ACC_GANGS` gangs when set, else one per core; a bad `ACC_GANGS` exits
+//! 2. A profile that lost events is flagged on stderr.
 
 use repro::calibrate::run_calibration;
 use std::path::PathBuf;
@@ -38,8 +40,18 @@ fn main() {
         }
     }
 
-    let report = run_calibration(smoke);
+    let gangs = openacc_sim::exec::try_default_gangs().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
+    let report = run_calibration(smoke, gangs);
     print!("{}", report.to_markdown());
+    if report.lost_events > 0 {
+        eprintln!(
+            "warning: host profile incomplete: {} events lost; the phase split undercounts",
+            report.lost_events
+        );
+    }
 
     std::fs::create_dir_all(&out_dir).expect("create out dir");
     let path = out_dir.join("calibration.json");

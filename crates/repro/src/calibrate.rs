@@ -54,8 +54,6 @@ pub static PROF_GATE: Mutex<()> = Mutex::new(());
 const H: f32 = 10.0;
 /// Velocity cap of [`standard_layers`] media, used for CFL-stable dt.
 const VMAX: f32 = 3200.0;
-/// Gangs used for the measured runs.
-const GANGS: usize = 4;
 
 /// One measured host run of a case.
 #[derive(Debug, Clone)]
@@ -107,6 +105,9 @@ pub struct CalReport {
     pub smoke: bool,
     /// Gangs used for the measured runs.
     pub gangs: usize,
+    /// Events the profiler lost across the measured runs (full rings plus
+    /// thread-slot overflow); nonzero means the phase split undercounts.
+    pub lost_events: u64,
     /// All 12 rows in `SeismicCase::all()` × `[M2090, K40]` order.
     pub rows: Vec<CalRow>,
     /// Per-device Spearman rank correlation between measured and modeled
@@ -312,16 +313,18 @@ pub fn spearman_rho(a: &[f64], b: &[f64]) -> f64 {
     1.0 - 6.0 * d2 / (n as f64 * ((n * n - 1) as f64))
 }
 
-/// Run the full calibration: six measured host runs, twelve model
-/// pricings, per-device rank correlations.
-pub fn run_calibration(smoke: bool) -> CalReport {
+/// Run the full calibration at `gangs` gangs: six measured host runs,
+/// twelve model pricings, per-device rank correlations.
+pub fn run_calibration(smoke: bool, gangs: usize) -> CalReport {
     let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = OptimizationConfig::default();
     let devices = [DeviceChoice::M2090, DeviceChoice::K40];
 
     let mut rows = Vec::with_capacity(12);
+    let mut lost_events = 0;
     for case in SeismicCase::all() {
-        let m = measure_case(&case, smoke, GANGS);
+        let m = measure_case(&case, smoke, gangs);
+        lost_events += m.report.dropped + m.report.thread_overflow;
         for device in devices {
             let predicted_s = rtm_time(&case, &cfg, device.compiler(), device.cluster(), &m.w)
                 .ok()
@@ -351,7 +354,8 @@ pub fn run_calibration(smoke: bool) -> CalReport {
 
     CalReport {
         smoke,
-        gangs: GANGS,
+        gangs,
+        lost_events,
         rows,
         spearman,
     }

@@ -205,7 +205,8 @@ fn merged_trace_has_both_clock_domains() {
 /// cases.
 #[test]
 fn calibration_covers_all_twelve_rows() {
-    let report = run_calibration(true);
+    let report = run_calibration(true, 2);
+    assert_eq!(report.gangs, 2);
     assert_eq!(report.rows.len(), 12);
     for row in &report.rows {
         assert!(row.measured_s > 0.0);
@@ -227,4 +228,26 @@ fn calibration_covers_all_twelve_rows() {
     let json = serde_json::from_str(&report.to_json()).expect("valid calibration JSON");
     assert_eq!(json.get("rows").unwrap().as_array().unwrap().len(), 12);
     assert_eq!(json.get("clock_measured").unwrap().as_str(), Some("wall"));
+}
+
+/// A profile that overflowed a ring says so: `complete` is false in the
+/// report section that both `host_profile.json` and the `host` section of
+/// accprof's `report.json` carry.
+#[test]
+fn overflowed_ring_marks_profile_incomplete() {
+    use exec_host::prof::{begin, drain, end, set_enabled, EventKind, RING_CAP};
+    let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    set_enabled(true);
+    drain();
+    for _ in 0..RING_CAP + 10 {
+        end(begin(), EventKind::Slab, 0, 1);
+    }
+    set_enabled(false);
+    let p = drain();
+    assert!(p.dropped >= 10, "ring must overflow: {}", p.dropped);
+
+    let doc = serde_json::from_str(&acc_obs::wallclock::host_profile_json(&p)).expect("valid JSON");
+    let report = doc.get("report").unwrap();
+    assert_eq!(report.get("complete").unwrap().as_bool(), Some(false));
+    assert_eq!(report.get("dropped").unwrap().as_u64(), Some(p.dropped));
 }
