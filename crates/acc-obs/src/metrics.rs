@@ -9,12 +9,11 @@
 
 use accel_sim::kernel::UNCOALESCED_BW_DIVISOR;
 use accel_sim::{DeviceSpec, KernelProfile, RooflineTerms, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Roofline classification of a launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundKind {
     /// DRAM bandwidth term dominated.
     Memory,
@@ -33,7 +32,7 @@ impl BoundKind {
 }
 
 /// Counters for one kernel launch shape, in `nvprof --metrics` vocabulary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelMetrics {
     /// Kernel name.
     pub name: String,
@@ -138,7 +137,7 @@ impl KernelMetrics {
 
 /// One table row: the representative launch-shape metrics plus invocation
 /// aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRow {
     /// Counters from the first launch of this kernel (launch shapes are
     /// stable per kernel in the drivers).
@@ -150,7 +149,7 @@ pub struct MetricsRow {
 }
 
 /// Per-kernel-name metrics table for one device.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsTable {
     rows: BTreeMap<String, MetricsRow>,
 }

@@ -1,12 +1,11 @@
 //! Span and track types for the simulated-time timeline.
 
 use accel_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Which timeline row a span belongs to. Tracks render as separate rows in
 /// Perfetto; within one track, spans are expected to be serial (the trace
 /// validators enforce monotone, non-overlapping placement per track).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Track {
     /// Host (CPU) activity: directives, phases, host-side compute.
     Host,
@@ -40,7 +39,7 @@ impl Track {
 
 /// Span category — becomes the trace `cat`, used by Perfetto for filtering
 /// and coloring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanCat {
     /// OpenACC directive enter/exit (`parallel`, `kernels`, `data`).
     Directive,
@@ -95,7 +94,7 @@ impl SpanCat {
 }
 
 /// One closed interval on the timeline, in simulated seconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Timeline row.
     pub track: Track,

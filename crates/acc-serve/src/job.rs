@@ -257,13 +257,6 @@ impl JobOutcome {
     }
 }
 
-impl JobSpec {
-    /// True when completing this job runs real physics.
-    pub fn is_real(&self) -> bool {
-        matches!(self.payload, Payload::Rtm2(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,6 +289,6 @@ mod tests {
         assert_eq!(s.n_shots, 4);
         assert_eq!(s.deadline_s, Some(9.0));
         assert!(matches!(s.cost, JobCost::FixedShotCost(c) if c == 2.0));
-        assert!(!s.clone().is_real());
+        assert!(matches!(s.payload, Payload::Synthetic));
     }
 }

@@ -1,10 +1,9 @@
 //! Structured diagnostics and the machine-readable report.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Worth knowing; never fails a build.
     Info,
@@ -27,7 +26,7 @@ impl Severity {
 
 /// The rule a diagnostic was produced by, one per checkable directive
 /// claim or lint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// `independent` asserted on a loop with a provable cross-iteration
     /// dependence (Banerjee/GCD test on the affine access descriptors).
@@ -126,7 +125,7 @@ impl Rule {
 }
 
 /// Where in the directive program a diagnostic points.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Span {
     /// Index of the offending op in the program's op list.
     pub op: usize,
@@ -172,7 +171,7 @@ impl fmt::Display for Span {
 }
 
 /// One finding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Severity level.
     pub severity: Severity,
@@ -229,8 +228,7 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serialize one diagnostic as a JSON object (the in-tree serde shim is
-/// type-level only, so the report writer is hand-rolled).
+/// Serialize one diagnostic as a JSON object.
 pub fn diagnostic_json(d: &Diagnostic) -> String {
     let kernel = match &d.span.kernel {
         Some(k) => format!("\"{}\"", json_escape(k)),

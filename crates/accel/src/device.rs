@@ -1,13 +1,11 @@
 //! Device descriptors built from the paper's Table 2.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a simulated accelerator card.
 ///
 /// The two constructors mirror Table 2 ("GPU cards specs and attached CPU
 /// platforms") plus the microarchitectural constants the optimization
 /// study depends on (register files, SM counts, PCIe generation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name.
     pub name: &'static str,
@@ -50,7 +48,7 @@ pub struct DeviceSpec {
 }
 
 /// GPU microarchitecture generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arch {
     /// Fermi (GF110-class): M2090.
     Fermi,

@@ -9,7 +9,6 @@
 
 use crate::occupancy::{allocate, efficiency, spill_bytes_per_point};
 use crate::{DeviceSpec, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Penalty divisor applied to DRAM bandwidth when a warp's accesses are not
 /// coalesced (each 128-byte transaction delivers ~one useful word; caches
@@ -37,7 +36,7 @@ pub const DIRECTIVE_COMPUTE_EFFICIENCY: f64 = 0.5;
 /// Dynamic description of one kernel launch, assembled by `openacc-sim`
 /// from the propagator's static `seismic_prop`-style descriptor and the
 /// compiler's loop-mapping decisions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
     /// Kernel name for the profiler ledger.
     pub name: String,
@@ -83,7 +82,7 @@ impl KernelProfile {
 }
 
 /// Model output for one launch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelTiming {
     /// Total simulated duration including launch overhead, seconds.
     pub total_s: SimTime,
@@ -103,7 +102,7 @@ pub struct KernelTiming {
 /// (`acc-obs`) derives its nvprof `--metrics`-style counters from the same
 /// struct, so the counters agree with the timing model *by construction*
 /// rather than by re-deriving the arithmetic in two places.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RooflineTerms {
     /// Occupancy from the register allocator.
     pub occupancy: f64,

@@ -11,10 +11,9 @@
 //!   strided transfer is billed per contiguous chunk.
 
 use crate::{DeviceSpec, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Host-side allocation kind (the PGI `pin` option of Section 5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostAlloc {
     /// Page-locked host memory: full DMA bandwidth.
     Pinned,
@@ -23,7 +22,7 @@ pub enum HostAlloc {
 }
 
 /// Shape of a transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TransferKind {
     /// One contiguous range.
     Contiguous,

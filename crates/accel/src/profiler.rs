@@ -11,12 +11,11 @@
 
 use crate::SimTime;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Kind of a timeline event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EventKind {
     /// Device kernel execution.
     Kernel,
@@ -27,7 +26,7 @@ pub enum EventKind {
 }
 
 /// One recorded event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Event kind.
     pub kind: EventKind,
@@ -46,7 +45,7 @@ pub struct Event {
 }
 
 /// Aggregated statistics for one kernel/transfer name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NameStats {
     /// Event kind.
     pub kind: EventKind,

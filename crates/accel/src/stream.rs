@@ -13,10 +13,9 @@
 //!   the mechanism behind the CRAY 30 % improvement (Figure 11).
 
 use crate::{DeviceSpec, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One unit of queued device work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueuedKernel {
     /// Kernel name (profiler correlation).
     pub name: String,
@@ -29,7 +28,7 @@ pub struct QueuedKernel {
 }
 
 /// Issue semantics for a batch of kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssueMode {
     /// One implicit stream; the host waits for each launch to be consumed
     /// before preparing the next (pays the issue gap every time).
@@ -44,7 +43,7 @@ pub enum IssueMode {
 /// of the batch makespan to per-stream tracks — spans on one stream are
 /// serial and non-overlapping, and every span ends at or before the
 /// makespan — so traces built from it agree with the aggregate model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledKernel {
     /// Kernel name (profiler correlation).
     pub name: String,
@@ -58,7 +57,7 @@ pub struct ScheduledKernel {
 
 /// Result of draining a batch: the makespan (identical to what
 /// [`StreamSim::drain_makespan`] returns) plus the per-kernel timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrainSchedule {
     /// Total wall time of the batch, seconds.
     pub makespan_s: SimTime,
@@ -83,64 +82,9 @@ impl StreamSim {
         self.queue.push(k);
     }
 
-    /// Number of queued kernels.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// True when at least one kernel is queued on `stream`.
-    pub fn has_queue(&self, stream: u32) -> bool {
-        self.queue.iter().any(|k| k.stream == stream)
-    }
-
-    /// Drain only the kernels issued to `stream` (OpenACC `wait(queue)`).
-    /// Within one queue kernels execute in order with no overlap; the
-    /// makespan is their summed execution plus launch overheads.
-    pub fn drain_queue_makespan(&mut self, dev: &DeviceSpec, stream: u32) -> SimTime {
-        self.drain_queue_schedule(dev, stream).makespan_s
-    }
-
-    /// [`Self::drain_queue_makespan`] plus the per-kernel timeline: kernel
-    /// `i` starts after the single issue gap, `i+1` launch overheads, and
-    /// every earlier kernel on the queue.
-    pub fn drain_queue_schedule(&mut self, dev: &DeviceSpec, stream: u32) -> DrainSchedule {
-        let mut kept = Vec::with_capacity(self.queue.len());
-        let mut drained = Vec::new();
-        for k in std::mem::take(&mut self.queue) {
-            if k.stream == stream {
-                drained.push(k);
-            } else {
-                kept.push(k);
-            }
-        }
-        self.queue = kept;
-        if drained.is_empty() {
-            return DrainSchedule {
-                makespan_s: 0.0,
-                kernels: Vec::new(),
-            };
-        }
-        let mut cursor = dev.issue_gap_s;
-        let mut kernels = Vec::with_capacity(drained.len());
-        for k in drained {
-            let start = cursor + dev.launch_overhead_s;
-            cursor = start + k.exec_s;
-            kernels.push(ScheduledKernel {
-                name: k.name,
-                start_s: start,
-                exec_s: k.exec_s,
-                stream: k.stream,
-            });
-        }
-        DrainSchedule {
-            makespan_s: cursor,
-            kernels,
-        }
     }
 
     /// Compute the makespan of the queued batch under the given issue mode,
@@ -305,24 +249,6 @@ mod tests {
         assert!(asy < 1.2e-3, "asy {asy}");
     }
 
-    /// `wait(queue)` drains exactly one queue and leaves the rest.
-    #[test]
-    fn selective_queue_drain() {
-        let dev = DeviceSpec::k40();
-        let mut q = StreamSim::new();
-        q.push(k("a0", 0.1, 1.0, 0));
-        q.push(k("b0", 0.2, 1.0, 1));
-        q.push(k("a1", 0.1, 1.0, 0));
-        let t0 = q.drain_queue_makespan(&dev, 0);
-        let expect = dev.issue_gap_s + 2.0 * (dev.launch_overhead_s + 0.1e-3);
-        assert!((t0 - expect).abs() < 1e-12, "{t0} vs {expect}");
-        assert_eq!(q.len(), 1, "queue 1 untouched");
-        assert_eq!(q.drain_queue_makespan(&dev, 7), 0.0, "empty queue is free");
-        let t1 = q.drain_queue_makespan(&dev, 1);
-        assert!(t1 > 0.0);
-        assert!(q.is_empty());
-    }
-
     #[test]
     fn longest_kernel_lower_bounds_async() {
         let dev = DeviceSpec::k40();
@@ -362,24 +288,5 @@ mod tests {
                 assert!(s.start_s + s.exec_s <= sched.makespan_s + 1e-12);
             }
         }
-    }
-
-    /// Single-queue drain: serial layout whose last span ends exactly at
-    /// the makespan, untouched streams stay queued.
-    #[test]
-    fn queue_schedule_layout() {
-        let dev = DeviceSpec::k40();
-        let mut q = StreamSim::new();
-        q.push(k("a0", 0.1, 1.0, 0));
-        q.push(k("b0", 0.2, 1.0, 1));
-        q.push(k("a1", 0.1, 1.0, 0));
-        let sched = q.drain_queue_schedule(&dev, 0);
-        assert_eq!(sched.kernels.len(), 2);
-        assert_eq!(q.len(), 1);
-        let first = &sched.kernels[0];
-        assert!((first.start_s - (dev.issue_gap_s + dev.launch_overhead_s)).abs() < 1e-15);
-        let last = &sched.kernels[1];
-        assert!((last.start_s + last.exec_s - sched.makespan_s).abs() < 1e-15);
-        assert!(last.start_s >= first.start_s + first.exec_s);
     }
 }

@@ -3,11 +3,10 @@
 use accel_sim::DeviceSpec;
 use mpi_sim::{CpuSpec, Interconnect};
 use seismic_model::footprint::{Dims, Formulation};
-use serde::{Deserialize, Serialize};
 
 /// One of the paper's 12 seismic cases: {iso, acoustic, elastic} × {2D, 3D}
 /// × {modeling, RTM} (the modeling/RTM split lives in the drivers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SeismicCase {
     /// Earth-model formulation.
     pub formulation: Formulation,
@@ -62,7 +61,7 @@ impl SeismicCase {
 }
 
 /// The two evaluation platforms of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cluster {
     /// CRAY XC30: K40 GPUs, 10-core Ivy Bridge sockets, Aries fabric.
     CrayXc30,
@@ -113,7 +112,7 @@ impl Cluster {
 }
 
 /// Where the imaging condition runs (Section 5.1, step 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImagePlacement {
     /// Cross-correlation computed on the GPU; only the final image returns.
     Gpu,
@@ -122,7 +121,7 @@ pub enum ImagePlacement {
 }
 
 /// The optimization knobs the paper's Section 5 studies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizationConfig {
     /// Isotropic PML kernel restructuring (Figures 6/7). Priced only: the
     /// host runs one branch-free kernel with the same bits for all three.
@@ -174,7 +173,7 @@ impl OptimizationConfig {
 }
 
 /// Workload geometry for one run: interior grid sizes and step counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Workload {
     /// Interior x size.
     pub nx: usize,

@@ -14,10 +14,9 @@
 use crate::case::{Cluster, SeismicCase, Workload};
 use seismic_model::footprint::{self, Dims, Formulation};
 use seismic_prop::desc;
-use serde::{Deserialize, Serialize};
 
 /// Baseline time split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuBreakdown {
     /// Propagation kernel time.
     pub kernel_s: f64,

@@ -8,6 +8,7 @@
 //! so the resilient executor can catch, retry, or degrade.
 
 use openacc_sim::data::DataError;
+use openacc_sim::exec::GangEnvError;
 use std::fmt;
 
 /// Invalid driver arguments, detected before any propagation starts.
@@ -60,6 +61,8 @@ pub enum RtmError {
     /// An emitted observability artifact failed its self-validation
     /// (malformed trace JSON, overlapping timeline spans).
     Observability(String),
+    /// The `ACC_GANGS` environment value for a real host run is invalid.
+    Gangs(GangEnvError),
 }
 
 impl fmt::Display for RtmError {
@@ -70,6 +73,7 @@ impl fmt::Display for RtmError {
             RtmError::NoHealthyRanks => write!(f, "all ranks blacklisted"),
             RtmError::MalformedPlan(what) => write!(f, "malformed survey plan: {what}"),
             RtmError::Observability(msg) => write!(f, "observability artifact invalid: {msg}"),
+            RtmError::Gangs(e) => write!(f, "{e}"),
         }
     }
 }

@@ -17,11 +17,10 @@ use accel_sim::SimTime;
 use openacc_sim::data::DataError;
 use openacc_sim::{AccRuntime, Compiler};
 use seismic_model::footprint::Dims;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Simulated time split of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingBreakdown {
     /// End-to-end simulated time (the tables' "Total GPU time").
     pub total_s: SimTime,

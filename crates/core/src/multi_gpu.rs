@@ -27,7 +27,6 @@ use accel_sim::SimTime;
 use openacc_sim::{AccRuntime, Compiler};
 use seismic_grid::STENCIL_HALF;
 use seismic_model::footprint::{self, Dims};
-use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 
 /// How ghost shells cross between device, host, and network.
@@ -38,7 +37,7 @@ use std::convert::Infallible;
 /// `DevicePacked` first gathers the shell into a contiguous staging buffer
 /// with a small device kernel — "rearranging data of these ghost nodes by
 /// performing a transposition on GPU".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GhostPacking {
     /// One DMA chunk per contiguous x-run of the shell.
     Strided,
@@ -47,7 +46,7 @@ pub enum GhostPacking {
 }
 
 /// Communication/computation scheduling across the step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommMode {
     /// Compute the whole slab, then exchange ghosts.
     Blocking,
@@ -57,7 +56,7 @@ pub enum CommMode {
 }
 
 /// Per-step and end-to-end timing of a decomposed multi-GPU run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiGpuTiming {
     /// GPUs used.
     pub n_gpus: usize,

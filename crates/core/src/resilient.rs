@@ -292,6 +292,19 @@ pub fn run_shot_attempts(
     deadline_s: Option<f64>,
     cancel: Option<&CancellationToken>,
 ) -> ShotAttempt {
+    // Every early exit ends the loop the same way: a point event at
+    // `at_s`, the terminal outcome, and the device clock stopped there.
+    fn stop(
+        mut att: ShotAttempt,
+        name: &'static str,
+        at_s: f64,
+        outcome: ShotOutcome,
+    ) -> ShotAttempt {
+        att.events.push(ShotEvent::point(name, at_s));
+        att.outcome = outcome;
+        att.end_s = at_s;
+        att
+    }
     let mut att = ShotAttempt {
         outcome: ShotOutcome::Cancelled { at_s: start_s },
         end_s: start_s,
@@ -304,26 +317,16 @@ pub fn run_shot_attempts(
     let mut retries_this_shot = 0u32;
     loop {
         if cancel.is_some_and(|c| c.is_cancelled()) {
-            att.events.push(ShotEvent::point("cancel:token", t0));
-            att.outcome = ShotOutcome::Cancelled { at_s: t0 };
-            att.end_s = t0;
-            return att;
+            return stop(att, "cancel:token", t0, ShotOutcome::Cancelled { at_s: t0 });
         }
         if plan.device_lost(device, t0) {
             // Device already gone when the attempt starts.
-            att.events
-                .push(ShotEvent::point("blacklist:device_lost", t0));
-            att.outcome = ShotOutcome::DeviceLost { at_s: t0 };
-            att.end_s = t0;
-            return att;
+            let lost = ShotOutcome::DeviceLost { at_s: t0 };
+            return stop(att, "blacklist:device_lost", t0, lost);
         }
-        if let Some(d) = deadline_s {
-            if t0 + shot_cost_s > d {
-                att.events.push(ShotEvent::point("cancel:deadline", t0));
-                att.outcome = ShotOutcome::DeadlineCancelled { at_s: t0 };
-                att.end_s = t0;
-                return att;
-            }
+        let past_deadline = ShotOutcome::DeadlineCancelled { at_s: t0 };
+        if deadline_s.is_some_and(|d| t0 + shot_cost_s > d) {
+            return stop(att, "cancel:deadline", t0, past_deadline);
         }
         // Transient launch failure (deterministic per (device, seq)).
         let seq = *attempt_seq;
@@ -331,22 +334,14 @@ pub fn run_shot_attempts(
         if plan.alloc_fails(device, seq) {
             att.retries += 1;
             if retries_this_shot >= policy.max_retries {
-                att.events
-                    .push(ShotEvent::point("blacklist:retries_exhausted", t0));
-                att.outcome = ShotOutcome::RetriesExhausted { at_s: t0 };
-                att.end_s = t0;
-                return att;
+                let exhausted = ShotOutcome::RetriesExhausted { at_s: t0 };
+                return stop(att, "blacklist:retries_exhausted", t0, exhausted);
             }
             let delay = policy.backoff_delay(plan.seed() ^ device as u64, retries_this_shot);
-            if let Some(d) = deadline_s {
-                if t0 + delay + shot_cost_s > d {
-                    // Sleeping would already bust the deadline: give up now
-                    // and hand the slot back instead of sleeping into it.
-                    att.events.push(ShotEvent::point("cancel:deadline", t0));
-                    att.outcome = ShotOutcome::DeadlineCancelled { at_s: t0 };
-                    att.end_s = t0;
-                    return att;
-                }
+            if deadline_s.is_some_and(|d| t0 + delay + shot_cost_s > d) {
+                // Sleeping would already bust the deadline: give up now
+                // and hand the slot back instead of sleeping into it.
+                return stop(att, "cancel:deadline", t0, past_deadline);
             }
             att.events.push(ShotEvent {
                 name: "backoff",
@@ -359,13 +354,8 @@ pub fn run_shot_attempts(
             continue;
         }
         let dur = shot_cost_s * plan.slowdown(device, t0);
-        if let Some(d) = deadline_s {
-            if t0 + dur > d {
-                att.events.push(ShotEvent::point("cancel:deadline", t0));
-                att.outcome = ShotOutcome::DeadlineCancelled { at_s: t0 };
-                att.end_s = t0;
-                return att;
-            }
+        if deadline_s.is_some_and(|d| t0 + dur > d) {
+            return stop(att, "cancel:deadline", t0, past_deadline);
         }
         if let Some(lost) = plan.device_lost_at(device) {
             if lost < t0 + dur {
@@ -375,12 +365,9 @@ pub fn run_shot_attempts(
                     start_s: t0,
                     dur_s: lost - t0,
                 });
-                att.events
-                    .push(ShotEvent::point("blacklist:device_lost", lost));
                 att.wasted_s += lost - t0;
-                att.outcome = ShotOutcome::DeviceLost { at_s: lost };
-                att.end_s = lost;
-                return att;
+                let outcome = ShotOutcome::DeviceLost { at_s: lost };
+                return stop(att, "blacklist:device_lost", lost, outcome);
             }
         }
         att.events.push(ShotEvent {

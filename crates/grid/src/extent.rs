@@ -6,14 +6,12 @@
 //! filled by boundary conditions or exchanged with a neighbouring sub-domain
 //! (`mpi-sim`).
 
-use serde::{Deserialize, Serialize};
-
 /// Allocated size of a 2D grid plus the halo width on every side.
 ///
 /// Axis convention throughout the workspace: `x` is the contiguous (fastest)
 /// axis, `z` is depth (slowest in 2D). This mirrors the Fortran layout of the
 /// original code where the innermost loop runs over the first array index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extent2 {
     /// Interior points along x.
     pub nx: usize,
@@ -77,7 +75,7 @@ impl Extent2 {
 /// Allocated size of a 3D grid plus the halo width on every side.
 ///
 /// Axis order (fastest → slowest): `x`, `y`, `z`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extent3 {
     /// Interior points along x (contiguous axis).
     pub nx: usize,

@@ -5,8 +5,6 @@
 //! included) so the absorbing boundary sees physically sensible parameters.
 
 use crate::{AcousticModel2, AcousticModel3, Geometry, IsoModel2, IsoModel3};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use seismic_grid::{Extent2, Extent3, Field2, Field3};
 
 /// A horizontal layer: constant properties from `z_top` (interior index) down
@@ -153,29 +151,6 @@ pub fn elastic3_layered(e: Extent3, layers: &[Layer], geom: Geometry) -> crate::
     crate::ElasticModel3::from_velocities(&vp, &vs, &rho, geom)
 }
 
-/// 2D model with a slow Gaussian lens embedded in a constant background —
-/// produces focusing/defocusing wave behaviour for the modeling examples.
-pub fn iso2_lens(
-    e: Extent2,
-    vp_background: f32,
-    vp_lens: f32,
-    center: (usize, usize),
-    radius: f32,
-    geom: Geometry,
-) -> IsoModel2 {
-    let mut vp = Field2::filled(e, vp_background);
-    for iz in 0..e.nz {
-        for ix in 0..e.nx {
-            let dx = ix as f32 - center.0 as f32;
-            let dz = iz as f32 - center.1 as f32;
-            let r2 = (dx * dx + dz * dz) / (radius * radius);
-            let v = vp_background + (vp_lens - vp_background) * (-r2).exp();
-            vp.set(ix, iz, v);
-        }
-    }
-    IsoModel2 { vp, geom }
-}
-
 /// 2D wedge model: a dipping interface (Marmousi-flavoured structure) over a
 /// basement, producing a non-flat reflector for imaging tests.
 pub fn acoustic2_wedge(
@@ -202,27 +177,10 @@ pub fn acoustic2_wedge(
     AcousticModel2 { vp, rho, geom }
 }
 
-/// Random-media perturbation: multiplies an existing velocity grid by
-/// `1 + amp·ξ` with ξ uniform in [−1, 1], seeded deterministically.
-/// Von Kármán-style small-scale heterogeneity exercises the propagators with
-/// worst-case (uncorrelated) memory access patterns in the model arrays.
-pub fn perturb2(vp: &mut Field2, amp: f32, seed: u64) {
-    assert!((0.0..1.0).contains(&amp), "amplitude must be in [0,1)");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let e = vp.extent();
-    for iz in 0..e.nz {
-        for ix in 0..e.nx {
-            let xi: f32 = rng.gen_range(-1.0..=1.0);
-            let v = vp.get(ix, iz) * (1.0 + amp * xi);
-            vp.set(ix, iz, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{extent2, extent3, min_max2};
+    use crate::{extent2, extent3};
 
     fn geom() -> Geometry {
         Geometry::uniform(10.0, 1e-3)
@@ -257,17 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn lens_is_radially_symmetric_and_bounded() {
-        let e = extent2(32, 32);
-        let m = iso2_lens(e, 2000.0, 1500.0, (16, 16), 6.0, geom());
-        assert!((m.vp.get(16, 16) - 1500.0).abs() < 1.0);
-        let (lo, hi) = min_max2(&m.vp);
-        assert!(lo >= 1500.0 - 1.0 && hi <= 2000.0 + 1.0);
-        // Symmetry across the center.
-        assert!((m.vp.get(10, 16) - m.vp.get(22, 16)).abs() < 1e-3);
-    }
-
-    #[test]
     fn wedge_interface_dips() {
         let e = extent2(20, 40);
         let m = acoustic2_wedge(e, 1500.0, 3000.0, 10, 30, geom());
@@ -282,29 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn perturbation_is_deterministic_and_bounded() {
-        let e = extent2(16, 16);
-        let mut a = Field2::filled(e, 2000.0);
-        let mut b = Field2::filled(e, 2000.0);
-        perturb2(&mut a, 0.1, 42);
-        perturb2(&mut b, 0.1, 42);
-        assert_eq!(a, b);
-        let (lo, hi) = min_max2(&a);
-        assert!(lo >= 1800.0 && hi <= 2200.0);
-        let mut c = Field2::filled(e, 2000.0);
-        perturb2(&mut c, 0.1, 43);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    #[should_panic(expected = "amplitude")]
-    fn perturbation_rejects_large_amplitude() {
-        let e = extent2(4, 4);
-        let mut f = Field2::filled(e, 2000.0);
-        perturb2(&mut f, 1.5, 1);
-    }
-
-    #[test]
     fn elastic_layered_builders() {
         let e = extent2(8, 30);
         let m = elastic2_layered(e, &standard_layers(30), geom());
@@ -316,146 +240,5 @@ mod tests {
         let m3 = elastic3_layered(e3, &standard_layers(30), geom());
         assert_eq!(m3.mu.get(1, 1, 0), 0.0);
         assert_eq!(m3.vp_max, 3200.0);
-    }
-}
-
-/// Box-blur smoothing of a 2D field with half-width `r` (separable passes),
-/// operating on the interior and re-clamping the halo.
-///
-/// The standard way to build a *migration* velocity model from a true
-/// model: RTM needs the smooth kinematics without the reflectivity (sharp
-/// contrasts in the migration model create spurious backscatter in the
-/// image).
-pub fn smooth2(f: &Field2, r: usize) -> Field2 {
-    if r == 0 {
-        return f.clone();
-    }
-    let e = f.extent();
-    let pass = |src: &Field2, horizontal: bool| {
-        Field2::from_fn(e, |ix, iz| {
-            let mut acc = 0.0f32;
-            let mut n = 0.0f32;
-            for d in -(r as isize)..=(r as isize) {
-                let (jx, jz) = if horizontal {
-                    (ix as isize + d, iz as isize)
-                } else {
-                    (ix as isize, iz as isize + d)
-                };
-                let jx = jx.clamp(0, e.nx as isize - 1) as usize;
-                let jz = jz.clamp(0, e.nz as isize - 1) as usize;
-                acc += src.get(jx, jz);
-                n += 1.0;
-            }
-            acc / n
-        })
-    };
-    let h = pass(f, true);
-    let mut out = pass(&h, false);
-    // Re-extend the interior into the halo (clamped), as the builders do.
-    let interior = out.clone();
-    for rz in 0..e.full_nz() {
-        for rx in 0..e.full_nx() {
-            let ix = rx.saturating_sub(e.halo).min(e.nx - 1);
-            let iz = rz.saturating_sub(e.halo).min(e.nz - 1);
-            out.as_mut_slice()[e.raw_idx(rx, rz)] = interior.get(ix, iz);
-        }
-    }
-    out
-}
-
-/// Linear v(z) gradient model: `v(z) = v0 + k·z·dz` — the classic
-/// depth-dependent background used for migration-velocity tests.
-pub fn iso2_gradient(e: Extent2, v0: f32, k_per_m: f32, geom: Geometry) -> IsoModel2 {
-    assert!(v0 > 0.0);
-    IsoModel2 {
-        vp: fill2(e, |iz| v0 + k_per_m * iz as f32 * geom.dz),
-        geom,
-    }
-}
-
-/// 3D wedge: the 2D dipping interface extruded along y.
-pub fn acoustic3_wedge(
-    e: Extent3,
-    vp_top: f32,
-    vp_bottom: f32,
-    z_left: usize,
-    z_right: usize,
-    geom: Geometry,
-) -> AcousticModel3 {
-    let mut vp = Field3::filled(e, vp_top);
-    let mut rho = Field3::filled(e, 1000.0);
-    let nx = e.nx.max(2);
-    for ix in 0..e.nx {
-        let t = ix as f32 / (nx - 1) as f32;
-        let z_if = (z_left as f32 + t * (z_right as f32 - z_left as f32)) as usize;
-        for iz in z_if..e.nz {
-            for iy in 0..e.ny {
-                vp.set(ix, iy, iz, vp_bottom);
-                rho.set(ix, iy, iz, 2300.0);
-            }
-        }
-    }
-    AcousticModel3 { vp, rho, geom }
-}
-
-#[cfg(test)]
-mod builder_ext_tests {
-    use super::*;
-    use crate::{extent2, extent3, min_max2, Geometry};
-
-    fn geom() -> Geometry {
-        Geometry::uniform(10.0, 1e-3)
-    }
-
-    #[test]
-    fn smoothing_preserves_mean_and_softens_contrast() {
-        let e = extent2(40, 40);
-        let m = iso2_layered(e, &standard_layers(40), geom());
-        let s = smooth2(&m.vp, 4);
-        // Bounds cannot expand.
-        let (lo0, hi0) = min_max2(&m.vp);
-        let (lo1, hi1) = min_max2(&s);
-        assert!(lo1 >= lo0 - 1.0 && hi1 <= hi0 + 1.0);
-        // The interface jump is softened: the one-row difference across the
-        // old interface shrinks.
-        let jump_raw = (m.vp.get(20, 13) - m.vp.get(20, 12)).abs();
-        let jump_smooth = (s.get(20, 13) - s.get(20, 12)).abs();
-        assert!(jump_smooth < 0.5 * jump_raw, "{jump_smooth} vs {jump_raw}");
-        // r = 0 is the identity.
-        assert_eq!(smooth2(&m.vp, 0), m.vp);
-    }
-
-    #[test]
-    fn smoothing_fills_halo_consistently() {
-        let e = extent2(24, 24);
-        let m = iso2_layered(e, &standard_layers(24), geom());
-        let s = smooth2(&m.vp, 3);
-        // Halo rows replicate the nearest interior value.
-        assert_eq!(s.as_slice()[e.raw_idx(0, 0)], s.get(0, 0));
-        let last = e.full_nz() - 1;
-        assert_eq!(s.as_slice()[e.raw_idx(5, last)], s.get(1, e.nz - 1));
-    }
-
-    #[test]
-    fn gradient_model_increases_with_depth() {
-        let e = extent2(8, 50);
-        let m = iso2_gradient(e, 1500.0, 0.6, geom());
-        assert_eq!(m.vp.get(4, 0), 1500.0);
-        let v40 = m.vp.get(4, 40);
-        assert!((v40 - (1500.0 + 0.6 * 400.0)).abs() < 0.5);
-        assert!(m.vp.get(4, 49) > m.vp.get(4, 10));
-    }
-
-    #[test]
-    fn wedge3_matches_wedge2_profile() {
-        let e3 = extent3(20, 6, 40);
-        let m3 = acoustic3_wedge(e3, 1500.0, 3000.0, 10, 30, geom());
-        let e2 = extent2(20, 40);
-        let m2 = acoustic2_wedge(e2, 1500.0, 3000.0, 10, 30, geom());
-        for ix in 0..20 {
-            for iz in 0..40 {
-                assert_eq!(m3.vp.get(ix, 3, iz), m2.vp.get(ix, iz), "({ix},{iz})");
-            }
-        }
     }
 }

@@ -7,10 +7,8 @@
 //! needs on the accelerator so the drivers and the `accel-sim` capacity model
 //! can reproduce those allocation decisions.
 
-use serde::{Deserialize, Serialize};
-
 /// Earth-model formulation (paper Section 3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Formulation {
     /// Constant-density isotropic acoustic (2nd-order wave equation).
     Isotropic,
@@ -32,7 +30,7 @@ impl Formulation {
 }
 
 /// Spatial dimensionality of a seismic case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dims {
     /// Two-dimensional (x, z).
     Two,
@@ -88,23 +86,9 @@ pub fn modeling_bytes(f: Formulation, d: Dims, points: usize) -> u64 {
     modeling_array_count(f, d) as u64 * points as u64 * 4
 }
 
-/// Peak bytes needed on the device during RTM (backward phase), assuming the
-/// paper's phased allocation: modeling set minus offloaded scratch, plus the
-/// backward set.
-pub fn rtm_peak_bytes(f: Formulation, d: Dims, points: usize) -> u64 {
-    (modeling_array_count(f, d) + rtm_extra_array_count(f, d)) as u64 * points as u64 * 4
-}
-
-/// Naive (un-phased) RTM allocation: forward *and* backward sets resident
-/// simultaneously — what the paper found does **not** fit, motivating the
-/// `enter data` / `exit data` phasing.
-pub fn rtm_naive_bytes(f: Formulation, d: Dims, points: usize) -> u64 {
-    2 * modeling_bytes(f, d, points) + rtm_extra_array_count(f, d) as u64 * points as u64 * 4
-}
-
 /// How the backward pass recovers the source wavefield — the axis the
 /// random-boundary subsystem opens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationStrategy {
     /// Every `snap_period`-th forward wavefield kept resident for the whole
     /// run (the seed implementation's in-memory snapshot stack).
@@ -135,7 +119,7 @@ pub enum MigrationStrategy {
 
 /// Per-component device-memory breakdown of one migration configuration.
 /// Components are disjoint; [`RtmBreakdown::total`] is their sum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtmBreakdown {
     /// Live propagation state: wavefield time levels, model parameters, ψ
     /// memory variables, image — everything resident regardless of how the
@@ -261,22 +245,6 @@ mod tests {
         let points = n * n * n;
         assert!(modeling_bytes(Formulation::Acoustic, Dims::Three, points) < 6 * GB);
         assert!(modeling_bytes(Formulation::Isotropic, Dims::Three, points) < 6 * GB);
-    }
-
-    /// Phased allocation must beat naive co-residency — the motivation for
-    /// the paper's enter/exit data strategy.
-    #[test]
-    fn phased_rtm_smaller_than_naive() {
-        for f in [
-            Formulation::Isotropic,
-            Formulation::Acoustic,
-            Formulation::Elastic,
-        ] {
-            for d in [Dims::Two, Dims::Three] {
-                let p = 1_000_000;
-                assert!(rtm_peak_bytes(f, d, p) < rtm_naive_bytes(f, d, p));
-            }
-        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! The original work ran on proprietary TOTAL velocity models; here the
 //! [`builder`] module provides synthetic equivalents (constant, layered,
-//! Gaussian lens, wedge, random media) that exercise the same code paths and
-//! produce recognisable reflectors for the RTM imaging tests.
+//! wedge) that exercise the same code paths and produce recognisable
+//! reflectors for the RTM imaging tests.
 //!
 //! [`footprint`] estimates GPU global-memory requirements for each seismic
 //! case — the mechanism behind the paper's "elastic variables could not fit
@@ -26,11 +26,10 @@ pub mod footprint;
 pub mod random_boundary;
 
 use seismic_grid::{Extent2, Extent3, Field2, Field3};
-use serde::{Deserialize, Serialize};
 
 /// Physical grid geometry shared by all models: spacings in meters and the
 /// time step in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometry {
     /// Grid spacing along x (m).
     pub dx: f32,

@@ -5,10 +5,8 @@
 //! memory and to decrease simulation time. ... Ghost node thickness is
 //! determined by the stencil used to solve the wave equation."
 
-use serde::{Deserialize, Serialize};
-
 /// A rank's slab of the global interior z-range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slab {
     /// First global interior z row owned by this rank.
     pub z0: usize,
@@ -29,7 +27,7 @@ impl Slab {
 
 /// Decomposition of `nz_global` rows over `n_ranks` ranks with ghost
 /// shells of `ghost` rows (the stencil half-width).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlabDecomp {
     /// Global interior depth.
     pub nz_global: usize,

@@ -8,10 +8,8 @@
 //! the higher speedup rates on IBM, compared with CRAY." These models supply
 //! the CPU-side times for the Table 3/4 reproductions.
 
-use serde::{Deserialize, Serialize};
-
 /// Point-to-point interconnect performance profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interconnect {
     /// Human-readable name.
     pub name: &'static str,
@@ -47,7 +45,7 @@ impl Interconnect {
 }
 
 /// One CPU socket of the baseline platform (roofline parameters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
     /// Human-readable name.
     pub name: &'static str,

@@ -11,11 +11,9 @@
 //! declarations; the Tier-2 sanitizer in [`crate::exec`] replays them on
 //! small grids to confirm or refute the static verdicts.
 
-use serde::{Deserialize, Serialize};
-
 /// One affine reference: the element `offset + stride·i` of a named array,
 /// touched once per iteration `i` of the declared loop.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AffineAccess {
     /// Name of the accessed array (a data-environment mapping name).
     pub array: String,
@@ -57,7 +55,7 @@ impl AffineAccess {
 /// Only the operators the propagator kernels actually use are modeled.
 /// `Sum` and `Prod` are floating-point non-associative under rounding, so
 /// vectorizing them reassociates the combine tree; `Min`/`Max` are exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// `reduction(+:x)` — FP addition, reassociation changes rounding.
     Sum,
@@ -90,7 +88,7 @@ impl ReduceOp {
 /// into the same element through `op`. Unlike a plain stride-0 write this
 /// is *not* a race — the runtime gives each lane/gang a private partial
 /// and combines them — but vectorizing it reassociates the combine order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReductionAccess {
     /// Name of the accumulated array (a data-environment mapping name).
     pub array: String,
@@ -102,7 +100,7 @@ pub struct ReductionAccess {
 
 /// The declared read/write footprint of one kernel launch over a
 /// linearized iteration space of `trip` iterations.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccessSet {
     /// Iterations of the (parallelized) loop the references range over.
     pub trip: u64,
@@ -111,7 +109,6 @@ pub struct AccessSet {
     /// Elements written each iteration.
     pub writes: Vec<AffineAccess>,
     /// Declared reduction cells combined into each iteration.
-    #[serde(default)]
     pub reductions: Vec<ReductionAccess>,
 }
 
@@ -213,67 +210,6 @@ impl AccessSet {
         v.dedup();
         v
     }
-
-    /// Rename every reference to `from` so it targets `to` — used when one
-    /// launch schedule runs against differently named data environments
-    /// (the forward/backward phases of RTM map the same kernels onto
-    /// different device blocks).
-    pub fn rename_array(mut self, from: &str, to: &str) -> Self {
-        for a in self.reads.iter_mut().chain(self.writes.iter_mut()) {
-            if a.array == from {
-                a.array = to.to_string();
-            }
-        }
-        for r in self.reductions.iter_mut() {
-            if r.array == from {
-                r.array = to.to_string();
-            }
-        }
-        self
-    }
-
-    /// Inclusive element range this set touches on `array` (reads, writes,
-    /// and reduction cells combined), or `None` if never referenced.
-    pub fn extent_on(&self, array: &str) -> Option<(i64, i64)> {
-        let base = self.range_over(array, self.reads.iter().chain(self.writes.iter()));
-        merge_ranges(base, self.reduction_range(array))
-    }
-
-    /// Inclusive element range this set *writes* on `array` (reduction
-    /// landing cells included).
-    pub fn write_extent_on(&self, array: &str) -> Option<(i64, i64)> {
-        let base = self.range_over(array, self.writes.iter());
-        merge_ranges(base, self.reduction_range(array))
-    }
-
-    fn range_over<'a>(
-        &self,
-        array: &str,
-        refs: impl Iterator<Item = &'a AffineAccess>,
-    ) -> Option<(i64, i64)> {
-        refs.filter(|a| a.array == array)
-            .filter_map(|a| a.extent(self.trip))
-            .reduce(|(lo1, hi1), (lo2, hi2)| (lo1.min(lo2), hi1.max(hi2)))
-    }
-
-    fn reduction_range(&self, array: &str) -> Option<(i64, i64)> {
-        if self.trip == 0 {
-            return None;
-        }
-        self.reductions
-            .iter()
-            .filter(|r| r.array == array)
-            .map(|r| (r.offset, r.offset))
-            .reduce(|(lo1, hi1), (lo2, hi2)| (lo1.min(lo2), hi1.max(hi2)))
-    }
-}
-
-fn merge_ranges(a: Option<(i64, i64)>, b: Option<(i64, i64)>) -> Option<(i64, i64)> {
-    match (a, b) {
-        (Some((lo1, hi1)), Some((lo2, hi2))) => Some((lo1.min(lo2), hi1.max(hi2))),
-        (Some(r), None) | (None, Some(r)) => Some(r),
-        (None, None) => None,
-    }
 }
 
 #[cfg(test)]
@@ -298,47 +234,36 @@ mod tests {
         // Centre + 4 taps per direction per axis.
         assert_eq!(s.reads.len(), 1 + 4 * 4);
         assert_eq!(s.arrays(), vec!["fields"]);
-        assert_eq!(s.write_extent_on("fields"), Some((1000, 1099)));
+        assert_eq!(s.writes[0].extent(s.trip), Some((1000, 1099)));
         // Reads stay below the write base: out-of-place.
-        let (lo, hi) = s.extent_on("fields").unwrap();
+        let (lo, hi) = read_extent(&s);
         assert_eq!(lo, -4 * 50);
-        assert_eq!(hi, 1099);
+        assert_eq!(hi, 99 + 4 * 50);
+    }
+
+    fn read_extent(s: &AccessSet) -> (i64, i64) {
+        s.reads
+            .iter()
+            .filter_map(|a| a.extent(s.trip))
+            .reduce(|(l1, h1), (l2, h2)| (l1.min(l2), h1.max(h2)))
+            .unwrap()
     }
 
     #[test]
     fn inplace_overlaps_itself() {
         let s = AccessSet::stencil_inplace(100, "u", 0, 2, 10);
-        let w = s.write_extent_on("u").unwrap();
-        let r = s
-            .reads
-            .iter()
-            .filter_map(|a| a.extent(s.trip))
-            .reduce(|(l1, h1), (l2, h2)| (l1.min(l2), h1.max(h2)))
-            .unwrap();
+        let w = s.writes[0].extent(s.trip).unwrap();
+        let r = read_extent(&s);
         assert!(w.0 <= r.1 && r.0 <= w.1, "in-place ranges must overlap");
-    }
-
-    #[test]
-    fn rename_targets_only_named_array() {
-        let s = AccessSet::new(10)
-            .read("a", 0, 1)
-            .read("b", 0, 1)
-            .write("a", 100, 1)
-            .rename_array("a", "forward");
-        assert_eq!(s.arrays(), vec!["b", "forward"]);
-        assert_eq!(s.written_arrays(), vec!["forward"]);
     }
 
     #[test]
     fn reductions_count_as_writes_in_footprints() {
         let s = AccessSet::new(64)
             .read("u", 0, 1)
-            .reduce("qc", 5, ReduceOp::Sum)
-            .rename_array("qc", "fields");
-        assert_eq!(s.arrays(), vec!["fields", "u"]);
-        assert_eq!(s.written_arrays(), vec!["fields"]);
-        assert_eq!(s.extent_on("fields"), Some((5, 5)));
-        assert_eq!(s.write_extent_on("fields"), Some((5, 5)));
+            .reduce("qc", 5, ReduceOp::Sum);
+        assert_eq!(s.arrays(), vec!["qc", "u"]);
+        assert_eq!(s.written_arrays(), vec!["qc"]);
         assert!(ReduceOp::Sum.reassociation_sensitive());
         assert!(!ReduceOp::Max.reassociation_sensitive());
         assert_eq!(ReduceOp::Sum.symbol(), "+");

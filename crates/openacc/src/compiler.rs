@@ -17,10 +17,9 @@
 //!   `auto_async_kernels`.
 
 use crate::construct::{Clause, ConstructKind, LoopNest, LoopSched};
-use serde::{Deserialize, Serialize};
 
 /// PGI compiler release (each bundles a different CUDA back-end).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PgiVersion {
     /// PGI 13.7 — earliest release used in the paper.
     V13_7,
@@ -31,7 +30,7 @@ pub enum PgiVersion {
 }
 
 /// A directive-to-device mapping back-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Compiler {
     /// PGI-style heuristics.
     Pgi(PgiVersion),
@@ -40,7 +39,7 @@ pub enum Compiler {
 }
 
 /// The lowering decision for one kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelPlan {
     /// Innermost loop mapped to vector lanes.
     pub vectorized: bool,

@@ -1,9 +1,7 @@
 //! Compute constructs and loop-scheduling clauses.
 
-use serde::{Deserialize, Serialize};
-
 /// The two OpenACC compute constructs (Section 4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConstructKind {
     /// `!$acc kernels` — "produces a sequence of accelerator kernels, where
     /// each loop nest becomes a kernel"; the compiler owns the mapping.
@@ -14,7 +12,7 @@ pub enum ConstructKind {
 }
 
 /// Per-loop scheduling clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopSched {
     /// Distribute across gangs (thread blocks / SMs).
     Gang,
@@ -29,7 +27,7 @@ pub enum LoopSched {
 }
 
 /// Additional clauses on the construct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Clause {
     /// `collapse(n)` — fuse the n innermost loops into one iteration space.
     Collapse(u32),
@@ -43,7 +41,7 @@ pub enum Clause {
 
 /// A loop nest handed to a compute construct: sizes from outermost to
 /// innermost, plus whether the innermost loop walks the contiguous axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopNest {
     /// Iteration counts, outermost first (e.g. `[nz, ny, nx]`).
     pub sizes: Vec<u64>,

@@ -1,6 +1,6 @@
 //! The device data environment.
 //!
-//! Implements the OpenACC 2.0 structured/unstructured data directives the
+//! Implements the OpenACC 2.0 unstructured data directives the
 //! paper's Section 5.4 relies on: `ENTER DATA COPYIN` / `EXIT DATA DELETE`
 //! for persistence across kernel launches, `UPDATE HOST` / `UPDATE DEVICE`
 //! for explicit refreshes, `CREATE` for device-only scratch (the Figure 13
@@ -26,10 +26,6 @@ pub enum DataError {
     /// [`DataError::NotPresent`] (never mapped at all) so callers can tell
     /// a stale directive sequence from a typo'd name.
     AlreadyDeleted(String),
-    /// The host read a variable whose last write happened on the device
-    /// with no `update host` in between — the wrong-answer hazard the
-    /// paper's Section 5.4 consistency updates exist to prevent.
-    StaleHostRead(String),
 }
 
 impl std::fmt::Display for DataError {
@@ -41,10 +37,6 @@ impl std::fmt::Display for DataError {
             DataError::AlreadyDeleted(n) => {
                 write!(f, "variable '{n}' already deleted from the device")
             }
-            DataError::StaleHostRead(n) => write!(
-                f,
-                "host read of '{n}' whose last write was on the device (missing `update host`)"
-            ),
         }
     }
 }
@@ -55,20 +47,11 @@ struct Mapping {
     #[allow(dead_code)] // held for its Drop (frees device bytes)
     buffer: DeviceBuffer,
     bytes: u64,
-    /// Device copy holds writes the host has not seen (`update host` clears).
-    device_dirty: bool,
-    /// Host copy holds writes the device has not seen (`update device` clears).
-    host_dirty: bool,
 }
 
-/// The data environment of one device context.
-///
-/// Besides capacity accounting, the environment keeps a *dirty bit* per
-/// mapped array in each direction: kernels report their writes through
-/// [`DataEnv::mark_device_write`], hosts report theirs through
-/// [`DataEnv::mark_host_write`]. [`DataEnv::host_read`] turns a host read
-/// of stale data into a typed error instead of a silent wrong answer, and
-/// [`DataEnv::device_copy_stale`] flags the dual hazard on the device side.
+/// The data environment of one device context: capacity accounting and
+/// PCIe pricing for every mapped array. Stale host and device reads are
+/// `acc-verify`'s to find, statically, over the whole directive program.
 pub struct DataEnv {
     dev: DeviceSpec,
     mem: DeviceMemory,
@@ -131,15 +114,8 @@ impl DataEnv {
         }
         let buffer = self.mem.alloc(bytes).map_err(DataError::Oom)?;
         self.freed.remove(name);
-        self.mapped.insert(
-            name.to_string(),
-            Mapping {
-                buffer,
-                bytes,
-                device_dirty: false,
-                host_dirty: false,
-            },
-        );
+        self.mapped
+            .insert(name.to_string(), Mapping { buffer, bytes });
         Ok(0.0)
     }
 
@@ -174,10 +150,9 @@ impl DataEnv {
     ) -> Result<SimTime, DataError> {
         let m = self
             .mapped
-            .get_mut(name)
+            .get(name)
             .ok_or_else(|| DataError::NotPresent(name.to_string()))?;
         let n = bytes.unwrap_or(m.bytes).min(m.bytes);
-        m.device_dirty = false;
         let dt = transfer_time(&self.dev, n, self.host_alloc, kind);
         prof.record_bytes(
             EventKind::MemcpyD2H,
@@ -203,10 +178,9 @@ impl DataEnv {
     ) -> Result<SimTime, DataError> {
         let m = self
             .mapped
-            .get_mut(name)
+            .get(name)
             .ok_or_else(|| DataError::NotPresent(name.to_string()))?;
         let n = bytes.unwrap_or(m.bytes).min(m.bytes);
-        m.host_dirty = false;
         let dt = transfer_time(&self.dev, n, self.host_alloc, kind);
         prof.record_bytes(
             EventKind::MemcpyH2D,
@@ -227,47 +201,6 @@ impl DataEnv {
         } else {
             Err(DataError::NotPresent(name.to_string()))
         }
-    }
-
-    /// Record a device-side write of `name` (a kernel launch listing it in
-    /// its write set). Sets the device dirty bit; a no-op on unmapped names
-    /// (the launch-side `present` check reports those).
-    pub fn mark_device_write(&mut self, name: &str) {
-        if let Some(m) = self.mapped.get_mut(name) {
-            m.device_dirty = true;
-        }
-    }
-
-    /// Record a host-side write of `name` (the driver refreshed its copy
-    /// before an `update device`). Sets the host dirty bit.
-    pub fn mark_host_write(&mut self, name: &str) {
-        if let Some(m) = self.mapped.get_mut(name) {
-            m.host_dirty = true;
-        }
-    }
-
-    /// The stale-host-read detector: a host read of a mapped array whose
-    /// last write happened on the device (no `update host` since) returns
-    /// [`DataError::StaleHostRead`]. Reads of unmapped or coherent arrays
-    /// are fine.
-    pub fn host_read(&self, name: &str) -> Result<(), DataError> {
-        match self.mapped.get(name) {
-            Some(m) if m.device_dirty => Err(DataError::StaleHostRead(name.to_string())),
-            _ => Ok(()),
-        }
-    }
-
-    /// The dual check: true when a device read of `name` would observe a
-    /// host copy not yet uploaded (`update device` missing after a host
-    /// write).
-    pub fn device_copy_stale(&self, name: &str) -> bool {
-        self.mapped.get(name).is_some_and(|m| m.host_dirty)
-    }
-
-    /// Whether the device copy of `name` carries writes the host has not
-    /// downloaded.
-    pub fn device_dirty(&self, name: &str) -> bool {
-        self.mapped.get(name).is_some_and(|m| m.device_dirty)
     }
 
     /// Mapped size of `name`, if present (observability: lets callers
@@ -400,34 +333,6 @@ mod tests {
         // Remapping clears the tombstone: the next delete succeeds again.
         e.enter_data_copyin("u", 100, 0.0, &p).unwrap();
         assert!(e.exit_data_delete("u").is_ok());
-    }
-
-    #[test]
-    fn dirty_bits_catch_stale_host_reads() {
-        let (mut e, p) = env();
-        e.enter_data_copyin("u", 1 << 20, 0.0, &p).unwrap();
-        // Fresh copyin is coherent.
-        assert!(e.host_read("u").is_ok());
-        e.mark_device_write("u");
-        assert!(e.device_dirty("u"));
-        assert!(matches!(e.host_read("u"), Err(DataError::StaleHostRead(_))));
-        e.update_host("u", None, TransferKind::Contiguous, 0.0, &p)
-            .unwrap();
-        assert!(e.host_read("u").is_ok());
-        // Unmapped names never trip the detector (host-only data).
-        assert!(e.host_read("host_only").is_ok());
-    }
-
-    #[test]
-    fn host_dirty_cleared_by_update_device() {
-        let (mut e, p) = env();
-        e.enter_data_copyin("u", 1 << 20, 0.0, &p).unwrap();
-        assert!(!e.device_copy_stale("u"));
-        e.mark_host_write("u");
-        assert!(e.device_copy_stale("u"));
-        e.update_device("u", None, TransferKind::Contiguous, 0.0, &p)
-            .unwrap();
-        assert!(!e.device_copy_stale("u"));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The OpenACC runtime: clock, launches, data movement, async queues.
 
-use crate::access::AccessSet;
 use crate::compiler::Compiler;
 use crate::construct::{Clause, ConstructKind, LoopNest};
 use crate::data::{DataEnv, DataError};
@@ -16,35 +15,23 @@ use std::sync::Arc;
 /// diagnoses statically, surfaced at execution time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
-    /// A data-environment operation failed.
-    Data(DataError),
     /// `wait` with no asynchronous work pending anywhere — almost always a
     /// doubled `wait` directive (the first drain already consumed the
     /// queues), surfaced explicitly instead of as a silent zero-time no-op.
     NothingPending,
-    /// `wait(queue)` on a queue with nothing in flight.
-    QueueEmpty(u32),
 }
 
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RuntimeError::Data(e) => write!(f, "{e}"),
             RuntimeError::NothingPending => {
                 write!(f, "wait with no async work pending (doubled wait?)")
             }
-            RuntimeError::QueueEmpty(q) => write!(f, "wait on empty async queue {q}"),
         }
     }
 }
 
 impl std::error::Error for RuntimeError {}
-
-impl From<DataError> for RuntimeError {
-    fn from(e: DataError) -> Self {
-        RuntimeError::Data(e)
-    }
-}
 
 /// A device context: simulated clock + data environment + async queues.
 ///
@@ -205,27 +192,6 @@ impl AccRuntime {
         timing
     }
 
-    /// Launch with a declared access pattern: performs the `present` check
-    /// the directive implies for every referenced array, marks written
-    /// arrays device-dirty (feeding the stale-host-read detector), then
-    /// launches as [`AccRuntime::launch`] does.
-    pub fn launch_with_access(
-        &mut self,
-        desc: &KernelDesc,
-        nest: &LoopNest,
-        kind: ConstructKind,
-        clauses: &[Clause],
-        access: &AccessSet,
-    ) -> Result<KernelTiming, RuntimeError> {
-        for array in access.arrays() {
-            self.data.present(array)?;
-        }
-        for array in access.written_arrays() {
-            self.data.mark_device_write(array);
-        }
-        Ok(self.launch(desc, nest, kind, clauses))
-    }
-
     /// `!$acc wait` — drain all async queues, advancing the clock by the
     /// overlapped makespan.
     ///
@@ -247,26 +213,7 @@ impl AccRuntime {
         }
         let dev = self.data.device().clone();
         let sched = self.queue.drain_schedule(&dev, IssueMode::AsyncStreams);
-        self.record_drained(&sched, "wait");
-        self.clock += sched.makespan_s;
-        Ok(sched.makespan_s)
-    }
-
-    /// `!$acc wait(queue)` — drain one async queue only; `0.0` when the
-    /// queue is empty (spec no-op, see [`AccRuntime::try_wait_queue`]).
-    pub fn wait_queue(&mut self, queue: u32) -> SimTime {
-        self.try_wait_queue(queue).unwrap_or(0.0)
-    }
-
-    /// `!$acc wait(queue)`, strict form: an empty queue returns
-    /// [`RuntimeError::QueueEmpty`].
-    pub fn try_wait_queue(&mut self, queue: u32) -> Result<SimTime, RuntimeError> {
-        if !self.queue.has_queue(queue) {
-            return Err(RuntimeError::QueueEmpty(queue));
-        }
-        let dev = self.data.device().clone();
-        let sched = self.queue.drain_queue_schedule(&dev, queue);
-        self.record_drained(&sched, &format!("wait({queue})"));
+        self.record_drained(&sched);
         self.clock += sched.makespan_s;
         Ok(sched.makespan_s)
     }
@@ -275,7 +222,7 @@ impl AccRuntime {
     /// fixed each kernel's true start (relative to the wait, i.e. the
     /// current clock), so the profiler ledger and the trace carry real
     /// timestamps instead of a serial-per-stream approximation.
-    fn record_drained(&mut self, sched: &accel_sim::DrainSchedule, wait_name: &str) {
+    fn record_drained(&mut self, sched: &accel_sim::DrainSchedule) {
         let base = self.clock;
         for k in &sched.kernels {
             self.profiler.record(
@@ -299,49 +246,10 @@ impl AccRuntime {
             obs.span(Span::new(
                 Track::Host,
                 SpanCat::Wait,
-                wait_name,
+                "wait",
                 base,
                 sched.makespan_s,
             ));
-        }
-    }
-
-    /// A structured `!$acc data copyin(...)` region: maps every listed
-    /// variable, runs `body`, then unmaps them in reverse order — the
-    /// structured counterpart of the enter/exit pairs, guaranteeing no
-    /// leaks on early return.
-    pub fn data_region<T>(
-        &mut self,
-        vars: &[(&str, u64)],
-        body: impl FnOnce(&mut Self) -> T,
-    ) -> Result<T, DataError> {
-        let mut mapped: Vec<String> = Vec::with_capacity(vars.len());
-        for (name, bytes) in vars {
-            if let Err(e) = self.enter_data_copyin(name, *bytes) {
-                self.unmap_region(&mapped)?;
-                return Err(e);
-            }
-            mapped.push((*name).to_string());
-        }
-        let out = body(self);
-        self.unmap_region(&mapped)?;
-        Ok(out)
-    }
-
-    /// Unmap a structured region's variables in reverse order. The names
-    /// were mapped by this region, so a delete failure means the body
-    /// deleted one itself — surfaced as the typed error rather than a
-    /// panic, after the remaining names are still cleaned up.
-    fn unmap_region(&mut self, mapped: &[String]) -> Result<(), DataError> {
-        let mut first_err = None;
-        for done in mapped.iter().rev() {
-            if let Err(e) = self.exit_data_delete(done) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
         }
     }
 
@@ -574,45 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_queue_is_selective() {
-        let mut r = AccRuntime::new(DeviceSpec::k40(), Compiler::Cray);
-        let nest = LoopNest::new(&[128, 128]);
-        r.launch(&desc(), &nest, ConstructKind::Parallel, &[Clause::Async(0)]);
-        r.launch(&desc(), &nest, ConstructKind::Parallel, &[Clause::Async(1)]);
-        let t0 = r.wait_queue(0);
-        assert!(t0 > 0.0);
-        // Queue 1 still pending: the global wait drains it.
-        let t1 = r.wait_async();
-        assert!(t1 > 0.0);
-        assert_eq!(r.wait_async(), 0.0);
-    }
-
-    #[test]
-    fn data_region_maps_and_unmaps() {
-        let mut r = rt();
-        let out = r
-            .data_region(&[("u", 1 << 20), ("v", 1 << 20)], |rt| {
-                assert!(rt.data.present("u").is_ok());
-                assert!(rt.data.present("v").is_ok());
-                42
-            })
-            .unwrap();
-        assert_eq!(out, 42);
-        assert!(r.data.present("u").is_err(), "unmapped at region exit");
-        assert!(r.data.present("v").is_err());
-    }
-
-    #[test]
-    fn data_region_unwinds_on_oom() {
-        // 6 GB card: the second variable cannot fit; the first must be
-        // unmapped by the failed-region cleanup.
-        let mut r = AccRuntime::new(DeviceSpec::m2090(), Compiler::Cray);
-        let e = r.data_region(&[("a", 4 << 30), ("b", 4 << 30)], |_| ());
-        assert!(e.is_err());
-        assert_eq!(r.data().device_bytes_in_use(), 0, "no leak after OOM");
-    }
-
-    #[test]
     fn host_time_accumulates() {
         let mut r = rt();
         r.advance_host(1.5);
@@ -629,37 +498,8 @@ mod tests {
         assert!(r.try_wait_async().is_ok());
         assert_eq!(r.try_wait_async(), Err(RuntimeError::NothingPending));
         assert_eq!(r.wait_async(), 0.0, "permissive form stays a no-op");
-        assert_eq!(r.try_wait_queue(7), Err(RuntimeError::QueueEmpty(7)));
-        assert_eq!(r.wait_queue(7), 0.0);
     }
 
-    #[test]
-    fn launch_with_access_checks_presence_and_marks_dirty() {
-        use crate::access::AccessSet;
-        let mut r = rt();
-        let nest = LoopNest::new(&[128, 128]);
-        let acc = AccessSet::stencil(nest.points(), "u", 1 << 20, 0, 4, 128);
-        // Not mapped yet: the implied present check fails.
-        let err = r
-            .launch_with_access(&desc(), &nest, ConstructKind::Kernels, &[], &acc)
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::Data(DataError::NotPresent(_))));
-        r.enter_data_copyin("u", 8 << 20).unwrap();
-        r.launch_with_access(&desc(), &nest, ConstructKind::Kernels, &[], &acc)
-            .unwrap();
-        // The write set left the device copy dirty: a host read must fail
-        // until update_host.
-        assert!(matches!(
-            r.data().host_read("u"),
-            Err(DataError::StaleHostRead(_))
-        ));
-        r.update_host("u", None, TransferKind::Contiguous).unwrap();
-        assert!(r.data().host_read("u").is_ok());
-    }
-
-    /// Async kernels are recorded at their wait with the drain schedule's
-    /// true timestamps; sync kernels at launch. Totals are unchanged by
-    /// the deferral.
     #[test]
     fn deferred_async_recording_has_true_starts() {
         let mut r = AccRuntime::new(DeviceSpec::k40(), Compiler::Cray);
@@ -733,18 +573,5 @@ mod tests {
             r.elapsed()
         };
         assert_eq!(run(false), run(true));
-    }
-
-    /// A body that deletes a region variable itself surfaces the typed
-    /// double-delete instead of panicking, and the region still unmaps the
-    /// rest.
-    #[test]
-    fn data_region_reports_body_deletes() {
-        let mut r = rt();
-        let out = r.data_region(&[("a", 1 << 20), ("b", 1 << 20)], |rt| {
-            rt.exit_data_delete("b").unwrap();
-        });
-        assert!(matches!(out, Err(DataError::AlreadyDeleted(_))));
-        assert_eq!(r.data().device_bytes_in_use(), 0, "region still cleaned");
     }
 }

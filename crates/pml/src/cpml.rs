@@ -11,10 +11,9 @@
 //! restructuring legal.
 
 use seismic_grid::fd::flush;
-use serde::{Deserialize, Serialize};
 
 /// C-PML coefficient set for one axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpmlAxis {
     a: Vec<f32>,
     b: Vec<f32>,

@@ -1,7 +1,5 @@
 //! Polynomial damping profiles for the 2nd-order isotropic formulation.
 
-use serde::{Deserialize, Serialize};
-
 /// A one-dimensional damping profile σ over the *full allocated* axis length
 /// (halo included). σ is zero in the interior and ramps polynomially to
 /// σ_max at the outer edge of each absorbing strip.
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// The isotropic kernel combines per-axis profiles additively:
 /// `σ(ix,iz) = σx[ix] + σz[iz]` and steps
 /// `u⁺ = (2u − (1−σdt)u⁻ + dt²v²∇²u) / (1+σdt)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DampProfile {
     sigma: Vec<f32>,
     width: usize,

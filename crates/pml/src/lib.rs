@@ -37,11 +37,4 @@ pub mod random;
 
 pub use cpml::CpmlAxis;
 pub use damp::DampProfile;
-pub use random::{PerturbationLaw, RandomBoundarySpec};
-
-/// Default absorbing-layer thickness in grid points.
-pub const DEFAULT_PML_WIDTH: usize = 20;
-
-/// Theoretical normal-incidence reflection coefficient targeted by the
-/// profile design (R₀). Smaller R₀ → stronger damping.
-pub const DEFAULT_R0: f64 = 1e-4;
+pub use random::RandomBoundarySpec;

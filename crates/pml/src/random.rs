@@ -17,69 +17,35 @@
 //! * **Deterministic & order-free** — the factor at a cell is a pure function
 //!   of `(seed, coordinates)` via [`seismic_grid::rng::hash2`]/[`hash3`], so
 //!   gang counts, slab decompositions, and restarts cannot change it.
-//! * **Velocity never increases** — factors lie in `[1 − amp, 1]`, so the CFL
+//! * **Velocity never increases** — factors lie in `[1 − AMP, 1]`, so the CFL
 //!   bound of the unperturbed model still holds and `dt` is unchanged.
-//! * **No impedance wall** — the [`PerturbationLaw::Ramp`] law grows the
-//!   perturbation amplitude linearly from 0 at the interior edge of the strip
-//!   to `amp` at the outer edge, avoiding a coherent reflection off the
-//!   strip's inner face.
+//! * **No impedance wall** — the perturbation amplitude ramps linearly from
+//!   0 at the interior edge of the strip to [`AMP`] at the outer edge, the
+//!   law of the random-boundary literature, so the strip's inner face
+//!   reflects nothing coherent back into the interior.
 
 use seismic_grid::rng::{hash2, hash3, unit_f32};
-use serde::{Deserialize, Serialize};
 
-/// How the perturbation amplitude varies across the strip depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PerturbationLaw {
-    /// Full amplitude everywhere in the strip. Strongest scattering, but the
-    /// abrupt impedance contrast at the strip's inner face reflects
-    /// coherently back into the interior.
-    Uniform,
-    /// Amplitude ramps linearly from 0 at the inner face to `amp` at the
-    /// outer edge — the law used by the random-boundary literature to keep
-    /// the inner face acoustically invisible.
-    Ramp,
-}
+/// Maximum relative velocity perturbation, reached at the outer edge of the
+/// strip: a cell at depth `d` of a `width`-point strip has its velocity
+/// scaled by `1 − a·u` with `a = AMP·d/width` and `u ~ U[0,1)`.
+pub const AMP: f32 = 0.35;
 
-/// A seeded random-boundary region: strip width, perturbation amplitude,
-/// law, and seed. Two specs with the same fields build bitwise-identical
-/// boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A seeded random-boundary region: strip width and seed. Two specs with
+/// the same fields build bitwise-identical boundaries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandomBoundarySpec {
     /// Strip depth in grid points at every interior face.
     pub width: usize,
-    /// Maximum relative velocity perturbation, in `(0, 1)`: a cell's
-    /// velocity is scaled by `1 − a·u` with `a ≤ amp` and `u ~ U[0,1)`.
-    pub amp: f32,
-    /// Amplitude profile across the strip.
-    pub law: PerturbationLaw,
     /// RNG seed; the whole boundary is a pure function of it.
     pub seed: u64,
 }
 
 impl RandomBoundarySpec {
-    /// Spec with the given width and seed and the literature-standard
-    /// ramped law at 35% maximum perturbation.
+    /// Spec with the given width and seed.
     pub fn new(width: usize, seed: u64) -> Self {
         assert!(width > 0, "random boundary width must be positive");
-        Self {
-            width,
-            amp: 0.35,
-            law: PerturbationLaw::Ramp,
-            seed,
-        }
-    }
-
-    /// Same spec with a different perturbation amplitude.
-    pub fn with_amp(mut self, amp: f32) -> Self {
-        assert!(amp > 0.0 && amp < 1.0, "amp must lie in (0, 1): {amp}");
-        self.amp = amp;
-        self
-    }
-
-    /// Same spec with a different law.
-    pub fn with_law(mut self, law: PerturbationLaw) -> Self {
-        self.law = law;
-        self
+        Self { width, seed }
     }
 
     /// Depth into the strip (`0` = outside, `width` = at the domain edge)
@@ -93,10 +59,7 @@ impl RandomBoundarySpec {
         if depth == 0 {
             return 1.0;
         }
-        let local_amp = match self.law {
-            PerturbationLaw::Uniform => self.amp,
-            PerturbationLaw::Ramp => self.amp * depth as f32 / self.width as f32,
-        };
+        let local_amp = AMP * depth as f32 / self.width as f32;
         1.0 - local_amp * unit_f32(h)
     }
 
@@ -146,11 +109,11 @@ mod tests {
 
     #[test]
     fn strip_factors_stay_in_band_and_only_slow_down() {
-        let s = RandomBoundarySpec::new(8, 42).with_amp(0.3);
+        let s = RandomBoundarySpec::new(8, 42);
         for ix in 0..64 {
             for iz in 0..64 {
                 let f = s.factor2(64, 64, ix, iz);
-                assert!((0.7..=1.0).contains(&f), "factor {f} at ({ix},{iz})");
+                assert!((1.0 - AMP..=1.0).contains(&f), "factor {f} at ({ix},{iz})");
             }
         }
     }
@@ -171,29 +134,53 @@ mod tests {
         assert!(differs, "different seeds must build different boundaries");
     }
 
+    /// The ramp bounds every strip depth `d` in `1..=width` by
+    /// `1 − AMP·d/width ≤ factor ≤ 1`, so the perturbation vanishes towards
+    /// the inner face, and every point outside the strip is exactly 1.
     #[test]
     fn ramp_law_vanishes_at_the_inner_face() {
-        let s = RandomBoundarySpec::new(8, 42);
-        // One point inside the strip (edge_dist = width-1, depth = 1): the
-        // ramp allows at most amp/width perturbation.
-        let f = s.factor2(64, 64, 7, 32);
-        assert!(f >= 1.0 - s.amp / s.width as f32 - 1e-7, "inner face {f}");
-        // Uniform law at the same point can use the full amplitude band.
-        let u = s.with_law(PerturbationLaw::Uniform);
-        assert!(u.factor2(64, 64, 7, 32) >= 1.0 - u.amp);
+        let (w, n) = (8, 40);
+        let s = RandomBoundarySpec::new(w, 42);
+        let in_band = |f: f32, edge: usize| {
+            let depth = w.saturating_sub(edge);
+            if depth == 0 {
+                f == 1.0
+            } else {
+                let lo = 1.0 - AMP * depth as f32 / w as f32;
+                (lo..=1.0).contains(&f)
+            }
+        };
+        for ix in 0..n {
+            for iz in 0..n {
+                let edge = ix.min(n - 1 - ix).min(iz).min(n - 1 - iz);
+                let f = s.factor2(n, n, ix, iz);
+                assert!(in_band(f, edge), "2-D factor {f} at ({ix},{iz})");
+            }
+        }
+        let m = 20;
+        for ix in 0..m {
+            for iy in 0..m {
+                for iz in 0..m {
+                    let edge = ix.min(m - 1 - ix).min(iy.min(m - 1 - iy));
+                    let edge = edge.min(iz.min(m - 1 - iz));
+                    let f = s.factor3([m, m, m], ix, iy, iz);
+                    assert!(in_band(f, edge), "3-D factor {f} at ({ix},{iy},{iz})");
+                }
+            }
+        }
     }
 
     #[test]
     fn deepest_cells_carry_the_full_amplitude_band() {
-        let s = RandomBoundarySpec::new(8, 3).with_amp(0.4);
-        // Corner cell: depth = width under every law; with many cells some
-        // hash must land near the bottom of the band.
+        let s = RandomBoundarySpec::new(8, 3);
+        // Corner cell: depth = width; with many cells some hash must land
+        // near the bottom of the band.
         let mut min = 1.0f32;
         for ix in 0..64 {
             let f = s.factor2(64, 64, ix, 0);
             min = min.min(f);
         }
-        assert!(min < 1.0 - 0.3 * s.amp, "edge row never perturbed? {min}");
+        assert!(min < 1.0 - 0.3 * AMP, "edge row never perturbed? {min}");
     }
 
     #[test]
@@ -201,7 +188,7 @@ mod tests {
         let s = RandomBoundarySpec::new(4, 9);
         for iy in 0..16 {
             let f = s.factor3([16, 16, 16], 8, iy, 8);
-            assert!((1.0 - s.amp..=1.0).contains(&f));
+            assert!((1.0 - AMP..=1.0).contains(&f));
             if (4..12).contains(&iy) {
                 assert_eq!(f, 1.0);
             }

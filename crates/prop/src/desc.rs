@@ -7,10 +7,8 @@
 //! results hinge on them: Fermi caps at 63 registers per thread (spills
 //! beyond), Kepler at 255.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of one device kernel of a propagator step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelDesc {
     /// Kernel name as it appears in profiler output (e.g. `kernel_2d_139_gpu`).
     pub name: &'static str,

@@ -88,11 +88,9 @@ fn has_avx2() -> bool {
     yes
 }
 
-use serde::{Deserialize, Serialize};
-
 /// Which GPU variant of the isotropic PML kernel to price (Figures 6/7).
 /// All three compute the same bits; the host runs one kernel for all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IsoPmlVariant {
     /// Boundary `if`-statements inside the main loop (the original code).
     OriginalIfs,
@@ -105,7 +103,7 @@ pub enum IsoPmlVariant {
 }
 
 /// Which form of the acoustic 3D pressure-update kernel to run (Figure 12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FissionVariant {
     /// One kernel computes the x, y, and z derivative contributions —
     /// maximum register pressure.
@@ -116,7 +114,7 @@ pub enum FissionVariant {
 }
 
 /// Memory-access strategy of the acoustic 2D backward kernel (Figure 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransposeVariant {
     /// Update sweeps the strided (z) axis innermost — uncoalesced.
     Direct,

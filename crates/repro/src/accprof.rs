@@ -144,7 +144,8 @@ pub struct ProfileRequest {
     /// with the wall-clock profiler on: the per-worker wall-clock tracks
     /// join the same timeline (distinct clock domain, labeled `wall
     /// worker N` with a `clock=wall` arg), the derived gang metrics land
-    /// in the registry, and `host_profile.json` is emitted.
+    /// in the registry, and `host_profile.json` is emitted. The gang
+    /// count comes from [`openacc_sim::exec::try_default_gangs`].
     pub host: bool,
 }
 
@@ -178,6 +179,13 @@ fn device_label(device: DeviceChoice) -> String {
 /// self-validated before being returned: it must re-parse as JSON and
 /// every track must hold monotone, flame-nested spans.
 pub fn profile(req: &ProfileRequest) -> Result<ProfileOutput, RtmError> {
+    // The real host run takes its gang count from `ACC_GANGS` or the
+    // hardware, as `calibrate` does; a bad value fails before any work.
+    let host_gangs = if req.host {
+        Some(openacc_sim::exec::try_default_gangs().map_err(RtmError::Gangs)?)
+    } else {
+        None
+    };
     let mut w = table_workload(&req.case);
     if let Some(steps) = req.steps {
         w.steps = steps.max(1);
@@ -230,8 +238,8 @@ pub fn profile(req: &ProfileRequest) -> Result<ProfileOutput, RtmError> {
     // wall-clock worker tracks merged next to the simulated-time tracks
     // (two clock domains, one timeline; each wall span carries a
     // `clock=wall` arg so the domains cannot be confused).
-    let (host_profile_json, host_report) = if req.host {
-        let (_hw, _wall_s, hp) = crate::calibrate::profiled_host_run(&req.case, 4);
+    let (host_profile_json, host_report) = if let Some(gangs) = host_gangs {
+        let (_hw, _wall_s, hp) = crate::calibrate::profiled_host_run(&req.case, gangs);
         let report = acc_obs::wallclock::ingest(&hp, &obs);
         (
             Some(acc_obs::wallclock::host_profile_json(&hp)),

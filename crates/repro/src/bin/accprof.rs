@@ -11,7 +11,8 @@
 //! * `host_profile.json` (with `--host`) — the real wall-clock host-engine
 //!   run's derived gang report and raw per-worker event streams; its
 //!   `wall worker N` tracks also join `trace.json` next to the
-//!   simulated-time tracks.
+//!   simulated-time tracks. The host run uses `ACC_GANGS` gangs, or one
+//!   per core when it is unset; an invalid `ACC_GANGS` exits with status 2.
 //!
 //! ```text
 //! accprof --case iso3d --device k40 [--mode rtm|modeling]
@@ -19,6 +20,7 @@
 //! ```
 
 use repro::accprof::{parse_case, profile, DeviceChoice, ProfileRequest, RunMode};
+use rtm_core::error::RtmError;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -101,6 +103,10 @@ fn main() -> ExitCode {
     };
     let out = match profile(&args.req) {
         Ok(o) => o,
+        Err(RtmError::Gangs(e)) => {
+            eprintln!("accprof: {e}");
+            return ExitCode::from(2);
+        }
         Err(e) => {
             eprintln!("accprof: {e}");
             return ExitCode::FAILURE;

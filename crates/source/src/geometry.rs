@@ -1,9 +1,7 @@
 //! Acquisition geometry: shot and receiver positions on the interior grid.
 
-use serde::{Deserialize, Serialize};
-
 /// A receiver location in a 2D grid (interior indices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Receiver2 {
     /// Interior x index.
     pub ix: usize,
@@ -12,7 +10,7 @@ pub struct Receiver2 {
 }
 
 /// A receiver location in a 3D grid (interior indices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Receiver3 {
     /// Interior x index.
     pub ix: usize,
@@ -24,7 +22,7 @@ pub struct Receiver3 {
 
 /// One shot's acquisition layout in 2D: a point source and a line of
 /// receivers (typically a surface cable at constant depth).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Acquisition2 {
     /// Source x index.
     pub src_ix: usize,
@@ -65,7 +63,7 @@ impl Acquisition2 {
 
 /// One shot's acquisition layout in 3D: point source and a rectangular
 /// receiver grid at constant depth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Acquisition3 {
     /// Source x index.
     pub src_ix: usize,

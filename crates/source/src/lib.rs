@@ -12,7 +12,6 @@
 //! inlined single-kernel variants on top of the primitives here.
 
 pub mod geometry;
-pub mod process;
 pub mod seismogram;
 pub mod wavelet;
 

@@ -1,12 +1,10 @@
 //! Shot records: the traces recorded at each receiver over time.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense (n_receivers × nt) shot record, receiver-major.
 ///
 /// Recorded by the modeling/forward phase at every time step and re-injected
 /// (time-reversed) by the RTM backward phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Seismogram {
     n_receivers: usize,
     nt: usize,

@@ -1,7 +1,5 @@
 //! Source time functions.
 
-use serde::{Deserialize, Serialize};
-
 /// Ricker wavelet (second derivative of a Gaussian) with peak frequency
 /// `f_peak`, evaluated at time `t` relative to the wavelet center:
 /// `(1 − 2π²f²t²)·exp(−π²f²t²)`.
@@ -21,7 +19,7 @@ pub fn ricker_trace(f_peak: f32, dt: f32, nt: usize) -> Vec<f32> {
 }
 
 /// A parameterised source time function, sampled lazily by the drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Wavelet {
     /// Ricker wavelet with the given peak frequency (Hz) and delay (s).
     Ricker {

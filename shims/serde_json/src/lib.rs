@@ -1,9 +1,9 @@
 //! Offline build shim for `serde_json`.
 //!
-//! The workspace builds hermetically with no registry access (see
-//! `shims/serde_derive`), and the sibling `serde` shim reduces `Serialize`
-//! to a marker trait — so the generic `to_string<T: Serialize>` entry point
-//! of the real crate cannot exist here. Instead this shim implements the
+//! The workspace builds hermetically with no registry access, and nothing
+//! in it derives `serde::Serialize`: every document is built as a
+//! [`Value`] by hand. So the generic `to_string<T: Serialize>` entry point
+//! of the real crate does not exist here. Instead this shim implements the
 //! *value half* of `serde_json` for real: the [`Value`] tree, a serializer
 //! with correct JSON string escaping, and a strict parser. That is exactly
 //! the subset the observability stack needs — building trace/report
