@@ -8,15 +8,15 @@
 //!   recorded traces time-reversed.
 //!
 //! Strategies differ only in where the source wavefield at step `t` comes
-//! from — the [`SourceField`] seam: snapshots stored by the forward phase
-//! ([`Stored`]), segments replayed from checkpoints ([`Replay`]), or a
-//! lossless state walked back in time ([`Reversed`]). Dimensionality and
-//! formulation hide behind [`Wave`], implemented by [`State2`] and
-//! [`State3`]. Snapshot copies ([`Wave::snapshot`]) and the imaging
-//! condition ([`Wave::correlate`]) are written once, over the interior
-//! [`Rows`] of a 2D or 3D grid, and launched through `par_slabs` over
-//! depth with the step's own slab map, so each gang touches the rows it
-//! just wrote. The wall-clock `Phase` spans of [`exec_host::prof`] are
+//! from — the [`SourceField`] seam: snapshots the forward phase packed into
+//! one buffer ([`Snapshots`]) or a caller's snapshot fields ([`Stored`]),
+//! segments replayed from checkpoints ([`Replay`]), or a lossless state
+//! walked back in time ([`Reversed`]). Dimensionality and formulation hide
+//! behind [`Wave`], implemented by [`State2`] and [`State3`]. The row copy
+//! behind every snapshot ([`copy_rows`]) and the imaging condition
+//! ([`Wave::correlate`]) are written once, over the interior [`Rows`] of a
+//! 2D or 3D grid, and launched through `par_slabs` over depth with the
+//! step's own slab map, so each gang touches the rows it just wrote. The wall-clock `Phase` spans of [`exec_host::prof`] are
 //! emitted here only — forward around every forward pass, backward around
 //! [`backward`], imaging around each correlation — so every strategy
 //! reports them.
@@ -62,61 +62,65 @@ impl ShotPoints for Acquisition3 {
     }
 }
 
-/// A scalar field sampled at interior grid points: a stored snapshot or
-/// the pressure-like field of a live state.
+/// A scalar field sampled at interior grid points `[x, y, z]` (2D grids
+/// have `y = 0`): a stored snapshot or the pressure-like field of a live
+/// state.
 pub trait Sampled: Sync {
-    type Ix: Copy;
-    fn at(&self, i: Self::Ix) -> f32;
-    /// The sampled values as one halo-inclusive array laid out like the
-    /// grid, when the field stores them; `None` when each sample is
-    /// derived (the elastic stress mean).
-    fn stored(&self) -> Option<&[f32]>;
+    fn at(&self, p: [usize; 3]) -> f32;
+    /// The `nx` samples of interior row `(iy, iz)`, when the field stores
+    /// them; `None` when each sample is derived (the elastic stress mean).
+    fn row(&self, iy: usize, iz: usize) -> Option<&[f32]>;
+}
+
+impl<S: Sampled> Sampled for &S {
+    fn at(&self, p: [usize; 3]) -> f32 {
+        (**self).at(p)
+    }
+    fn row(&self, iy: usize, iz: usize) -> Option<&[f32]> {
+        (**self).row(iy, iz)
+    }
 }
 
 impl Sampled for Field2 {
-    type Ix = [usize; 2];
-    fn at(&self, [ix, iz]: [usize; 2]) -> f32 {
+    fn at(&self, [ix, _, iz]: [usize; 3]) -> f32 {
         self.get(ix, iz)
     }
-    fn stored(&self) -> Option<&[f32]> {
-        Some(self.as_slice())
+    fn row(&self, iy: usize, iz: usize) -> Option<&[f32]> {
+        Some(self.rows().row(self.as_slice(), iy, iz))
     }
 }
 
 impl Sampled for State2 {
-    type Ix = [usize; 2];
-    fn at(&self, [ix, iz]: [usize; 2]) -> f32 {
+    fn at(&self, [ix, _, iz]: [usize; 3]) -> f32 {
         self.sample(ix, iz)
     }
-    fn stored(&self) -> Option<&[f32]> {
+    fn row(&self, iy: usize, iz: usize) -> Option<&[f32]> {
         match self {
-            State2::Iso(s) => Some(s.u_cur.as_slice()),
-            State2::Acoustic(s) => Some(s.p.as_slice()),
-            State2::Vti(s) => Some(s.p_cur.as_slice()),
+            State2::Iso(s) => s.u_cur.row(iy, iz),
+            State2::Acoustic(s) => s.p.row(iy, iz),
+            State2::Vti(s) => s.p_cur.row(iy, iz),
             State2::Elastic(_) => None,
         }
     }
 }
 
 impl Sampled for Field3 {
-    type Ix = [usize; 3];
     fn at(&self, [ix, iy, iz]: [usize; 3]) -> f32 {
         self.get(ix, iy, iz)
     }
-    fn stored(&self) -> Option<&[f32]> {
-        Some(self.as_slice())
+    fn row(&self, iy: usize, iz: usize) -> Option<&[f32]> {
+        Some(self.rows().row(self.as_slice(), iy, iz))
     }
 }
 
 impl Sampled for State3 {
-    type Ix = [usize; 3];
     fn at(&self, [ix, iy, iz]: [usize; 3]) -> f32 {
         self.sample(ix, iy, iz)
     }
-    fn stored(&self) -> Option<&[f32]> {
+    fn row(&self, iy: usize, iz: usize) -> Option<&[f32]> {
         match self {
-            State3::Iso(s) => Some(s.u_cur.as_slice()),
-            State3::Acoustic(s) => Some(s.p.as_slice()),
+            State3::Iso(s) => s.u_cur.row(iy, iz),
+            State3::Acoustic(s) => s.p.row(iy, iz),
             State3::Elastic(_) => None,
         }
     }
@@ -124,7 +128,8 @@ impl Sampled for State3 {
 
 /// The interior rows of a grid: `ny` rows of `nx` points at each of `nz`
 /// depths (a 2D grid has `ny = 1`), the row at `(iy, iz)` starting at flat
-/// index `origin + iy·y_stride + iz·z_stride` of the halo-inclusive array.
+/// index `origin + iy·y_stride + iz·z_stride` of the array — halo-inclusive
+/// for a field, halo-free for a packed snapshot.
 #[derive(Clone, Copy)]
 pub struct Rows {
     nx: usize,
@@ -136,9 +141,32 @@ pub struct Rows {
 }
 
 impl Rows {
+    /// The rows of an `[nx, ny, nz]` interior stored back to back, with no
+    /// halo.
+    fn packed([nx, ny, nz]: [usize; 3]) -> Self {
+        Self {
+            nx,
+            ny,
+            nz,
+            origin: 0,
+            y_stride: nx,
+            z_stride: nx * ny,
+        }
+    }
+
+    /// Interior points.
+    fn points(&self) -> usize {
+        self.nx * self.ny * self.nz
+    }
+
     /// Flat index of the first interior point of row `(iy, iz)`.
     fn start(&self, iy: usize, iz: usize) -> usize {
         self.origin + iy * self.y_stride + iz * self.z_stride
+    }
+
+    /// Row `(iy, iz)` of `data`, an array laid out by these rows.
+    fn row<'a>(&self, data: &'a [f32], iy: usize, iz: usize) -> &'a [f32] {
+        &data[self.start(iy, iz)..][..self.nx]
     }
 
     /// Run `row(iy, iz, start)` for every interior row, slab-parallel over
@@ -197,6 +225,26 @@ impl Grid for Field3 {
     fn data_mut(&mut self) -> &mut [f32] {
         self.as_mut_slice()
     }
+}
+
+/// Copy the interior rows of `src` into `out`, an array laid out by `rows`,
+/// slab-parallel over `gangs`: the one row copy behind snapshot fields,
+/// packed snapshots and modeling frames. Fields without stored rows (the
+/// elastic stress mean) are sampled point by point.
+fn copy_rows(src: &impl Sampled, out: &mut [f32], rows: Rows, gangs: usize) {
+    let out = SyncSlice::new(out);
+    rows.par_for_each(gangs, |iy, iz, c| {
+        // SAFETY: each row is written by the one slab holding its depth.
+        let o = unsafe { out.range_mut(c, rows.nx) };
+        match src.row(iy, iz) {
+            Some(s) => o.copy_from_slice(s),
+            None => {
+                for (ix, v) in o.iter_mut().enumerate() {
+                    *v = src.at([ix, iy, iz]);
+                }
+            }
+        }
+    });
 }
 
 /// The imaging condition over one interior row: `image += src·rcv`, and
@@ -266,18 +314,18 @@ pub trait Wave: Sampled + Sized {
     type Medium;
     type Acq: ShotPoints;
     /// Image and snapshot field.
-    type Field: Grid<Ix = Self::Ix>;
+    type Field: Grid;
 
     fn new(medium: &Self::Medium) -> Self;
     /// A zeroed image/snapshot field over the medium's grid.
     fn zeros(medium: &Self::Medium) -> Self::Field;
+    /// The medium's interior points along `[x, y, z]` (`y = 1` in 2D).
+    fn interior(medium: &Self::Medium) -> [usize; 3];
     fn dt(medium: &Self::Medium) -> f32;
     fn step(&mut self, medium: &Self::Medium, config: &OptimizationConfig, gangs: usize);
     fn step_reverse(&mut self, medium: &Self::Medium, config: &OptimizationConfig, gangs: usize);
     fn copy_from(&mut self, other: &Self);
-    /// The grid index of an `[x, y, z]` shot point.
-    fn point(p: [usize; 3]) -> Self::Ix;
-    fn inject_at(&mut self, medium: &Self::Medium, i: Self::Ix, amp: f32);
+    fn inject_at(&mut self, medium: &Self::Medium, p: [usize; 3], amp: f32);
     /// A zeroed movie frame: the x–z plane modeling saves.
     fn frame(medium: &Self::Medium) -> Field2;
     /// Write the frame: the whole field in 2D, the source's y plane in 3D.
@@ -290,43 +338,22 @@ pub trait Wave: Sampled + Sized {
     /// halo they were allocated with, as a state's fields do.
     fn snapshot(&self, out: &mut Self::Field, gangs: usize) {
         let rows = out.rows();
-        let src = self.stored();
-        let out = out.data_mut();
-        assert!(src.is_none_or(|s| s.len() == out.len()), "extent mismatch");
-        let out = SyncSlice::new(out);
-        rows.par_for_each(gangs, |iy, iz, c| {
-            // SAFETY: each row is written by the one slab holding its depth.
-            let o = unsafe { out.range_mut(c, rows.nx) };
-            match src {
-                Some(s) => o.copy_from_slice(&s[c..][..rows.nx]),
-                None => {
-                    for (ix, v) in o.iter_mut().enumerate() {
-                        *v = self.at(Self::point([ix, iy, iz]));
-                    }
-                }
-            }
-        });
+        copy_rows(self, out.data_mut(), rows, gangs)
     }
 
     /// The imaging condition over the interior, slab-parallel over
     /// `gangs`: `image += src·self`, and `illum += src²` when an
-    /// illumination field is given. Fields without a stored array (the
+    /// illumination field is given. Rows that a field does not store (the
     /// elastic stress mean) are sampled point by point.
     fn correlate(
         &self,
-        src: &impl Sampled<Ix = Self::Ix>,
+        src: &impl Sampled,
         image: &mut Self::Field,
         illum: Option<&mut Self::Field>,
         gangs: usize,
     ) {
         let rows = image.rows();
-        let image = image.data_mut();
-        let dense = src.stored().zip(self.stored());
-        assert!(
-            dense.is_none_or(|(s, r)| s.len() == image.len() && r.len() == image.len()),
-            "extent mismatch"
-        );
-        let image = SyncSlice::new(image);
+        let image = SyncSlice::new(image.data_mut());
         let illum = illum.map(|f| SyncSlice::new(f.data_mut()));
         rows.par_for_each(gangs, |iy, iz, c| {
             let nx = rows.nx;
@@ -338,13 +365,16 @@ pub trait Wave: Sampled + Sized {
                     illum.as_ref().map(|f| f.range_mut(c, nx)),
                 )
             };
-            match dense {
-                Some((s, r)) => correlate_row(&s[c..][..nx], &r[c..][..nx], img, il),
-                None => {
+            match (src.row(iy, iz), self.row(iy, iz)) {
+                (Some(s), Some(r)) => {
+                    assert!(s.len() == nx && r.len() == nx, "extent mismatch");
+                    correlate_row(s, r, img, il)
+                }
+                (s, r) => {
                     for (ix, o) in img.iter_mut().enumerate() {
-                        let p = Self::point([ix, iy, iz]);
-                        let a = src.at(p);
-                        *o += a * self.at(p);
+                        let p = [ix, iy, iz];
+                        let a = s.map_or_else(|| src.at(p), |s| s[ix]);
+                        *o += a * r.map_or_else(|| self.at(p), |r| r[ix]);
                         if let Some(il) = il.as_deref_mut() {
                             il[ix] += a * a;
                         }
@@ -355,7 +385,7 @@ pub trait Wave: Sampled + Sized {
     }
 
     fn inject_source(&mut self, medium: &Self::Medium, acq: &Self::Acq, amp: f32) {
-        self.inject_at(medium, Self::point(acq.source()), amp);
+        self.inject_at(medium, acq.source(), amp);
     }
 
     /// Inject sample `t` of every trace at its receiver.
@@ -367,14 +397,14 @@ pub trait Wave: Sampled + Sized {
         t: usize,
     ) {
         for (r, p) in acq.receiver_points().enumerate() {
-            self.inject_at(medium, Self::point(p), seis.get(r, t));
+            self.inject_at(medium, p, seis.get(r, t));
         }
     }
 
     /// Record sample `t` of every trace from its receiver.
     fn record(&self, acq: &Self::Acq, seis: &mut Seismogram, t: usize) {
         for (r, p) in acq.receiver_points().enumerate() {
-            seis.record(r, t, self.at(Self::point(p)));
+            seis.record(r, t, self.at(p));
         }
     }
 }
@@ -390,6 +420,11 @@ impl Wave for State2 {
 
     fn zeros(medium: &Medium2) -> Field2 {
         Field2::zeros(medium.extent())
+    }
+
+    fn interior(medium: &Medium2) -> [usize; 3] {
+        let e = medium.extent();
+        [e.nx, 1, e.nz]
     }
 
     fn dt(medium: &Medium2) -> f32 {
@@ -408,11 +443,7 @@ impl Wave for State2 {
         State2::copy_from(self, other)
     }
 
-    fn point([x, _, z]: [usize; 3]) -> [usize; 2] {
-        [x, z]
-    }
-
-    fn inject_at(&mut self, medium: &Medium2, [ix, iz]: [usize; 2], amp: f32) {
+    fn inject_at(&mut self, medium: &Medium2, [ix, _, iz]: [usize; 3], amp: f32) {
         self.inject(medium, ix, iz, amp)
     }
 
@@ -459,6 +490,11 @@ impl Wave for State3 {
         Field3::zeros(medium.extent())
     }
 
+    fn interior(medium: &Medium3) -> [usize; 3] {
+        let e = medium.extent();
+        [e.nx, e.ny, e.nz]
+    }
+
     fn dt(medium: &Medium3) -> f32 {
         medium.dt()
     }
@@ -473,10 +509,6 @@ impl Wave for State3 {
 
     fn copy_from(&mut self, other: &Self) {
         State3::copy_from(self, other)
-    }
-
-    fn point(p: [usize; 3]) -> [usize; 3] {
-        p
     }
 
     fn inject_at(&mut self, medium: &Medium3, [ix, iy, iz]: [usize; 3], amp: f32) {
@@ -664,13 +696,12 @@ pub(crate) fn record<W: Wave>(
 
 /// Where the backward loop's source wavefield comes from.
 pub(crate) trait SourceField<W: Wave> {
-    /// A stored snapshot or a live state.
-    type Src: Sampled<Ix = W::Ix>;
     /// Bring the source field to forward step `t` (the state after step
     /// `t`). Called once per step, with `t` descending.
     fn seek(&mut self, t: usize);
-    /// Source snapshot `k` (step `k · snap_period`), if there is one.
-    fn snap(&self, k: usize) -> Option<&Self::Src>;
+    /// Source snapshot `k` (step `k · snap_period`), if there is one: a
+    /// stored snapshot or a live state.
+    fn snap(&self, k: usize) -> Option<impl Sampled + '_>;
 }
 
 /// The backward time loop: at every `snap_period`-th step correlate the
@@ -691,7 +722,7 @@ pub(crate) fn backward<W: Wave>(
             if t.is_multiple_of(shot.snap_period) {
                 if let Some(s) = src.snap(t / shot.snap_period) {
                     phase(prof::PHASE_IMAGING, || {
-                        rstate.correlate(s, &mut image, illum.as_deref_mut(), shot.gangs)
+                        rstate.correlate(&s, &mut image, illum.as_deref_mut(), shot.gangs)
                     });
                 }
             }
@@ -702,31 +733,91 @@ pub(crate) fn backward<W: Wave>(
     image
 }
 
-/// Dense source field: the snapshots the forward phase stored.
+/// Every snapshot of a shot in one allocation: snapshot `k` holds the
+/// interior rows of forward step `k · snap_period` back to back, laid out
+/// by [`Rows::packed`] — `nx·ny·nz` points, no halo. One buffer per shot,
+/// rather than one field per snapshot, lets the allocator serve each shot
+/// from memory the previous shot released.
+pub(crate) struct Snapshots {
+    data: Vec<f32>,
+    rows: Rows,
+}
+
+impl Snapshots {
+    /// `count` zeroed snapshots of the medium's interior.
+    fn zeros<W: Wave>(medium: &W::Medium, count: usize) -> Self {
+        let rows = Rows::packed(W::interior(medium));
+        Self {
+            data: vec![0.0; count * rows.points()],
+            rows,
+        }
+    }
+
+    /// Copy the interior of `src` into snapshot `k`, slab-parallel over
+    /// `gangs`.
+    fn write(&mut self, k: usize, src: &impl Sampled, gangs: usize) {
+        let n = self.rows.points();
+        copy_rows(src, &mut self.data[k * n..][..n], self.rows, gangs)
+    }
+
+    /// Snapshot `k`.
+    fn get(&self, k: usize) -> Packed<'_> {
+        let n = self.rows.points();
+        Packed {
+            data: &self.data[k * n..][..n],
+            rows: self.rows,
+        }
+    }
+}
+
+/// One snapshot of a [`Snapshots`] store.
+struct Packed<'a> {
+    data: &'a [f32],
+    rows: Rows,
+}
+
+impl Sampled for Packed<'_> {
+    fn at(&self, [ix, iy, iz]: [usize; 3]) -> f32 {
+        self.data[self.rows.start(iy, iz) + ix]
+    }
+    fn row(&self, iy: usize, iz: usize) -> Option<&[f32]> {
+        Some(self.rows.row(self.data, iy, iz))
+    }
+}
+
+/// Dense source field: the snapshots the forward phase packed.
+impl<W: Wave> SourceField<W> for Snapshots {
+    fn seek(&mut self, _t: usize) {}
+
+    fn snap(&self, k: usize) -> Option<impl Sampled + '_> {
+        Some(self.get(k))
+    }
+}
+
+/// Dense source field: snapshot fields stored by the caller.
 pub(crate) struct Stored<'a, F>(pub &'a [F]);
 
 impl<W: Wave> SourceField<W> for Stored<'_, W::Field> {
-    type Src = W::Field;
-
     fn seek(&mut self, _t: usize) {}
 
-    fn snap(&self, k: usize) -> Option<&W::Field> {
+    fn snap(&self, k: usize) -> Option<impl Sampled + '_> {
         self.0.get(k)
     }
 }
 
 /// Checkpointed source field: the forward pass keeps only the pre-step
 /// states at `checkpoints`; the backward loop replays one segment at a
-/// time from its checkpoint into a reused snapshot buffer. The propagator
-/// is bitwise deterministic, so the replayed snapshots equal the dense ones.
+/// time from its checkpoint into a reused snapshot store sized for the
+/// longest segment. The propagator is bitwise deterministic, so the
+/// replayed snapshots equal the dense ones.
 pub(crate) struct Replay<'a, W: Wave> {
     shot: Shot<'a, W>,
     wavelet: &'a Wavelet,
     checkpoints: Vec<usize>,
     stored: Vec<W>,
     state: W,
-    /// Snapshots of the replayed segment, `snaps[k - first]` for index `k`.
-    snaps: Vec<W::Field>,
+    /// Snapshots of the replayed segment, `k - first` for index `k`.
+    snaps: Snapshots,
     first: usize,
     /// First step of the replayed segment (`steps` before any replay).
     seg_start: usize,
@@ -736,6 +827,14 @@ impl<'a, W: Wave> Replay<'a, W> {
     /// Run the forward pass, storing the state before each checkpoint step
     /// (`checkpoints` sorted, starting at 0).
     pub fn new(shot: Shot<'a, W>, wavelet: &'a Wavelet, checkpoints: Vec<usize>) -> Self {
+        let p = shot.snap_period;
+        let ends = checkpoints.iter().skip(1).chain([&shot.steps]);
+        let longest = checkpoints
+            .iter()
+            .zip(ends)
+            .map(|(&a, &b)| b.div_ceil(p) - a.div_ceil(p))
+            .max()
+            .unwrap_or(0);
         let mut stored: Vec<W> = checkpoints.iter().map(|_| W::new(shot.medium)).collect();
         let mut state = W::new(shot.medium);
         phase(prof::PHASE_FORWARD, || {
@@ -752,7 +851,7 @@ impl<'a, W: Wave> Replay<'a, W> {
             checkpoints,
             stored,
             state,
-            snaps: Vec::new(),
+            snaps: Snapshots::zeros::<W>(shot.medium, longest),
             first: 0,
             seg_start: shot.steps,
         }
@@ -760,8 +859,6 @@ impl<'a, W: Wave> Replay<'a, W> {
 }
 
 impl<W: Wave> SourceField<W> for Replay<'_, W> {
-    type Src = W::Field;
-
     fn seek(&mut self, t: usize) {
         if t >= self.seg_start {
             return;
@@ -780,10 +877,7 @@ impl<W: Wave> SourceField<W> for Replay<'_, W> {
             start..self.seg_start,
             |t, s| {
                 if t.is_multiple_of(p) {
-                    if n == snaps.len() {
-                        snaps.push(W::zeros(shot.medium));
-                    }
-                    s.snapshot(&mut snaps[n], shot.gangs);
+                    snaps.write(n, s, shot.gangs);
                     n += 1;
                 }
             },
@@ -791,8 +885,8 @@ impl<W: Wave> SourceField<W> for Replay<'_, W> {
         self.seg_start = start;
     }
 
-    fn snap(&self, k: usize) -> Option<&W::Field> {
-        Some(&self.snaps[k - self.first])
+    fn snap(&self, k: usize) -> Option<impl Sampled + '_> {
+        Some(self.snaps.get(k - self.first))
     }
 }
 
@@ -824,8 +918,6 @@ impl<'a, W: Wave> Reversed<'a, W> {
 }
 
 impl<W: Wave> SourceField<W> for Reversed<'_, W> {
-    type Src = W;
-
     fn seek(&mut self, t: usize) {
         if self.at > t {
             // Undo forward step `at`: remove its injection, reverse the step.
@@ -837,7 +929,7 @@ impl<W: Wave> SourceField<W> for Reversed<'_, W> {
         }
     }
 
-    fn snap(&self, _k: usize) -> Option<&W> {
+    fn snap(&self, _k: usize) -> Option<impl Sampled + '_> {
         Some(&self.state)
     }
 }
@@ -862,10 +954,10 @@ pub(crate) fn rtm<W: Wave>(
         Some(_) => 0,
         None => shot.steps.div_ceil(shot.snap_period),
     };
-    let mut snaps: Vec<W::Field> = (0..n_snaps).map(|_| W::zeros(shot.medium)).collect();
+    let mut snaps = Snapshots::zeros::<W>(shot.medium, n_snaps);
     let seis = record(shot, wavelet, restart, |k, s| {
-        if let Some(f) = snaps.get_mut(k) {
-            s.snapshot(f, shot.gangs)
+        if k < n_snaps {
+            snaps.write(k, s, shot.gangs)
         }
     });
     let seismogram = mute(shot, &seis, wavelet);
@@ -876,7 +968,7 @@ pub(crate) fn rtm<W: Wave>(
             &mut Reversed::new(shot.through(m), wavelet),
             None,
         ),
-        None => backward(shot, &seismogram, &mut Stored(&snaps), None),
+        None => backward(shot, &seismogram, &mut snaps, None),
     };
     RtmResult {
         image,
@@ -985,8 +1077,9 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn field_bits(f: &impl Grid) -> Vec<u32> {
-        bits(f.stored().expect("a field stores its samples"))
+    /// The whole halo-inclusive array of `f`, as bits.
+    fn field_bits(f: &mut impl Grid) -> Vec<u32> {
+        bits(f.data_mut())
     }
 
     /// The serial imaging condition over stored fields, one interior row
@@ -1013,14 +1106,14 @@ mod tests {
     }
 
     /// `x` sampled point by point, serially, into a fresh field.
-    fn dense<W: Wave>(x: &impl Sampled<Ix = W::Ix>, medium: &W::Medium) -> W::Field {
+    fn dense<W: Wave>(x: &impl Sampled, medium: &W::Medium) -> W::Field {
         let mut f = W::zeros(medium);
         let rows = f.rows();
         let v = f.data_mut();
         for iz in 0..rows.nz {
             for iy in 0..rows.ny {
                 for ix in 0..rows.nx {
-                    v[rows.start(iy, iz) + ix] = x.at(W::point([ix, iy, iz]));
+                    v[rows.start(iy, iz) + ix] = x.at([ix, iy, iz]);
                 }
             }
         }
@@ -1034,8 +1127,8 @@ mod tests {
         src: &mut impl SourceField<W>,
     ) -> [Vec<u32>; 2] {
         let mut illum = W::zeros(shot.medium);
-        let image = backward(shot, seis, src, Some(&mut illum));
-        [field_bits(&image), field_bits(&illum)]
+        let mut image = backward(shot, seis, src, Some(&mut illum));
+        [field_bits(&mut image), field_bits(&mut illum)]
     }
 
     /// [`migrate`] with the backward loop written out and imaging through
@@ -1052,8 +1145,9 @@ mod tests {
             src.seek(t);
             if t.is_multiple_of(shot.snap_period) {
                 if let Some(s) = src.snap(t / shot.snap_period) {
-                    let (s, r) = (dense::<W>(s, shot.medium), dense::<W>(&rstate, shot.medium));
-                    let pair = [s.stored(), r.stored()].map(|f| f.expect("stored"));
+                    let mut s = dense::<W>(&s, shot.medium);
+                    let mut r = dense::<W>(&rstate, shot.medium);
+                    let pair = [&*s.data_mut(), &*r.data_mut()];
                     let starts =
                         (0..rows.nz).flat_map(|iz| (0..rows.ny).map(move |iy| rows.start(iy, iz)));
                     let il = Some(illum.data_mut());
@@ -1063,12 +1157,22 @@ mod tests {
             rstate.step(shot.medium, shot.config, shot.gangs);
             rstate.inject_receivers(shot.medium, shot.acq, seis, t);
         }
-        [field_bits(&image), field_bits(&illum)]
+        [field_bits(&mut image), field_bits(&mut illum)]
     }
 
-    /// Dense, checkpointed and random-boundary images and illuminations at
-    /// gangs 1, 2 and 3 against the serial oracle, and every dense snapshot
-    /// against a serial point-by-point copy; one line per mismatch.
+    /// The interior of `x` sampled point by point, serially, in the
+    /// packed row order: the oracle of a packed snapshot.
+    fn packed<W: Wave>(x: &impl Sampled, medium: &W::Medium) -> Vec<u32> {
+        let [nx, ny, nz] = W::interior(medium);
+        let points =
+            (0..nz).flat_map(|iz| (0..ny).flat_map(move |iy| (0..nx).map(move |ix| [ix, iy, iz])));
+        points.map(|p| x.at(p).to_bits()).collect()
+    }
+
+    /// Images and illuminations from packed and field snapshots,
+    /// checkpoints and random boundaries at gangs 1, 2 and 3 against the
+    /// serial oracle, and every snapshot, packed or field, against a serial
+    /// point-by-point copy; one line per mismatch.
     fn imaging_mismatches<M: Medium>(
         name: &str,
         medium: &M,
@@ -1084,8 +1188,10 @@ mod tests {
             .map(|_| M::Wave::zeros(medium))
             .collect();
         let seis = record(&serial, &w, None, |k, s| s.snapshot(&mut snaps[k], 1));
+        let dense_oracle = migrate_serial(&serial, &seis, &mut Stored(&snaps));
         let oracle = [
-            migrate_serial(&serial, &seis, &mut Stored(&snaps)),
+            dense_oracle.clone(),
+            dense_oracle,
             migrate_serial(
                 &serial,
                 &seis,
@@ -1100,14 +1206,20 @@ mod tests {
         let mut bad = Vec::new();
         for gangs in 1..=3 {
             let shot = Shot::<M::Wave>::new(medium, acq, &cfg, steps, SNAP, gangs);
+            let mut packs = Snapshots::zeros::<M::Wave>(medium, steps.div_ceil(SNAP));
             let mut scratch = M::Wave::zeros(medium);
             record(&shot, &w, None, |k, s| {
                 s.snapshot(&mut scratch, gangs);
-                if field_bits(&scratch) != field_bits(&dense::<M::Wave>(s, medium)) {
-                    bad.push(format!("{name} gangs {gangs}: snapshot {k}"));
+                if field_bits(&mut scratch) != field_bits(&mut dense::<M::Wave>(s, medium)) {
+                    bad.push(format!("{name} gangs {gangs}: snapshot field {k}"));
+                }
+                packs.write(k, s, gangs);
+                if bits(packs.get(k).data) != packed::<M::Wave>(s, medium) {
+                    bad.push(format!("{name} gangs {gangs}: packed snapshot {k}"));
                 }
             });
             let got = [
+                migrate(&shot, &seis, &mut packs),
                 migrate(&shot, &seis, &mut Stored(&snaps)),
                 migrate(
                     &shot,
@@ -1120,8 +1232,10 @@ mod tests {
                     &mut Reversed::new(shot.through(&randomized), &w),
                 ),
             ];
-            for ((strategy, got), want) in
-                ["dense", "replay", "reversed"].iter().zip(got).zip(&oracle)
+            for ((strategy, got), want) in ["packed", "fields", "replay", "reversed"]
+                .iter()
+                .zip(got)
+                .zip(&oracle)
             {
                 if got != *want {
                     bad.push(format!(

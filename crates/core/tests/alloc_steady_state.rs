@@ -6,7 +6,9 @@
 //! receiver recording, snapshot write — must perform zero heap
 //! allocations. This is the write-into (`copy_from`) acceptance criterion
 //! of the host execution engine made mechanical: any `clone()` or `Vec` growth
-//! sneaking back into the hot loop fails this test immediately.
+//! sneaking back into the hot loop fails this test immediately. A dense
+//! RTM shot must also make as many allocations at 32 snapshots as at 16:
+//! its snapshot set is one buffer, whatever the snapshot count.
 //!
 //! The whole check lives in ONE test fn: the counter is process-global, so
 //! a sibling test allocating concurrently would pollute the window.
@@ -71,6 +73,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use rtm_core::modeling::{Medium2, State2};
+use rtm_core::rtm::run_rtm;
 use rtm_core::OptimizationConfig;
 use seismic_grid::cfl::stable_dt;
 use seismic_grid::Field2;
@@ -175,5 +178,17 @@ fn modeling_step_loop_is_allocation_free_after_warmup() {
         }
         let after = ALLOCS.load(Ordering::SeqCst);
         assert_eq!(after - before, 0, "{name}: copy_from allocated");
+
+        // Snapshot storage: one allocation per shot, whatever its count.
+        let rtm_allocs = |steps: usize| {
+            let before = ALLOCS.load(Ordering::SeqCst);
+            run_rtm(&medium, &acq, &w, &cfg, steps, 3, gangs);
+            ALLOCS.load(Ordering::SeqCst) - before
+        };
+        let (short, long) = (rtm_allocs(48), rtm_allocs(96));
+        assert_eq!(
+            short, long,
+            "{name}: a dense RTM shot allocated {short} times at 16 snapshots, {long} at 32"
+        );
     }
 }

@@ -47,4 +47,4 @@ pub use access::{AccessSet, AffineAccess, ReduceOp, ReductionAccess};
 pub use compiler::{Compiler, KernelPlan, PgiVersion};
 pub use construct::{Clause, ConstructKind, LoopNest, LoopSched};
 pub use data::DataEnv;
-pub use runtime::{AccRuntime, RuntimeError};
+pub use runtime::AccRuntime;

@@ -11,28 +11,6 @@ use accel_sim::{DeviceSpec, EventKind, Profiler, SimTime};
 use seismic_prop::desc::KernelDesc;
 use std::sync::Arc;
 
-/// Errors from runtime operations — the same vocabulary `acc-verify`
-/// diagnoses statically, surfaced at execution time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RuntimeError {
-    /// `wait` with no asynchronous work pending anywhere — almost always a
-    /// doubled `wait` directive (the first drain already consumed the
-    /// queues), surfaced explicitly instead of as a silent zero-time no-op.
-    NothingPending,
-}
-
-impl std::fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuntimeError::NothingPending => {
-                write!(f, "wait with no async work pending (doubled wait?)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
-
 /// A device context: simulated clock + data environment + async queues.
 ///
 /// Drivers call [`AccRuntime::launch`] once per kernel per time step with
@@ -155,7 +133,7 @@ impl AccRuntime {
             Some(q) => {
                 // Async: the kernel's true start is only known once the
                 // drain schedule runs, so profiler/tracer recording is
-                // deferred to the wait (see `try_wait_async`).
+                // deferred to the wait (see `wait_async`).
                 let capacity = f64::from(dev.sm_count) * f64::from(dev.max_threads_per_sm);
                 self.queue.push(QueuedKernel {
                     name: desc.name.to_string(),
@@ -193,29 +171,17 @@ impl AccRuntime {
     }
 
     /// `!$acc wait` — drain all async queues, advancing the clock by the
-    /// overlapped makespan.
-    ///
-    /// A `wait` with nothing pending is the OpenACC-spec no-op and returns
-    /// `0.0`; use [`AccRuntime::try_wait_async`] when a doubled wait should
-    /// be an error instead.
+    /// overlapped makespan. A `wait` with nothing pending is the
+    /// OpenACC-spec no-op: it returns `0.0` and leaves the clock alone.
     pub fn wait_async(&mut self) -> SimTime {
-        self.try_wait_async().unwrap_or(0.0)
-    }
-
-    /// `!$acc wait`, strict form: draining with no async work pending
-    /// returns [`RuntimeError::NothingPending`] rather than silently doing
-    /// nothing. This is the semantics `acc-verify`'s sanitizer runs under —
-    /// a doubled `wait` in a directive sequence is almost always a logic
-    /// error (the barrier the author expects is not where they think).
-    pub fn try_wait_async(&mut self) -> Result<SimTime, RuntimeError> {
         if self.queue.is_empty() {
-            return Err(RuntimeError::NothingPending);
+            return 0.0;
         }
         let dev = self.data.device().clone();
         let sched = self.queue.drain_schedule(&dev, IssueMode::AsyncStreams);
         self.record_drained(&sched);
         self.clock += sched.makespan_s;
-        Ok(sched.makespan_s)
+        sched.makespan_s
     }
 
     /// Deferred recording of async work at its wait: the drain schedule
@@ -488,16 +454,17 @@ mod tests {
         assert_eq!(r.elapsed(), 1.5);
     }
 
-    /// Doubled waits are typed errors in strict form, spec no-ops in the
-    /// permissive form.
+    /// A doubled wait is the spec no-op: it returns `0.0` and leaves the
+    /// clock where the first wait put it.
     #[test]
-    fn double_wait_is_typed() {
+    fn double_wait_is_a_no_op() {
         let mut r = AccRuntime::new(DeviceSpec::k40(), Compiler::Cray);
         let nest = LoopNest::new(&[64, 64]);
         r.launch(&desc(), &nest, ConstructKind::Parallel, &[Clause::Async(2)]);
-        assert!(r.try_wait_async().is_ok());
-        assert_eq!(r.try_wait_async(), Err(RuntimeError::NothingPending));
-        assert_eq!(r.wait_async(), 0.0, "permissive form stays a no-op");
+        assert!(r.wait_async() > 0.0);
+        let drained = r.elapsed();
+        assert_eq!(r.wait_async(), 0.0);
+        assert_eq!(r.elapsed(), drained, "a doubled wait moves the clock");
     }
 
     #[test]
